@@ -11,35 +11,24 @@ import argparse
 import sys
 
 from . import charvar, mincomplex, resband
-from .geometry import (
-    Arrangement,
-    ArrangementError,
-    ProjArrangement,
-    cone,
-    parse_arrangement,
-)
+from .geometry import ProjArrangement, cone, parse_arrangement
 from .localsystem import LocalSystemError, make_local_system, resonance_report
-from .resband import TheoremInapplicableError
 
 
 class _CliError(ValueError):
     pass
 
 
-def _load_arrangement(path):
+def _load(path):
+    """(arr, proj) from an affine or projective file: the projective
+    arrangement (the cone of affine input) and its infinity chart."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_arrangement(fh.read())
+            obj = parse_arrangement(fh.read())
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _as_affine(obj):
-    """Affine arrangement and its projective closure, from either input."""
-    if isinstance(obj, Arrangement):
-        return obj, cone(obj)
-    chart = obj.chart(obj.infinity_index)
-    return chart.arrangement, obj
+    proj = obj if isinstance(obj, ProjArrangement) else cone(obj)
+    return proj.chart(proj.infinity_index).arrangement, proj
 
 
 def _parse_system(spec, n, backend, eps):
@@ -83,7 +72,7 @@ def _sign_header(arr):
 
 
 def cmd_chambers(args):
-    arr, _ = _as_affine(_load_arrangement(args.arrangement))
+    arr, _ = _load(args.arrangement)
     rows = _sign_header(arr)
     flagged = arr.flagged()
     rows.append(f"flag line order: {' '.join(f'H{i + 1}' for i in flagged.frame.order)}")
@@ -102,7 +91,7 @@ def cmd_chambers(args):
 
 
 def cmd_complex(args):
-    arr, _ = _as_affine(_load_arrangement(args.arrangement))
+    arr, _ = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     flagged = arr.flagged()
     structure = mincomplex.complex_structure(flagged)
@@ -133,18 +122,16 @@ def cmd_complex(args):
 
 
 def cmd_h1(args):
-    arr, proj = _as_affine(_load_arrangement(args.arrangement))
+    arr, proj = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     rows = []
-    if not system.infinity_is_one():
-        result = resband.h1_via_bands(system, arr)
-        rows.append(f"resonant bands: {len(result.bands)}")
-        rows.append(f"h1 = {result.dim}")
-    else:
-        pivot = next(
-            (j for j in range(arr.n) if not system.prod_is_one((j,))), None
+    h = proj.infinity_index
+    if system.infinity_is_one():
+        # first line in file order with q != 1 (never the infinity line)
+        h = next(
+            (j for j in range(proj.n) if not system.q_is_one_at(proj, j)), None
         )
-        if pivot is None:
+        if h is None:
             rows.append(
                 "infinity monodromy and all line monodromies are trivial; "
                 "falling back to the chamber complex"
@@ -153,31 +140,11 @@ def cmd_h1(args):
             rows.append(f"h1 = {h1}")
             _emit(args.out, "\n".join(rows) + "\n")
             return 0
-        rows.append(
-            f"infinity monodromy is trivial; relabeling H{pivot + 1} to infinity"
-        )
-        chart = proj.chart(pivot)
-        if system.mode == "torsion":
-            exps = []
-            for old in chart.to_old:
-                if old == proj.infinity_index:
-                    exps.append(-sum(system.half_exponents) % (2 * system.order))
-                else:
-                    exps.append(system.half_exponents[proj.affine_position(old)])
-            moved = make_local_system(
-                exps, order=system.order, backend=args.backend, eps=args.eps
-            )
-        else:
-            vals = []
-            for old in chart.to_old:
-                if old == proj.infinity_index:
-                    vals.append(system.monodromy_infinity())
-                else:
-                    vals.append(system.monodromy(proj.affine_position(old)))
-            moved = make_local_system(values=vals, eps=args.eps)
-        result = resband.h1_via_bands(moved, chart.arrangement)
-        rows.append(f"resonant bands: {len(result.bands)}")
-        rows.append(f"h1 = {result.dim}")
+        rows.append(f"infinity monodromy is trivial; relabeling H{h + 1} to infinity")
+    moved = system.on_chart(proj, h)
+    result = resband.h1_via_bands(moved, proj.chart(h).arrangement)
+    rows.append(f"resonant bands: {len(result.bands)}")
+    rows.append(f"h1 = {result.dim}")
     if args.check:
         h0, h1, h2 = mincomplex.cohomology_dims(system, arr)
         rows.append(f"chamber complex check: h0 h1 h2 = {h0} {h1} {h2}")
@@ -190,7 +157,7 @@ def cmd_h1(args):
 
 
 def cmd_certify(args):
-    arr, proj = _as_affine(_load_arrangement(args.arrangement))
+    arr, proj = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     report = resband.vanishing_certificates(system, proj)
     rows = []
@@ -231,8 +198,7 @@ def cmd_certify(args):
 
 
 def cmd_scan(args):
-    obj = _load_arrangement(args.arrangement)
-    proj = obj if isinstance(obj, ProjArrangement) else cone(obj)
+    _, proj = _load(args.arrangement)
     hits = charvar.torsion_scan(
         proj, args.order, budget=args.budget, backend=args.backend
     )
@@ -336,13 +302,7 @@ def main(argv=None):
     except charvar.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ArrangementError,
-        LocalSystemError,
-        TheoremInapplicableError,
-        _CliError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

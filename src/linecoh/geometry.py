@@ -275,6 +275,7 @@ class Arrangement:
         self._chambers = None
         self._points = None
         self._flags = {}
+        self._bands = None  # resband.BandStructure, built on first use
 
     @property
     def n(self):
@@ -303,10 +304,6 @@ class Arrangement:
         return self._flags[variant]
 
 
-def chambers(arrangement):
-    return arrangement.chambers()
-
-
 # ---------------------------------------------------------------------------
 # generic flag
 
@@ -320,10 +317,6 @@ class FlagFrame:
     offset: tuple
     order: tuple  # flag position -> original line id
     sign_flips: tuple  # per flag position
-
-    def apply(self, x, y):
-        (m00, m01), (m10, m11) = self.matrix
-        return (m00 * x + m01 * y + self.offset[0], m10 * x + m11 * y + self.offset[1])
 
 
 class FlaggedArrangement:
@@ -561,9 +554,6 @@ class Chart:
     arrangement: Arrangement
     to_old: tuple  # affine position -> line index in the source
     moved: int
-
-    def to_new(self, old):
-        return self.to_old.index(old)
 
 
 def _mat3_inverse(rows):

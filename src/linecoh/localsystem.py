@@ -123,34 +123,10 @@ class LocalSystem:
 
     # -- coned arrangement helpers ------------------------------------------
 
-    def q_at(self, proj, j):
-        """Monodromy of projective line j (the infinity slot is derived)."""
-        if j == proj.infinity_index:
-            return self.monodromy_infinity()
-        return self.monodromy(proj.affine_position(j))
-
     def q_is_one_at(self, proj, j):
         if j == proj.infinity_index:
             return self.infinity_is_one()
         return self.prod_is_one((proj.affine_position(j),))
-
-    def q_point(self, proj, point):
-        """prod of q over the lines through a projective intersection point."""
-        if self.mode == "torsion":
-            s = 0
-            inf = False
-            for j in point.incident:
-                if j == proj.infinity_index:
-                    inf = True
-                else:
-                    s += 2 * self.half_exponents[proj.affine_position(j)]
-            if inf:
-                s -= 2 * sum(self.half_exponents)
-            return self.backend.root(s)
-        prod = 1 + 0j
-        for j in point.incident:
-            prod *= self.q_at(proj, j)
-        return prod
 
     def q_point_is_one(self, proj, point):
         affine = [
@@ -162,6 +138,28 @@ class LocalSystem:
         return self.prod_is_one(affine, with_infinity=with_inf)
 
     # -- convention changes ---------------------------------------------------
+
+    def on_chart(self, proj, h):
+        """The same monodromies on the affine lines of ``proj.chart(h)``.
+
+        The system lives on the affine lines of ``proj`` (its infinity chart);
+        line h moves to infinity and the old infinity line takes the square
+        root ``half_infinity()``.  Line order follows ``chart.to_old``.
+        """
+        if h == proj.infinity_index:
+            return self
+        if self.mode == "torsion":
+            halves = self.half_exponents + (-sum(self.half_exponents),)
+        else:
+            halves = self.half_values + (self.half_infinity(),)
+        inf = proj.infinity_index
+        moved = tuple(
+            halves[-1] if old == inf else halves[proj.affine_position(old)]
+            for old in proj.chart(h).to_old
+        )
+        if self.mode == "torsion":
+            return LocalSystem(self.backend, half_exponents=moved, order=self.order)
+        return LocalSystem(self.backend, half_values=moved)
 
     def flipped(self, ids=None):
         """Same monodromies with h_i replaced by -h_i (all lines by default)."""

@@ -15,8 +15,8 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import sep
-from .scalars import Matrix, kernel_basis, rank
+from .geometry import Arrangement, sep
+from .scalars import Matrix, kernel_basis
 
 
 class TheoremInapplicableError(ValueError):
@@ -53,29 +53,44 @@ class StandingWave:
 
 
 @dataclass(frozen=True)
-class _BandData:
-    band: Band
-    sep_ends: tuple  # ids separating the two unbounded ends
-    wave_seps: tuple  # (chamber index, ids of Sep(U1, chamber))
+class BandStructure:
+    """Local-system-independent skeleton of the bands of one arrangement.
+
+    Per band, in ``bands`` order: ``sep_ends`` holds the ids separating its
+    two unbounded ends and ``wave_seps`` pairs each chamber of the band with
+    the ids of Sep(U_1, chamber).
+    """
+
+    bands: tuple
+    sep_ends: tuple
+    wave_seps: tuple
+
+    def is_resonant(self, system, k):
+        """Vanishing of the weight between the ends of band k; cross-checked
+        against the resonance of the band's point at infinity."""
+        by_delta = system.prod_is_one(self.sep_ends[k])
+        by_point = system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
+        if by_delta != by_point:
+            raise AssertionError("band resonance criteria disagree")
+        return by_delta
+
+    def resonant(self, system):
+        """Positions of the resonant bands."""
+        return [k for k in range(len(self.bands)) if self.is_resonant(system, k)]
 
 
-def bands(arrangement):
-    """All bands, sorted by direction and position along the normal."""
-    return tuple(bd.band for bd in _band_structure(arrangement))
-
-
-def _band_structure(arrangement):
-    cached = getattr(arrangement, "_band_data", None)
-    if cached is not None:
-        return cached
-    lines = arrangement.lines
-    if any(ln.id != k for k, ln in enumerate(lines)):
+def band_structure(arrangement):
+    """The cached ``BandStructure`` of a (position-indexed) arrangement."""
+    if not isinstance(arrangement, Arrangement):
         raise ValueError("bands need a position-indexed arrangement, not a flagged one")
+    if arrangement._bands is not None:
+        return arrangement._bands
+    lines = arrangement.lines
     chs = arrangement.chambers()
     groups = {}
     for ln in lines:
         groups.setdefault((ln.a, ln.b), []).append(ln)
-    data = []
+    bands, sep_ends, wave_seps = [], [], []
     for key in sorted(groups):
         cls = sorted(groups[key], key=lambda ln: ln.c, reverse=True)
         if len(cls) < 2:
@@ -96,65 +111,59 @@ def _band_structure(arrangement):
             u1, u2 = ends
             if chs[u1].opposite is not chs[u2]:
                 raise ValueError("band ends are not opposite chambers")
-            band = Band(
-                lower=low.id,
-                upper=up.id,
-                u1=u1,
-                u2=u2,
-                inner=inner,
-                parallel_ids=class_ids,
-            )
-            wave_seps = tuple(
-                (ci, tuple(sorted(sep(chs[u1], chs[ci], lines)))) for ci in inner
-            )
-            data.append(
-                _BandData(
-                    band=band,
-                    sep_ends=tuple(sorted(sep(chs[u1], chs[u2], lines))),
-                    wave_seps=wave_seps,
+            bands.append(
+                Band(
+                    lower=low.id,
+                    upper=up.id,
+                    u1=u1,
+                    u2=u2,
+                    inner=inner,
+                    parallel_ids=class_ids,
                 )
             )
-    arrangement._band_data = tuple(data)
-    return arrangement._band_data
+            sep_ends.append(tuple(sorted(sep(chs[u1], chs[u2], lines))))
+            wave_seps.append(
+                tuple(
+                    (ci, tuple(sorted(sep(chs[u1], chs[ci], lines)))) for ci in inner
+                )
+            )
+    arrangement._bands = BandStructure(
+        bands=tuple(bands), sep_ends=tuple(sep_ends), wave_seps=tuple(wave_seps)
+    )
+    return arrangement._bands
 
 
-def _is_resonant(system, data):
-    """Vanishing of the weight between the band ends; cross-checked against
-    the resonance of the band's point at infinity."""
-    by_delta = system.prod_is_one(data.sep_ends)
-    by_point = system.prod_is_one(data.band.parallel_ids, with_infinity=True)
-    if by_delta != by_point:
-        raise AssertionError("band resonance criteria disagree")
-    return by_delta
+def bands(arrangement):
+    """All bands, sorted by direction and position along the normal."""
+    return band_structure(arrangement).bands
 
 
 def resonant_bands(system, arrangement):
-    return tuple(
-        bd.band
-        for bd in _band_structure(arrangement)
-        if _is_resonant(system, bd)
-    )
+    structure = band_structure(arrangement)
+    return tuple(structure.bands[k] for k in structure.resonant(system))
 
 
 def standing_wave(system, arrangement, band, end=1):
     """The chamber combination Delta(U_end, C) . [C] over chambers C in the
     band. Meaningful for resonant bands; computable (with a warning) always."""
-    for bd in _band_structure(arrangement):
-        if bd.band is band or bd.band == band:
-            if not _is_resonant(system, bd):
-                warnings.warn("standing wave of a non-resonant band", stacklevel=2)
-            if end == 1:
-                coeffs = {ci: system.delta_ids(ids) for ci, ids in bd.wave_seps}
-            else:
-                chs = arrangement.chambers()
-                lines = arrangement.lines
-                u2 = chs[bd.band.u2]
-                coeffs = {
-                    ci: system.delta_ids(sorted(sep(u2, chs[ci], lines)))
-                    for ci in bd.band.inner
-                }
-            return StandingWave(band=bd.band, coefficients=coeffs)
-    raise ValueError("band does not belong to this arrangement")
+    structure = band_structure(arrangement)
+    try:
+        k = structure.bands.index(band)
+    except ValueError:
+        raise ValueError("band does not belong to this arrangement") from None
+    if not structure.is_resonant(system, k):
+        warnings.warn("standing wave of a non-resonant band", stacklevel=2)
+    if end == 1:
+        seps = structure.wave_seps[k]
+    else:
+        # Sep(U_2, C) = Sep(U_1, C) symmetric difference Sep(U_1, U_2)
+        ends = set(structure.sep_ends[k])
+        seps = [
+            (ci, sorted(ends.symmetric_difference(ids)))
+            for ci, ids in structure.wave_seps[k]
+        ]
+    coeffs = {ci: system.delta_ids(ids) for ci, ids in seps}
+    return StandingWave(band=structure.bands[k], coefficients=coeffs)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,6 @@ class BandKernel:
     dim: int
     bands: tuple  # the resonant bands, in matrix column order
     kernel: tuple  # basis vectors, coefficients per band
-    chamber_rows: tuple
 
 
 def h1_via_bands(system, arrangement):
@@ -177,28 +185,22 @@ def h1_via_bands(system, arrangement):
             "infinity monodromy is trivial; move a non-resonant line to "
             "infinity or use the chamber complex"
         )
-    res = [
-        bd for bd in _band_structure(arrangement) if _is_resonant(system, bd)
-    ]
+    structure = band_structure(arrangement)
+    res = structure.resonant(system)
     if not res:
-        return BandKernel(dim=0, bands=(), kernel=(), chamber_rows=())
-    row_ids = sorted({ci for bd in res for ci, _ in bd.wave_seps})
-    row_pos = {ci: k for k, ci in enumerate(row_ids)}
+        return BandKernel(dim=0, bands=(), kernel=())
+    row_ids = sorted({ci for k in res for ci, _ in structure.wave_seps[k]})
+    row_pos = {ci: r for r, ci in enumerate(row_ids)}
     bk = system.backend
     rows = [[bk.zero] * len(res) for _ in row_ids]
-    for col, bd in enumerate(res):
-        for ci, ids in bd.wave_seps:
+    for col, k in enumerate(res):
+        for ci, ids in structure.wave_seps[k]:
             rows[row_pos[ci]][col] = system.delta_ids(ids)
-    mat = Matrix(bk, rows, ncols=len(res))
-    dim = mat.ncols - rank(mat)
-    basis = tuple(tuple(vec) for vec in kernel_basis(mat))
-    if len(basis) != dim:
-        raise AssertionError("kernel dimension mismatch")
+    basis = tuple(tuple(vec) for vec in kernel_basis(Matrix(bk, rows, ncols=len(res))))
     return BandKernel(
-        dim=dim,
-        bands=tuple(bd.band for bd in res),
+        dim=len(basis),
+        bands=tuple(structure.bands[k] for k in res),
         kernel=basis,
-        chamber_rows=tuple(row_ids),
     )
 
 

@@ -5,19 +5,21 @@ Two interchangeable backends feed every cohomology computation:
 * ``CyclotomicBackend(M)`` -- exact arithmetic in Q(zeta_M).  An element is
   a coefficient tuple of length phi(M), coding a polynomial in zeta_M
   reduced modulo the M-th cyclotomic polynomial.  Coefficients are Python
-  ints or Fractions; zero testing is exact.
+  ints, so an element lies in Z[zeta_M]; zero testing is exact.
 * ``ComplexBackend(eps)`` -- plain complex floats with an absolute zero
   tolerance ``eps``.
 
-Rank computations over the cyclotomic backend run fraction-free (Bareiss)
-on integer coefficient vectors, so no rational blowup occurs.
+Each backend has one row echelon routine, shared by ``rank`` and
+``kernel_basis``.  Over the cyclotomic backend both are fraction-free:
+elimination and back-substitution multiply by pivots instead of dividing,
+and strip integer content, so entries stay in Z[zeta] without blowup.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -57,54 +59,6 @@ def cyclotomic_polynomial(order):
     return tuple(poly)
 
 
-def _ext_inverse(poly, modulus):
-    """Inverse of poly modulo the irreducible monic `modulus`, over Q[x].
-
-    poly and modulus are dense Fraction/int lists, constant first.  Returns
-    Fraction coefficient list of length < deg(modulus).
-    """
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def divmod_q(a, b):
-        a = [Fraction(x) for x in a]
-        q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-        inv_lead = 1 / Fraction(b[-1])
-        for k in range(len(a) - 1, len(b) - 2, -1):
-            coeff = a[k] * inv_lead
-            if coeff:
-                q[k - len(b) + 1] = coeff
-                for j in range(len(b)):
-                    a[k - len(b) + 1 + j] -= coeff * b[j]
-        return trim(q), trim(a)
-
-    r0, r1 = [Fraction(c) for c in modulus], trim([Fraction(c) for c in poly])
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    if not r1:
-        raise ZeroDivisionError("inverse of zero")
-    while len(r1) > 1:
-        q, r = divmod_q(r0, r1)
-        # t_next = t0 - q*t1
-        prod = [Fraction(0)] * (len(q) + len(t1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, tj in enumerate(t1):
-                    prod[i + j] += qi * tj
-        tnext = [
-            (t0[k] if k < len(t0) else 0) - (prod[k] if k < len(prod) else 0)
-            for k in range(max(len(t0), len(prod)))
-        ]
-        r0, r1 = r1, (r if r else [Fraction(0)])
-        t0, t1 = t1, trim(tnext) or [Fraction(0)]
-        if not any(r1):
-            raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    g = r1[0]
-    return [c / g for c in t1]
-
-
 class CyclotomicBackend:
     """Exact arithmetic in the cyclotomic field Q(zeta_order)."""
 
@@ -137,9 +91,6 @@ class CyclotomicBackend:
         """zeta_order ** k as a backend element."""
         return self._pow[k % self.order]
 
-    def from_rational(self, r):
-        return (r,) + (0,) * (self.degree - 1)
-
     def add(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
 
@@ -169,16 +120,6 @@ class CyclotomicBackend:
 
     def scale(self, r, u):
         return tuple(r * a for a in u)
-
-    def inv(self, u):
-        if self.is_zero(u):
-            raise ZeroDivisionError("inverse of zero")
-        coeffs = _ext_inverse(list(u), list(self.modulus))
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(coeffs[: self.degree])
-
-    def div(self, u, v):
-        return self.mul(u, self.inv(v))
 
     def is_zero(self, u):
         return not any(u)
@@ -236,9 +177,6 @@ class ComplexBackend:
     def unit_root(self, k, order):
         return cmath.exp(2j * cmath.pi * k / order)
 
-    def from_rational(self, r):
-        return complex(r)
-
     def add(self, u, v):
         return u + v
 
@@ -253,14 +191,6 @@ class ComplexBackend:
 
     def scale(self, r, u):
         return complex(r) * u
-
-    def inv(self, u):
-        if self.is_zero(u):
-            raise ZeroDivisionError("inverse of (numerically) zero")
-        return 1 / u
-
-    def div(self, u, v):
-        return u / v
 
     def is_zero(self, u):
         return abs(u) <= self.eps
@@ -326,46 +256,31 @@ def matmul(a, b):
     return Matrix(bk, out, ncols=b.ncols)
 
 
-def _int_rows(backend, rows):
-    """Clear denominators rowwise, returning integer coefficient tuples."""
-    out = []
-    for row in rows:
-        den = 1
-        for e in row:
-            for c in e:
-                if isinstance(c, Fraction):
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-        if den == 1:
-            out.append([tuple(int(c) for c in e) for e in row])
-        else:
-            out.append([tuple(int(c * den) for c in e) for e in row])
-    return out
-
-
-def _rank_cyclotomic(mat):
-    """Fraction-free row elimination over Z[zeta]; division never needed.
+def _echelon_cyclotomic(mat):
+    """Fraction-free row echelon form over Z[zeta]; division never needed.
 
     Row updates are multiply-and-subtract (rank preserving since pivots are
     nonzero in an integral domain); rowwise integer content is stripped to
-    keep coefficients small.
+    keep coefficients small.  Returns the rows and the pivot columns.
     """
     bk = mat.backend
-    rows = _int_rows(bk, mat.rows)
+    rows = [list(r) for r in mat.rows]
     m, n = len(rows), mat.ncols
     mul, sub = bk.mul, bk.sub
-    rank = 0
+    pivots = []
     for col in range(n):
+        r = len(pivots)
         piv = None
-        for i in range(rank, m):
+        for i in range(r, m):
             if any(rows[i][col]):
                 piv = i
                 break
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
         p = prow[col]
-        for i in range(rank + 1, m):
+        for i in range(r + 1, m):
             ri = rows[i]
             f = ri[col]
             if not any(f):
@@ -380,102 +295,102 @@ def _rank_cyclotomic(mat):
             if g > 1:
                 for k in range(col, n):
                     ri[k] = tuple(c // g for c in ri[k])
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
 
 
-def _rank_complex(mat):
+def _echelon_complex(mat):
+    """Row echelon form with partial pivoting; a pivot must exceed ``eps``
+    times the largest entry modulus.  Returns the rows and pivot columns."""
     eps = mat.backend.eps
     rows = [[complex(e) for e in row] for row in mat.rows]
     m, n = len(rows), mat.ncols
     scale = max((abs(e) for row in rows for e in row), default=0.0)
-    if scale == 0.0:
-        return 0
     thresh = eps * scale
-    rank = 0
+    pivots = []
+    if scale == 0.0:
+        return rows, pivots
     for col in range(n):
+        r = len(pivots)
         piv, best = None, thresh
-        for i in range(rank, m):
+        for i in range(r, m):
             a = abs(rows[i][col])
             if a > best:
                 piv, best = i, a
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
         pval = prow[col]
-        for i in range(rank + 1, m):
+        for i in range(r + 1, m):
             f = rows[i][col] / pval
             if f:
                 ri = rows[i]
                 for k in range(col, n):
                     ri[k] -= f * prow[k]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def _echelon(mat):
+    if mat.backend.kind == "cyclotomic":
+        return _echelon_cyclotomic(mat)
+    return _echelon_complex(mat)
 
 
 def rank(mat):
     """Rank of the matrix over its backend field."""
-    if mat.nrows == 0 or mat.ncols == 0:
-        return 0
-    if mat.backend.kind == "cyclotomic":
-        return _rank_cyclotomic(mat)
-    return _rank_complex(mat)
+    return len(_echelon(mat)[1])
 
 
 def kernel_dimension(mat):
     return mat.ncols - rank(mat)
 
 
-def kernel_basis(mat):
-    """Basis of the right kernel, one coefficient list per basis vector."""
-    bk = mat.backend
-    m, n = mat.nrows, mat.ncols
-    if n == 0:
-        return []
-    rows = [list(r) for r in mat.rows]
-    if bk.kind == "complex":
-        scale = max((abs(e) for row in rows for e in row), default=0.0)
-        thresh = bk.eps * scale if scale else bk.eps
-
-        def pick(col, start):
-            best, who = thresh, None
-            for i in range(start, m):
-                if abs(rows[i][col]) > best:
-                    best, who = abs(rows[i][col]), i
-            return who
-
+def _strip_content(bk, vec, support):
+    """Divide the entries of ``vec`` at ``support`` by their integer content
+    (cyclotomic) or by their largest modulus (complex)."""
+    if bk.kind == "cyclotomic":
+        g = math.gcd(*(c for k in support for c in vec[k]))
+        if g > 1:
+            for k in support:
+                vec[k] = tuple(c // g for c in vec[k])
     else:
+        top = max(abs(vec[k]) for k in support)
+        for k in support:
+            vec[k] /= top
 
-        def pick(col, start):
-            for i in range(start, m):
-                if not bk.is_zero(rows[i][col]):
-                    return i
-            return None
 
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = pick(col, r)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = bk.inv(rows[r][col])
-        rows[r] = [bk.mul(inv_p, e) for e in rows[r]]
-        for i in range(m):
-            if i != r and not bk.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [bk.sub(e, bk.mul(f, p)) for e, p in zip(rows[i], rows[r])]
-        piv_cols.append(col)
-        r += 1
+def kernel_basis(mat):
+    """Basis of the right kernel, one coefficient list per basis vector.
+
+    One vector per non-pivot column ``free`` of the echelon form, found by
+    back-substitution that scales the partial vector by each pivot instead
+    of dividing by it.  Over the cyclotomic backend each vector therefore
+    lies in Z[zeta]^n with integer content 1; it is not normalized to 1 at
+    ``free``.
+    """
+    bk = mat.backend
+    mul, add = bk.mul, bk.add
+    rows, pivots = _echelon(mat)
     basis = []
-    piv_set = set(piv_cols)
-    for free in range(n):
-        if free in piv_set:
+    for free in range(mat.ncols):
+        if free in pivots:
             continue
-        vec = [bk.zero] * n
+        vec = [bk.zero] * mat.ncols
         vec[free] = bk.one
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = bk.neg(rows[i][free])
+        support = [free]
+        # rows pivoting right of ``free`` see only zero entries of vec
+        for i in range(bisect.bisect(pivots, free) - 1, -1, -1):
+            row, pc = rows[i], pivots[i]
+            acc = bk.zero
+            for k in support:
+                acc = add(acc, mul(row[k], vec[k]))
+            p = row[pc]
+            for k in support:
+                vec[k] = mul(p, vec[k])
+            vec[pc] = bk.neg(acc)
+            support.append(pc)
+            _strip_content(bk, vec, support)
         basis.append(vec)
     return basis

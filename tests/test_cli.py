@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from linecoh.cli import main
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -29,21 +32,25 @@ def test_h1_command(fig1_file, capsys):
     assert "h0 h1 h2 = 0 2 4" in out
 
 
-def test_h1_relabels_when_infinity_trivial(fig1_file, capsys):
-    code = main(
-        [
-            "h1",
-            "--arrangement",
-            fig1_file,
-            "--local-system",
-            "torsion 4; 0 1 3 0 0",
-            "--check",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "relabeling" in out
-    assert "h1 = 2" in out
+def test_h1_relabels_when_infinity_trivial(capsys):
+    # the projective file lists the same lines after its infinity row, so
+    # the moved line is named by its file row
+    for name, moved in (("fig1.txt", "H2"), ("fig1_proj.txt", "H3")):
+        code = main(
+            [
+                "h1",
+                "--arrangement",
+                str(GOLDEN / name),
+                "--local-system",
+                "torsion 4; 0 1 3 0 0",
+                "--check",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"relabeling {moved} to infinity" in out
+        assert "h1 = 2" in out
+        assert "h0 h1 h2 = 0 2 4" in out
 
 
 def test_h1_complex_backend(fig1_file, capsys):
@@ -172,3 +179,70 @@ def test_output_file(fig1_file, tmp_path, capsys):
     assert code == 0
     assert "h1 = 2" in out_path.read_text()
     assert capsys.readouterr().out == ""
+
+
+GOLDEN_CASES = {
+    "chambers_fig1": ["chambers", "--arrangement", "fig1.txt"],
+    "chambers_b3": ["chambers", "--arrangement", "b3del.txt"],
+    "chambers_fig1_proj": ["chambers", "--arrangement", "fig1_proj.txt"],
+    "complex_fig1_symbolic": [
+        "complex", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 2; 1 1 1 1 1",
+    ],
+    "complex_fig1_numeric": [
+        "complex", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 1 3 2 0", "--backend", "complex",
+    ],
+    "h1_fig1_direct": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 1 3 2 0", "--check",
+    ],
+    "h1_fig1_relabel": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 1 3 0 0", "--check",
+    ],
+    "h1_fig1_relabel_complex": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "complex; 1 -1 -1 1 1", "--check",
+    ],
+    "h1_fig1_relabel_float": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 1 3 0 0", "--backend", "complex", "--check",
+    ],
+    "h1_fig1_proj_relabel": [
+        "h1", "--arrangement", "fig1_proj.txt",
+        "--local-system", "torsion 4; 0 1 3 0 0", "--check",
+    ],
+    "h1_fig1_trivial": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 0 0 0 0", "--check",
+    ],
+    "h1_b3_direct": [
+        "h1", "--arrangement", "b3del.txt",
+        "--local-system", "torsion 5; 0 0 0 0 1 1 1", "--check",
+    ],
+    "certify_b3": [
+        "certify", "--arrangement", "b3del.txt",
+        "--local-system", "torsion 5; 0 0 0 0 1 1 1",
+    ],
+    "certify_fig1": [
+        "certify", "--arrangement", "fig1.txt",
+        "--local-system", "torsion 4; 0 1 3 2 0",
+    ],
+    "certify_fig1_proj": [
+        "certify", "--arrangement", "fig1_proj.txt",
+        "--local-system", "torsion 4; 0 1 3 2 0",
+    ],
+    "scan_fig1": ["scan", "--arrangement", "fig1.txt", "--order", "2"],
+    "scan_b3": ["scan", "--arrangement", "b3del.txt", "--order", "2"],
+    "b3": ["b3", "--order", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_report(name, tmp_path, monkeypatch):
+    """Reports stay byte-identical to the checked-in ``golden/<name>.out``."""
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "report.txt"
+    assert main(GOLDEN_CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
