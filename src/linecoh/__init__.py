@@ -41,6 +41,7 @@ from .localsystem import (
 from .mincomplex import TwistedComplex, build_complex, build_d0, build_d1, cohomology_dims
 from .resband import (
     Band,
+    InvariantError,
     StandingWave,
     TheoremInapplicableError,
     bands,

@@ -6,6 +6,12 @@ A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; scanning enumerates the affine exponents and
 derives the infinity exponent.  h^1 at a nontrivial point is computed by
 moving some line with q != 1 to infinity and running the band kernel there.
+
+h^1 is constant on the orbits of the units u of Z/N acting on order-N
+exponent vectors by e -> u*e mod N (the Galois conjugates of a point), and
+so is membership in a catalog family, whose coordinates are monomials with
+integer exponents and signs.  ``torsion_scan`` therefore evaluates one
+point per orbit and hands its answer to the whole orbit.
 """
 
 from __future__ import annotations
@@ -203,8 +209,25 @@ def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomi
     """All torus points of order dividing `order` with h^1 >= 1.
 
     Enumerates exponents of the non-infinity lines (infinity is derived),
-    skips the trivial character, and reports hits sorted by exponent
-    vector.  ``catalog`` attaches the names of matching families.
+    skips the trivial character, and reports hits sorted by the affine
+    exponents in ``proj.affine_ids()`` order.  ``catalog`` attaches the
+    names of matching families.  ``budget`` bounds the grid, order**(n-1)
+    points.
+
+    h^1 is computed only at the lexicographically smallest affine exponent
+    vector e of each orbit {u*e mod N : u a unit of Z/N}; a hit's h^1 and
+    family names go to every member of its orbit.  Why h^1(u*e) = h^1(e):
+    lift u to a unit u' of Z/2N (u' = u for odd u, u + N otherwise).  The
+    field automorphism zeta_2N -> zeta_2N^u' maps every band matrix entry
+    zeta^s - zeta^-s at half-exponents e onto the entry at u'*e, and it
+    preserves the rank.  Multiplying by u keeps the set of lines with
+    q = 1, so ``h1_at_point`` moves the same line to infinity, and it keeps
+    every resonance test (a half-exponent sum vanishing mod N), so the same
+    bands are resonant.  Finally u'*e differs from the canonical
+    half-exponents u*e mod N by multiples of N, that is, by square root
+    flips h_i -> -h_i, on which h^1 does not depend (``LocalSystem.flipped``).
+    Family membership is an exponent-linear condition with integer
+    coefficients, so it is kept by the same automorphism.
     """
     if order < 2:
         return []
@@ -215,22 +238,39 @@ def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomi
             f"{total} points at order {order} exceeds the budget {budget}"
         )
     inf = proj.infinity_index
-    hits = []
-    for combo in product(range(order), repeat=len(affine)):
-        if not any(combo):
-            continue
+    # c -> u*c mod N for each unit u != 1
+    units = [
+        tuple(u * c % order for c in range(order))
+        for u in range(2, order)
+        if gcd(u, order) == 1
+    ]
+
+    def torus_point(combo):
         exps = [0] * proj.n
         for j, e in zip(affine, combo):
             exps[j] = e
         exps[inf] = -sum(combo) % order
-        point = TorusPoint(tuple(exps), order)
+        return TorusPoint(tuple(exps), order)
+
+    found = []
+    for combo in product(range(order), repeat=len(affine)):
+        if not any(combo):
+            continue
+        orbit = [tuple(map(table.__getitem__, combo)) for table in units]
+        if any(image < combo for image in orbit):
+            continue
+        point = torus_point(combo)
         dim = h1_at_point(proj, point, backend=backend)
         if dim >= 1:
             names = ()
             if catalog is not None:
                 names = tuple(f.name for f in catalog if f.contains(point))
-            hits.append(ScanHit(point=point, h1=dim, families=names))
-    return hits
+            found.extend((member, dim, names) for member in {combo, *orbit})
+    found.sort()
+    return [
+        ScanHit(point=torus_point(combo), h1=dim, families=names)
+        for combo, dim, names in found
+    ]
 
 
 @dataclass(frozen=True)

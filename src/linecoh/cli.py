@@ -2,7 +2,8 @@
 
 Subcommands: chambers, complex, h1, certify, scan, b3.  Reports are
 deterministic (byte-identical across runs for the same inputs).  Exit
-codes: 0 success, 2 precondition failure, 3 enumeration budget exceeded.
+codes: 0 success, 2 precondition failure, 3 enumeration budget exceeded,
+4 internal invariant broken (two computations that must agree did not).
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def main(argv=None):
     except charvar.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except resband.InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import ComplexBackend, CyclotomicBackend
 
@@ -176,6 +177,13 @@ class LocalSystem:
         return LocalSystem(self.backend, half_values=vals)
 
 
+@lru_cache(maxsize=64)
+def _cyclotomic_backend(order):
+    """One backend per field, shared by every system of that order: it is
+    immutable after ``__init__``, so its power table is built once."""
+    return CyclotomicBackend(order)
+
+
 def make_local_system(exponents=None, order=None, values=None, backend="cyclotomic", eps=1e-9):
     """Build a local system.
 
@@ -200,7 +208,7 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
     exps = [int(e) for e in exponents]
     if backend == "cyclotomic":
         return LocalSystem(
-            CyclotomicBackend(2 * order), half_exponents=exps, order=order
+            _cyclotomic_backend(2 * order), half_exponents=exps, order=order
         )
     if backend == "complex":
         bk = ComplexBackend(eps)

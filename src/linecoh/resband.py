@@ -12,17 +12,23 @@ one resonant multiple point, and the sharp pair upper bound.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .geometry import Arrangement, sep
-from .scalars import Matrix, kernel_basis
+from .scalars import Matrix, kernel_basis, kernel_dimension
 
 
 class TheoremInapplicableError(ValueError):
     """The band kernel computes h^1 only when the infinity monodromy is
     nontrivial; callers should relabel a non-resonant line to infinity or
     fall back to the full chamber complex."""
+
+
+class InvariantError(RuntimeError):
+    """Two internal computations that must agree did not: a defect of the
+    program (or of the floating tolerance), never of the input."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,7 @@ class BandStructure:
         by_delta = system.prod_is_one(self.sep_ends[k])
         by_point = system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
         if by_delta != by_point:
-            raise AssertionError("band resonance criteria disagree")
+            raise InvariantError("band resonance criteria disagree")
         return by_delta
 
     def resonant(self, system):
@@ -168,15 +174,24 @@ def standing_wave(system, arrangement, band, end=1):
 
 @dataclass(frozen=True)
 class BandKernel:
-    """h^1 together with the kernel of the standing wave map."""
+    """h^1 together with the standing wave matrix whose kernel it counts."""
 
     dim: int
     bands: tuple  # the resonant bands, in matrix column order
-    kernel: tuple  # basis vectors, coefficients per band
+    matrix: Matrix | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def kernel(self):
+        """Kernel basis vectors, coefficients per band; eliminated on first
+        access, since the dimension alone needs only the rank."""
+        if self.matrix is None:
+            return ()
+        return tuple(tuple(vec) for vec in kernel_basis(self.matrix))
 
 
 def h1_via_bands(system, arrangement):
-    """First cohomology from linear relations among standing waves.
+    """First cohomology from linear relations among standing waves: the
+    number of resonant bands minus the rank of their wave matrix.
 
     Requires a nontrivial infinity monodromy; raises otherwise.
     """
@@ -188,7 +203,7 @@ def h1_via_bands(system, arrangement):
     structure = band_structure(arrangement)
     res = structure.resonant(system)
     if not res:
-        return BandKernel(dim=0, bands=(), kernel=())
+        return BandKernel(dim=0, bands=())
     row_ids = sorted({ci for k in res for ci, _ in structure.wave_seps[k]})
     row_pos = {ci: r for r, ci in enumerate(row_ids)}
     bk = system.backend
@@ -196,11 +211,11 @@ def h1_via_bands(system, arrangement):
     for col, k in enumerate(res):
         for ci, ids in structure.wave_seps[k]:
             rows[row_pos[ci]][col] = system.delta_ids(ids)
-    basis = tuple(tuple(vec) for vec in kernel_basis(Matrix(bk, rows, ncols=len(res))))
+    mat = Matrix(bk, rows, ncols=len(res))
     return BandKernel(
-        dim=len(basis),
+        dim=kernel_dimension(mat),
         bands=tuple(structure.bands[k] for k in res),
-        kernel=basis,
+        matrix=mat,
     )
 
 
@@ -269,7 +284,7 @@ def vanishing_certificates(system, proj):
         else:
             certs.append(Certificate(line=h, kind="none", h1=None))
     if len(dims) > 1:
-        raise AssertionError(f"contradictory certificates: {sorted(dims)}")
+        raise InvariantError(f"contradictory certificates: {sorted(dims)}")
     return CertificateReport(
         certificates=tuple(certs), h1=dims.pop() if dims else None
     )

@@ -2,10 +2,14 @@
 
 from fractions import Fraction
 
-from linecoh import Arrangement, deleted_b3
+from linecoh import Arrangement, ProjArrangement, deleted_b3
+from linecoh.charvar import ComponentFamily
 from linecoh.geometry import canonical_triple
 
 _B3 = None
+_B3_MOVED = None
+# new line i is built-in line B3_PERMUTATION[i]; infinity (H8) moves to index 2
+B3_PERMUTATION = (3, 0, 7, 5, 1, 6, 2, 4)
 
 
 def b3():
@@ -14,6 +18,29 @@ def b3():
     if _B3 is None:
         _B3 = deleted_b3()
     return _B3
+
+
+def b3_relabelled():
+    """Deleted B3 and its catalog renumbered by ``B3_PERMUTATION``, so the
+    line at infinity is not the last one (shared, like ``b3``)."""
+    global _B3_MOVED
+    if _B3_MOVED is None:
+        proj, catalog = b3()
+        perm = B3_PERMUTATION
+        moved = ProjArrangement(
+            [proj.lines[old] for old in perm],
+            infinity_index=perm.index(proj.infinity_index),
+        )
+        families = tuple(
+            ComponentFamily(
+                name=fam.name,
+                signs=tuple(fam.signs[old] for old in perm),
+                powers=tuple(fam.powers[old] for old in perm),
+            )
+            for fam in catalog
+        )
+        _B3_MOVED = (moved, families)
+    return _B3_MOVED
 
 
 def figure_five_lines():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 import corpus
@@ -9,8 +11,27 @@ from linecoh import (
     make_local_system,
     torsion_scan,
 )
-from linecoh.charvar import ComponentFamily, TorusPoint
+from linecoh.charvar import ComponentFamily, ScanHit, TorusPoint
 from linecoh.mincomplex import cohomology_dims
+
+
+def scan_per_point(proj, order, catalog):
+    """Reference scan: h^1 and family names at every grid point."""
+    affine = proj.affine_ids()
+    hits = []
+    for combo in product(range(order), repeat=len(affine)):
+        if not any(combo):
+            continue
+        exps = [0] * proj.n
+        for j, e in zip(affine, combo):
+            exps[j] = e
+        exps[proj.infinity_index] = -sum(combo) % order
+        point = TorusPoint(tuple(exps), order)
+        dim = h1_at_point(proj, point)
+        if dim >= 1:
+            names = tuple(f.name for f in catalog if f.contains(point))
+            hits.append(ScanHit(point=point, h1=dim, families=names))
+    return hits
 
 
 def test_deleted_b3_incidence():
@@ -119,6 +140,34 @@ def test_scan_order_four_hits_stay_in_catalog():
     assert hits and all(h.families for h in hits)
 
 
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("arrangement", [corpus.b3, corpus.b3_relabelled])
+def test_orbit_scan_matches_per_point_scan(arrangement, order):
+    proj, catalog = arrangement()
+    hits = torsion_scan(proj, order, catalog=catalog)
+    assert hits == scan_per_point(proj, order, catalog)
+
+
+def test_scan_order_five_hits_stay_in_catalog():
+    proj, catalog = corpus.b3()
+    hits = torsion_scan(proj, 5, catalog=catalog)
+    assert len(hits) == 388
+    assert all(h.families for h in hits)
+
+
+def test_scan_order_six_meets_translated_component():
+    # Omega is a half-period translate, so its torsion points have even
+    # order; the order-6 scan must meet all six of order dividing 6
+    proj, catalog = corpus.b3()
+    hits = torsion_scan(proj, 6, catalog=catalog)
+    assert len(hits) == 600
+    assert all(h.families for h in hits)
+    omega = next(f for f in catalog if f.name == "Omega")
+    on_omega = {h.point for h in hits if "Omega" in h.families}
+    assert len(on_omega) == 6
+    assert on_omega == {omega.point((t,), 6) for t in range(6)}
+
+
 def test_scan_budget():
     proj, _ = corpus.b3()
     with pytest.raises(BudgetExceededError):
@@ -132,6 +181,12 @@ def test_scan_backend_independent():
     assert [(h.point.exponents, h.h1) for h in exact] == [
         (h.point.exponents, h.h1) for h in numeric
     ]
+
+
+def test_orbit_scan_backend_independent_at_order_three():
+    proj, catalog = corpus.b3()
+    exact = torsion_scan(proj, 3, catalog=catalog)
+    assert torsion_scan(proj, 3, catalog=catalog, backend="complex") == exact
 
 
 def test_membership_quadruple_point_family():

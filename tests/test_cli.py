@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from linecoh.cli import main
+from linecoh.localsystem import LocalSystem
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -161,6 +162,35 @@ def test_error_exit_codes(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
+    # a resonance test that answers by its with_infinity flag makes the two
+    # band resonance criteria disagree
+    with monkeypatch.context() as m:
+        m.setattr(
+            LocalSystem,
+            "prod_is_one",
+            lambda self, ids, with_infinity=False: with_infinity,
+        )
+        spec = "torsion 4; 0 1 3 2 0"
+        code = main(["h1", "--arrangement", fig1_file, "--local-system", spec])
+    assert code == 4
+    assert "error: band resonance criteria disagree" in capsys.readouterr().err
+    # H1, H3 and H5 nontrivial and only the first point test resonant: H1
+    # sees one resonant point (the triple point 135) and certifies h1 = 1,
+    # H3 then sees none and certifies h1 = 0
+    answers = iter([True])
+    monkeypatch.setattr(
+        LocalSystem, "q_is_one_at", lambda self, proj, j: j not in (0, 2, 4)
+    )
+    monkeypatch.setattr(
+        LocalSystem, "q_point_is_one", lambda self, proj, p: next(answers, False)
+    )
+    spec = "torsion 4; 1 0 1 0 1"
+    code = main(["certify", "--arrangement", fig1_file, "--local-system", spec])
+    assert code == 4
+    assert "error: contradictory certificates: [0, 1]" in capsys.readouterr().err
 
 
 def test_output_file(fig1_file, tmp_path, capsys):

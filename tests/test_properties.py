@@ -1,0 +1,62 @@
+"""Property tests of the symmetries the torus scan relies on: h^1 at a
+torsion point is unchanged by Galois conjugation e -> u*e mod N and by
+flipping the square roots of the monodromies."""
+
+import random
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corpus
+from linecoh import ProjArrangement, h1_at_point, h1_via_bands, make_local_system
+from linecoh.charvar import TorusPoint
+from linecoh.mincomplex import cohomology_dims
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def torsion_points(draw):
+    """A nontrivial order-N point on the cone of a random corpus arrangement
+    of 3-5 lines, with the line at infinity at a random row."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arr = corpus.random_arrangement(rng, 3, 5)
+    triples = [ln.triple() for ln in arr.lines]
+    inf = draw(st.integers(0, arr.n))
+    triples.insert(inf, (0, 0, 1))
+    proj = ProjArrangement(triples, infinity_index=inf)
+    order = draw(st.integers(2, 6))
+    affine = draw(
+        st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n).filter(any)
+    )
+    exps = list(affine)
+    exps.insert(proj.infinity_index, -sum(affine) % order)
+    return proj, TorusPoint(tuple(exps), order)
+
+
+@PROPERTY_SETTINGS
+@given(torsion_points())
+def test_h1_is_constant_on_galois_orbits(case):
+    proj, point = case
+    n = point.order
+    dim = h1_at_point(proj, point)
+    for u in range(2, n):
+        if gcd(u, n) == 1:
+            conj = TorusPoint(tuple(u * e % n for e in point.exponents), n)
+            assert h1_at_point(proj, conj) == dim
+
+
+@PROPERTY_SETTINGS
+@given(torsion_points(), st.data())
+def test_h1_ignores_square_root_flips(case, data):
+    proj, point = case
+    n = point.order
+    pivot = next(j for j in range(proj.n) if point.exponents[j] % n)
+    chart = proj.chart(pivot)
+    exps = [point.exponents[old] for old in chart.to_old]
+    flips = data.draw(st.sets(st.integers(0, len(exps) - 1)))
+    system = make_local_system(exps, order=n).flipped(flips)
+    dim = h1_at_point(proj, point)
+    assert h1_via_bands(system, chart.arrangement).dim == dim
+    assert cohomology_dims(system, chart.arrangement)[1] == dim
