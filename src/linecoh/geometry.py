@@ -1,10 +1,15 @@
 """Exact rational geometry of affine and projective line arrangements.
 
-Lines carry Fraction coefficients of a*x + b*y + c = 0.  Chambers are
-enumerated as sign vectors with exact Fourier-Motzkin feasibility tests,
-boundedness and opposite-chamber pairing come from recession cones, and a
-generic flag is realized by an explicit rational change of coordinates.
-Projective arrangements support coning and moving any member to infinity.
+Lines carry Fraction coefficients of a*x + b*y + c = 0.  The exact kernels
+run on integers: each line is scaled once by a positive rational to a
+coprime integer triple (``_int_triple``), which keeps every open half-plane
+and so every sign vector.  Chambers are enumerated as sign vectors with
+integer Fourier-Motzkin feasibility tests, boundedness and opposite-chamber
+pairing come from recession cones tested on primitive integer directions,
+and projective intersection points are integer cross products keyed by
+their primitive multiple.  A generic flag is realized by an explicit
+rational change of coordinates.  Projective arrangements support coning
+and moving any member to infinity.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 MAX_LINES = 16
 
@@ -116,42 +122,69 @@ class IntersectionPoint:
         return len(self.incident) >= 3
 
 
-def _strictly_feasible(constraints):
+def _int_triple(a, b, c):
+    """Scale a rational triple by a positive rational to coprime integers.
+
+    Multiplies by the lcm of the denominators, then divides by the gcd of
+    the numerators.  The scale is positive, so every open half-plane
+    a*x + b*y + c > 0, and hence every sign vector, is unchanged.
+
+    >>> _int_triple(Fraction(1, 2), Fraction(-1, 3), 1)
+    (3, -2, 6)
+    """
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    t = tuple(v.numerator * (m // v.denominator) for v in (a, b, c))
+    g = gcd(*t)
+    if g > 1:
+        t = tuple(v // g for v in t)
+    return t
+
+
+def _strictly_feasible(rows):
     """Is the open set {a*x + b*y + c > 0 for all rows} nonempty?
 
-    Fourier-Motzkin elimination of x, then interval arithmetic in y; exact.
+    Integer Fourier-Motzkin elimination: ``rows`` are integer triples.  A
+    row (al, bl, cl) with al > 0 bounds x from below, a row (au, bu, cu)
+    with au < 0 from above, and each such pair gives the y-row
+    |au|*(lower) + al*(upper), in which x cancels.  That is the rational
+    elimination step times al*|au| > 0; a positive multiple of a strict
+    inequality is equivalent to it, so the test is exact.  The y-bounds
+    -beta/alpha are compared by cross-multiplication over positive
+    denominators.
     """
     lows, ups, ycons = [], [], []
-    for a, b, c in constraints:
+    for row in rows:
+        a = row[0]
         if a > 0:
-            lows.append((-b / a, -c / a))
+            lows.append(row)
         elif a < 0:
-            ups.append((-b / a, -c / a))
+            ups.append(row)
         else:
-            ycons.append((b, c))
-    for pl, ql in lows:
-        for pu, qu in ups:
-            ycons.append((pu - pl, qu - ql))
-    ylow = yup = None
+            ycons.append(row[1:])
+    for al, bl, cl in lows:
+        for au, bu, cu in ups:
+            ycons.append((al * bu - au * bl, al * cu - au * cl))
+    # y > lnum/lden and y < unum/uden, denominators positive
+    lnum = lden = unum = uden = None
     for alpha, beta in ycons:
         if alpha > 0:
-            v = -beta / alpha
-            if ylow is None or v > ylow:
-                ylow = v
+            if lden is None or -beta * lden > lnum * alpha:
+                lnum, lden = -beta, alpha
         elif alpha < 0:
-            v = -beta / alpha
-            if yup is None or v < yup:
-                yup = v
+            if uden is None or beta * uden < unum * -alpha:
+                unum, uden = beta, -alpha
         elif beta <= 0:
             return False
-    return ylow is None or yup is None or ylow < yup
+    return lden is None or uden is None or lnum * uden < unum * lden
 
 
-def _enumerate_sign_vectors(lines):
-    """All feasible sign vectors, by depth-first prefix pruning."""
-    n = len(lines)
+def _enumerate_sign_vectors(rows):
+    """All feasible sign vectors of the integer line triples ``rows``, by
+    depth-first prefix pruning."""
+    n = len(rows)
     if n > MAX_LINES:
         raise ArrangementTooLargeError(f"{n} lines exceeds the bound {MAX_LINES}")
+    signed = [((1, (a, b, c)), (-1, (-a, -b, -c))) for a, b, c in rows]
     found = []
     cons = []
     signs = []
@@ -160,9 +193,8 @@ def _enumerate_sign_vectors(lines):
         if k == n:
             found.append(tuple(signs))
             return
-        ln = lines[k]
-        for s in (1, -1):
-            cons.append((s * ln.a, s * ln.b, s * ln.c))
+        for s, row in signed[k]:
+            cons.append(row)
             signs.append(s)
             if _strictly_feasible(cons):
                 rec(k + 1)
@@ -173,40 +205,38 @@ def _enumerate_sign_vectors(lines):
     return sorted(found)
 
 
-def _canonical_direction(d):
-    for lead in d:
-        if lead:
-            t = abs(lead)
-            return (d[0] / t, d[1] / t)
-    return None
-
-
-def _recession_rays(lines, signs):
+def _recession_rays(normals, signs):
     """Directions d with sign_k * <normal_k, d> >= 0 for all k, among the
-    finitely many candidate rays parallel to some line."""
+    finitely many candidate rays parallel to some line.
+
+    ``normals`` are the primitive integer normals (a, b) of the lines, so
+    the candidates (-b, a) and (b, -a) are primitive and equal tuples mean
+    equal rays.
+    """
     seen = set()
     rays = []
-    for ln in lines:
-        for d in ((-ln.b, ln.a), (ln.b, -ln.a)):
-            dd = _canonical_direction(d)
-            if dd in seen:
+    for a, b in normals:
+        for d in ((-b, a), (b, -a)):
+            if d in seen:
                 continue
-            seen.add(dd)
+            seen.add(d)
+            dx, dy = d
             if all(
-                s * (lk.a * dd[0] + lk.b * dd[1]) >= 0
-                for s, lk in zip(signs, lines)
+                s * (na * dx + nb * dy) >= 0 for s, (na, nb) in zip(signs, normals)
             ):
-                rays.append(dd)
+                rays.append(d)
     return rays
 
 
 def _compute_chambers(lines):
-    vectors = _enumerate_sign_vectors(lines)
+    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    vectors = _enumerate_sign_vectors(rows)
+    normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in rows]
     chambers = []
     rays_of = []
     by_signs = {}
     for idx, signs in enumerate(vectors):
-        rays = _recession_rays(lines, signs)
+        rays = _recession_rays(normals, signs)
         ch = Chamber(signs=signs, bounded=not rays, index=idx)
         chambers.append(ch)
         rays_of.append(rays)
@@ -221,10 +251,9 @@ def _compute_chambers(lines):
             continue
         # 1-dimensional recession cone (band end): keep the signs of lines
         # parallel to the ray, flip the rest.
-        d = rays[0]
+        dx, dy = rays[0]
         target = tuple(
-            s if ln.a * d[0] + ln.b * d[1] == 0 else -s
-            for s, ln in zip(ch.signs, lines)
+            s if a * dx + b * dy == 0 else -s for s, (a, b) in zip(ch.signs, normals)
         )
         opp = by_signs.get(target)
         if opp is None or opp.bounded:
@@ -520,22 +549,30 @@ class ProjArrangement:
 
 
 def _proj_intersections(triples):
-    coords = set()
-    for t1, t2 in combinations(triples, 2):
-        p = (
-            t1[1] * t2[2] - t1[2] * t2[1],
-            t1[2] * t2[0] - t1[0] * t2[2],
-            t1[0] * t2[1] - t1[1] * t2[0],
-        )
-        coords.add(canonical_triple(*p))
+    """Intersection points of projective lines with their incidence sets,
+    sorted by canonical coordinates (first nonzero entry 1).
+
+    Works on primitive integer triples: each cross product is keyed by its
+    primitive multiple with a positive leading entry, incidence is an
+    integer dot product, and the canonical Fraction coordinates are built
+    once per distinct point.
+    """
+    rows = [_int_triple(*t) for t in triples]
+    keys = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
+        p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        g = gcd(*p)
+        if next(v for v in p if v) < 0:
+            g = -g
+        keys.add(tuple(v // g for v in p))
     pts = []
-    for p in sorted(coords):
+    for x, y, z in keys:
         inc = frozenset(
-            k
-            for k, t in enumerate(triples)
-            if t[0] * p[0] + t[1] * p[1] + t[2] * p[2] == 0
+            k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * z == 0
         )
-        pts.append(IntersectionPoint(p, inc))
+        coords = canonical_triple(Fraction(x), Fraction(y), Fraction(z))
+        pts.append(IntersectionPoint(coords, inc))
+    pts.sort(key=lambda p: p.coords)
     return tuple(pts)
 
 

@@ -6,8 +6,10 @@ Two interchangeable backends feed every cohomology computation:
   a coefficient tuple of length phi(M), coding a polynomial in zeta_M
   reduced modulo the M-th cyclotomic polynomial.  Coefficients are Python
   ints, so an element lies in Z[zeta_M]; zero testing is exact.
-* ``ComplexBackend(eps)`` -- plain complex floats with an absolute zero
-  tolerance ``eps``.
+* ``ComplexBackend(eps)`` -- plain complex floats with one tolerance
+  rule: a value is zero exactly when its modulus is at most ``eps``.
+  ``is_zero``, the resonance tests and the echelon pivot choice all use
+  it, and no threshold is relative to the size of the matrix entries.
 
 Each backend has one row echelon routine, shared by ``rank`` and
 ``kernel_basis``.  Over the cyclotomic backend both are fraction-free:
@@ -301,18 +303,15 @@ def _echelon_cyclotomic(mat):
 
 def _echelon_complex(mat):
     """Row echelon form with partial pivoting; a pivot must exceed ``eps``
-    times the largest entry modulus.  Returns the rows and pivot columns."""
+    in modulus, the rule of ``ComplexBackend.is_zero``.  Returns the rows
+    and pivot columns."""
     eps = mat.backend.eps
     rows = [[complex(e) for e in row] for row in mat.rows]
     m, n = len(rows), mat.ncols
-    scale = max((abs(e) for row in rows for e in row), default=0.0)
-    thresh = eps * scale
     pivots = []
-    if scale == 0.0:
-        return rows, pivots
     for col in range(n):
         r = len(pivots)
-        piv, best = None, thresh
+        piv, best = None, eps
         for i in range(r, m):
             a = abs(rows[i][col])
             if a > best:

@@ -235,6 +235,11 @@ GOLDEN_CASES = {
         "h1", "--arrangement", "fig1.txt",
         "--local-system", "complex; 1 -1 -1 1 1", "--check",
     ],
+    # every band entry is below eps = 1e-9, so the band kernel must see zeros
+    "h1_fig1_complex_below_eps": [
+        "h1", "--arrangement", "fig1.txt",
+        "--local-system", "complex; 0.9999999991 -1 1 1 1", "--check",
+    ],
     "h1_fig1_relabel_float": [
         "h1", "--arrangement", "fig1.txt",
         "--local-system", "torsion 4; 0 1 3 0 0", "--backend", "complex", "--check",
