@@ -2,8 +2,10 @@
 
 Subcommands: chambers, complex, h1, certify, scan, b3.  Reports are
 deterministic (byte-identical across runs for the same inputs).  Exit
-codes: 0 success, 2 precondition failure, 3 enumeration budget exceeded,
-4 internal invariant broken (two computations that must agree did not).
+codes: 0 success, 2 precondition failure (bad input, or an unreadable
+arrangement file or unwritable ``--out`` path), 3 enumeration budget
+exceeded, 4 internal invariant broken (two computations that must agree
+did not).
 """
 
 from __future__ import annotations
@@ -56,8 +58,11 @@ def _parse_system(spec, n, backend, eps):
 
 def _emit(out, text):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -6,10 +6,12 @@ coprime integer triple (``_int_triple``), which keeps every open half-plane
 and so every sign vector.  Chambers are enumerated as sign vectors with
 integer Fourier-Motzkin feasibility tests, boundedness and opposite-chamber
 pairing come from recession cones tested on primitive integer directions,
-and projective intersection points are integer cross products keyed by
-their primitive multiple.  A generic flag is realized by an explicit
-rational change of coordinates.  Projective arrangements support coning
-and moving any member to infinity.
+and affine and projective intersection points are integer cross products
+keyed by their primitive multiple, with integer incidence tests.  A
+generic flag is realized by an explicit rational change of coordinates;
+it is affine, so the flagged chambers are the arrangement's chambers
+transported along it, not a second enumeration.  Projective arrangements
+support coning and moving any member to infinity.
 """
 
 from __future__ import annotations
@@ -269,19 +271,43 @@ def sep(c1, c2, lines):
     )
 
 
+def _crossings(rows):
+    """Distinct crossing points of the integer line triples ``rows``, as
+    (point, incidence) pairs; incidence holds positions in ``rows``.
+
+    Each cross product (x, y, z) is keyed by its primitive multiple whose
+    last nonzero entry is positive (z > 0 for an affine point, z = 0 for
+    the crossing at infinity of parallel affine lines), so equal points
+    give equal keys, and incidence is an integer dot product.
+    """
+    keys = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
+        p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        g = gcd(*p)
+        if next(v for v in reversed(p) if v) < 0:
+            g = -g
+        keys.add(tuple(v // g for v in p))
+    return [
+        (
+            (x, y, z),
+            frozenset(
+                k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * z == 0
+            ),
+        )
+        for x, y, z in keys
+    ]
+
+
 def _affine_intersections(lines):
-    coords = set()
-    for l1, l2 in combinations(lines, 2):
-        det = l1.a * l2.b - l2.a * l1.b
-        if det == 0:
-            continue
-        x = (l2.c * l1.b - l1.c * l2.b) / det
-        y = (l1.c * l2.a - l2.c * l1.a) / det
-        coords.add((x, y))
-    pts = []
-    for x, y in sorted(coords):
-        inc = frozenset(ln.id for ln in lines if ln.evaluate(x, y) == 0)
-        pts.append(AffinePoint(x, y, inc))
+    """Affine intersection points with their incidence sets (line ids),
+    sorted by (x, y); integer crossings, one Fraction pair per point."""
+    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    pts = [
+        AffinePoint(Fraction(x, z), Fraction(y, z), frozenset(lines[k].id for k in on))
+        for (x, y, z), on in _crossings(rows)
+        if z
+    ]
+    pts.sort(key=lambda p: (p.x, p.y))
     return tuple(pts)
 
 
@@ -396,7 +422,24 @@ def _mu_candidates(limit):
 
 
 def choose_flag(arrangement, variant=0):
-    """Realize a generic flag and classify the chambers by flag degree."""
+    """Realize a generic flag and classify the chambers by flag degree.
+
+    The flag is the change of coordinates x' = x - tx, y' = y - mu*x - ty
+    (a shear, then a shift).  Flagged line ``pos`` is the original line
+    ``k = order[pos]`` rewritten in the new coordinates, multiplied by -1
+    when ``sign_flips[pos]``: its equation takes, at the image of a point,
+    the value of line k's equation at the point, up to that sign.  So the
+    map sends the chamber with sign vector s onto the chamber with sign
+    vector (+-s[order[pos]])_pos, one to one.  An affine bijection keeps
+    recession cones up to a linear isomorphism (bounded chambers stay
+    bounded), parallelism and antipodes, and the opposite pairing is
+    defined by those alone, so the transported chambers, re-sorted by
+    their new sign vectors, carry exactly the ``bounded`` fields, indices and
+    opposite links that a fresh enumeration of the flagged lines would
+    give.  The chambers of ``arrangement`` are enumerated once and reused;
+    the transported ones are new objects, as ``flag_degree`` depends on
+    the variant.
+    """
     lines = arrangement.lines
     pts = arrangement.intersection_points()
     if not pts:
@@ -451,7 +494,22 @@ def choose_flag(arrangement, variant=0):
         order=tuple(lines[k].id for k in order),
         sign_flips=tuple(flags),
     )
-    chs = _compute_chambers(flagged_lines)
+    # transport the chambers along the flag map (proof in the docstring)
+    moved = {
+        ch: Chamber(
+            signs=tuple(
+                -ch.signs[k] if flip else ch.signs[k] for k, flip in zip(order, flags)
+            ),
+            bounded=ch.bounded,
+        )
+        for ch in arrangement.chambers()
+    }
+    for ch, image in moved.items():
+        if ch.opposite is not None:
+            image.opposite = moved[ch.opposite]
+    chs = sorted(moved.values(), key=lambda ch: ch.signs)
+    for idx, ch in enumerate(chs):
+        ch.index = idx
     by_signs = {ch.signs: ch for ch in chs}
     u_index = []
     for p in range(n + 1):
@@ -552,26 +610,14 @@ def _proj_intersections(triples):
     """Intersection points of projective lines with their incidence sets,
     sorted by canonical coordinates (first nonzero entry 1).
 
-    Works on primitive integer triples: each cross product is keyed by its
-    primitive multiple with a positive leading entry, incidence is an
-    integer dot product, and the canonical Fraction coordinates are built
-    once per distinct point.
+    Works on primitive integer triples (``_crossings``) and builds the
+    canonical Fraction coordinates once per distinct point.
     """
     rows = [_int_triple(*t) for t in triples]
-    keys = set()
-    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
-        p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-        g = gcd(*p)
-        if next(v for v in p if v) < 0:
-            g = -g
-        keys.add(tuple(v // g for v in p))
-    pts = []
-    for x, y, z in keys:
-        inc = frozenset(
-            k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * z == 0
-        )
-        coords = canonical_triple(Fraction(x), Fraction(y), Fraction(z))
-        pts.append(IntersectionPoint(coords, inc))
+    pts = [
+        IntersectionPoint(canonical_triple(Fraction(x), Fraction(y), Fraction(z)), inc)
+        for (x, y, z), inc in _crossings(rows)
+    ]
     pts.sort(key=lambda p: p.coords)
     return tuple(pts)
 

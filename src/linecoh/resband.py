@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .geometry import Arrangement, sep
+from .geometry import Arrangement, _int_triple, sep
 from .scalars import Matrix, kernel_basis, kernel_dimension
 
 
@@ -303,11 +303,17 @@ class SharpPair:
     bound: int | None
 
 
-def _dot(triple, coords):
-    return triple[0] * coords[0] + triple[1] * coords[1] + triple[2] * coords[2]
-
-
 def sharp_pairs(system, proj):
+    """Sharp pairs of ``proj`` under ``system`` (see ``SharpPair``).
+
+    A pair is sharp when the crossings of the other lines all lie in one
+    of the two region pairs cut out by it, i.e. the product of the pair's
+    signs is the same at each of them.  Each point's canonical coordinates
+    and each line are scaled by positive rationals to integers
+    (``_int_triple``), which keeps every sign, and the side of every line
+    with q != 1 at every point is taken once from an integer dot product;
+    the pair loop compares those table entries.
+    """
     points = proj.intersections()
     multiple = [p for p in points if p.is_multiple]
     nonres = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
@@ -320,18 +326,25 @@ def sharp_pairs(system, proj):
         >= 2
         for h in nonres
     )
+    coords = [_int_triple(*p.coords) for p in points]
+    side = {}
+    for h in nonres:
+        a, b, c = _int_triple(*proj.lines[h])
+        side[h] = [
+            (v > 0) - (v < 0) for v in (a * x + b * y + c * z for x, y, z in coords)
+        ]
     out = []
     for h1, h2 in combinations(nonres, 2):
         regions = set()
         sharp = True
-        for p in points:
+        side1, side2 = side[h1], side[h2]
+        for i, p in enumerate(points):
             if len(p.incident - {h1, h2}) < 2:
                 continue  # not a crossing of the other lines
-            s1 = _dot(proj.lines[h1], p.coords)
-            s2 = _dot(proj.lines[h2], p.coords)
+            s1, s2 = side1[i], side2[i]
             if s1 == 0 or s2 == 0:
                 continue  # on the pair itself
-            regions.add((s1 > 0) == (s2 > 0))
+            regions.add(s1 == s2)
             if len(regions) == 2:
                 sharp = False
                 break

@@ -11,6 +11,9 @@ set of chambers.
 from fractions import Fraction
 from itertools import combinations
 
+from linecoh.geometry import AffinePoint
+from linecoh.resband import SharpPair
+
 
 def _candidates(values):
     vals = sorted(set(values))
@@ -59,3 +62,59 @@ def chamber_count_formula(arrangement):
 def bounded_count_formula(arrangement):
     """sum(multiplicity - 1) - n + 1, valid once some two lines cross."""
     return arrangement.point_index_sum() - arrangement.n + 1
+
+
+def affine_points(lines):
+    """Affine intersection points in Fraction arithmetic, sorted by (x, y),
+    with incidence by evaluating every line."""
+    coords = set()
+    for l1, l2 in combinations(lines, 2):
+        det = l1.a * l2.b - l2.a * l1.b
+        if det == 0:
+            continue
+        x = (l2.c * l1.b - l1.c * l2.b) / det
+        y = (l1.c * l2.a - l2.c * l1.a) / det
+        coords.add((x, y))
+    return tuple(
+        AffinePoint(x, y, frozenset(ln.id for ln in lines if ln.evaluate(x, y) == 0))
+        for x, y in sorted(coords)
+    )
+
+
+def _dot(triple, coords):
+    return sum(u * v for u, v in zip(triple, coords))
+
+
+def sharp_pairs(system, proj):
+    """Sharp pairs with every side taken from a Fraction dot product of the
+    pair's lines against every point."""
+    points = proj.intersections()
+    nonres = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
+    hypothesis = all(
+        sum(
+            1
+            for p in points
+            if p.is_multiple and h in p.incident and system.q_point_is_one(proj, p)
+        )
+        >= 2
+        for h in nonres
+    )
+    out = []
+    for h1, h2 in combinations(nonres, 2):
+        regions = set()
+        for p in points:
+            if len(p.incident - {h1, h2}) < 2:
+                continue
+            s1 = _dot(proj.lines[h1], p.coords)
+            s2 = _dot(proj.lines[h2], p.coords)
+            if s1 != 0 and s2 != 0:
+                regions.add((s1 > 0) == (s2 > 0))
+        if len(regions) == 2:
+            continue
+        crossing = next(p for p in points if {h1, h2} <= p.incident)
+        forces_zero = crossing.incident == frozenset(
+            (h1, h2)
+        ) or not system.q_point_is_one(proj, crossing)
+        bound = (0 if forces_zero else 1) if hypothesis else None
+        out.append(SharpPair(pair=(h1, h2), hypothesis_holds=hypothesis, bound=bound))
+    return tuple(out)

@@ -164,6 +164,17 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+def test_unwritable_out_exits_2(fig1_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.out"
+    spec = "torsion 3; 1 1 1 0 0"
+    argv = ["h1", "--arrangement", fig1_file, "--local-system", spec]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
     # a resonance test that answers by its with_infinity flag makes the two
     # band resonance criteria disagree
@@ -267,6 +278,16 @@ GOLDEN_CASES = {
     "certify_fig1_proj": [
         "certify", "--arrangement", "fig1_proj.txt",
         "--local-system", "torsion 4; 0 1 3 2 0",
+    ],
+    # reordered, sign-flipped flag: the transported chambers must match
+    "chambers_flag8": ["chambers", "--arrangement", "flag8.txt"],
+    "complex_flag8_symbolic": [
+        "complex", "--arrangement", "flag8.txt",
+        "--local-system", "torsion 3; 0 1 1 1 1 0 0 0",
+    ],
+    "certify_flag8": [
+        "certify", "--arrangement", "flag8.txt",
+        "--local-system", "torsion 2; 0 1 1 1 1 1 0 0",
     ],
     "scan_fig1": ["scan", "--arrangement", "fig1.txt", "--order", "2"],
     "scan_b3": ["scan", "--arrangement", "b3del.txt", "--order", "2"],

@@ -1,17 +1,26 @@
-"""Property tests of the integer chamber enumeration and the projective
-intersection points, on random arrangements with parallel classes,
-concurrent triples and coefficients with large numerators and
-denominators."""
+"""Property tests of the integer geometry: chamber enumeration, the
+chambers transported to the flag, affine and projective intersection
+points and sharp pairs, checked against the Fraction oracles of
+``brute``; and the invariance of h^1 under the flag variant and the
+chart.  The arrangements have parallel classes, concurrent triples and
+coefficients with large numerators and denominators."""
 
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from linecoh import Arrangement, cone
-from linecoh.geometry import Line, _proj_intersections
+from linecoh import Arrangement, cone, h1_via_bands, make_local_system
+from linecoh.geometry import (
+    Line,
+    _affine_intersections,
+    _compute_chambers,
+    _proj_intersections,
+)
+from linecoh.mincomplex import cohomology_dims
+from linecoh.resband import sharp_pairs
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -112,3 +121,70 @@ def test_projective_points_are_exact_canonical_and_sorted(arr):
         assert on == p.incident
     coords = [p.coords for p in pts]
     assert coords == sorted(coords) and len(set(coords)) == len(coords)
+
+
+@st.composite
+def torsion_systems(draw, n):
+    order = draw(st.integers(2, 4))
+    exps = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+    return make_local_system(exps, order=order)
+
+
+@PROPERTY_SETTINGS
+@given(arrangements())
+def test_transported_flag_chambers_match_fresh_enumeration(arr):
+    assume(arr.intersection_points())
+    for variant in (0, 1):
+        fl = arr.flagged(variant)
+        fresh = _compute_chambers(fl.lines)
+        assert len(fl.chambers) == len(fresh)
+        for ch, ref in zip(fl.chambers, fresh):
+            assert ch.signs == ref.signs
+            assert ch.bounded == ref.bounded
+            assert ch.index == ref.index
+            if ref.opposite is None:
+                assert ch.opposite is None
+            else:
+                assert ch.opposite.index == ref.opposite.index
+            assert ch not in arr.chambers()
+
+
+@PROPERTY_SETTINGS
+@given(arrangements())
+def test_affine_points_match_fraction_oracle(arr):
+    assert _affine_intersections(arr.lines) == brute.affine_points(arr.lines)
+
+
+@PROPERTY_SETTINGS
+@given(arrangements(), st.data())
+def test_sharp_pairs_match_fraction_oracle(arr, data):
+    system = data.draw(torsion_systems(arr.n))
+    proj = cone(arr)
+    assert sharp_pairs(system, proj) == brute.sharp_pairs(system, proj)
+
+
+INVARIANCE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@INVARIANCE_SETTINGS
+@given(arrangements(max_lines=6), st.data())
+def test_h1_is_independent_of_flag_variant(arr, data):
+    assume(arr.intersection_points())
+    system = data.draw(torsion_systems(arr.n))
+    dims = cohomology_dims(system, arr)
+    for variant in (1, 2):
+        assert cohomology_dims(system, arr, variant) == dims
+
+
+@INVARIANCE_SETTINGS
+@given(arrangements(max_lines=6), st.data())
+def test_band_h1_is_independent_of_chart(arr, data):
+    system = data.draw(torsion_systems(arr.n))
+    proj = cone(arr)
+    charts = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
+    assume(charts)
+    dims = {
+        h1_via_bands(system.on_chart(proj, h), proj.chart(h).arrangement).dim
+        for h in charts
+    }
+    assert len(dims) == 1
