@@ -38,7 +38,7 @@ from .localsystem import (
     make_local_system,
     resonance_report,
 )
-from .mincomplex import TwistedComplex, build_complex, build_d0, build_d1, cohomology_dims
+from .mincomplex import TwistedComplex, build_complex, cohomology_dims
 from .resband import (
     Band,
     InvariantError,

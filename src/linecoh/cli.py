@@ -101,7 +101,7 @@ def cmd_complex(args):
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     flagged = arr.flagged()
     structure = mincomplex.complex_structure(flagged)
-    symbolic = system.mode == "torsion" and args.backend == "cyclotomic"
+    symbolic = system.backend.kind == "cyclotomic"
     rows = _sign_header(arr)
     rows.append("d0 (column over U_1 ... U_0^op):")
     for sign, ids in structure.d0:

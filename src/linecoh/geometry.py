@@ -67,15 +67,8 @@ class Line:
             raise ArrangementError(f"degenerate line 0*x + 0*y + {c} = 0")
         return cls(*canonical_triple(a, b, c), id)
 
-    def evaluate(self, x, y):
-        return self.a * x + self.b * y + self.c
-
     def triple(self):
         return (self.a, self.b, self.c)
-
-    def direction_key(self):
-        """Canonical normal direction; equal keys <=> parallel lines."""
-        return canonical_triple(self.a, self.b, 0)[:2]
 
 
 @dataclass(eq=False)
@@ -365,11 +358,9 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class FlagFrame:
-    """Rational coordinate change p' = matrix @ p + offset realizing the flag,
-    plus the induced renumbering and sign normalization of the lines."""
+    """The renumbering and sign normalization of the lines induced by the
+    flag's coordinate change (see ``choose_flag``)."""
 
-    matrix: tuple
-    offset: tuple
     order: tuple  # flag position -> original line id
     sign_flips: tuple  # per flag position
 
@@ -489,8 +480,6 @@ def choose_flag(arrangement, variant=0):
         raise FlagError("origin is not in every negative half-plane")
 
     frame = FlagFrame(
-        matrix=((Fraction(1), Fraction(0)), (-mu, Fraction(1))),
-        offset=(Fraction(-tx), Fraction(-ty)),
         order=tuple(lines[k].id for k in order),
         sign_flips=tuple(flags),
     )

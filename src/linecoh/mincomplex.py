@@ -91,16 +91,6 @@ def _evaluate_d1(system, structure):
     return Matrix(bk, rows, ncols=n)
 
 
-def build_d0(system, flagged):
-    """Column vector of the degree-0 differential in the U_p basis."""
-    return _evaluate_d0(system, complex_structure(flagged))
-
-
-def build_d1(system, flagged):
-    """Matrix of the degree-1 differential (degree-2 chambers x U_p basis)."""
-    return _evaluate_d1(system, complex_structure(flagged))
-
-
 @dataclass(frozen=True)
 class TwistedComplex:
     """Evaluated cochain complex for one local system."""

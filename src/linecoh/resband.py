@@ -72,13 +72,11 @@ class BandStructure:
     wave_seps: tuple
 
     def is_resonant(self, system, k):
-        """Vanishing of the weight between the ends of band k; cross-checked
-        against the resonance of the band's point at infinity."""
-        by_delta = system.prod_is_one(self.sep_ends[k])
-        by_point = system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
-        if by_delta != by_point:
-            raise InvariantError("band resonance criteria disagree")
-        return by_delta
+        """Resonance of the band's point at infinity: the product of q over
+        its parallel class and the line at infinity is 1.  This equals the
+        vanishing of the weight between the band's ends, as sep(U_1, U_2)
+        is the set of lines not parallel to the band."""
+        return system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
 
     def resonant(self, system):
         """Positions of the resonant bands."""

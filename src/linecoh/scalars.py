@@ -11,6 +11,19 @@ Two interchangeable backends feed every cohomology computation:
   ``is_zero``, the resonance tests and the echelon pivot choice all use
   it, and no threshold is relative to the size of the matrix entries.
 
+Both backends also own the representation of a half monodromy, a square
+root h of a monodromy q = h^2, through the same six operations:
+``half`` (the field element of h), ``half_prod`` (product of an iterable),
+``half_inv``, ``half_neg`` (h -> -h), ``square_is_one`` (is h^2 = 1?) and
+``weight`` (h - h^(-1)).
+
+* Over ``CyclotomicBackend(M)``, M even, h = zeta_M^s is the exponent s
+  mod M: products add exponents, the inverse is -s, the negation s + M/2,
+  and h^2 = 1 exactly when 2s = 0 mod M.  ``weight(s)`` is memoised per
+  backend, filled on first use.
+* Over ``ComplexBackend``, h is the complex value itself and
+  ``square_is_one(h)`` is ``is_one(h * h)``, the absolute ``eps`` rule.
+
 Each backend has one row echelon routine, shared by ``rank`` and
 ``kernel_basis``.  Over the cyclotomic backend both are fraction-free:
 elimination and back-substitution multiply by pivots instead of dividing,
@@ -85,6 +98,7 @@ class CyclotomicBackend:
                     cur[j] -= lead * self.modulus[j]
             pows.append(cur)
         self._pow = [tuple(p) for p in pows]
+        self._weights = {}
 
     def __repr__(self):
         return f"CyclotomicBackend({self.order})"
@@ -92,6 +106,31 @@ class CyclotomicBackend:
     def root(self, k):
         """zeta_order ** k as a backend element."""
         return self._pow[k % self.order]
+
+    # -- half monodromies h = zeta_order ** s, stored as s mod order -------
+
+    def half(self, s):
+        return self.root(s)
+
+    def half_prod(self, halves):
+        return sum(halves) % self.order
+
+    def half_inv(self, s):
+        return -s % self.order
+
+    def half_neg(self, s):
+        return (s + self.order // 2) % self.order
+
+    def square_is_one(self, s):
+        return 2 * s % self.order == 0
+
+    def weight(self, s):
+        """zeta^s - zeta^(-s), memoised: the table is filled on first use,
+        so an order no system asks about costs no memory."""
+        val = self._weights.get(s)
+        if val is None:
+            val = self._weights[s] = self.sub(self.root(s), self.root(-s))
+        return val
 
     def add(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
@@ -176,8 +215,28 @@ class ComplexBackend:
     def __repr__(self):
         return f"ComplexBackend(eps={self.eps!r})"
 
-    def unit_root(self, k, order):
-        return cmath.exp(2j * cmath.pi * k / order)
+    # -- half monodromies, stored as complex values -------------------------
+
+    def half(self, v):
+        return v
+
+    def half_prod(self, halves):
+        prod = 1 + 0j
+        for v in halves:
+            prod *= v
+        return prod
+
+    def half_inv(self, v):
+        return 1 / v
+
+    def half_neg(self, v):
+        return -v
+
+    def square_is_one(self, v):
+        return self.is_one(v * v)
+
+    def weight(self, v):
+        return v - 1 / v
 
     def add(self, u, v):
         return u + v
@@ -229,13 +288,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.rows[i][j]
-
-    def transpose(self):
-        return Matrix(
-            self.backend,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
 
     def is_zero(self):
         bz = self.backend.is_zero

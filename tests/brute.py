@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles and reference formulas used only by the
+tests.
 
 Chambers are found by exact sample points: between (and beyond) every pair
 of consecutive candidate x-coordinates (intersection and vertical-line
@@ -11,8 +12,41 @@ set of chambers.
 from fractions import Fraction
 from itertools import combinations
 
-from linecoh.geometry import AffinePoint
+from linecoh.geometry import AffinePoint, canonical_triple
 from linecoh.resband import SharpPair
+from linecoh.scalars import Matrix
+
+
+def evaluate(line, x, y):
+    """Value of the line's equation at (x, y)."""
+    return line.a * x + line.b * y + line.c
+
+
+def direction_key(line):
+    """Canonical normal direction; equal keys <=> parallel lines."""
+    return canonical_triple(line.a, line.b, 0)[:2]
+
+
+def transpose(mat):
+    return Matrix(
+        mat.backend,
+        [[mat.rows[i][j] for i in range(mat.nrows)] for j in range(mat.ncols)],
+        ncols=mat.nrows,
+    )
+
+
+def delta(system, lines, c1, c2):
+    """Connection weight between two chambers of the arrangement whose line
+    list is given (weight of the separating set)."""
+    ids = [lines[k].id for k in range(len(lines)) if c1.signs[k] != c2.signs[k]]
+    return system.delta_ids(ids)
+
+
+def torsion_weight(bk, exponents, ids):
+    """zeta^s - zeta^(-s) for s the sum of the half exponents over ``ids``,
+    on the cyclotomic backend ``bk`` of order 2N."""
+    s = sum(exponents[i] for i in ids) % bk.order
+    return bk.sub(bk.root(s), bk.root(-s))
 
 
 def _candidates(values):
@@ -48,7 +82,7 @@ def sample_points(lines):
 def chamber_sign_vectors(lines):
     sigs = set()
     for x0, y0 in sample_points(lines):
-        vals = [ln.evaluate(x0, y0) for ln in lines]
+        vals = [evaluate(ln, x0, y0) for ln in lines]
         assert all(v != 0 for v in vals), "sample point fell on a line"
         sigs.add(tuple(1 if v > 0 else -1 for v in vals))
     return sigs
@@ -76,7 +110,7 @@ def affine_points(lines):
         y = (l1.c * l2.a - l2.c * l1.a) / det
         coords.add((x, y))
     return tuple(
-        AffinePoint(x, y, frozenset(ln.id for ln in lines if ln.evaluate(x, y) == 0))
+        AffinePoint(x, y, frozenset(ln.id for ln in lines if evaluate(ln, x, y) == 0))
         for x, y in sorted(coords)
     )
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -176,18 +177,6 @@ def test_unwritable_out_exits_2(fig1_file, tmp_path, capsys):
 
 
 def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
-    # a resonance test that answers by its with_infinity flag makes the two
-    # band resonance criteria disagree
-    with monkeypatch.context() as m:
-        m.setattr(
-            LocalSystem,
-            "prod_is_one",
-            lambda self, ids, with_infinity=False: with_infinity,
-        )
-        spec = "torsion 4; 0 1 3 2 0"
-        code = main(["h1", "--arrangement", fig1_file, "--local-system", spec])
-    assert code == 4
-    assert "error: band resonance criteria disagree" in capsys.readouterr().err
     # H1, H3 and H5 nontrivial and only the first point test resonant: H1
     # sees one resonant point (the triple point 135) and certifies h1 = 1,
     # H3 then sees none and certifies h1 = 0
@@ -202,6 +191,31 @@ def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
     code = main(["certify", "--arrangement", fig1_file, "--local-system", spec])
     assert code == 4
     assert "error: contradictory certificates: [0, 1]" in capsys.readouterr().err
+
+
+def test_h1_complex_near_eps_band_resonance(capsys):
+    # the product of q over a band's ends and over its point at infinity
+    # are equal, but round to opposite sides of eps; band resonance is
+    # decided by the point at infinity alone, so this valid input succeeds
+    spec = (
+        "complex; 1.000000001 2.221350010084271 0.9555528629604855 "
+        "1.6890136982116495 1"
+    )
+    code = main(
+        [
+            "h1",
+            "--arrangement",
+            str(GOLDEN / "fig1.txt"),
+            "--local-system",
+            spec,
+            "--check",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    band = int(re.search(r"^h1 = (\d+)$", captured.out, re.M).group(1))
+    dims = re.search(r"h0 h1 h2 = (\d+) (\d+) (\d+)", captured.out).groups()
+    assert band == int(dims[1])
 
 
 def test_output_file(fig1_file, tmp_path, capsys):

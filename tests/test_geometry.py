@@ -184,7 +184,7 @@ def test_opposite_involution_and_direction():
             untouched = [
                 lines[k] for k in range(arr.n) if ch.signs[k] == opp.signs[k]
             ]
-            keys = {ln.direction_key() for ln in untouched}
+            keys = {brute.direction_key(ln) for ln in untouched}
             assert len(keys) <= 1
 
 
@@ -283,7 +283,7 @@ def test_chart_h5_parallel_classes():
     chart = proj.chart(4)  # fifth line at infinity
     groups = {}
     for ln in chart.arrangement.lines:
-        groups.setdefault(ln.direction_key(), []).append(chart.to_old[ln.id])
+        groups.setdefault(brute.direction_key(ln), []).append(chart.to_old[ln.id])
     classes = sorted(sorted(v) for v in groups.values() if len(v) > 1)
     assert classes == [[1, 2], [5, 6, 7]]
 

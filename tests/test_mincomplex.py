@@ -6,8 +6,6 @@ import corpus
 from linecoh import bands, make_local_system
 from linecoh.mincomplex import (
     build_complex,
-    build_d0,
-    build_d1,
     cohomology_dims,
     complex_structure,
 )
@@ -76,8 +74,9 @@ def test_trivial_system_zero_differentials():
     arr = corpus.figure_five_lines()
     system = make_local_system([0] * 5, order=1)
     fl = arr.flagged()
-    assert build_d0(system, fl).is_zero()
-    assert build_d1(system, fl).is_zero()
+    cx = build_complex(system, fl)
+    assert cx.d0.is_zero()
+    assert cx.d1.is_zero()
     assert cohomology_dims(system, arr) == (1, 5, 6)
 
 
@@ -133,8 +132,8 @@ def test_d0_last_entry_is_infinity_weight():
         order = rng.randrange(1, 7)
         system = make_local_system(corpus.random_exponents(rng, 5, order), order=order)
         bk = system.backend
-        entry = build_d0(system, fl).entry(arr.n - 1, 0)
-        k = -sum(system.half_exponents)
+        entry = build_complex(system, fl).d0.entry(arr.n - 1, 0)
+        k = -sum(system.halves)
         hinf = system.half_infinity()
         expected = bk.sub(hinf, bk.root(-k))
         assert bk.eq(entry, expected) or bk.eq(entry, bk.neg(expected))
@@ -150,7 +149,7 @@ def test_nontrivial_infinity_kills_h0():
         if system.infinity_is_one():
             continue
         assert h0 == 0
-        assert rank(build_d0(system, arr.flagged())) == 1
+        assert rank(build_complex(system, arr).d0) == 1
 
 
 def test_flag_independence_of_dimensions():

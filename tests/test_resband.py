@@ -2,12 +2,15 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from linecoh import cone, make_local_system
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import (
     TheoremInapplicableError,
+    band_structure,
     bands,
     h1_via_bands,
     resonant_bands,
@@ -57,6 +60,25 @@ def test_resonance_iff_crossing_product_one():
     assert resonant_bands(off, arr) == ()
     trivial = make_local_system([0] * 5, order=1)
     assert len(resonant_bands(trivial, arr)) == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.data())
+def test_band_resonance_equals_end_weight_vanishing(seed, order, data):
+    """A band's point at infinity is resonant exactly when the weight
+    between its two ends vanishes: sep(U_1, U_2) is the set of lines not
+    parallel to the band and q over every line, infinity included, is 1."""
+    rng = random.Random(seed)
+    arr = corpus.random_arrangement(rng, 4, 7)
+    exps = data.draw(
+        st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n)
+    )
+    structure = band_structure(arr)
+    for backend in ("cyclotomic", "complex"):
+        system = make_local_system(exps, order=order, backend=backend)
+        for k, band in enumerate(structure.bands):
+            by_point = system.prod_is_one(band.parallel_ids, with_infinity=True)
+            assert system.prod_is_one(structure.sep_ends[k]) == by_point
 
 
 def test_resonant_bands_all_four_at_order_two():
@@ -122,8 +144,8 @@ def test_standing_wave_opposite_end_is_signed_multiple():
             w2 = standing_wave(system, arr, band, end=2)
             # epsilon is the square root of the product over the lines
             # through the band's point at infinity, which is +-1 here
-            s = sum(system.half_exponents[i] for i in band.parallel_ids)
-            s -= sum(system.half_exponents)
+            s = sum(system.halves[i] for i in band.parallel_ids)
+            s -= sum(system.halves)
             eps = bk.root(s)
             assert bk.eq(eps, bk.one) or bk.eq(eps, bk.neg(bk.one))
             for c in band.inner:

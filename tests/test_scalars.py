@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import brute
 import corpus
 from linecoh import make_local_system
 from linecoh.mincomplex import build_complex
@@ -77,7 +80,7 @@ def test_rank_transpose_and_permutations():
     for _ in range(10):
         mat = _random_root_matrix(bk, rng, rng.randrange(2, 6), rng.randrange(2, 6))
         r = rank(mat)
-        assert r == rank(mat.transpose())
+        assert r == rank(brute.transpose(mat))
         rows = list(mat.rows)
         rng.shuffle(rows)
         cols = list(range(mat.ncols))
@@ -138,3 +141,24 @@ def test_rank_matches_band_computation():
     num = make_local_system([1] * 5, order=2, backend="complex")
     cxn = build_complex(num, arr)
     assert rank(cxn.d1) == rank(cx.d1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.data())
+def test_half_monodromy_operations_agree_across_backends(order, data):
+    """The cyclotomic half monodromies (exponents mod 2N) and the complex
+    ones (unit values) give the same weights and square tests."""
+    exps = data.draw(
+        st.lists(st.integers(-3 * order, 3 * order), min_size=1, max_size=8)
+    )
+    ids = sorted(data.draw(st.sets(st.integers(0, len(exps) - 1))))
+    exact = make_local_system(exps, order=order)
+    floating = make_local_system(exps, order=order, backend="complex")
+    cyc, cpx = exact.backend, floating.backend
+    s = cyc.half_prod(exact.halves[i] for i in ids)
+    v = cpx.half_prod(floating.halves[i] for i in ids)
+    assert abs(cyc.to_complex(cyc.weight(s)) - cpx.weight(v)) < 1e-9
+    assert cyc.square_is_one(s) == cpx.square_is_one(v)
+    for bk, h in ((cyc, s), (cpx, v)):
+        assert bk.eq(bk.weight(bk.half_neg(h)), bk.neg(bk.weight(h)))
+    assert exact.delta_ids(ids) == brute.torsion_weight(cyc, exps, ids)
