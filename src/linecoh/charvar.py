@@ -12,6 +12,16 @@ exponent vectors by e -> u*e mod N (the Galois conjugates of a point), and
 so is membership in a catalog family, whose coordinates are monomials with
 integer exponents and signs.  ``torsion_scan`` therefore evaluates one
 point per orbit and hands its answer to the whole orbit.
+
+Each orbit representative goes first to the certificate route
+(``certified_h1``): the zero/one resonant point certificates, evaluated
+as integer congruences on the exponents over one incidence table of the
+multiple points.  On deleted B3 they decide all but 41 of the 19,531
+representatives at N = 5; only the rest reach the band route
+(``h1_at_point``).  The scans of deleted B3 at orders 2 to 7 give exactly
+the catalog's nontrivial torsion points of order dividing N
+(``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
+two order-2 points on four families, and h^1 = 1 at every other hit.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from math import gcd
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
-from .resband import h1_via_bands
+from .resband import h1_via_bands, incidence_table, line_certificates
 
 
 class BudgetExceededError(RuntimeError):
@@ -98,6 +108,19 @@ class ComponentFamily:
         if sum(pt.exponents) % n != 0:
             raise ValueError(f"{self.name}: parametrization violates the constraint")
         return pt
+
+    def torsion_points(self, order):
+        """The family's points of order dividing ``order``, as torus points
+        of that order.  A parameter equals a coordinate up to sign, so at
+        such a point it is a 2N-th root of unity: the parameters run over
+        the 2N grid, and points with an odd exponent at order 2N go."""
+        two_n = 2 * order
+        points = set()
+        for params in product(range(two_n), repeat=self.nparams):
+            exps = self.point(params, two_n).exponents
+            if not any(e % 2 for e in exps):
+                points.add(TorusPoint(tuple(e // 2 for e in exps), order))
+        return frozenset(points)
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?"""
@@ -198,6 +221,21 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=1e-9):
     return h1_via_bands(system, chart.arrangement).dim
 
 
+def certified_h1(table, exponents, order):
+    """h^1 at a nontrivial torus point decided by the zero/one resonant
+    point certificates alone, or None when no line decides it.
+
+    ``table`` is ``incidence_table(proj)`` and ``exponents`` the exponent
+    vector over all projective lines.  A line is trivial when its exponent
+    is 0 mod ``order``, and a multiple point is resonant when the exponents
+    of its lines sum to 0 mod ``order``.
+    """
+    at = exponents.__getitem__
+    trivial = [e % order == 0 for e in exponents]
+    resonant = [sum(map(at, p)) % order == 0 for p in table.points]
+    return line_certificates(table, trivial.__getitem__, resonant.__getitem__)[1]
+
+
 @dataclass(frozen=True)
 class ScanHit:
     point: TorusPoint
@@ -205,14 +243,16 @@ class ScanHit:
     families: tuple
 
 
-def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomic"):
+def torsion_scan(
+    proj, order, budget=2_000_000, catalog=None, backend="cyclotomic", eps=1e-9
+):
     """All torus points of order dividing `order` with h^1 >= 1.
 
     Enumerates exponents of the non-infinity lines (infinity is derived),
     skips the trivial character, and reports hits sorted by the affine
     exponents in ``proj.affine_ids()`` order.  ``catalog`` attaches the
     names of matching families.  ``budget`` bounds the grid, order**(n-1)
-    points.
+    points.  ``backend`` and ``eps`` go to ``h1_at_point``.
 
     h^1 is computed only at the lexicographically smallest affine exponent
     vector e of each orbit {u*e mod N : u a unit of Z/N}; a hit's h^1 and
@@ -228,6 +268,18 @@ def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomi
     flips h_i -> -h_i, on which h^1 does not depend (``LocalSystem.flipped``).
     Family membership is an exponent-linear condition with integer
     coefficients, so it is kept by the same automorphism.
+
+    Each orbit representative is first offered to ``certified_h1``, on one
+    incidence table of ``proj.multiple_points()`` built per scan; only the
+    points it leaves undecided reach ``h1_at_point`` (the band kernel).
+    This is exact: both certificates (a line with q != 1 and no resonant
+    multiple point gives h^1 = 0; one with exactly one resonant point p
+    gives |p| - 2 when every line off p is trivial, and 0 otherwise) are
+    theorems of the paper, and their tests are integer congruences mod N,
+    so a certified value is exact under either backend.  Multiplying by a
+    unit u keeps every one of those congruences, so a certified value
+    holds on the whole orbit, as a band value does.  Certificates from two
+    lines that disagree raise ``InvariantError``.
     """
     if order < 2:
         return []
@@ -238,6 +290,7 @@ def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomi
             f"{total} points at order {order} exceeds the budget {budget}"
         )
     inf = proj.infinity_index
+    incidence = incidence_table(proj)
     # c -> u*c mod N for each unit u != 1
     units = [
         tuple(u * c % order for c in range(order))
@@ -260,7 +313,9 @@ def torsion_scan(proj, order, budget=2_000_000, catalog=None, backend="cyclotomi
         if any(image < combo for image in orbit):
             continue
         point = torus_point(combo)
-        dim = h1_at_point(proj, point, backend=backend)
+        dim = certified_h1(incidence, point.exponents, order)
+        if dim is None:
+            dim = h1_at_point(proj, point, backend=backend, eps=eps)
         if dim >= 1:
             names = ()
             if catalog is not None:

@@ -206,7 +206,7 @@ def cmd_certify(args):
 def cmd_scan(args):
     _, proj = _load(args.arrangement)
     hits = charvar.torsion_scan(
-        proj, args.order, budget=args.budget, backend=args.backend
+        proj, args.order, budget=args.budget, backend=args.backend, eps=args.eps
     )
     rows = [f"scan order={args.order} lines={proj.n} hits={len(hits)}"]
     rows.append("trivial character: skipped (h1 equals the first Betti number)")

@@ -45,26 +45,10 @@ class LocalSystem:
     def __repr__(self):
         return f"LocalSystem({self.backend!r}, halves={self.halves})"
 
-    # -- basic scalars ------------------------------------------------------
-
-    def half(self, i):
-        return self.backend.half(self.halves[i])
-
-    def monodromy(self, i):
-        h = self.half(i)
-        return self.backend.mul(h, h)
-
-    def half_infinity(self):
-        return self.backend.half(self.half_inf)
-
-    def monodromy_infinity(self):
-        h = self.half_infinity()
-        return self.backend.mul(h, h)
+    # -- products and resonance tests ---------------------------------------
 
     def infinity_is_one(self):
         return self.prod_is_one(range(self.n))
-
-    # -- products and resonance tests ---------------------------------------
 
     def _half_prod(self, ids):
         halves = self.halves

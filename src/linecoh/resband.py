@@ -6,7 +6,10 @@ For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
 standing waves of the resonant bands; that kernel is computed here.  The
 certificate routines cover the cases where a line with q != 1 sees zero or
-one resonant multiple point, and the sharp pair upper bound.
+one resonant multiple point, and the sharp pair upper bound.  The per-line
+rule (``line_certificates``) runs on an incidence table with resonance
+predicates, so ``vanishing_certificates`` and the torus scan's exponent
+congruences share it.
 """
 
 from __future__ import annotations
@@ -247,45 +250,92 @@ class CertificateReport:
         return tuple(c for c in self.certificates if c.kind != "none")
 
 
+@dataclass(frozen=True)
+class IncidenceTable:
+    """The multiple points of a projective arrangement, in
+    ``proj.multiple_points()`` order, as sorted tuples of incident lines;
+    per point the lines missing it, and per line the positions of the
+    points on it."""
+
+    points: tuple
+    off_point: tuple
+    on_line: tuple
+
+
+def incidence_table(proj):
+    points = tuple(tuple(sorted(p.incident)) for p in proj.multiple_points())
+    lines = range(proj.n)
+    return IncidenceTable(
+        points=points,
+        off_point=tuple(tuple(j for j in lines if j not in p) for p in points),
+        on_line=tuple(
+            tuple(k for k, p in enumerate(points) if h in p) for h in lines
+        ),
+    )
+
+
+def line_certificates(table, trivial, resonant):
+    """The zero/one resonant point certificates of every line with q != 1.
+
+    ``trivial(j)`` tells whether line j has q = 1 and ``resonant(k)``
+    whether the multiple point at position k of ``table`` has q = 1.  Per
+    such line h, in line order, the row is ``(h, h1, k, off_trivial)``:
+    no resonant point on h gives ``(h, 0, None, None)``; exactly one, at
+    position k, gives h1 = (lines through it) - 2 when every line missing
+    it is trivial (``off_trivial``) and 0 otherwise; two or more give
+    ``(h, None, None, None)``.  Returns the rows and the h^1 they certify
+    (None when no line decides), and raises ``InvariantError`` when two
+    lines certify different values.
+    """
+    rows = []
+    dims = set()
+    for h, on_line in enumerate(table.on_line):
+        if trivial(h):
+            continue
+        found = list(filter(resonant, on_line))
+        if not found:
+            row = (h, 0, None, None)
+        elif len(found) == 1:
+            k = found[0]
+            off_trivial = all(map(trivial, table.off_point[k]))
+            row = (h, len(table.points[k]) - 2 if off_trivial else 0, k, off_trivial)
+        else:
+            row = (h, None, None, None)
+        rows.append(row)
+        if row[1] is not None:
+            dims.add(row[1])
+    if len(dims) > 1:
+        raise InvariantError(f"contradictory certificates: {sorted(dims)}")
+    return rows, (dims.pop() if dims else None)
+
+
 def vanishing_certificates(system, proj):
     """Scan every line with q != 1 for the zero/one resonant point
-    certificates; certificates from different lines must agree."""
+    certificates (``line_certificates``); certificates from different
+    lines must agree."""
     multiple = proj.multiple_points()
+    rows, dim = line_certificates(
+        incidence_table(proj),
+        lambda j: system.q_is_one_at(proj, j),
+        lambda k: system.q_point_is_one(proj, multiple[k]),
+    )
     certs = []
-    dims = set()
-    for h in range(proj.n):
-        if system.q_is_one_at(proj, h):
-            continue
-        resonant = [
-            p
-            for p in multiple
-            if h in p.incident and system.q_point_is_one(proj, p)
-        ]
-        if not resonant:
+    for h, h1, k, off_trivial in rows:
+        if h1 is None:
+            certs.append(Certificate(line=h, kind="none", h1=None))
+        elif k is None:
             certs.append(Certificate(line=h, kind="no_resonant_point", h1=0))
-            dims.add(0)
-        elif len(resonant) == 1:
-            point = resonant[0]
-            off = [j for j in range(proj.n) if j not in point.incident]
-            trivial = all(system.q_is_one_at(proj, j) for j in off)
-            dim = len(point.incident) - 2 if trivial else 0
+        else:
             certs.append(
                 Certificate(
                     line=h,
                     kind="unique_resonant_point",
-                    h1=dim,
-                    point=point,
-                    off_lines_trivial=trivial,
+                    h1=h1,
+                    point=multiple[k],
+                    off_lines_trivial=off_trivial,
                 )
             )
-            dims.add(dim)
-        else:
-            certs.append(Certificate(line=h, kind="none", h1=None))
-    if len(dims) > 1:
-        raise InvariantError(f"contradictory certificates: {sorted(dims)}")
-    return CertificateReport(
-        certificates=tuple(certs), h1=dims.pop() if dims else None
-    )
+    return CertificateReport(certificates=tuple(certs), h1=dim)
 
 
 @dataclass(frozen=True)

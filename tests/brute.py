@@ -42,6 +42,23 @@ def delta(system, lines, c1, c2):
     return system.delta_ids(ids)
 
 
+def half(system, i):
+    """The square root h_i of line i's monodromy as a backend element."""
+    return system.backend.half(system.halves[i])
+
+
+def monodromy(system, i):
+    return system.backend.mul(half(system, i), half(system, i))
+
+
+def half_infinity(system):
+    return system.backend.half(system.half_inf)
+
+
+def monodromy_infinity(system):
+    return system.backend.mul(half_infinity(system), half_infinity(system))
+
+
 def torsion_weight(bk, exponents, ids):
     """zeta^s - zeta^(-s) for s the sum of the half exponents over ``ids``,
     on the cyclotomic backend ``bk`` of order 2N."""

@@ -1,0 +1,57 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from linecoh import Arrangement
+from linecoh.geometry import Line
+
+BIG = 10**12 + 1
+COEFFS = st.sampled_from(
+    [
+        Fraction(0),
+        Fraction(1),
+        Fraction(-1),
+        Fraction(2),
+        Fraction(-3),
+        Fraction(1, 7),
+        Fraction(-5, 7),
+        Fraction(BIG),
+        Fraction(-BIG, 7),
+        Fraction(1, BIG),
+        Fraction(7, BIG),
+    ]
+)
+
+
+@st.composite
+def arrangements(draw, max_lines=7, min_lines=1):
+    """Distinct lines built one at a time: a free line, a line parallel to
+    an earlier one, or a line through the crossing of two earlier ones."""
+    rows, keys = [], set()
+    for _ in range(draw(st.integers(min_lines, max_lines))):
+        kind = draw(st.sampled_from(["free", "parallel", "concurrent"]))
+        a, b, c = draw(COEFFS), draw(COEFFS), draw(COEFFS)
+        if kind == "parallel" and rows:
+            pa, pb, _ = draw(st.sampled_from(rows))
+            k = draw(COEFFS.filter(bool))
+            a, b = k * pa, k * pb
+        elif kind == "concurrent" and len(rows) >= 2:
+            (a1, b1, c1), (a2, b2, c2) = draw(
+                st.lists(st.sampled_from(rows), min_size=2, max_size=2, unique=True)
+            )
+            det = a1 * b2 - a2 * b1
+            if det:
+                x0 = (c2 * b1 - c1 * b2) / det
+                y0 = (c1 * a2 - c2 * a1) / det
+                c = -(a * x0 + b * y0)
+        if a == 0 and b == 0:
+            continue
+        key = Line.canonical(a, b, c, id=0).triple()
+        if key not in keys:
+            keys.add(key)
+            rows.append((a, b, c))
+    if not rows:
+        rows.append((Fraction(1), Fraction(0), Fraction(0)))
+    return Arrangement(rows)

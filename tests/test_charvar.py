@@ -4,15 +4,22 @@ import pytest
 
 import corpus
 from linecoh import (
+    Arrangement,
     BudgetExceededError,
+    charvar,
     component_membership,
     cone,
     h1_at_point,
     make_local_system,
     torsion_scan,
 )
-from linecoh.charvar import ComponentFamily, ScanHit, TorusPoint
+from linecoh.charvar import ComponentFamily, ScanHit, TorusPoint, certified_h1
 from linecoh.mincomplex import cohomology_dims
+from linecoh.resband import incidence_table
+
+# The two order-2 points of deleted B3 that lie on four catalog families
+# (Omega among them); h1 = 2 there.
+FOUR_FAMILY_POINTS = ((0, 1, 1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 0, 1, 0, 1))
 
 
 def scan_per_point(proj, order, catalog):
@@ -32,6 +39,25 @@ def scan_per_point(proj, order, catalog):
             names = tuple(f.name for f in catalog if f.contains(point))
             hits.append(ScanHit(point=point, h1=dim, families=names))
     return hits
+
+
+def assert_two_sided(hits, catalog, order):
+    """The deleted-B3 scan hits are exactly the catalog's nontrivial torsion
+    points of order dividing N, and h1 = 2 on C_5678 and at the two
+    four-family points, h1 = 1 at every other hit."""
+    points = [hit.point for hit in hits]
+    catalogued = frozenset().union(*(f.torsion_points(order) for f in catalog))
+    assert len(set(points)) == len(points)
+    assert set(points) == {p for p in catalogued if not p.is_trivial()}
+    c5678 = next(f for f in catalog if f.name == "C_5678")
+    deep = set()
+    if order % 2 == 0:
+        half = order // 2
+        deep = {
+            TorusPoint(tuple(e * half for e in q), order) for q in FOUR_FAMILY_POINTS
+        }
+    for hit in hits:
+        assert hit.h1 == (2 if c5678.contains(hit.point) or hit.point in deep else 1)
 
 
 def test_deleted_b3_incidence():
@@ -126,18 +152,22 @@ def test_scan_small_orders():
     assert by_exps[(0, 1, 1, 0, 0, 1, 0, 1)].h1 == 2
     assert by_exps[(1, 0, 0, 1, 0, 1, 0, 1)].h1 == 2
     assert all(h.families for h in hits)
+    assert all(len(by_exps[q].families) == 4 for q in FOUR_FAMILY_POINTS)
+    assert_two_sided(hits, catalog, 2)
 
 
 def test_scan_order_three_hits_stay_in_catalog():
     proj, catalog = corpus.b3()
     hits = torsion_scan(proj, 3, catalog=catalog)
     assert hits and all(h.families for h in hits)
+    assert_two_sided(hits, catalog, 3)
 
 
 def test_scan_order_four_hits_stay_in_catalog():
     proj, catalog = corpus.b3()
     hits = torsion_scan(proj, 4, catalog=catalog)
     assert hits and all(h.families for h in hits)
+    assert_two_sided(hits, catalog, 4)
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -153,6 +183,7 @@ def test_scan_order_five_hits_stay_in_catalog():
     hits = torsion_scan(proj, 5, catalog=catalog)
     assert len(hits) == 388
     assert all(h.families for h in hits)
+    assert_two_sided(hits, catalog, 5)
 
 
 def test_scan_order_six_meets_translated_component():
@@ -162,10 +193,62 @@ def test_scan_order_six_meets_translated_component():
     hits = torsion_scan(proj, 6, catalog=catalog)
     assert len(hits) == 600
     assert all(h.families for h in hits)
+    assert_two_sided(hits, catalog, 6)
     omega = next(f for f in catalog if f.name == "Omega")
     on_omega = {h.point for h in hits if "Omega" in h.families}
     assert len(on_omega) == 6
     assert on_omega == {omega.point((t,), 6) for t in range(6)}
+
+
+def test_family_torsion_points():
+    _, catalog = corpus.b3()
+    omega = next(f for f in catalog if f.name == "Omega")
+    # Omega's points of order dividing 4: s = i^t, with the two order-2
+    # points among them (s = +-1)
+    at_four = omega.torsion_points(4)
+    assert at_four == {omega.point((t,), 4) for t in range(4)}
+    assert omega.torsion_points(2) == {
+        TorusPoint(q, 2) for q in FOUR_FAMILY_POINTS
+    }
+    assert not omega.torsion_points(3)  # its coordinates include -1
+    c136 = catalog[0]
+    assert len(c136.torsion_points(3)) == 9
+    assert all(c136.contains(p) for p in c136.torsion_points(3))
+
+
+def test_undecided_points_reach_the_band_route(monkeypatch):
+    # every line with q != 1 carries at least two resonant multiple points at
+    # the two four-family points and at the order-3 point of the braid
+    # family C_(14|23|68) where q1 = q2 = zeta_3, so the certificates leave
+    # all three to the band kernel
+    proj, catalog = corpus.b3()
+    table = incidence_table(proj)
+    banded = []
+
+    def spy(proj, point, **kwargs):
+        banded.append(point)
+        return h1_at_point(proj, point, **kwargs)
+
+    monkeypatch.setattr(charvar, "h1_at_point", spy)
+    braid = TorusPoint((1, 1, 1, 1, 0, 1, 0, 1), 3)
+    cases = [(TorusPoint(q, 2), 2) for q in FOUR_FAMILY_POINTS] + [(braid, 1)]
+    chart = proj.chart(proj.infinity_index)
+    for point, dim in cases:
+        assert certified_h1(table, point.exponents, point.order) is None
+        hits = {h.point: h.h1 for h in torsion_scan(proj, point.order)}
+        assert point in banded and hits[point] == dim
+        system = make_local_system(point.exponents[:7], order=point.order)
+        assert cohomology_dims(system, chart.arrangement)[1] == dim
+    assert [f.name for f in catalog if f.contains(braid)] == ["C_(14|23|68)"]
+
+
+def test_certificates_decide_every_point_of_a_pencil():
+    # three concurrent lines: every chart is two parallel lines, where the
+    # band kernel cannot run, and the certificate of the one multiple point
+    # gives h1 = 1 at every nontrivial point
+    proj = cone(Arrangement([(1, 0, 0), (1, 0, -1)]))
+    hits = torsion_scan(proj, 3)
+    assert len(hits) == 8 and all(h.h1 == 1 for h in hits)
 
 
 def test_scan_budget():

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from linecoh import charvar
 from linecoh.cli import main
-from linecoh.localsystem import LocalSystem
+from linecoh.localsystem import LocalSystem, make_local_system
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,6 +121,25 @@ def test_scan_command_deterministic(fig1_file, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.startswith("scan order=2")
+
+
+def test_scan_eps_reaches_local_systems(monkeypatch, capsys):
+    # the two order-2 deleted-B3 points with h1 = 2 are left to the band
+    # kernel, so the scan builds local systems, with the given eps
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("eps"))
+        return make_local_system(*args, **kwargs)
+
+    monkeypatch.setattr(charvar, "make_local_system", spy)
+    argv = [
+        "scan", "--arrangement", str(GOLDEN / "b3del.txt"), "--order", "2",
+        "--backend", "complex", "--eps", "1e-6",
+    ]
+    assert main(argv) == 0
+    assert "hits=36" in capsys.readouterr().out
+    assert seen and set(seen) == {1e-6}
 
 
 def test_b3_command(capsys):

@@ -1,27 +1,32 @@
-"""Property tests of the symmetries the torus scan relies on: h^1 at a
-torsion point is unchanged by Galois conjugation e -> u*e mod N and by
-flipping the square roots of the monodromies."""
+"""Property tests of what the torus scan relies on: h^1 at a torsion point
+is unchanged by Galois conjugation e -> u*e mod N and by flipping the
+square roots of the monodromies, and every h^1 the certificate prefilter
+decides equals the band kernel's and the chamber complex's."""
 
-import random
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import corpus
 from linecoh import ProjArrangement, h1_at_point, h1_via_bands, make_local_system
-from linecoh.charvar import TorusPoint
+from linecoh.charvar import TorusPoint, certified_h1
 from linecoh.mincomplex import cohomology_dims
+from linecoh.resband import incidence_table
+from strategies import arrangements
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+CERTIFICATE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 @st.composite
-def torsion_points(draw):
-    """A nontrivial order-N point on the cone of a random corpus arrangement
-    of 3-5 lines, with the line at infinity at a random row."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    arr = corpus.random_arrangement(rng, 3, 5)
+def torsion_points(draw, max_lines=5):
+    """A nontrivial point of order N in 2-6 on the cone of a hypothesis
+    arrangement of up to ``max_lines`` lines that meet somewhere (so no
+    chart has only parallel lines), with the line at infinity at a random
+    row."""
+    arr = draw(
+        arrangements(max_lines, min_lines=3).filter(lambda a: a.intersection_points())
+    )
     triples = [ln.triple() for ln in arr.lines]
     inf = draw(st.integers(0, arr.n))
     triples.insert(inf, (0, 0, 1))
@@ -60,3 +65,18 @@ def test_h1_ignores_square_root_flips(case, data):
     dim = h1_at_point(proj, point)
     assert h1_via_bands(system, chart.arrangement).dim == dim
     assert cohomology_dims(system, chart.arrangement)[1] == dim
+
+
+@CERTIFICATE_SETTINGS
+@given(torsion_points(max_lines=6), st.booleans())
+def test_certified_h1_equals_band_and_oracle_h1(case, with_oracle):
+    proj, point = case
+    dim = certified_h1(incidence_table(proj), point.exponents, point.order)
+    if dim is None:
+        return
+    assert h1_at_point(proj, point) == dim
+    if with_oracle:
+        chart = proj.chart(proj.infinity_index)
+        exps = [point.exponents[old] for old in chart.to_old]
+        system = make_local_system(exps, order=point.order)
+        assert cohomology_dims(system, chart.arrangement)[1] == dim
