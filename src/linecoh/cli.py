@@ -1,11 +1,14 @@
 """Command line front end.
 
-Subcommands: chambers, complex, h1, certify, scan, b3.  Reports are
-deterministic (byte-identical across runs for the same inputs).  Exit
-codes: 0 success, 2 precondition failure (bad input, or an unreadable
-arrangement file or unwritable ``--out`` path), 3 enumeration budget
-exceeded, 4 internal invariant broken (two computations that must agree
-did not).
+Subcommands: chambers, complex, h1, certify, scan, b3.  ``main`` builds
+only the parser of the subcommand named first in argv; it falls back to
+the full parser when no known subcommand comes first (``--help`` among
+them) or arguments are left over, so usage and error messages name every
+subcommand.  Reports are deterministic (byte-identical across runs for the
+same inputs).  Exit codes: 0 success, 2 precondition failure (bad input,
+or an unreadable arrangement file or unwritable ``--out`` path), 3
+enumeration budget exceeded, 4 internal invariant broken (two
+computations that must agree did not).
 """
 
 from __future__ import annotations
@@ -247,14 +250,13 @@ def cmd_b3(args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="linecoh",
-        description="Local system cohomology of real line arrangements",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_BACKENDS = ("cyclotomic", "complex")
 
-    def common(p, system=False, order=False):
+
+def _options(system=False, order=False, check=False):
+    """The option adder of a subcommand that reads an arrangement file."""
+
+    def add(p):
         p.add_argument("--arrangement", required=True, help="arrangement file")
         if system:
             p.add_argument(
@@ -265,44 +267,64 @@ def _build_parser():
         if order:
             p.add_argument("--order", type=int, required=True)
             p.add_argument("--budget", type=int, default=2_000_000)
-        p.add_argument("--backend", choices=("cyclotomic", "complex"), default="cyclotomic")
+        p.add_argument("--backend", choices=_BACKENDS, default="cyclotomic")
         p.add_argument("--eps", type=float, default=1e-9)
         p.add_argument("--out", default=None)
+        if check:
+            p.add_argument(
+                "--check", action="store_true", help="cross-check with the complex"
+            )
 
-    p = sub.add_parser("chambers", help="chambers and flag classification")
-    common(p)
-    p.set_defaults(func=cmd_chambers)
+    return add
 
-    p = sub.add_parser("complex", help="print the twisted chamber complex")
-    common(p, system=True)
-    p.set_defaults(func=cmd_complex)
 
-    p = sub.add_parser("h1", help="first cohomology via resonant bands")
-    common(p, system=True)
-    p.add_argument("--check", action="store_true", help="cross-check with the complex")
-    p.set_defaults(func=cmd_h1)
-
-    p = sub.add_parser("certify", help="combinatorial certificates and sharp pairs")
-    common(p, system=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("scan", help="torsion points with h1 >= 1")
-    common(p, order=True)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("b3", help="deleted B3 catalog verification table")
+def _b3_options(p):
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--backend", choices=("cyclotomic", "complex"), default="cyclotomic")
+    p.add_argument("--backend", choices=_BACKENDS, default="cyclotomic")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_b3)
 
+
+# (name, help, handler, option adder), in usage order
+_SUBCOMMANDS = (
+    ("chambers", "chambers and flag classification", cmd_chambers, _options()),
+    ("complex", "print the twisted chamber complex", cmd_complex, _options(True)),
+    ("h1", "first cohomology via resonant bands", cmd_h1, _options(True, check=True)),
+    (
+        "certify",
+        "combinatorial certificates and sharp pairs",
+        cmd_certify,
+        _options(True),
+    ),
+    ("scan", "torsion points with h1 >= 1", cmd_scan, _options(order=True)),
+    ("b3", "deleted B3 catalog verification table", cmd_b3, _b3_options),
+)
+
+
+def _build_parser(command=None):
+    """The argument parser with every subcommand, or with ``command`` only."""
+    parser = argparse.ArgumentParser(
+        prog="linecoh",
+        description="Local system cohomology of real line arrangements",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, func, add_options in _SUBCOMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extra = None
+    if argv and any(argv[0] == name for name, *_ in _SUBCOMMANDS):
+        args, extra = _build_parser(argv[0]).parse_known_args(argv)
+    if args is None or extra:
+        # no or unknown command, top-level --help, or leftover arguments:
+        # the full parser prints the usage naming every subcommand
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except charvar.BudgetExceededError as exc:

@@ -3,15 +3,16 @@
 Lines carry Fraction coefficients of a*x + b*y + c = 0.  The exact kernels
 run on integers: each line is scaled once by a positive rational to a
 coprime integer triple (``_int_triple``), which keeps every open half-plane
-and so every sign vector.  Chambers are enumerated as sign vectors with
-integer Fourier-Motzkin feasibility tests, boundedness and opposite-chamber
-pairing come from recession cones tested on primitive integer directions,
-and affine and projective intersection points are integer cross products
-keyed by their primitive multiple, with integer incidence tests.  A
-generic flag is realized by an explicit rational change of coordinates;
-it is affine, so the flagged chambers are the arrangement's chambers
-transported along it, not a second enumeration.  Projective arrangements
-support coning and moving any member to infinity.
+and so every sign vector.  Chambers are read off the arrangement's edges:
+each line is cut at its crossings, ordered by integer keys, and the two
+sides of every edge are chambers; the end edges decide boundedness and
+give the opposite pairing of band ends.  Affine and projective
+intersection points are integer cross products keyed by their primitive
+multiple, with integer incidence tests, sorted on integer keys scaled by
+an lcm.  A generic flag is realized by an explicit rational change of
+coordinates; it is affine, so the flagged chambers are the arrangement's
+chambers transported along it, not a second enumeration.  Projective
+arrangements support coning and moving any member to infinity.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ class ArrangementError(ValueError):
 
 
 class ArrangementTooLargeError(ArrangementError):
-    """More lines than the exact chamber enumeration handles (see MAX_LINES)."""
+    """More lines than MAX_LINES.  The chambers take quadratic time in the
+    lines, but the chamber complex and the torus scans built on them grow
+    far faster, so the bound stays."""
 
 
 class FlagError(ArrangementError):
@@ -135,124 +138,76 @@ def _int_triple(a, b, c):
     return t
 
 
-def _strictly_feasible(rows):
-    """Is the open set {a*x + b*y + c > 0 for all rows} nonempty?
+def _compute_chambers(lines):
+    """The chambers of ``lines``, sorted by sign vector, from the edges.
 
-    Integer Fourier-Motzkin elimination: ``rows`` are integer triples.  A
-    row (al, bl, cl) with al > 0 bounds x from below, a row (au, bu, cu)
-    with au < 0 from above, and each such pair gives the y-row
-    |au|*(lower) + al*(upper), in which x cancels.  That is the rational
-    elimination step times al*|au| > 0; a positive multiple of a strict
-    inequality is equivalent to it, so the test is exact.  The y-bounds
-    -beta/alpha are compared by cross-multiplication over positive
-    denominators.
+    On line k = (a, b, c), moving along the direction d = (-b, a) changes
+    line j's equation at the rate D = a*b_j - b*a_j; where D != 0, j crosses
+    k at the parameter t = <d, crossing> = (c*(a*a_j + b*b_j) -
+    c_j*(a**2 + b**2)) / D, with sign -sign(D) before and sign(D) after,
+    while a parallel line keeps one sign along k.  The crossings, sorted by
+    t scaled to integers by the lcm of the D's (lines through one point
+    share t), cut k into edges; the chambers on the two sides of an edge
+    have the edge's signs with sign[k] = +1 or -1, and every chamber has an
+    edge on its boundary.  A chamber is unbounded exactly when it has an
+    unbounded edge, the first or last one on its line.  The opposite of an
+    unbounded chamber is the one with the negated sign vector, if that is
+    an unbounded chamber; otherwise its recession cone is one ray, parallel
+    to its unbounded edges, and the opposite keeps the signs of the lines
+    parallel to that ray and flips the rest (the band's other end).
     """
-    lows, ups, ycons = [], [], []
-    for row in rows:
-        a = row[0]
-        if a > 0:
-            lows.append(row)
-        elif a < 0:
-            ups.append(row)
-        else:
-            ycons.append(row[1:])
-    for al, bl, cl in lows:
-        for au, bu, cu in ups:
-            ycons.append((al * bu - au * bl, al * cu - au * cl))
-    # y > lnum/lden and y < unum/uden, denominators positive
-    lnum = lden = unum = uden = None
-    for alpha, beta in ycons:
-        if alpha > 0:
-            if lden is None or -beta * lden > lnum * alpha:
-                lnum, lden = -beta, alpha
-        elif alpha < 0:
-            if uden is None or beta * uden < unum * -alpha:
-                unum, uden = beta, -alpha
-        elif beta <= 0:
-            return False
-    return lden is None or uden is None or lnum * uden < unum * lden
-
-
-def _enumerate_sign_vectors(rows):
-    """All feasible sign vectors of the integer line triples ``rows``, by
-    depth-first prefix pruning."""
-    n = len(rows)
+    n = len(lines)
     if n > MAX_LINES:
         raise ArrangementTooLargeError(f"{n} lines exceeds the bound {MAX_LINES}")
-    signed = [((1, (a, b, c)), (-1, (-a, -b, -c))) for a, b, c in rows]
-    found = []
-    cons = []
-    signs = []
-
-    def rec(k):
-        if k == n:
-            found.append(tuple(signs))
-            return
-        for s, row in signed[k]:
-            cons.append(row)
-            signs.append(s)
-            if _strictly_feasible(cons):
-                rec(k + 1)
-            cons.pop()
-            signs.pop()
-
-    rec(0)
-    return sorted(found)
-
-
-def _recession_rays(normals, signs):
-    """Directions d with sign_k * <normal_k, d> >= 0 for all k, among the
-    finitely many candidate rays parallel to some line.
-
-    ``normals`` are the primitive integer normals (a, b) of the lines, so
-    the candidates (-b, a) and (b, -a) are primitive and equal tuples mean
-    equal rays.
-    """
-    seen = set()
-    rays = []
-    for a, b in normals:
-        for d in ((-b, a), (b, -a)):
-            if d in seen:
-                continue
-            seen.add(d)
-            dx, dy = d
-            if all(
-                s * (na * dx + nb * dy) >= 0 for s, (na, nb) in zip(signs, normals)
-            ):
-                rays.append(d)
-    return rays
-
-
-def _compute_chambers(lines):
     rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
-    vectors = _enumerate_sign_vectors(rows)
-    normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in rows]
-    chambers = []
-    rays_of = []
-    by_signs = {}
-    for idx, signs in enumerate(vectors):
-        rays = _recession_rays(normals, signs)
-        ch = Chamber(signs=signs, bounded=not rays, index=idx)
-        chambers.append(ch)
-        rays_of.append(rays)
-        by_signs[signs] = ch
-    for ch, rays in zip(chambers, rays_of):
+    end_line = {}  # sign vector -> a line holding one of its unbounded edges
+    inner = set()  # sign vectors seen beside a bounded edge
+    for k, (a, b, c) in enumerate(rows):
+        signs, crossing = [], []
+        for j, (aj, bj, cj) in enumerate(rows):
+            d = a * bj - b * aj
+            if d:
+                signs.append(1 if d < 0 else -1)
+                crossing.append((c * (a * aj + b * bj) - cj * (a * a + b * b), d, j))
+            elif j == k:
+                signs.append(0)
+            else:  # parallel: line j at a point of line k
+                v = (a * cj - aj * c) * a if a else (b * cj - bj * c) * b
+                signs.append(1 if v > 0 else -1)
+        scale = lcm(*(d for _, d, _ in crossing))
+        through = {}
+        for t, d, j in crossing:
+            through.setdefault(t * (scale // d), []).append(j)
+        last = len(through)
+        for e, t in enumerate(sorted(through) + [None]):
+            for s in (1, -1):
+                signs[k] = s
+                key = tuple(signs)
+                if e == 0 or e == last:
+                    end_line[key] = k
+                else:
+                    inner.add(key)
+            if t is not None:
+                for j in through[t]:
+                    signs[j] = -signs[j]
+    chambers = [
+        Chamber(signs=key, bounded=key not in end_line, index=idx)
+        for idx, key in enumerate(sorted(inner.union(end_line)))
+    ]
+    by_signs = {ch.signs: ch for ch in chambers}
+    for ch in chambers:
         if ch.bounded:
             continue
-        neg = tuple(-s for s in ch.signs)
-        cand = by_signs.get(neg)
-        if cand is not None and not cand.bounded:
-            ch.opposite = cand
-            continue
-        # 1-dimensional recession cone (band end): keep the signs of lines
-        # parallel to the ray, flip the rest.
-        dx, dy = rays[0]
-        target = tuple(
-            s if a * dx + b * dy == 0 else -s for s, (a, b) in zip(ch.signs, normals)
-        )
-        opp = by_signs.get(target)
+        opp = by_signs.get(tuple(-s for s in ch.signs))
         if opp is None or opp.bounded:
-            raise ArrangementError("opposite chamber pairing failed")
+            a, b, _ = rows[end_line[ch.signs]]
+            target = tuple(
+                s if a * bj == b * aj else -s
+                for s, (aj, bj, _) in zip(ch.signs, rows)
+            )
+            opp = by_signs.get(target)
+            if opp is None or opp.bounded:
+                raise ArrangementError("opposite chamber pairing failed")
         ch.opposite = opp
     return chambers
 
@@ -291,17 +246,29 @@ def _crossings(rows):
     ]
 
 
+def _sorted_scaled(items):
+    """(den, point, incidence) triples sorted by point / den, on the integer
+    keys point * (L / den) with L the lcm of the dens: a positive common
+    scale, so the order is exact."""
+    scale = lcm(*(den for den, _, _ in items))
+
+    def key(item):
+        m = scale // item[0]
+        return tuple(v * m for v in item[1])
+
+    return sorted(items, key=key)
+
+
 def _affine_intersections(lines):
     """Affine intersection points with their incidence sets (line ids),
-    sorted by (x, y); integer crossings, one Fraction pair per point."""
+    sorted by (x, y); integer crossings (x, y, z) with z > 0, sorted on
+    integer keys, then one Fraction pair per point."""
     rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
-    pts = [
+    pts = _sorted_scaled([(p[2], p, on) for p, on in _crossings(rows) if p[2]])
+    return tuple(
         AffinePoint(Fraction(x, z), Fraction(y, z), frozenset(lines[k].id for k in on))
-        for (x, y, z), on in _crossings(rows)
-        if z
-    ]
-    pts.sort(key=lambda p: (p.x, p.y))
-    return tuple(pts)
+        for z, (x, y, _), on in pts
+    )
 
 
 class Arrangement:
@@ -599,16 +566,18 @@ def _proj_intersections(triples):
     """Intersection points of projective lines with their incidence sets,
     sorted by canonical coordinates (first nonzero entry 1).
 
-    Works on primitive integer triples (``_crossings``) and builds the
-    canonical Fraction coordinates once per distinct point.
+    Works on primitive integer triples (``_crossings``), sorted on integer
+    keys scaled by the lcm of their first nonzero entries, and builds the
+    canonical Fraction coordinates once per distinct point, after sorting.
     """
     rows = [_int_triple(*t) for t in triples]
-    pts = [
-        IntersectionPoint(canonical_triple(Fraction(x), Fraction(y), Fraction(z)), inc)
-        for (x, y, z), inc in _crossings(rows)
-    ]
-    pts.sort(key=lambda p: p.coords)
-    return tuple(pts)
+    pts = _sorted_scaled(
+        [(next(v for v in p if v), p, inc) for p, inc in _crossings(rows)]
+    )
+    return tuple(
+        IntersectionPoint(tuple(Fraction(v, lead) for v in p), inc)
+        for lead, p, inc in pts
+    )
 
 
 def cone(arrangement):

@@ -39,9 +39,12 @@ class Band:
     """Strip between two consecutive parallel lines.
 
     ``u1``/``u2`` are the chamber indices of the two unbounded ends (u1 has
-    the lexicographically smaller sign vector); ``inner`` lists all chambers
-    inside the strip; ``parallel_ids`` is the full parallel class of the
-    boundary direction, whose point at infinity the band converges to.
+    the lexicographically smaller sign vector).  A strip that no line
+    crosses (every line parallel, a pencil) is one unbounded chamber, its
+    own opposite, so u1 = u2; its standing wave is then zero, and h^1 =
+    n - 1 for n parallel lines.  ``inner`` lists all chambers inside the
+    strip; ``parallel_ids`` is the full parallel class of the boundary
+    direction, whose point at infinity the band converges to.
     """
 
     lower: int
@@ -113,6 +116,8 @@ def band_structure(arrangement):
                 (i for i in inner if not chs[i].bounded),
                 key=lambda i: chs[i].signs,
             )
+            if len(ends) == 1 and chs[ends[0]].opposite is chs[ends[0]]:
+                ends *= 2  # a strip no line crosses: both of its ends
             if len(ends) != 2:
                 raise ValueError("band does not have exactly two unbounded ends")
             u1, u2 = ends

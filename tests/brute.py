@@ -6,13 +6,16 @@ of consecutive candidate x-coordinates (intersection and vertical-line
 abscissas) and, per sampled column, candidate y-values between consecutive
 line crossings.  Every chamber contains such a sample point and no sample
 point lies on a line, so the set of observed sign vectors is exactly the
-set of chambers.
+set of chambers.  ``chambers`` is the reference for boundedness and the
+opposite pairing: a sign-vector search with a Fourier-Motzkin test per
+node and recession rays.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
-from linecoh.geometry import AffinePoint, canonical_triple
+from linecoh.geometry import AffinePoint, _int_triple, canonical_triple
 from linecoh.resband import SharpPair
 from linecoh.scalars import Matrix
 
@@ -103,6 +106,104 @@ def chamber_sign_vectors(lines):
         assert all(v != 0 for v in vals), "sample point fell on a line"
         sigs.add(tuple(1 if v > 0 else -1 for v in vals))
     return sigs
+
+
+def _strictly_feasible(rows):
+    """Is the open set {a*x + b*y + c > 0 for all rows} nonempty?
+
+    Integer Fourier-Motzkin elimination: ``rows`` are integer triples.  A
+    row (al, bl, cl) with al > 0 bounds x from below, a row (au, bu, cu)
+    with au < 0 from above, and each such pair gives the y-row
+    |au|*(lower) + al*(upper), in which x cancels.  That is the rational
+    elimination step times al*|au| > 0, so the test is exact.
+    """
+    lows, ups, ycons = [], [], []
+    for row in rows:
+        a = row[0]
+        if a > 0:
+            lows.append(row)
+        elif a < 0:
+            ups.append(row)
+        else:
+            ycons.append(row[1:])
+    for al, bl, cl in lows:
+        for au, bu, cu in ups:
+            ycons.append((al * bu - au * bl, al * cu - au * cl))
+    # y > lnum/lden and y < unum/uden, denominators positive
+    lnum = lden = unum = uden = None
+    for alpha, beta in ycons:
+        if alpha > 0:
+            if lden is None or -beta * lden > lnum * alpha:
+                lnum, lden = -beta, alpha
+        elif alpha < 0:
+            if uden is None or beta * uden < unum * -alpha:
+                unum, uden = beta, -alpha
+        elif beta <= 0:
+            return False
+    return lden is None or uden is None or lnum * uden < unum * lden
+
+
+def _sign_vectors(rows):
+    """All feasible sign vectors of the integer triples ``rows``, by
+    depth-first prefix pruning with a feasibility test at every node."""
+    found, cons, signs = [], [], []
+
+    def rec(k):
+        if k == len(rows):
+            found.append(tuple(signs))
+            return
+        a, b, c = rows[k]
+        for s, row in ((1, (a, b, c)), (-1, (-a, -b, -c))):
+            cons.append(row)
+            signs.append(s)
+            if _strictly_feasible(cons):
+                rec(k + 1)
+            cons.pop()
+            signs.pop()
+
+    rec(0)
+    return sorted(found)
+
+
+def _recession_rays(normals, signs):
+    """Directions d with sign_k * <normal_k, d> >= 0 for all k, among the
+    candidate rays parallel to some line (primitive integer normals)."""
+    rays = []
+    for a, b in normals:
+        for d in ((-b, a), (b, -a)):
+            dx, dy = d
+            if d not in rays and all(
+                s * (na * dx + nb * dy) >= 0 for s, (na, nb) in zip(signs, normals)
+            ):
+                rays.append(d)
+    return rays
+
+
+def chambers(lines):
+    """(signs, bounded, index, index of the opposite or None) per chamber,
+    sorted by sign vector: sign vectors by a depth-first search with a
+    Fourier-Motzkin test per node, boundedness from the recession rays, and
+    the opposite of a chamber the negated sign vector when that is an
+    unbounded chamber, else (a band end, one recession ray) the sign vector
+    with the signs of the lines not parallel to the ray flipped."""
+    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in rows]
+    vectors = _sign_vectors(rows)
+    rays = {s: _recession_rays(normals, s) for s in vectors}
+    index = {s: i for i, s in enumerate(vectors)}
+    out = []
+    for s in vectors:
+        opp = None
+        if rays[s]:
+            opp = tuple(-v for v in s)
+            if not rays.get(opp):
+                dx, dy = rays[s][0]
+                opp = tuple(
+                    v if a * dx + b * dy == 0 else -v for v, (a, b) in zip(s, normals)
+                )
+            assert rays.get(opp), "opposite chamber pairing failed"
+        out.append((s, not rays[s], index[s], None if opp is None else index[opp]))
+    return out
 
 
 def chamber_count_formula(arrangement):

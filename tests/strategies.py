@@ -55,3 +55,18 @@ def arrangements(draw, max_lines=7, min_lines=1):
     if not rows:
         rows.append((Fraction(1), Fraction(0), Fraction(0)))
     return Arrangement(rows)
+
+
+@st.composite
+def pencils(draw, max_lines=6):
+    """All-parallel arrangements: multiples of one normal with distinct
+    offsets, i.e. projective pencils through a point at infinity."""
+    a, b = draw(st.tuples(COEFFS, COEFFS).filter(any))
+    rows, keys = [], set()
+    for _ in range(draw(st.integers(1, max_lines))):
+        k, c = draw(COEFFS.filter(bool)), draw(COEFFS)
+        key = Line.canonical(k * a, k * b, c, id=0).triple()
+        if key not in keys:
+            keys.add(key)
+            rows.append((k * a, k * b, c))
+    return Arrangement(rows)

@@ -185,6 +185,19 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+def test_h1_on_pencil(tmp_path, capsys):
+    # two parallel lines: the strip between them is one chamber, both ends
+    # of its band, and h1 = 1 on C x (C minus two points)
+    path = tmp_path / "pencil.txt"
+    path.write_text("1 0 0\n1 0 -1\n")
+    argv = ["h1", "--arrangement", str(path), "--local-system", "torsion 2; 1 0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "resonant bands: 1\nh1 = 1\n"
+    # the chamber complex is built on a flag, which needs a crossing
+    assert main(argv + ["--check"]) == 2
+    assert capsys.readouterr().err == "error: arrangement has no intersection point\n"
+
+
 def test_unwritable_out_exits_2(fig1_file, tmp_path, capsys):
     out = tmp_path / "missing" / "r.out"
     spec = "torsion 3; 1 1 1 0 0"
@@ -336,3 +349,42 @@ def test_golden_report(name, tmp_path, monkeypatch):
     out = tmp_path / "report.txt"
     assert main(GOLDEN_CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# argv -> exit code; help goes to stdout (golden/<name>.out), usage errors
+# to stderr (golden/<name>.err), and the other stream stays empty
+SURFACE_CASES = {
+    "usage_none": ([], 2),
+    "usage_bogus": (["bogus"], 2),
+    "help": (["--help"], 0),
+    "usage_h1_missing": (["h1"], 2),
+    "help_h1": (["h1", "--help"], 0),
+    "help_b3": (["b3", "--help"], 0),
+    # leftover arguments after a known subcommand: the top-level usage
+    "usage_h1_unrecognized": (
+        [
+            "h1", "--arrangement", "tests/golden/fig1.txt",
+            "--local-system", "x", "--bogus",
+        ],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_CASES))
+def test_cli_surface_golden(name, monkeypatch, capsys):
+    """Usage, help and argument errors stay byte-identical."""
+    argv, expected = SURFACE_CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected
+    if code == 0:
+        shown, silent, suffix = captured.out, captured.err, ".out"
+    else:
+        shown, silent, suffix = captured.err, captured.out, ".err"
+    assert shown.encode() == (GOLDEN / f"{name}{suffix}").read_bytes()
+    assert silent == ""

@@ -1,7 +1,8 @@
-"""Property tests of the integer geometry: chamber enumeration, the
+"""Property tests of the integer geometry: the chamber edge walk, the
 chambers transported to the flag, affine and projective intersection
-points and sharp pairs, checked against the Fraction oracles of
-``brute``; and the invariance of h^1 under the flag variant and the
+points and sharp pairs, checked against the oracles of ``brute`` (sample
+points, the sign-vector search with recession rays, Fraction arithmetic);
+and the invariance of h^1 under the flag variant and the
 chart.  The arrangements have parallel classes, concurrent triples and
 coefficients with large numerators and denominators."""
 
@@ -20,7 +21,7 @@ from linecoh.geometry import (
 )
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import sharp_pairs
-from strategies import arrangements
+from strategies import arrangements, pencils
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -36,6 +37,17 @@ def test_chambers_match_bruteforce_and_counts(arr):
     assert len(chs) == brute.chamber_count_formula(arr)
     if arr.intersection_points():
         assert sum(c.bounded for c in chs) == brute.bounded_count_formula(arr)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(arrangements(), pencils()))
+def test_chambers_match_reference_enumeration(arr):
+    # the edge walk against the sign-vector search with recession rays
+    got = []
+    for ch in _compute_chambers(arr.lines):
+        opp = None if ch.opposite is None else ch.opposite.index
+        got.append((ch.signs, ch.bounded, ch.index, opp))
+    assert got == brute.chambers(arr.lines)
 
 
 @PROPERTY_SETTINGS

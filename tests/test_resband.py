@@ -19,6 +19,7 @@ from linecoh.resband import (
     vanishing_certificates,
 )
 from linecoh.scalars import Matrix, rank
+from strategies import pencils
 
 
 def test_bands_figure_five_lines():
@@ -60,6 +61,26 @@ def test_resonance_iff_crossing_product_one():
     assert resonant_bands(off, arr) == ()
     trivial = make_local_system([0] * 5, order=1)
     assert len(resonant_bands(trivial, arr)) == 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pencils(), st.integers(2, 6), st.data())
+def test_pencil_h1_is_lines_minus_two(arr, order, data):
+    """n parallel lines: the complement is C x (C minus n points), so a
+    nontrivial system has h1 = n - 1, two less than the projective lines.
+    Each strip is one chamber, both ends of its band, with a zero wave."""
+    exps = data.draw(
+        st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n).filter(
+            lambda e: sum(e) % order  # nontrivial at infinity
+        )
+    )
+    proj = cone(arr)
+    assert len(bands(arr)) == arr.n - 1
+    assert all(b.u1 == b.u2 for b in bands(arr))
+    for backend in ("cyclotomic", "complex"):
+        system = make_local_system(exps, order=order, backend=backend)
+        assert h1_via_bands(system, arr).dim == proj.n - 2
+        assert vanishing_certificates(system, proj).h1 == proj.n - 2
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
