@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
@@ -37,10 +37,6 @@ from .resband import h1_via_bands, incidence_table, line_certificates
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,6 @@ class TorusPoint:
 
     def is_trivial(self):
         return all(e % self.order == 0 for e in self.exponents)
-
-    def key(self):
-        return (self.order, tuple(e % self.order for e in self.exponents))
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ class ComponentFamily:
         """The torus point at parameters s_j = zeta_order^{params[j]}."""
         if len(params) != self.nparams:
             raise ValueError("wrong number of parameters")
-        n = order if not any(self.signs) else _lcm(order, 2)
+        n = order if not any(self.signs) else lcm(order, 2)
         step = n // order
         exps = []
         for i in range(self.nlines):
@@ -125,7 +118,7 @@ class ComponentFamily:
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?"""
         n = point.order
-        m = n if not any(self.signs) else _lcm(n, 2)
+        m = n if not any(self.signs) else lcm(n, 2)
         lift = m // n
         exps = [e * lift % m for e in point.exponents]
         if len(exps) != self.nlines:

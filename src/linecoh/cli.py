@@ -224,12 +224,9 @@ def cmd_b3(args):
     proj, catalog = charvar.deleted_b3()
     rows = ["deleted B3 arrangement (8 lines, H8 at infinity)"]
     rows.append("multiple points per line:")
-    for h in range(proj.n):
-        pts = [
-            "".join(str(j + 1) for j in sorted(p.incident))
-            for p in proj.multiple_points()
-            if h in p.incident
-        ]
+    table = resband.incidence_table(proj)
+    for h, on_line in enumerate(table.on_line):
+        pts = ["".join(str(j + 1) for j in table.points[k]) for k in on_line]
         rows.append(f"  H{h + 1}: {' '.join(pts)}")
     rows.append(f"catalog ({len(catalog)} families):")
     for fam in catalog:

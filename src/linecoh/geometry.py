@@ -542,18 +542,13 @@ class ProjArrangement:
     def affine_ids(self):
         return tuple(j for j in range(self.n) if j != self.infinity_index)
 
-    def intersections(self, restrict_to_infinity=False):
+    def intersections(self):
         if self._points is None:
             self._points = _proj_intersections(self.lines)
-        if not restrict_to_infinity:
-            return self._points
-        inf = self.infinity_index
-        return tuple(p for p in self._points if inf in p.incident)
+        return self._points
 
-    def multiple_points(self, restrict_to_infinity=False):
-        return tuple(
-            p for p in self.intersections(restrict_to_infinity) if p.is_multiple
-        )
+    def multiple_points(self):
+        return tuple(p for p in self.intersections() if p.is_multiple)
 
     def chart(self, h):
         """Cached affine chart with line h at infinity."""
@@ -581,10 +576,18 @@ def _proj_intersections(triples):
 
 
 def cone(arrangement):
-    """Projective closure: the affine lines plus the line at infinity z = 0."""
+    """Projective closure: the affine lines plus the line at infinity z = 0.
+
+    The cone puts z = 0 at infinity, so its infinity chart is
+    ``arrangement`` itself, the identity change of coordinates; handing it
+    over keeps the arrangement's cached chambers and flags.
+    """
+    n = arrangement.n
     triples = [ln.triple() for ln in arrangement.lines]
     triples.append((Fraction(0), Fraction(0), Fraction(1)))
-    return ProjArrangement(triples, infinity_index=len(triples) - 1)
+    proj = ProjArrangement(triples, infinity_index=n)
+    proj._charts[n] = Chart(arrangement, tuple(range(n)), n)
+    return proj
 
 
 @dataclass(frozen=True)
@@ -613,15 +616,17 @@ def _mat3_inverse(rows):
 def move_to_infinity(proj, h):
     """Rational projective change putting line h at infinity.
 
+    Line h's row, completed by two unit rows, is an invertible T; in the
+    coordinates T . (x, y, z) line h is z = 0 and a row l becomes l T^-1.
+    Every line, the infinity line included, takes this path; only the row
+    0 0 1 gives T = I.
+
     Returns the affine forms of the remaining lines (in their original
     relative order) together with the position -> old-index correspondence.
     """
     if not 0 <= h < proj.n:
         raise ArrangementError("line index out of range")
     keep = [k for k in range(proj.n) if k != h]
-    if h == proj.infinity_index:
-        coeffs = [proj.lines[k] for k in keep]
-        return Chart(Arrangement(coeffs), tuple(keep), moved=h)
     hrow = proj.lines[h]
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for (i, j), piv in (((0, 1), hrow[2]), ((0, 2), -hrow[1]), ((1, 2), hrow[0])):
@@ -647,8 +652,9 @@ def parse_arrangement(text):
     """Parse the plain text arrangement format.
 
     Affine: one line per row, three rationals "a b c" for a*x + b*y + c = 0.
-    Projective: rows "P a b c" plus a header "infinity: k" (1-based row
-    number of the line at infinity).  "#" starts a comment.
+    Projective: rows "P a b c" for a*x + b*y + c*z = 0 plus a header
+    "infinity: k" (1-based row number of the line at infinity, any row).
+    "#" starts a comment.
     """
     rows = []
     projective = False

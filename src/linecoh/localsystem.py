@@ -48,7 +48,7 @@ class LocalSystem:
     # -- products and resonance tests ---------------------------------------
 
     def infinity_is_one(self):
-        return self.prod_is_one(range(self.n))
+        return self.backend.square_is_one(self.half_inf)
 
     def _half_prod(self, ids):
         halves = self.halves
@@ -68,37 +68,30 @@ class LocalSystem:
 
     # -- coned arrangement helpers ------------------------------------------
 
-    def q_is_one_at(self, proj, j):
+    def _half_at(self, proj, j):
+        """Half monodromy of projective line j (``half_inf`` at infinity)."""
         if j == proj.infinity_index:
-            return self.infinity_is_one()
-        return self.prod_is_one((proj.affine_position(j),))
+            return self.half_inf
+        return self.halves[proj.affine_position(j)]
+
+    def q_is_one_at(self, proj, j):
+        return self.backend.square_is_one(self._half_at(proj, j))
 
     def q_point_is_one(self, proj, point):
-        affine = [
-            proj.affine_position(j)
-            for j in point.incident
-            if j != proj.infinity_index
-        ]
-        with_inf = len(affine) != len(point.incident)
-        return self.prod_is_one(affine, with_infinity=with_inf)
+        return self.backend.square_is_one(
+            self.backend.half_prod(self._half_at(proj, j) for j in point.incident)
+        )
 
     # -- convention changes ---------------------------------------------------
 
     def on_chart(self, proj, h):
-        """The same monodromies on the affine lines of ``proj.chart(h)``.
-
-        The system lives on the affine lines of ``proj`` (its infinity chart);
-        line h moves to infinity and the old infinity line takes the square
-        root ``half_inf``.  Line order follows ``chart.to_old``.
-        """
-        if h == proj.infinity_index:
-            return self
-        inf = proj.infinity_index
-        moved = tuple(
-            self.half_inf if old == inf else self.halves[proj.affine_position(old)]
-            for old in proj.chart(h).to_old
+        """The same monodromies on the affine lines of ``proj.chart(h)``,
+        for any h: each chart line, in ``chart.to_old`` order, takes the
+        half monodromy of the projective line it comes from."""
+        return LocalSystem(
+            self.backend,
+            (self._half_at(proj, old) for old in proj.chart(h).to_old),
         )
-        return LocalSystem(self.backend, moved)
 
     def flipped(self, ids=None):
         """Same monodromies with h_i replaced by -h_i (all lines by default)."""

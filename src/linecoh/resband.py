@@ -54,9 +54,6 @@ class Band:
     inner: tuple
     parallel_ids: frozenset
 
-    def label(self):
-        return f"B({self.lower + 1},{self.upper + 1})"
-
 
 @dataclass(frozen=True)
 class StandingWave:
@@ -251,9 +248,6 @@ class CertificateReport:
     certificates: tuple
     h1: int | None  # resolved dimension, when some certificate applies
 
-    def certified(self):
-        return tuple(c for c in self.certificates if c.kind != "none")
-
 
 @dataclass(frozen=True)
 class IncidenceTable:
@@ -365,19 +359,15 @@ def sharp_pairs(system, proj):
     and each line are scaled by positive rationals to integers
     (``_int_triple``), which keeps every sign, and the side of every line
     with q != 1 at every point is taken once from an integer dot product;
-    the pair loop compares those table entries.
+    the pair loop compares those table entries.  Each multiple point's
+    resonance is tested once; ``incidence_table`` says which lie on a line.
     """
     points = proj.intersections()
-    multiple = [p for p in points if p.is_multiple]
+    table = incidence_table(proj)
+    resonant = [system.q_point_is_one(proj, p) for p in proj.multiple_points()]
     nonres = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
     hypothesis = all(
-        sum(
-            1
-            for p in multiple
-            if h in p.incident and system.q_point_is_one(proj, p)
-        )
-        >= 2
-        for h in nonres
+        sum(resonant[k] for k in table.on_line[h]) >= 2 for h in nonres
     )
     coords = [_int_triple(*p.coords) for p in points]
     side = {}
@@ -403,10 +393,10 @@ def sharp_pairs(system, proj):
                 break
         if not sharp:
             continue
-        crossing = next(p for p in points if h1 in p.incident and h2 in p.incident)
-        forces_zero = crossing.incident == frozenset(
-            (h1, h2)
-        ) or not system.q_point_is_one(proj, crossing)
+        # a plain double point crossing is in no row of the table
+        forces_zero = not any(
+            resonant[k] for k in table.on_line[h1] if h2 in table.points[k]
+        )
         bound = (0 if forces_zero else 1) if hypothesis else None
         out.append(
             SharpPair(pair=(h1, h2), hypothesis_holds=hypothesis, bound=bound)

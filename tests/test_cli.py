@@ -56,6 +56,24 @@ def test_h1_relabels_when_infinity_trivial(capsys):
         assert "h0 h1 h2 = 0 2 4" in out
 
 
+def test_h1_reads_projective_rows_on_any_infinity_line(capsys):
+    # the same four lines with x and z swapped: x = 0 at infinity in one
+    # file and z = 0 in the other, so both give the same reports
+    spec = "torsion 2; 1 0 0"
+    reports = {}
+    for command in (("h1", "--check"), ("certify",)):
+        for name in ("proj_x_at_infinity.txt", "proj_z_at_infinity.txt"):
+            argv = [*command, "--arrangement", str(GOLDEN / name)]
+            assert main(argv + ["--local-system", spec]) == 0
+            reports.setdefault(command, []).append(capsys.readouterr().out)
+    for x_out, z_out in reports.values():
+        assert x_out == z_out
+    assert reports[("h1", "--check")][0] == (
+        "resonant bands: 0\nh1 = 0\nchamber complex check: h0 h1 h2 = 0 0 0\n"
+    )
+    assert "certified h1: 0\n" in reports[("certify",)][0]
+
+
 def test_h1_complex_backend(fig1_file, capsys):
     code = main(
         [

@@ -120,13 +120,13 @@ def test_figure_five_lines_intersections():
     }
     # at infinity the three verticals meet the infinity line in one point
     coned = cone(arr)
-    inf_pts = coned.intersections(restrict_to_infinity=True)
+    inf_pts = [p for p in coned.intersections() if coned.infinity_index in p.incident]
     assert sorted(p.multiplicity for p in inf_pts) == [2, 2, 4]
 
 
 def test_deleted_b3_points_on_infinity():
     proj, _ = corpus.b3()
-    on_inf = proj.multiple_points(restrict_to_infinity=True)
+    on_inf = [p for p in proj.multiple_points() if proj.infinity_index in p.incident]
     names = {p.incident for p in on_inf}
     assert names == {
         frozenset({0, 1, 7}),

@@ -2,9 +2,10 @@
 chambers transported to the flag, affine and projective intersection
 points and sharp pairs, checked against the oracles of ``brute`` (sample
 points, the sign-vector search with recession rays, Fraction arithmetic);
-and the invariance of h^1 under the flag variant and the
-chart.  The arrangements have parallel classes, concurrent triples and
-coefficients with large numerators and denominators."""
+and the invariance of h^1 under the flag variant, the chart and a
+projective change of coordinates.  The arrangements have parallel
+classes, concurrent triples and coefficients with large numerators and
+denominators."""
 
 from fractions import Fraction
 from math import comb
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from linecoh import cone, h1_via_bands, make_local_system
+from linecoh import ProjArrangement, cone, h1_via_bands, make_local_system
 from linecoh.geometry import (
     _affine_intersections,
     _compute_chambers,
@@ -139,15 +140,38 @@ def test_h1_is_independent_of_flag_variant(arr, data):
         assert cohomology_dims(system, arr, variant) == dims
 
 
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+invertible_matrices = (
+    st.lists(st.integers(-2, 2), min_size=9, max_size=9)
+    .map(lambda v: (v[0:3], v[3:6], v[6:9]))
+    .filter(_det3)
+)
+
+
 @INVARIANCE_SETTINGS
-@given(arrangements(max_lines=6), st.data())
-def test_band_h1_is_independent_of_chart(arr, data):
+@given(arrangements(max_lines=6), invertible_matrices, st.data())
+def test_band_h1_is_independent_of_chart(arr, m, data):
+    # a projective change of coordinates m, applied to every row of the
+    # cone with the same line kept at infinity, gives the same picture in
+    # every chart, the infinity chart included
     system = data.draw(torsion_systems(arr.n))
     proj = cone(arr)
+    moved = ProjArrangement(
+        [tuple(sum(u * v for u, v in zip(row, t)) for row in m) for t in proj.lines],
+        proj.infinity_index,
+    )
+    for h in range(proj.n):
+        count = len(proj.chart(h).arrangement.chambers())
+        assert len(moved.chart(h).arrangement.chambers()) == count
     charts = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
     assume(charts)
     dims = {
-        h1_via_bands(system.on_chart(proj, h), proj.chart(h).arrangement).dim
+        h1_via_bands(system.on_chart(p, h), p.chart(h).arrangement).dim
         for h in charts
+        for p in (proj, moved)
     }
     assert len(dims) == 1

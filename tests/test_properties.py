@@ -80,3 +80,19 @@ def test_certified_h1_equals_band_and_oracle_h1(case, with_oracle):
         exps = [point.exponents[old] for old in chart.to_old]
         system = make_local_system(exps, order=point.order)
         assert cohomology_dims(system, chart.arrangement)[1] == dim
+
+
+@PROPERTY_SETTINGS
+@given(torsion_points(), st.sampled_from(["cyclotomic", "complex"]))
+def test_resonance_tests_match_exponent_congruences(case, backend):
+    # q_H = 1 and q_X = 1 on the projective lines, the infinity line at any
+    # row, are the congruences the certificate route reads off the exponents
+    proj, point = case
+    exps, n = point.exponents, point.order
+    affine = [exps[j] for j in proj.affine_ids()]
+    system = make_local_system(affine, order=n, backend=backend)
+    for j in range(proj.n):
+        assert system.q_is_one_at(proj, j) == (exps[j] % n == 0)
+    for p in proj.multiple_points():
+        congruence = sum(exps[j] for j in p.incident) % n == 0
+        assert system.q_point_is_one(proj, p) == congruence
