@@ -11,15 +11,22 @@ h^1 is constant on the orbits of the units u of Z/N acting on order-N
 exponent vectors by e -> u*e mod N (the Galois conjugates of a point), and
 so is membership in a catalog family, whose coordinates are monomials with
 integer exponents and signs.  ``torsion_scan`` therefore evaluates one
-point per orbit and hands its answer to the whole orbit.
+point per orbit, its lexicographically smallest member, and hands its
+answer to the whole orbit.  Those members are generated directly: their
+first nonzero entry is a divisor d < N of N, and only the units
+u = 1 mod N/d can map one to a smaller vector (``_orbit_representatives``).
 
 Each orbit representative goes first to the certificate route
 (``certified_h1``): the zero/one resonant point certificates, evaluated
-as integer congruences on the exponents over one incidence table of the
-multiple points.  On deleted B3 they decide all but 41 of the 19,531
-representatives at N = 5; only the rest reach the band route
-(``h1_at_point``).  The scans of deleted B3 at orders 2 to 7 give exactly
-the catalog's nontrivial torsion points of order dividing N
+as integer bit operations over the cached incidence table of the
+multiple points.  Two masks are read off the exponents, the lines with a
+nonzero exponent and the multiple points whose lines' exponents sum to
+0 mod N; a line's resonant points are the second mask and its own mask
+of points on it.  A scan meets only a few thousand distinct mask pairs
+and decides each pair once.  On deleted B3 the certificates decide all
+but 41 of the 19,531 representatives at N = 5; only the rest reach the
+band route (``h1_at_point``).  The scans of deleted B3 at orders 2 to 8
+give exactly the catalog's nontrivial torsion points of order dividing N
 (``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
 """
@@ -27,12 +34,13 @@ two order-2 points on four families, and h^1 = 1 at every other hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
-from .resband import h1_via_bands, incidence_table, line_certificates
+from .resband import agreed_h1, h1_via_bands, incidence_table, line_certificates
 
 
 class BudgetExceededError(RuntimeError):
@@ -69,14 +77,24 @@ class ComponentFamily:
         k = self.nparams
         if sum(self.signs) % 2 != 0:
             raise ValueError(f"{self.name}: sign vector breaks the torus constraint")
+        pins = []
         for j in range(k):
             if sum(row[j] for row in self.powers) != 0:
                 raise ValueError(f"{self.name}: power column {j} breaks the constraint")
-            if not any(
-                abs(row[j]) == 1 and all(v == 0 for jj, v in enumerate(row) if jj != j)
-                for row in self.powers
-            ):
+            pin = next(
+                (
+                    (i, row[j])
+                    for i, row in enumerate(self.powers)
+                    if abs(row[j]) == 1
+                    and all(v == 0 for jj, v in enumerate(row) if jj != j)
+                ),
+                None,
+            )
+            if pin is None:
                 raise ValueError(f"{self.name}: parameter {j} is not pinned")
+            pins.append(pin)
+        # (row, +-1) per parameter: the coordinate equal to s_j^(+-1)
+        object.__setattr__(self, "_pins", tuple(pins))
 
     @property
     def nparams(self):
@@ -116,30 +134,24 @@ class ComponentFamily:
         return frozenset(points)
 
     def contains(self, point):
-        """Exponent-linear solve: is the torus point in the family?"""
+        """Exponent-linear solve: is the torus point in the family?  Each
+        parameter is read off its pinning coordinate, then every coordinate
+        is checked against the parametrization."""
         n = point.order
         m = n if not any(self.signs) else lcm(n, 2)
         lift = m // n
+        half = m // 2
         exps = [e * lift % m for e in point.exponents]
         if len(exps) != self.nlines:
             return False
-        params = [None] * self.nparams
-        for j in range(self.nparams):
-            for i, row in enumerate(self.powers):
-                if abs(row[j]) == 1 and all(
-                    v == 0 for jj, v in enumerate(row) if jj != j
-                ):
-                    t = exps[i] - self.signs[i] * (m // 2)
-                    params[j] = (row[j] * t) % m
-                    break
-        for i in range(self.nlines):
-            want = (
-                self.signs[i] * (m // 2)
-                + sum(r * t for r, t in zip(self.powers[i], params))
-            ) % m
-            if want != exps[i]:
-                return False
-        return True
+        signs = self.signs
+        params = [
+            sign * (exps[i] - signs[i] * half) % m for i, sign in self._pins
+        ]
+        return all(
+            (s * half + sum(map(mul, row, params))) % m == e
+            for e, s, row in zip(exps, signs, self.powers)
+        )
 
 
 def deleted_b3():
@@ -221,12 +233,74 @@ def certified_h1(table, exponents, order):
     ``table`` is ``incidence_table(proj)`` and ``exponents`` the exponent
     vector over all projective lines.  A line is trivial when its exponent
     is 0 mod ``order``, and a multiple point is resonant when the exponents
-    of its lines sum to 0 mod ``order``.
+    of its lines sum to 0 mod ``order``; ``line_certificates`` reads both
+    as bitmasks.
     """
-    at = exponents.__getitem__
-    trivial = [e % order == 0 for e in exponents]
-    resonant = [sum(map(at, p)) % order == 0 for p in table.points]
-    return line_certificates(table, trivial.__getitem__, resonant.__getitem__)[1]
+    masks = _mask_reader(table, order)([e % order for e in exponents])
+    return _certify_masks(table, *masks)
+
+
+def _mask_reader(table, order):
+    """The function from exponent vectors reduced mod ``order`` to the
+    bitmasks the certificates read: bit j of the first for each line j
+    with q != 1 (a nonzero exponent), bit k of the second for each
+    multiple point of ``table`` with q = 1 (its lines' exponents sum to 0
+    mod ``order``)."""
+    line_bits = [1 << j for j in range(len(table.on_mask))]
+    point_bits = [1 << k for k in range(len(table.points))]
+    point_lines = [itemgetter(*p) for p in table.points]
+
+    def masks(exponents):
+        return (
+            sum(compress(line_bits, exponents)),
+            sum(
+                compress(
+                    point_bits, [not sum(g(exponents)) % order for g in point_lines]
+                )
+            ),
+        )
+
+    return masks
+
+
+def _certify_masks(table, nontrivial, resonant):
+    """``line_certificates`` and ``agreed_h1`` on the masks of
+    ``_mask_reader``."""
+    on_mask = table.on_mask
+    return agreed_h1(
+        line_certificates(table, nontrivial, lambda h: resonant & on_mask[h])
+    )
+
+
+def _unit_maps(order):
+    """c -> u*c mod N, as a tuple indexed by c, for each unit u != 1 of
+    Z/N."""
+    return {
+        u: tuple(u * c % order for c in range(order))
+        for u in range(2, order)
+        if gcd(u, order) == 1
+    }
+
+
+def _orbit_representatives(order, length):
+    """The lexicographically smallest member of every orbit {u*c mod N : u
+    a unit of Z/N} of nonzero vectors c in (Z/N)^length, each once.
+
+    Every such member has a divisor d < N of N as its first nonzero entry
+    (see ``torsion_scan``), so only those vectors are generated, and one
+    is kept when no unit u = 1 mod N/d maps its tail to a smaller one.
+    """
+    maps = _unit_maps(order)
+    for d in range(1, order):
+        if order % d:
+            continue
+        # the maps of the units u with u*d = d mod N
+        tables = [t for u, t in maps.items() if u % (order // d) == 1]
+        for pos in range(length):
+            head = (0,) * pos + (d,)
+            for tail in product(range(order), repeat=length - pos - 1):
+                if not any(tuple(map(t.__getitem__, tail)) < tail for t in tables):
+                    yield head + tail
 
 
 @dataclass(frozen=True)
@@ -245,7 +319,8 @@ def torsion_scan(
     skips the trivial character, and reports hits sorted by the affine
     exponents in ``proj.affine_ids()`` order.  ``catalog`` attaches the
     names of matching families.  ``budget`` bounds the grid, order**(n-1)
-    points.  ``backend`` and ``eps`` go to ``h1_at_point``.
+    points.  ``backend`` and ``eps`` go to ``h1_at_point``.  An order
+    below 1 raises ``ValueError``; order 1 has only the trivial character.
 
     h^1 is computed only at the lexicographically smallest affine exponent
     vector e of each orbit {u*e mod N : u a unit of Z/N}; a hit's h^1 and
@@ -262,19 +337,39 @@ def torsion_scan(
     Family membership is an exponent-linear condition with integer
     coefficients, so it is kept by the same automorphism.
 
-    Each orbit representative is first offered to ``certified_h1``, on one
-    incidence table of ``proj.multiple_points()`` built per scan; only the
-    points it leaves undecided reach ``h1_at_point`` (the band kernel).
-    This is exact: both certificates (a line with q != 1 and no resonant
-    multiple point gives h^1 = 0; one with exactly one resonant point p
-    gives |p| - 2 when every line off p is trivial, and 0 otherwise) are
-    theorems of the paper, and their tests are integer congruences mod N,
-    so a certified value is exact under either backend.  Multiplying by a
-    unit u keeps every one of those congruences, so a certified value
-    holds on the whole orbit, as a band value does.  Certificates from two
-    lines that disagree raise ``InvariantError``.
+    The smallest members are generated directly
+    (``_orbit_representatives``).  Units keep zero entries, so every
+    member of the orbit of e has its first nonzero entry a at the same
+    position.  The units act transitively on the residues with a given gcd
+    with N, as (Z/N)* maps onto (Z/(N/g))*; the residues with gcd g are the
+    multiples of g, and the smallest of them is g itself.  So the smallest
+    member starts with d = gcd(a, N), a divisor of N below N, and only
+    vectors that start so are generated.  Among those, a unit u with
+    u*d != d mod N gives an image whose first nonzero entry is a larger
+    residue with gcd d, hence a larger image; only the units u != 1 with
+    u*d = d, that is u = 1 mod N/d, can give a smaller one, and they fix
+    the entries up to d, so their images of the tail are compared.  For
+    prime N no such unit is left, and every vector starting with 1 is a
+    representative.
+
+    Each representative is first offered to the certificates of
+    ``certified_h1``, on the cached ``incidence_table(proj)``; only the
+    points they leave undecided reach ``h1_at_point`` (the band kernel).
+    The certificates read two bitmasks off the exponents (``_mask_reader``)
+    and nothing else, so each distinct pair of masks is decided once per
+    scan and its value reused for every representative with the same
+    masks.  This is exact: both certificates (a line with q != 1 and no
+    resonant multiple point gives h^1 = 0; one with exactly one resonant
+    point p gives |p| - 2 when every line off p is trivial, and 0
+    otherwise) are theorems of the paper, and their tests are integer
+    congruences mod N, so a certified value is exact under either backend.  Multiplying by a unit u keeps
+    every one of those congruences, so a certified value holds on the
+    whole orbit, as a band value does.  Certificates from two lines that
+    disagree raise ``InvariantError``.
     """
-    if order < 2:
+    if order < 1:
+        raise ValueError("torsion order must be >= 1")
+    if order == 1:
         return []
     affine = proj.affine_ids()
     total = order ** len(affine)
@@ -284,39 +379,38 @@ def torsion_scan(
         )
     inf = proj.infinity_index
     incidence = incidence_table(proj)
-    # c -> u*c mod N for each unit u != 1
-    units = [
-        tuple(u * c % order for c in range(order))
-        for u in range(2, order)
-        if gcd(u, order) == 1
-    ]
+    units = _unit_maps(order).values()
 
-    def torus_point(combo):
-        exps = [0] * proj.n
-        for j, e in zip(affine, combo):
-            exps[j] = e
-        exps[inf] = -sum(combo) % order
-        return TorusPoint(tuple(exps), order)
+    def exponents(combo):
+        exps = list(combo)
+        exps.insert(inf, -sum(combo) % order)
+        return exps
 
+    read_masks = _mask_reader(incidence, order)
+    certified = {}  # masks -> certified h^1, filled as the scan meets them
     found = []
-    for combo in product(range(order), repeat=len(affine)):
-        if not any(combo):
-            continue
-        orbit = [tuple(map(table.__getitem__, combo)) for table in units]
-        if any(image < combo for image in orbit):
-            continue
-        point = torus_point(combo)
-        dim = certified_h1(incidence, point.exponents, order)
+    for combo in _orbit_representatives(order, len(affine)):
+        exps = exponents(combo)
+        masks = read_masks(exps)
+        if masks not in certified:
+            certified[masks] = _certify_masks(incidence, *masks)
+        dim = certified[masks]
         if dim is None:
-            dim = h1_at_point(proj, point, backend=backend, eps=eps)
+            dim = h1_at_point(
+                proj, TorusPoint(tuple(exps), order), backend=backend, eps=eps
+            )
         if dim >= 1:
             names = ()
             if catalog is not None:
+                point = TorusPoint(tuple(exps), order)
                 names = tuple(f.name for f in catalog if f.contains(point))
-            found.extend((member, dim, names) for member in {combo, *orbit})
+            orbit = {combo, *(tuple(map(t.__getitem__, combo)) for t in units)}
+            found.extend((member, dim, names) for member in orbit)
     found.sort()
     return [
-        ScanHit(point=torus_point(combo), h1=dim, families=names)
+        ScanHit(
+            point=TorusPoint(tuple(exponents(combo)), order), h1=dim, families=names
+        )
         for combo, dim, names in found
     ]
 

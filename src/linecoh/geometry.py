@@ -525,6 +525,7 @@ class ProjArrangement:
         self.infinity_index = infinity_index
         self._points = None
         self._charts = {}
+        self._incidence = None  # resband.IncidenceTable, built on first use
 
     @property
     def n(self):

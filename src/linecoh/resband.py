@@ -7,9 +7,11 @@ from 1 at infinity, h^1 equals the number of linear relations among the
 standing waves of the resonant bands; that kernel is computed here.  The
 certificate routines cover the cases where a line with q != 1 sees zero or
 one resonant multiple point, and the sharp pair upper bound.  The per-line
-rule (``line_certificates``) runs on an incidence table with resonance
-predicates, so ``vanishing_certificates`` and the torus scan's exponent
-congruences share it.
+rule (``line_certificates``) runs on bitmasks over one cached incidence
+table per projective arrangement: the lines with q != 1, and per line its
+resonant multiple points.  ``vanishing_certificates`` fills them from the
+local system's resonance tests and the torus scan from exponent
+congruences, so both share the rule.
 """
 
 from __future__ import annotations
@@ -253,73 +255,95 @@ class CertificateReport:
 class IncidenceTable:
     """The multiple points of a projective arrangement, in
     ``proj.multiple_points()`` order, as sorted tuples of incident lines;
-    per point the lines missing it, and per line the positions of the
-    points on it."""
+    per line the positions of the points on it, as a tuple and as the
+    bitmask ``on_mask`` (bit k for position k); per point the bitmask
+    ``off_mask`` of the lines missing it (bit j for line j) and its depth,
+    (lines through it) - 2."""
 
     points: tuple
-    off_point: tuple
     on_line: tuple
+    on_mask: tuple
+    off_mask: tuple
+    depth: tuple
 
 
 def incidence_table(proj):
+    """The cached ``IncidenceTable`` of a projective arrangement."""
+    if proj._incidence is not None:
+        return proj._incidence
     points = tuple(tuple(sorted(p.incident)) for p in proj.multiple_points())
-    lines = range(proj.n)
-    return IncidenceTable(
-        points=points,
-        off_point=tuple(tuple(j for j in lines if j not in p) for p in points),
-        on_line=tuple(
-            tuple(k for k, p in enumerate(points) if h in p) for h in lines
-        ),
+    on_line = tuple(
+        tuple(k for k, p in enumerate(points) if h in p) for h in range(proj.n)
     )
+    every_line = (1 << proj.n) - 1
+    proj._incidence = IncidenceTable(
+        points=points,
+        on_line=on_line,
+        on_mask=tuple(sum(1 << k for k in ks) for ks in on_line),
+        off_mask=tuple(every_line ^ sum(1 << j for j in p) for p in points),
+        depth=tuple(len(p) - 2 for p in points),
+    )
+    return proj._incidence
 
 
-def line_certificates(table, trivial, resonant):
+def line_certificates(table, nontrivial, resonant_on):
     """The zero/one resonant point certificates of every line with q != 1.
 
-    ``trivial(j)`` tells whether line j has q = 1 and ``resonant(k)``
-    whether the multiple point at position k of ``table`` has q = 1.  Per
-    such line h, in line order, the row is ``(h, h1, k, off_trivial)``:
-    no resonant point on h gives ``(h, 0, None, None)``; exactly one, at
-    position k, gives h1 = (lines through it) - 2 when every line missing
-    it is trivial (``off_trivial``) and 0 otherwise; two or more give
-    ``(h, None, None, None)``.  Returns the rows and the h^1 they certify
-    (None when no line decides), and raises ``InvariantError`` when two
-    lines certify different values.
+    Bit j of the mask ``nontrivial`` is set when line j has q != 1, and
+    ``resonant_on(h)`` is the mask of the multiple points on line h with
+    q = 1 (bit k for position k of ``table``).  Yields ``(h, h1, k)`` per
+    line h with q != 1, in line order: no resonant point on h gives
+    ``(h, 0, None)``; exactly one, at position k, gives h1 = (lines
+    through it) - 2 when every line missing it is trivial and 0
+    otherwise; two or more give ``(h, None, None)``.  ``agreed_h1`` reads
+    the h^1 they certify.
     """
-    rows = []
-    dims = set()
-    for h, on_line in enumerate(table.on_line):
-        if trivial(h):
+    off_mask, depth = table.off_mask, table.depth
+    for h in range(len(table.on_mask)):
+        if not nontrivial >> h & 1:
             continue
-        found = list(filter(resonant, on_line))
-        if not found:
-            row = (h, 0, None, None)
-        elif len(found) == 1:
-            k = found[0]
-            off_trivial = all(map(trivial, table.off_point[k]))
-            row = (h, len(table.points[k]) - 2 if off_trivial else 0, k, off_trivial)
+        r = resonant_on(h)
+        if not r:
+            yield h, 0, None
+        elif r & (r - 1):
+            yield h, None, None
         else:
-            row = (h, None, None, None)
-        rows.append(row)
-        if row[1] is not None:
-            dims.add(row[1])
+            k = r.bit_length() - 1
+            yield h, (0 if nontrivial & off_mask[k] else depth[k]), k
+
+
+def agreed_h1(certificates):
+    """The h^1 that the ``(h, h1, k)`` rows of ``line_certificates``
+    certify, None when no line decides; raises ``InvariantError`` when two
+    lines certify different values."""
+    dims = {h1 for _, h1, _ in certificates if h1 is not None}
     if len(dims) > 1:
         raise InvariantError(f"contradictory certificates: {sorted(dims)}")
-    return rows, (dims.pop() if dims else None)
+    return dims.pop() if dims else None
 
 
 def vanishing_certificates(system, proj):
     """Scan every line with q != 1 for the zero/one resonant point
     certificates (``line_certificates``); certificates from different
-    lines must agree."""
+    lines must agree.  The resonance of the points on each line is asked
+    of ``system`` line by line, in line order."""
     multiple = proj.multiple_points()
-    rows, dim = line_certificates(
-        incidence_table(proj),
-        lambda j: system.q_is_one_at(proj, j),
-        lambda k: system.q_point_is_one(proj, multiple[k]),
+    table = incidence_table(proj)
+    nontrivial = sum(
+        1 << j for j in range(proj.n) if not system.q_is_one_at(proj, j)
     )
+
+    def resonant_on(h):
+        return sum(
+            1 << k
+            for k in table.on_line[h]
+            if system.q_point_is_one(proj, multiple[k])
+        )
+
+    rows = list(line_certificates(table, nontrivial, resonant_on))
+    dim = agreed_h1(rows)
     certs = []
-    for h, h1, k, off_trivial in rows:
+    for h, h1, k in rows:
         if h1 is None:
             certs.append(Certificate(line=h, kind="none", h1=None))
         elif k is None:
@@ -331,7 +355,7 @@ def vanishing_certificates(system, proj):
                     kind="unique_resonant_point",
                     h1=h1,
                     point=multiple[k],
-                    off_lines_trivial=off_trivial,
+                    off_lines_trivial=not (nontrivial & table.off_mask[k]),
                 )
             )
     return CertificateReport(certificates=tuple(certs), h1=dim)

@@ -270,3 +270,32 @@ def sharp_pairs(system, proj):
         bound = (0 if forces_zero else 1) if hypothesis else None
         out.append(SharpPair(pair=(h1, h2), hypothesis_holds=hypothesis, bound=bound))
     return tuple(out)
+
+
+def line_certificates(proj, exponents, order):
+    """The zero/one resonant point certificates line by line, from the
+    incidence sets of ``proj.multiple_points()`` and exponent sums: per
+    line h with a nonzero exponent, in line order, ``(h, h1, point)`` with
+    the resonant points on h listed afresh; none gives h1 = 0, exactly one
+    p gives |p| - 2 when every line off p has exponent 0 and 0 otherwise
+    (``point`` is p), two or more give ``(h, None, None)``."""
+    trivial = [e % order == 0 for e in exponents]
+    rows = []
+    for h in range(proj.n):
+        if trivial[h]:
+            continue
+        found = [
+            p
+            for p in proj.multiple_points()
+            if h in p.incident and sum(exponents[j] for j in p.incident) % order == 0
+        ]
+        if not found:
+            rows.append((h, 0, None))
+        elif len(found) == 1:
+            (p,) = found
+            off = [j for j in range(proj.n) if j not in p.incident]
+            depth = len(p.incident) - 2
+            rows.append((h, depth if all(trivial[j] for j in off) else 0, p))
+        else:
+            rows.append((h, None, None))
+    return rows

@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,13 @@ from linecoh import (
     make_local_system,
     torsion_scan,
 )
-from linecoh.charvar import ComponentFamily, ScanHit, TorusPoint, certified_h1
+from linecoh.charvar import (
+    ComponentFamily,
+    ScanHit,
+    TorusPoint,
+    _orbit_representatives,
+    certified_h1,
+)
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import incidence_table
 
@@ -198,6 +205,28 @@ def test_scan_order_six_meets_translated_component():
     on_omega = {h.point for h in hits if "Omega" in h.families}
     assert len(on_omega) == 6
     assert on_omega == {omega.point((t,), 6) for t in range(6)}
+
+
+def test_scan_order_seven_hits_stay_in_catalog():
+    proj, catalog = corpus.b3()
+    hits = torsion_scan(proj, 7, catalog=catalog)
+    assert len(hits) == 870
+    assert all(h.families for h in hits)
+    assert_two_sided(hits, catalog, 7)
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_orbit_representatives_are_the_orbit_minima(order):
+    units = [u for u in range(1, order) if gcd(u, order) == 1]
+    for length in range(1, 5):
+        minima = {
+            min(tuple(u * c % order for c in combo) for u in units)
+            for combo in product(range(order), repeat=length)
+            if any(combo)
+        }
+        reps = list(_orbit_representatives(order, length))
+        assert len(reps) == len(set(reps))
+        assert set(reps) == minima
 
 
 def test_family_torsion_points():

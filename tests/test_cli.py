@@ -203,6 +203,20 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--arrangement", str(GOLDEN / "fig1.txt"), "--order", "-2"],
+        ["b3", "--order", "0"],
+    ],
+)
+def test_scan_orders_below_one_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: torsion order must be >= 1\n"
+
+
 def test_h1_on_pencil(tmp_path, capsys):
     # two parallel lines: the strip between them is one chamber, both ends
     # of its band, and h1 = 1 on C x (C minus two points)

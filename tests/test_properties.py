@@ -1,17 +1,23 @@
 """Property tests of what the torus scan relies on: h^1 at a torsion point
 is unchanged by Galois conjugation e -> u*e mod N and by flipping the
-square roots of the monodromies, and every h^1 the certificate prefilter
-decides equals the band kernel's and the chamber complex's."""
+square roots of the monodromies, every h^1 the certificate prefilter
+decides equals the band kernel's and the chamber complex's, and the
+bitmask certificates decide line by line as the per-line reference rule
+of ``brute`` does."""
 
+from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
+import corpus
 from linecoh import ProjArrangement, h1_at_point, h1_via_bands, make_local_system
 from linecoh.charvar import TorusPoint, certified_h1
 from linecoh.mincomplex import cohomology_dims
-from linecoh.resband import incidence_table
+from linecoh.resband import InvariantError, incidence_table, vanishing_certificates
 from strategies import arrangements
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -19,11 +25,11 @@ CERTIFICATE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=Tru
 
 
 @st.composite
-def torsion_points(draw, max_lines=5):
-    """A nontrivial point of order N in 2-6 on the cone of a hypothesis
-    arrangement of up to ``max_lines`` lines that meet somewhere (so no
-    chart has only parallel lines), with the line at infinity at a random
-    row."""
+def torsion_points(draw, max_lines=5, orders=st.integers(2, 6)):
+    """A nontrivial point of order N drawn from ``orders`` (2-6 by
+    default) on the cone of a hypothesis arrangement of up to
+    ``max_lines`` lines that meet somewhere (so no chart has only parallel
+    lines), with the line at infinity at a random row."""
     arr = draw(
         arrangements(max_lines, min_lines=3).filter(lambda a: a.intersection_points())
     )
@@ -31,7 +37,7 @@ def torsion_points(draw, max_lines=5):
     inf = draw(st.integers(0, arr.n))
     triples.insert(inf, (0, 0, 1))
     proj = ProjArrangement(triples, infinity_index=inf)
-    order = draw(st.integers(2, 6))
+    order = draw(orders)
     affine = draw(
         st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n).filter(any)
     )
@@ -96,3 +102,46 @@ def test_resonance_tests_match_exponent_congruences(case, backend):
     for p in proj.multiple_points():
         congruence = sum(exps[j] for j in p.incident) % n == 0
         assert system.q_point_is_one(proj, p) == congruence
+
+
+@CERTIFICATE_SETTINGS
+@given(torsion_points(max_lines=6, orders=st.sampled_from([4, 6, 8])), st.data())
+def test_bitmask_certificates_equal_the_per_line_rule(case, data):
+    # the masks of the scan and of ``vanishing_certificates`` give, line by
+    # line, what the resonant points listed afresh per line give; scaling
+    # the exponents by a divisor of N makes resonant points common
+    proj, point = case
+    n = point.order
+    step = data.draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+    exps = tuple(e * step % n for e in point.exponents)
+    rows = brute.line_certificates(proj, exps, n)
+    dims = {h1 for _, h1, _ in rows if h1 is not None}
+    table = incidence_table(proj)
+    system = make_local_system([exps[j] for j in proj.affine_ids()], order=n)
+    if len(dims) > 1:
+        with pytest.raises(InvariantError):
+            certified_h1(table, exps, n)
+        with pytest.raises(InvariantError):
+            vanishing_certificates(system, proj)
+        return
+    assert certified_h1(table, exps, n) == (dims.pop() if dims else None)
+    report = vanishing_certificates(system, proj)
+    assert [(c.line, c.h1, c.point) for c in report.certificates] == rows
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_bitmask_certificates_at_every_relabelled_b3_point(order):
+    # lines of deleted B3 carry two or three multiple points each, so every
+    # branch of the rule, two or more resonant points included, is met
+    proj, _ = corpus.b3_relabelled()
+    table = incidence_table(proj)
+    undecided = 0
+    for affine in product(range(order), repeat=proj.n - 1):
+        exps = list(affine)
+        exps.insert(proj.infinity_index, -sum(affine) % order)
+        rows = brute.line_certificates(proj, exps, order)
+        dims = {h1 for _, h1, _ in rows if h1 is not None}
+        assert len(dims) <= 1
+        assert certified_h1(table, exps, order) == (dims.pop() if dims else None)
+        undecided += bool(rows) and all(h1 is None for _, h1, _ in rows)
+    assert undecided
