@@ -5,7 +5,8 @@ thirteen-component decomposition.
 A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; scanning enumerates the affine exponents and
 derives the infinity exponent.  h^1 at a nontrivial point is computed by
-moving some line with q != 1 to infinity and running the band kernel there.
+the band kernel on the chart of ``resband.h1_on_band_chart``: the line at
+infinity when its q is not 1, otherwise the first line with q != 1.
 
 h^1 is constant on the orbits of the units u of Z/N acting on order-N
 exponent vectors by e -> u*e mod N (the Galois conjugates of a point), and
@@ -40,7 +41,9 @@ from operator import itemgetter, mul
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
-from .resband import agreed_h1, h1_via_bands, incidence_table, line_certificates
+from .resband import certify_masks, h1_on_band_chart, incidence_table
+# bench/selfcheck.py checks that its tracer wraps this import site too
+from .resband import h1_via_bands  # noqa: F401
 
 
 class BudgetExceededError(RuntimeError):
@@ -212,18 +215,16 @@ def deleted_b3():
 
 
 def h1_at_point(proj, point, backend="cyclotomic", eps=1e-9):
-    """h^1 at a nontrivial torus point, through the chart of the first line
-    with q != 1 (there the infinity monodromy is that q, hence nontrivial)."""
-    n = point.order
-    pivot = next(
-        (j for j in range(proj.n) if point.exponents[j] % n != 0), None
-    )
-    if pivot is None:
+    """h^1 at a nontrivial torus point by the band kernel on the chart of
+    ``h1_on_band_chart``: the line at infinity when its q is not 1,
+    otherwise the first line with q != 1.  The system holds the exponents
+    of the affine lines; the infinity monodromy follows from them."""
+    exps = [point.exponents[j] for j in proj.affine_ids()]
+    system = make_local_system(exps, order=point.order, backend=backend, eps=eps)
+    found = h1_on_band_chart(system, proj)
+    if found is None:
         raise ValueError("trivial point: every monodromy equals 1")
-    chart = proj.chart(pivot)
-    exps = [point.exponents[old] for old in chart.to_old]
-    system = make_local_system(exps, order=n, backend=backend, eps=eps)
-    return h1_via_bands(system, chart.arrangement).dim
+    return found[1].dim
 
 
 def certified_h1(table, exponents, order):
@@ -233,19 +234,19 @@ def certified_h1(table, exponents, order):
     ``table`` is ``incidence_table(proj)`` and ``exponents`` the exponent
     vector over all projective lines.  A line is trivial when its exponent
     is 0 mod ``order``, and a multiple point is resonant when the exponents
-    of its lines sum to 0 mod ``order``; ``line_certificates`` reads both
-    as bitmasks.
+    of its lines sum to 0 mod ``order``; ``certify_masks`` reads both as
+    bitmasks.
     """
     masks = _mask_reader(table, order)([e % order for e in exponents])
-    return _certify_masks(table, *masks)
+    return certify_masks(table, *masks)[1]
 
 
 def _mask_reader(table, order):
     """The function from exponent vectors reduced mod ``order`` to the
-    bitmasks the certificates read: bit j of the first for each line j
-    with q != 1 (a nonzero exponent), bit k of the second for each
-    multiple point of ``table`` with q = 1 (its lines' exponents sum to 0
-    mod ``order``)."""
+    bitmasks of ``LocalSystem.resonance_masks``, read off congruences: bit
+    j of the first for each line j with q != 1 (a nonzero exponent), bit k
+    of the second for each multiple point of ``table`` with q = 1 (its
+    lines' exponents sum to 0 mod ``order``)."""
     line_bits = [1 << j for j in range(len(table.on_mask))]
     point_bits = [1 << k for k in range(len(table.points))]
     point_lines = [itemgetter(*p) for p in table.points]
@@ -261,15 +262,6 @@ def _mask_reader(table, order):
         )
 
     return masks
-
-
-def _certify_masks(table, nontrivial, resonant):
-    """``line_certificates`` and ``agreed_h1`` on the masks of
-    ``_mask_reader``."""
-    on_mask = table.on_mask
-    return agreed_h1(
-        line_certificates(table, nontrivial, lambda h: resonant & on_mask[h])
-    )
 
 
 def _unit_maps(order):
@@ -329,11 +321,12 @@ def torsion_scan(
     field automorphism zeta_2N -> zeta_2N^u' maps every band matrix entry
     zeta^s - zeta^-s at half-exponents e onto the entry at u'*e, and it
     preserves the rank.  Multiplying by u keeps the set of lines with
-    q = 1, so ``h1_at_point`` moves the same line to infinity, and it keeps
-    every resonance test (a half-exponent sum vanishing mod N), so the same
-    bands are resonant.  Finally u'*e differs from the canonical
-    half-exponents u*e mod N by multiples of N, that is, by square root
-    flips h_i -> -h_i, on which h^1 does not depend (``LocalSystem.flipped``).
+    q = 1, so the chart rule of ``h1_on_band_chart`` moves the same line
+    to infinity, and it keeps every resonance test (a half-exponent sum
+    vanishing mod N), so the same bands are resonant.  Finally u'*e
+    differs from the canonical half-exponents u*e mod N by multiples of N,
+    that is, by square root flips h_i -> -h_i, on which h^1 does not
+    depend (``LocalSystem.flipped``).
     Family membership is an exponent-linear condition with integer
     coefficients, so it is kept by the same automorphism.
 
@@ -362,10 +355,11 @@ def torsion_scan(
     resonant multiple point gives h^1 = 0; one with exactly one resonant
     point p gives |p| - 2 when every line off p is trivial, and 0
     otherwise) are theorems of the paper, and their tests are integer
-    congruences mod N, so a certified value is exact under either backend.  Multiplying by a unit u keeps
-    every one of those congruences, so a certified value holds on the
-    whole orbit, as a band value does.  Certificates from two lines that
-    disagree raise ``InvariantError``.
+    congruences mod N, so a certified value is exact under either
+    backend.  Multiplying by a unit u keeps every one of those
+    congruences, so a certified value holds on the whole orbit, as a band
+    value does.  Certificates from two lines that disagree raise
+    ``InvariantError``.
     """
     if order < 1:
         raise ValueError("torsion order must be >= 1")
@@ -393,7 +387,7 @@ def torsion_scan(
         exps = exponents(combo)
         masks = read_masks(exps)
         if masks not in certified:
-            certified[masks] = _certify_masks(incidence, *masks)
+            certified[masks] = certify_masks(incidence, *masks)[1]
         dim = certified[masks]
         if dim is None:
             dim = h1_at_point(

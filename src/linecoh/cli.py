@@ -133,25 +133,19 @@ def cmd_complex(args):
 def cmd_h1(args):
     arr, proj = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
-    rows = []
-    h = proj.infinity_index
-    if system.infinity_is_one():
-        # first line in file order with q != 1 (never the infinity line)
-        h = next(
-            (j for j in range(proj.n) if not system.q_is_one_at(proj, j)), None
+    found = resband.h1_on_band_chart(system, proj)
+    if found is None:
+        h1 = mincomplex.cohomology_dims(system, arr)[1]
+        _emit(
+            args.out,
+            "infinity monodromy and all line monodromies are trivial; "
+            f"falling back to the chamber complex\nh1 = {h1}\n",
         )
-        if h is None:
-            rows.append(
-                "infinity monodromy and all line monodromies are trivial; "
-                "falling back to the chamber complex"
-            )
-            h0, h1, h2 = mincomplex.cohomology_dims(system, arr)
-            rows.append(f"h1 = {h1}")
-            _emit(args.out, "\n".join(rows) + "\n")
-            return 0
+        return 0
+    h, result = found
+    rows = []
+    if h != proj.infinity_index:
         rows.append(f"infinity monodromy is trivial; relabeling H{h + 1} to infinity")
-    moved = system.on_chart(proj, h)
-    result = resband.h1_via_bands(moved, proj.chart(h).arrangement)
     rows.append(f"resonant bands: {len(result.bands)}")
     rows.append(f"h1 = {result.dim}")
     if args.check:
@@ -225,8 +219,8 @@ def cmd_b3(args):
     rows = ["deleted B3 arrangement (8 lines, H8 at infinity)"]
     rows.append("multiple points per line:")
     table = resband.incidence_table(proj)
-    for h, on_line in enumerate(table.on_line):
-        pts = ["".join(str(j + 1) for j in table.points[k]) for k in on_line]
+    for h in range(proj.n):
+        pts = ["".join(str(j + 1) for j in p) for p in table.points if h in p]
         rows.append(f"  H{h + 1}: {' '.join(pts)}")
     rows.append(f"catalog ({len(catalog)} families):")
     for fam in catalog:

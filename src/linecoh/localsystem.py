@@ -82,6 +82,19 @@ class LocalSystem:
             self.backend.half_prod(self._half_at(proj, j) for j in point.incident)
         )
 
+    def resonance_masks(self, proj):
+        """The two bitmasks the resonant point certificates read: bit j of
+        the first for each projective line j with q != 1, bit k of the
+        second for each multiple point with q = 1, k its position in
+        ``proj.multiple_points()``."""
+        lines = sum(1 << j for j in range(proj.n) if not self.q_is_one_at(proj, j))
+        points = sum(
+            1 << k
+            for k, p in enumerate(proj.multiple_points())
+            if self.q_point_is_one(proj, p)
+        )
+        return lines, points
+
     # -- convention changes ---------------------------------------------------
 
     def on_chart(self, proj, h):
@@ -116,16 +129,19 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
     Torsion mode: ``exponents`` (integers) and ``order`` N give
     q_i = zeta_N^{e_i} with the canonical square root zeta_{2N}^{e_i};
     ``backend`` selects exact cyclotomic arithmetic or floating complex.
-    Complex mode: ``values`` lists nonzero complex monodromies directly and
-    square roots are principal.
+    Complex mode: ``values`` lists nonzero finite complex monodromies
+    directly and square roots are principal.
     """
     if values is not None:
         if exponents is not None or order is not None:
             raise LocalSystemError("give either exponents+order or values")
+        field = ComplexBackend(eps)
         vals = [complex(v) for v in values]
-        if any(abs(v) <= eps for v in vals):
+        if not all(map(cmath.isfinite, vals)):
+            raise LocalSystemError("monodromy values must be finite")
+        if any(map(field.is_zero, vals)):
             raise LocalSystemError("zero monodromy value")
-        return LocalSystem(ComplexBackend(eps), (cmath.sqrt(v) for v in vals))
+        return LocalSystem(field, map(cmath.sqrt, vals))
     if order is None or exponents is None:
         raise LocalSystemError("torsion mode needs exponents and an order")
     if order < 1:
@@ -150,10 +166,10 @@ class ResonanceReport:
 
 
 def resonance_report(system, proj):
-    lines = frozenset(
-        j for j in range(proj.n) if system.q_is_one_at(proj, j)
+    lines, points = system.resonance_masks(proj)
+    return ResonanceReport(
+        resonant_lines=frozenset(j for j in range(proj.n) if not lines >> j & 1),
+        resonant_points=tuple(
+            p for k, p in enumerate(proj.multiple_points()) if points >> k & 1
+        ),
     )
-    points = tuple(
-        p for p in proj.multiple_points() if system.q_point_is_one(proj, p)
-    )
-    return ResonanceReport(resonant_lines=lines, resonant_points=points)

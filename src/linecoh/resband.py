@@ -4,14 +4,16 @@ decide or bound h^1 without any linear algebra.
 
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
-standing waves of the resonant bands; that kernel is computed here.  The
-certificate routines cover the cases where a line with q != 1 sees zero or
-one resonant multiple point, and the sharp pair upper bound.  The per-line
-rule (``line_certificates``) runs on bitmasks over one cached incidence
-table per projective arrangement: the lines with q != 1, and per line its
-resonant multiple points.  ``vanishing_certificates`` fills them from the
-local system's resonance tests and the torus scan from exponent
-congruences, so both share the rule.
+standing waves of the resonant bands; that kernel is computed here.
+``h1_on_band_chart`` is the one place that picks the chart for it: the
+line at infinity when its monodromy is not 1, otherwise the first line
+with q != 1.  The certificate routines cover the cases where a line with
+q != 1 sees zero or one resonant multiple point, and the sharp pair upper
+bound.  They read only two bitmasks over one cached incidence table per
+projective arrangement: the lines with q != 1 and the multiple points
+with q = 1.  ``LocalSystem.resonance_masks`` fills them from the
+resonance tests and the torus scan from exponent congruences, and one
+rule (``certify_masks``) turns either pair into h^1.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .scalars import Matrix, kernel_basis, kernel_dimension
 
 class TheoremInapplicableError(ValueError):
     """The band kernel computes h^1 only when the infinity monodromy is
-    nontrivial; callers should relabel a non-resonant line to infinity or
-    fall back to the full chamber complex."""
+    nontrivial; ``h1_on_band_chart`` moves a line with q != 1 to infinity
+    first, and with every q = 1 only the chamber complex applies."""
 
 
 class InvariantError(RuntimeError):
@@ -194,6 +196,19 @@ class BandKernel:
         return tuple(tuple(vec) for vec in kernel_basis(self.matrix))
 
 
+def h1_on_band_chart(system, proj):
+    """``(h, kernel)`` by the band route's one chart rule, or None when
+    every q is 1: h is the line at infinity when its q is not 1, otherwise
+    the first line with q != 1, and kernel the ``BandKernel`` of
+    ``system`` (on ``proj``'s infinity chart) moved to ``proj.chart(h)``.
+    """
+    lines = (proj.infinity_index, *range(proj.n))
+    h = next((j for j in lines if not system.q_is_one_at(proj, j)), None)
+    if h is None:
+        return None
+    return h, h1_via_bands(system.on_chart(proj, h), proj.chart(h).arrangement)
+
+
 def h1_via_bands(system, arrangement):
     """First cohomology from linear relations among standing waves: the
     number of resonant bands minus the rank of their wave matrix.
@@ -255,13 +270,11 @@ class CertificateReport:
 class IncidenceTable:
     """The multiple points of a projective arrangement, in
     ``proj.multiple_points()`` order, as sorted tuples of incident lines;
-    per line the positions of the points on it, as a tuple and as the
-    bitmask ``on_mask`` (bit k for position k); per point the bitmask
-    ``off_mask`` of the lines missing it (bit j for line j) and its depth,
-    (lines through it) - 2."""
+    per line the bitmask ``on_mask`` of the points on it (bit k for
+    position k); per point the bitmask ``off_mask`` of the lines missing
+    it (bit j for line j) and its depth, (lines through it) - 2."""
 
     points: tuple
-    on_line: tuple
     on_mask: tuple
     off_mask: tuple
     depth: tuple
@@ -272,76 +285,59 @@ def incidence_table(proj):
     if proj._incidence is not None:
         return proj._incidence
     points = tuple(tuple(sorted(p.incident)) for p in proj.multiple_points())
-    on_line = tuple(
-        tuple(k for k, p in enumerate(points) if h in p) for h in range(proj.n)
-    )
     every_line = (1 << proj.n) - 1
     proj._incidence = IncidenceTable(
         points=points,
-        on_line=on_line,
-        on_mask=tuple(sum(1 << k for k in ks) for ks in on_line),
+        on_mask=tuple(
+            sum(1 << k for k, p in enumerate(points) if h in p) for h in range(proj.n)
+        ),
         off_mask=tuple(every_line ^ sum(1 << j for j in p) for p in points),
         depth=tuple(len(p) - 2 for p in points),
     )
     return proj._incidence
 
 
-def line_certificates(table, nontrivial, resonant_on):
-    """The zero/one resonant point certificates of every line with q != 1.
+def certify_masks(table, nontrivial, resonant):
+    """``(rows, h1)``: the zero/one resonant point certificates on the
+    masks of ``LocalSystem.resonance_masks`` (lines with q != 1, multiple
+    points of ``table`` with q = 1) and the h^1 they certify, None when
+    no row does.
 
-    Bit j of the mask ``nontrivial`` is set when line j has q != 1, and
-    ``resonant_on(h)`` is the mask of the multiple points on line h with
-    q = 1 (bit k for position k of ``table``).  Yields ``(h, h1, k)`` per
-    line h with q != 1, in line order: no resonant point on h gives
-    ``(h, 0, None)``; exactly one, at position k, gives h1 = (lines
-    through it) - 2 when every line missing it is trivial and 0
-    otherwise; two or more give ``(h, None, None)``.  ``agreed_h1`` reads
-    the h^1 they certify.
+    One row ``(h, h1, k)`` per line h with q != 1, in line order: no
+    resonant point on h gives ``(h, 0, None)``; exactly one, at position
+    k, gives h1 = (lines through it) - 2 when every line missing it is
+    trivial and 0 otherwise; two or more give ``(h, None, None)``.  On a
+    consistent table the rows cannot disagree (a line certifying
+    |p| - 2 > 0 puts every line with q != 1 through p); if they do,
+    ``InvariantError``.
     """
     off_mask, depth = table.off_mask, table.depth
-    for h in range(len(table.on_mask)):
+    rows = []
+    for h, on in enumerate(table.on_mask):
         if not nontrivial >> h & 1:
             continue
-        r = resonant_on(h)
+        r = resonant & on
         if not r:
-            yield h, 0, None
+            rows.append((h, 0, None))
         elif r & (r - 1):
-            yield h, None, None
+            rows.append((h, None, None))
         else:
             k = r.bit_length() - 1
-            yield h, (0 if nontrivial & off_mask[k] else depth[k]), k
-
-
-def agreed_h1(certificates):
-    """The h^1 that the ``(h, h1, k)`` rows of ``line_certificates``
-    certify, None when no line decides; raises ``InvariantError`` when two
-    lines certify different values."""
-    dims = {h1 for _, h1, _ in certificates if h1 is not None}
+            rows.append((h, 0 if nontrivial & off_mask[k] else depth[k], k))
+    dims = {h1 for _, h1, _ in rows if h1 is not None}
     if len(dims) > 1:
         raise InvariantError(f"contradictory certificates: {sorted(dims)}")
-    return dims.pop() if dims else None
+    return rows, (dims.pop() if dims else None)
 
 
 def vanishing_certificates(system, proj):
     """Scan every line with q != 1 for the zero/one resonant point
-    certificates (``line_certificates``); certificates from different
-    lines must agree.  The resonance of the points on each line is asked
-    of ``system`` line by line, in line order."""
+    certificates (``certify_masks``) on the resonance masks of
+    ``system``."""
     multiple = proj.multiple_points()
     table = incidence_table(proj)
-    nontrivial = sum(
-        1 << j for j in range(proj.n) if not system.q_is_one_at(proj, j)
-    )
-
-    def resonant_on(h):
-        return sum(
-            1 << k
-            for k in table.on_line[h]
-            if system.q_point_is_one(proj, multiple[k])
-        )
-
-    rows = list(line_certificates(table, nontrivial, resonant_on))
-    dim = agreed_h1(rows)
+    nontrivial, resonant = system.resonance_masks(proj)
+    rows, dim = certify_masks(table, nontrivial, resonant)
     certs = []
     for h, h1, k in rows:
         if h1 is None:
@@ -383,16 +379,15 @@ def sharp_pairs(system, proj):
     and each line are scaled by positive rationals to integers
     (``_int_triple``), which keeps every sign, and the side of every line
     with q != 1 at every point is taken once from an integer dot product;
-    the pair loop compares those table entries.  Each multiple point's
-    resonance is tested once; ``incidence_table`` says which lie on a line.
+    the pair loop compares those table entries.  Resonance comes from the
+    masks of ``LocalSystem.resonance_masks``; ``incidence_table`` says
+    which multiple points lie on a line.
     """
     points = proj.intersections()
-    table = incidence_table(proj)
-    resonant = [system.q_point_is_one(proj, p) for p in proj.multiple_points()]
-    nonres = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
-    hypothesis = all(
-        sum(resonant[k] for k in table.on_line[h]) >= 2 for h in nonres
-    )
+    on_mask = incidence_table(proj).on_mask
+    nontrivial, resonant = system.resonance_masks(proj)
+    nonres = [h for h in range(proj.n) if nontrivial >> h & 1]
+    hypothesis = all((resonant & on_mask[h]).bit_count() >= 2 for h in nonres)
     coords = [_int_triple(*p.coords) for p in points]
     side = {}
     for h in nonres:
@@ -418,9 +413,7 @@ def sharp_pairs(system, proj):
         if not sharp:
             continue
         # a plain double point crossing is in no row of the table
-        forces_zero = not any(
-            resonant[k] for k in table.on_line[h1] if h2 in table.points[k]
-        )
+        forces_zero = not resonant & on_mask[h1] & on_mask[h2]
         bound = (0 if forces_zero else 1) if hypothesis else None
         out.append(
             SharpPair(pair=(h1, h2), hypothesis_holds=hypothesis, bound=bound)

@@ -7,7 +7,8 @@ Two interchangeable backends feed every cohomology computation:
   reduced modulo the M-th cyclotomic polynomial.  Coefficients are Python
   ints, so an element lies in Z[zeta_M]; zero testing is exact.
 * ``ComplexBackend(eps)`` -- plain complex floats with one tolerance
-  rule: a value is zero exactly when its modulus is at most ``eps``.
+  rule: a value is zero exactly when its modulus is at most ``eps``, a
+  finite number >= 0 (any other ``eps`` raises ``ValueError``).
   ``is_zero``, the resonance tests and the echelon pivot choice all use
   it, and no threshold is relative to the size of the matrix entries.
 
@@ -203,11 +204,14 @@ class CyclotomicBackend:
 
 
 class ComplexBackend:
-    """Floating point complex numbers with an absolute zero tolerance."""
+    """Floating point complex numbers with an absolute zero tolerance
+    ``eps``, a finite number >= 0."""
 
     kind = "complex"
 
     def __init__(self, eps=1e-9):
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, not {eps!r}")
         self.eps = eps
         self.zero = 0j
         self.one = 1 + 0j

@@ -1,11 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linecoh import charvar
+from linecoh import charvar, resband
 from linecoh.cli import main
-from linecoh.localsystem import LocalSystem, make_local_system
+from linecoh.localsystem import make_local_system
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,6 +222,90 @@ def test_scan_orders_below_one_exit_2(argv, capsys):
     assert captured.err == "error: torsion order must be >= 1\n"
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "spec, backend",
+    [
+        ("complex; 0.9999999991 -1 1 1 1", "cyclotomic"),
+        ("torsion 4; 0 1 3 0 0", "complex"),
+    ],
+)
+def test_bad_eps_exits_2(spec, backend, eps, capsys):
+    # unchecked, a negative eps lets a zero pivot into the elimination, nan
+    # makes no entry zero and inf makes every monodromy trivial
+    argv = [
+        "h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--local-system", spec,
+        "--backend", backend, "--check", f"--eps={eps}",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps must be finite and >= 0, not ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_monodromy_exits_2(value, capsys):
+    # nan and inf pass the zero test; unchecked, the band kernel and the
+    # chamber complex disagree on them
+    argv = [
+        "h1", "--arrangement", str(GOLDEN / "fig1.txt"),
+        "--local-system", f"complex; {value} 1 1 1 1", "--check",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: monodromy values must be finite\n"
+
+
+# tokens a user may pass where numbers are expected
+HOSTILE = ["nan", "inf", "-inf", "-1", "1e400", "1+2j", ""]
+
+
+@st.composite
+def monodromy_tokens(draw):
+    """Five monodromy tokens, valid for either kind of spec, with at most
+    one replaced by a hostile one."""
+    valid = st.sampled_from(["1", "2", "3", "-1"])
+    values = draw(st.lists(valid, min_size=5, max_size=5))
+    spoil = draw(st.none() | st.tuples(st.integers(0, 4), st.sampled_from(HOSTILE)))
+    if spoil is not None:
+        values[spoil[0]] = spoil[1]
+    return values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([("h1", "--check"), ("certify",), ("complex",)]),
+    kind=st.sampled_from(
+        [
+            "torsion 2", "torsion 3", "torsion 0", "torsion -3", "torsion x",
+            "complex", "",
+        ]
+    ),
+    values=monodromy_tokens(),
+    backend=st.sampled_from(["cyclotomic", "complex"]),
+    eps=st.sampled_from(HOSTILE) | st.just("1e-9"),
+)
+def test_main_exits_0_or_2_on_hostile_numbers(command, kind, values, backend, eps):
+    """``main`` returns 0 or 2 and never raises; argparse leaves an --eps
+    that is no float by ``SystemExit(2)``, the console script's exit 2.
+    Every exit 2 prints an ``error:`` line."""
+    argv = [
+        *command, "--arrangement", str(GOLDEN / "fig1.txt"),
+        "--local-system", f"{kind}; {' '.join(values)}",
+        "--backend", backend, f"--eps={eps}",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue(), out.getvalue()
+
+
 def test_h1_on_pencil(tmp_path, capsys):
     # two parallel lines: the strip between them is one chamber, both ends
     # of its band, and h1 = 1 on C x (C minus two points)
@@ -242,17 +331,19 @@ def test_unwritable_out_exits_2(fig1_file, tmp_path, capsys):
 
 
 def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
-    # H1, H3 and H5 nontrivial and only the first point test resonant: H1
-    # sees one resonant point (the triple point 135) and certifies h1 = 1,
-    # H3 then sees none and certifies h1 = 0
-    answers = iter([True])
-    monkeypatch.setattr(
-        LocalSystem, "q_is_one_at", lambda self, proj, j: j not in (0, 2, 4)
-    )
-    monkeypatch.setattr(
-        LocalSystem, "q_point_is_one", lambda self, proj, p: next(answers, False)
-    )
-    spec = "torsion 4; 1 0 1 0 1"
+    # H1, H3 and H5 nontrivial and only the triple point 135 resonant; a
+    # table that hides 135 from H3 lets H1 certify h1 = 1 and H3, seeing
+    # no resonant point, h1 = 0
+    real = resband.incidence_table
+
+    def hiding(proj):
+        table = real(proj)
+        on_mask = list(table.on_mask)
+        on_mask[2] &= ~(1 << table.points.index((0, 2, 4)))
+        return dataclasses.replace(table, on_mask=tuple(on_mask))
+
+    monkeypatch.setattr(resband, "incidence_table", hiding)
+    spec = "torsion 4; 1 0 1 0 2"
     code = main(["certify", "--arrangement", fig1_file, "--local-system", spec])
     assert code == 4
     assert "error: contradictory certificates: [0, 1]" in capsys.readouterr().err
@@ -353,6 +444,16 @@ GOLDEN_CASES = {
     "certify_fig1": [
         "certify", "--arrangement", "fig1.txt",
         "--local-system", "torsion 4; 0 1 3 2 0",
+    ],
+    # the floating resonance tests of the certificates, on the -1 values of
+    # a complex system and on order-5 roots of unity
+    "certify_fig1_complex": [
+        "certify", "--arrangement", "fig1.txt",
+        "--local-system", "complex; 1 -1 -1 1 1",
+    ],
+    "certify_b3_float": [
+        "certify", "--arrangement", "b3del.txt",
+        "--local-system", "torsion 5; 0 0 0 0 1 1 1", "--backend", "complex",
     ],
     "certify_fig1_proj": [
         "certify", "--arrangement", "fig1_proj.txt",

@@ -154,5 +154,9 @@ def test_complex_mode_principal_root():
 def test_zero_monodromy_rejected():
     with pytest.raises(LocalSystemError, match="zero monodromy"):
         make_local_system(values=[1 + 0j, 0j])
+    # nor a non-finite one: nan and inf would pass the zero test
+    for bad in ("nan", "inf", "-inf", "nanj"):
+        with pytest.raises(LocalSystemError, match="finite"):
+            make_local_system(values=[complex(bad), 1 + 0j])
     with pytest.raises(LocalSystemError):
         make_local_system([0, 1], order=None)
