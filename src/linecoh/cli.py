@@ -8,7 +8,8 @@ subcommand.  Reports are deterministic (byte-identical across runs for the
 same inputs).  Exit codes: 0 success, 2 precondition failure (bad input,
 or an unreadable arrangement file or unwritable ``--out`` path), 3
 enumeration budget exceeded, 4 internal invariant broken (two
-computations that must agree did not).
+computations that must agree did not); with floating arithmetic, an
+``--eps`` that is not a finite number >= 1e-12 is bad input.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _sign_header(arr):
     return [
         f"lines ({arr.n}):",
         *(
-            f"  H{ln.id + 1}: {ln.a}*x + {ln.b}*y + {ln.c} = 0"
+            "  H{}: {}*x + {}*y + {} = 0".format(ln.id + 1, *ln.monic())
             for ln in arr.lines
         ),
     ]

@@ -1,25 +1,25 @@
 """Exact rational geometry of affine and projective line arrangements.
 
-Lines carry Fraction coefficients of a*x + b*y + c = 0.  The exact kernels
-run on integers: each line is scaled once by a positive rational to a
-coprime integer triple (``_int_triple``), which keeps every open half-plane
-and so every sign vector.  Chambers are read off the arrangement's edges:
-each line is cut at its crossings, ordered by integer keys, and the two
-sides of every edge are chambers; the end edges decide boundedness and
-give the opposite pairing of band ends.  Affine and projective
-intersection points are integer cross products keyed by their primitive
-multiple, with integer incidence tests, sorted on integer keys scaled by
-an lcm.  A generic flag is realized by an explicit rational change of
-coordinates; it is affine, so the flagged chambers are the arrangement's
-chambers transported along it, not a second enumeration.  Projective
-arrangements support coning and moving any member to infinity.
+Every line a*x + b*y + c = 0 and projective point is stored in one form,
+``canonical_triple``, taken once per row as it enters an ``Arrangement``
+or ``ProjArrangement``; it keeps every open half-plane and sign vector.
+Chambers are read off the arrangement's edges: each line is cut at its
+crossings, ordered by integer keys, and the two sides of every edge are
+chambers; the end edges decide boundedness and give the opposite pairing
+of band ends.  Intersection points are canonical cross products with
+integer incidence tests, sorted on integer keys scaled by an lcm.  A
+generic flag is an affine change of coordinates on the integer rows, so
+the flagged chambers are the arrangement's chambers transported along
+it, not a second enumeration.  Charts move any member to infinity by an
+integer adjugate.  ``Fraction`` holds only coordinates: parsed tokens,
+affine points, the flag's axis height and intercepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 
 MAX_LINES = 16
@@ -47,31 +47,49 @@ def _fraction(token):
 
 
 def canonical_triple(a, b, c):
-    """Scale (a, b, c) so its first nonzero entry equals 1."""
-    for lead in (a, b, c):
-        if lead:
-            return (a / lead, b / lead, c / lead)
-    raise ArrangementError("all-zero coefficient triple")
+    """The primitive integer multiple of the rational (int or Fraction)
+    triple (a, b, c) whose first nonzero entry is positive: the triple over
+    that entry times a positive integer, equal for proportional triples.
+
+    >>> canonical_triple(Fraction(1, 2), Fraction(-1, 3), 1)
+    (3, -2, 6)
+    """
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    a = a.numerator * (m // a.denominator)
+    b = b.numerator * (m // b.denominator)
+    c = c.numerator * (m // c.denominator)
+    g = gcd(a, b, c)
+    if not g:
+        raise ArrangementError("all-zero coefficient triple")
+    if (a or b or c) < 0:
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 @dataclass(frozen=True)
 class Line:
-    """The line a*x + b*y + c = 0 with (a, b) != (0, 0)."""
+    """The line a*x + b*y + c = 0, (a, b) != (0, 0): a ``canonical_triple``
+    in an ``Arrangement``, an integer row in flag coordinates when flagged."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
     id: int
 
     @classmethod
     def canonical(cls, a, b, c, id):
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
         if a == 0 and b == 0:
             raise ArrangementError(f"degenerate line 0*x + 0*y + {c} = 0")
         return cls(*canonical_triple(a, b, c), id)
 
     def triple(self):
         return (self.a, self.b, self.c)
+
+    def monic(self):
+        """The coefficients over the first nonzero one, as Fractions: the
+        direction and offset that reports print and bands are ordered by."""
+        lead = self.a or self.b
+        return (Fraction(self.a, lead), Fraction(self.b, lead), Fraction(self.c, lead))
 
 
 @dataclass(eq=False)
@@ -120,24 +138,6 @@ class IntersectionPoint:
         return len(self.incident) >= 3
 
 
-def _int_triple(a, b, c):
-    """Scale a rational triple by a positive rational to coprime integers.
-
-    Multiplies by the lcm of the denominators, then divides by the gcd of
-    the numerators.  The scale is positive, so every open half-plane
-    a*x + b*y + c > 0, and hence every sign vector, is unchanged.
-
-    >>> _int_triple(Fraction(1, 2), Fraction(-1, 3), 1)
-    (3, -2, 6)
-    """
-    m = lcm(a.denominator, b.denominator, c.denominator)
-    t = tuple(v.numerator * (m // v.denominator) for v in (a, b, c))
-    g = gcd(*t)
-    if g > 1:
-        t = tuple(v // g for v in t)
-    return t
-
-
 def _compute_chambers(lines):
     """The chambers of ``lines``, sorted by sign vector, from the edges.
 
@@ -159,7 +159,7 @@ def _compute_chambers(lines):
     n = len(lines)
     if n > MAX_LINES:
         raise ArrangementTooLargeError(f"{n} lines exceeds the bound {MAX_LINES}")
-    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    rows = [ln.triple() for ln in lines]
     end_line = {}  # sign vector -> a line holding one of its unbounded edges
     inner = set()  # sign vectors seen beside a bounded edge
     for k, (a, b, c) in enumerate(rows):
@@ -223,18 +223,15 @@ def _crossings(rows):
     """Distinct crossing points of the integer line triples ``rows``, as
     (point, incidence) pairs; incidence holds positions in ``rows``.
 
-    Each cross product (x, y, z) is keyed by its primitive multiple whose
-    last nonzero entry is positive (z > 0 for an affine point, z = 0 for
-    the crossing at infinity of parallel affine lines), so equal points
-    give equal keys, and incidence is an integer dot product.
+    Each cross product (x, y, z) is normalised by ``canonical_triple``
+    (z != 0 for an affine point, z = 0 for the crossing at infinity of
+    parallel affine lines), so equal points give equal keys, and
+    incidence is an integer dot product.
     """
-    keys = set()
-    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
-        p = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-        g = gcd(*p)
-        if next(v for v in reversed(p) if v) < 0:
-            g = -g
-        keys.add(tuple(v // g for v in p))
+    keys = {
+        canonical_triple(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2)
+    }
     return [
         (
             (x, y, z),
@@ -248,8 +245,9 @@ def _crossings(rows):
 
 def _sorted_scaled(items):
     """(den, point, incidence) triples sorted by point / den, on the integer
-    keys point * (L / den) with L the lcm of the dens: a positive common
-    scale, so the order is exact."""
+    keys point * (L / den) with L > 0 the lcm of the dens: each key is L
+    times the rational point, so the order is exact whatever the signs of
+    the dens."""
     scale = lcm(*(den for den, _, _ in items))
 
     def key(item):
@@ -261,9 +259,9 @@ def _sorted_scaled(items):
 
 def _affine_intersections(lines):
     """Affine intersection points with their incidence sets (line ids),
-    sorted by (x, y); integer crossings (x, y, z) with z > 0, sorted on
+    sorted by (x, y); integer crossings (x, y, z) with z != 0, sorted on
     integer keys, then one Fraction pair per point."""
-    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    rows = [ln.triple() for ln in lines]
     pts = _sorted_scaled([(p[2], p, on) for p, on in _crossings(rows) if p[2]])
     return tuple(
         AffinePoint(Fraction(x, z), Fraction(y, z), frozenset(lines[k].id for k in on))
@@ -275,18 +273,15 @@ class Arrangement:
     """A finite list of distinct affine lines; ids equal list positions."""
 
     def __init__(self, coefficients):
-        lines = []
-        seen = {}
+        lines = {}
         for i, (a, b, c) in enumerate(coefficients):
             ln = Line.canonical(a, b, c, id=i)
-            key = ln.triple()
-            if key in seen:
-                raise ArrangementError(f"duplicate line (rows {seen[key]} and {i})")
-            seen[key] = i
-            lines.append(ln)
+            first = lines.setdefault(ln.triple(), ln)
+            if first is not ln:
+                raise ArrangementError(f"duplicate line (rows {first.id} and {i})")
         if not lines:
             raise ArrangementError("empty arrangement")
-        self.lines = tuple(lines)
+        self.lines = tuple(lines.values())
         self._chambers = None
         self._points = None
         self._flags = {}
@@ -369,26 +364,25 @@ class FlaggedArrangement:
 
 
 def _mu_candidates(limit):
-    yield Fraction(0)
-    k = 1
-    while k <= limit:
-        yield Fraction(k)
-        yield Fraction(-k)
-        yield Fraction(1, k + 1)
-        yield Fraction(-1, k + 1)
-        k += 1
+    """Shear slopes mu = p/q as pairs (p, q), q > 0."""
+    yield (0, 1)
+    for k in range(1, limit + 1):
+        yield from ((k, 1), (-k, 1), (1, k + 1), (-1, k + 1))
 
 
 def choose_flag(arrangement, variant=0):
     """Realize a generic flag and classify the chambers by flag degree.
 
     The flag is the change of coordinates x' = x - tx, y' = y - mu*x - ty
-    (a shear, then a shift).  Flagged line ``pos`` is the original line
-    ``k = order[pos]`` rewritten in the new coordinates, multiplied by -1
-    when ``sign_flips[pos]``: its equation takes, at the image of a point,
-    the value of line k's equation at the point, up to that sign.  So the
-    map sends the chamber with sign vector s onto the chamber with sign
-    vector (+-s[order[pos]])_pos, one to one.  An affine bijection keeps
+    (a shear, then a shift), with mu = p/q from a fixed candidate list and
+    tx, ty one below the least axis intercept and the least sheared point
+    height.  Flagged line ``pos`` is the integer row of the original line
+    ``k = order[pos]`` rewritten in the new coordinates, scaled by a
+    positive integer and multiplied by -1 when ``sign_flips[pos]``: its
+    equation takes, at the image of a point, a positive multiple of the
+    value of line k's equation at the point, up to that sign.  So the map
+    sends the chamber with sign vector s onto the chamber with sign vector
+    (+-s[order[pos]])_pos, one to one.  An affine bijection keeps
     recession cones up to a linear isomorphism (bounded chambers stay
     bounded), parallelism and antipodes, and the opposite pairing is
     defined by those alone, so the transported chambers, re-sorted by
@@ -403,41 +397,45 @@ def choose_flag(arrangement, variant=0):
     if not pts:
         raise FlagError("arrangement has no intersection point")
     n = len(lines)
-    # shear (x, y) -> (x, y - mu*x): afterwards no line may be parallel to
-    # the x-axis, i.e. a + mu*b != 0 for every line.
-    mu = None
-    skip = variant
-    for cand in _mu_candidates(2 * (n + variant + 2)):
-        if all(ln.a + cand * ln.b != 0 for ln in lines):
-            if skip == 0:
-                mu = cand
-                break
-            skip -= 1
-    if mu is None:
+    # shear (x, y) -> (x, y - mu*x), mu = p/q: afterwards no line may be
+    # parallel to the x-axis, i.e. q*a + p*b != 0 for every line.
+    shears = (
+        (p, q)
+        for p, q in _mu_candidates(2 * (n + variant + 2))
+        if all(q * ln.a + p * ln.b for ln in lines)
+    )
+    p, q = next(islice(shears, variant, None), (None, None))
+    if q is None:
         raise FlagError("shear search exhausted")
-    sheared = [(ln.a + mu * ln.b, ln.b, ln.c) for ln in lines]
-    spts = [(p.x, p.y - mu * p.x) for p in pts]
-    ty = min(v for _, v in spts) - 1
-    shifted = [(a, b, c + b * ty) for a, b, c in sheared]
-    intercepts = [-c / a for a, b, c in shifted]
+    # the axis y' = 0 lies one below the lowest sheared point
+    heights = [pt.y - pt.x * p / q for pt in pts] if p else [pt.y for pt in pts]
+    ty = min(heights) - 1
+    # each row times q * ty.denominator > 0: (a + mu*b, b, c + b*ty)
+    dy, ny = ty.denominator, ty.numerator
+    shifted = [
+        (dy * (q * ln.a + p * ln.b), dy * q * ln.b, q * (dy * ln.c + ny * ln.b))
+        for ln in lines
+    ]
+    intercepts = [Fraction(-c, a) for a, _, c in shifted]
     tx = min(intercepts) - 1
-    placed = [(a, b, c + a * tx) for a, b, c in shifted]
-    intercepts = [x - tx for x in intercepts]
-    order = sorted(range(n), key=lambda k: intercepts[k])
+    dx, nx = tx.denominator, tx.numerator
+    order = sorted(range(n), key=intercepts.__getitem__)
     flags = []
     flagged_lines = []
-    for pos, k in enumerate(order):
-        a, b, c = placed[k]
+    for k in order:
+        # times tx.denominator > 0: (a, b, c + a*tx)
+        a, b, c = shifted[k]
+        a, b, c = dx * a, dx * b, dx * c + nx * a
         flip = c > 0
         if flip:
             a, b, c = -a, -b, -c
         flags.append(flip)
         flagged_lines.append(Line(a, b, c, id=lines[k].id))
-    sorted_intercepts = [intercepts[k] for k in order]
+    sorted_intercepts = [intercepts[k] - tx for k in order]
     # verify the flag conditions outright
     if any(ln.a == 0 for ln in flagged_lines):
         raise FlagError("a line is parallel to the flag axis")
-    if any(v - ty <= 0 for _, v in spts):
+    if any(v <= ty for v in heights):
         raise FlagError("an intersection point is not above the flag axis")
     if any(
         x2 <= x1 for x1, x2 in zip(sorted_intercepts, sorted_intercepts[1:])
@@ -492,7 +490,7 @@ def choose_flag(arrangement, variant=0):
         intercepts=tuple(sorted_intercepts),
     )
     # chamber count bookkeeping: |ch^2| must equal sum over points of (mult-1)
-    expected = sum(p.multiplicity - 1 for p in pts)
+    expected = arrangement.point_index_sum()
     if len(ch2) != expected:
         raise FlagError(
             f"flag classification mismatch: |ch2| = {len(ch2)}, expected {expected}"
@@ -505,23 +503,20 @@ def choose_flag(arrangement, variant=0):
 
 
 class ProjArrangement:
-    """Projective line arrangement: canonical triples plus a designated line
-    at infinity (always one of the members)."""
+    """Projective line arrangement: ``canonical_triple`` rows plus a
+    designated line at infinity (always one of the members)."""
 
     def __init__(self, triples, infinity_index):
-        canon = []
-        seen = {}
+        rows = {}  # canonical row -> its first position
         for i, (a, b, c) in enumerate(triples):
-            t = canonical_triple(Fraction(a), Fraction(b), Fraction(c))
-            if t in seen:
+            t = canonical_triple(a, b, c)
+            if rows.setdefault(t, i) != i:
                 raise ArrangementError(
-                    f"projectively equal lines (rows {seen[t]} and {i})"
+                    f"projectively equal lines (rows {rows[t]} and {i})"
                 )
-            seen[t] = i
-            canon.append(t)
-        if not 0 <= infinity_index < len(canon):
+        if not 0 <= infinity_index < len(rows):
             raise ArrangementError("infinity index out of range")
-        self.lines = tuple(canon)
+        self.lines = tuple(rows)
         self.infinity_index = infinity_index
         self._points = None
         self._charts = {}
@@ -559,21 +554,14 @@ class ProjArrangement:
 
 
 def _proj_intersections(triples):
-    """Intersection points of projective lines with their incidence sets,
-    sorted by canonical coordinates (first nonzero entry 1).
-
-    Works on primitive integer triples (``_crossings``), sorted on integer
-    keys scaled by the lcm of their first nonzero entries, and builds the
-    canonical Fraction coordinates once per distinct point, after sorting.
-    """
-    rows = [_int_triple(*t) for t in triples]
+    """Intersection points of the ``canonical_triple`` rows ``triples``
+    with their incidence sets, in the same form (``_crossings``), sorted
+    by the point over its first nonzero entry, on integer keys scaled by
+    the lcm of those entries."""
     pts = _sorted_scaled(
-        [(next(v for v in p if v), p, inc) for p, inc in _crossings(rows)]
+        [(p[0] or p[1] or p[2], p, inc) for p, inc in _crossings(triples)]
     )
-    return tuple(
-        IntersectionPoint(tuple(Fraction(v, lead) for v in p), inc)
-        for lead, p, inc in pts
-    )
+    return tuple(IntersectionPoint(p, inc) for _, p, inc in pts)
 
 
 def cone(arrangement):
@@ -585,7 +573,7 @@ def cone(arrangement):
     """
     n = arrangement.n
     triples = [ln.triple() for ln in arrangement.lines]
-    triples.append((Fraction(0), Fraction(0), Fraction(1)))
+    triples.append((0, 0, 1))
     proj = ProjArrangement(triples, infinity_index=n)
     proj._charts[n] = Chart(arrangement, tuple(range(n)), n)
     return proj
@@ -601,26 +589,26 @@ class Chart:
     moved: int
 
 
-def _mat3_inverse(rows):
+def _adjugate(rows):
+    """The adjugate det(T) * T^-1 of an invertible integer 3x3 matrix."""
     (a, b, c), (d, e, f), (g, h, i) = rows
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
         raise ArrangementError("singular projective change of coordinates")
-    adj = (
+    return (
         (e * i - f * h, c * h - b * i, b * f - c * e),
         (f * g - d * i, a * i - c * g, c * d - a * f),
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
-    return tuple(tuple(x / det for x in row) for row in adj)
 
 
 def move_to_infinity(proj, h):
-    """Rational projective change putting line h at infinity.
+    """Integer projective change putting line h at infinity.
 
     Line h's row, completed by two unit rows, is an invertible T; in the
-    coordinates T . (x, y, z) line h is z = 0 and a row l becomes l T^-1.
-    Every line, the infinity line included, takes this path; only the row
-    0 0 1 gives T = I.
+    coordinates T . (x, y, z) line h is z = 0 and a row l becomes l T^-1,
+    a nonzero multiple of the integer row l adj(T), which has the same
+    ``canonical_triple``.  Every line, the infinity line included, takes
+    this path; only the row 0 0 1 gives T = I.
 
     Returns the affine forms of the remaining lines (in their original
     relative order) together with the position -> old-index correspondence.
@@ -634,14 +622,11 @@ def move_to_infinity(proj, h):
         if piv != 0:
             t = (units[i], units[j], hrow)
             break
-    tinv = _mat3_inverse(t)
-    coeffs = []
-    for k in keep:
-        row = proj.lines[k]
-        new = tuple(sum(row[r] * tinv[r][c] for r in range(3)) for c in range(3))
-        if new[0] == 0 and new[1] == 0:
-            raise ArrangementError("coordinate change degenerated a line")
-        coeffs.append(new)
+    adj = _adjugate(t)
+    coeffs = [
+        tuple(sum(row[r] * adj[r][c] for r in range(3)) for c in range(3))
+        for row in (proj.lines[k] for k in keep)
+    ]
     return Chart(Arrangement(coeffs), tuple(keep), moved=h)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .geometry import Arrangement, _int_triple, sep
+from .geometry import Arrangement, sep
 from .scalars import Matrix, kernel_basis, kernel_dimension
 
 
@@ -98,12 +98,13 @@ def band_structure(arrangement):
         return arrangement._bands
     lines = arrangement.lines
     chs = arrangement.chambers()
-    groups = {}
+    groups = {}  # monic direction -> [(monic offset, line)]
     for ln in lines:
-        groups.setdefault((ln.a, ln.b), []).append(ln)
+        a, b, c = ln.monic()
+        groups.setdefault((a, b), []).append((c, ln))
     bands, sep_ends, wave_seps = [], [], []
     for key in sorted(groups):
-        cls = sorted(groups[key], key=lambda ln: ln.c, reverse=True)
+        cls = [ln for _, ln in sorted(groups[key], key=lambda t: t[0], reverse=True)]
         if len(cls) < 2:
             continue
         class_ids = frozenset(ln.id for ln in cls)
@@ -375,23 +376,22 @@ def sharp_pairs(system, proj):
 
     A pair is sharp when the crossings of the other lines all lie in one
     of the two region pairs cut out by it, i.e. the product of the pair's
-    signs is the same at each of them.  Each point's canonical coordinates
-    and each line are scaled by positive rationals to integers
-    (``_int_triple``), which keeps every sign, and the side of every line
-    with q != 1 at every point is taken once from an integer dot product;
-    the pair loop compares those table entries.  Resonance comes from the
-    masks of ``LocalSystem.resonance_masks``; ``incidence_table`` says
-    which multiple points lie on a line.
+    signs is the same at each of them.  Points and lines are stored as
+    ``canonical_triple`` rows, so the side of every line with q != 1 at
+    every point is taken once from an integer dot product of the stored
+    rows; the pair loop compares those table entries.  Resonance comes
+    from the masks of ``LocalSystem.resonance_masks``; ``incidence_table``
+    says which multiple points lie on a line.
     """
     points = proj.intersections()
     on_mask = incidence_table(proj).on_mask
     nontrivial, resonant = system.resonance_masks(proj)
     nonres = [h for h in range(proj.n) if nontrivial >> h & 1]
     hypothesis = all((resonant & on_mask[h]).bit_count() >= 2 for h in nonres)
-    coords = [_int_triple(*p.coords) for p in points]
+    coords = [p.coords for p in points]
     side = {}
     for h in nonres:
-        a, b, c = _int_triple(*proj.lines[h])
+        a, b, c = proj.lines[h]
         side[h] = [
             (v > 0) - (v < 0) for v in (a * x + b * y + c * z for x, y, z in coords)
         ]

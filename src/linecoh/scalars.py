@@ -8,7 +8,10 @@ Two interchangeable backends feed every cohomology computation:
   ints, so an element lies in Z[zeta_M]; zero testing is exact.
 * ``ComplexBackend(eps)`` -- plain complex floats with one tolerance
   rule: a value is zero exactly when its modulus is at most ``eps``, a
-  finite number >= 0 (any other ``eps`` raises ``ValueError``).
+  finite number >= ``EPS_FLOOR`` = 1e-12 (any other ``eps`` raises
+  ``ValueError``).  Rounding leaves exact zeros near 1e-15, so a smaller
+  ``eps`` misses zeros: the order-3 deleted-B3 scan finds 74 or 120 hits
+  at 1e-16 or 1e-15, not 114, and matches at orders 2-6 from 3e-15 up.
   ``is_zero``, the resonance tests and the echelon pivot choice all use
   it, and no threshold is relative to the size of the matrix entries.
 
@@ -203,15 +206,20 @@ class CyclotomicBackend:
         return out
 
 
+EPS_FLOOR = 1e-12  # about 300 times the rounding errors of the zero tests
+
+
 class ComplexBackend:
     """Floating point complex numbers with an absolute zero tolerance
-    ``eps``, a finite number >= 0."""
+    ``eps``, a finite number >= ``EPS_FLOOR``."""
 
     kind = "complex"
 
     def __init__(self, eps=1e-9):
         if not 0 <= eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, not {eps!r}")
+        if eps < EPS_FLOOR:
+            raise ValueError(f"eps {eps!r} is below the rounding floor {EPS_FLOOR!r}")
         self.eps = eps
         self.zero = 0j
         self.one = 1 + 0j

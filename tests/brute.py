@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from linecoh.geometry import AffinePoint, _int_triple, canonical_triple
+from linecoh.geometry import AffinePoint, canonical_triple
 from linecoh.resband import SharpPair
 from linecoh.scalars import Matrix
 
@@ -83,10 +83,10 @@ def sample_points(lines):
     for l1, l2 in combinations(lines, 2):
         det = l1.a * l2.b - l2.a * l1.b
         if det:
-            xs.add((l2.c * l1.b - l1.c * l2.b) / det)
+            xs.add(Fraction(l2.c * l1.b - l1.c * l2.b, det))
     for ln in lines:
         if ln.b == 0:
-            xs.add(-ln.c / ln.a)
+            xs.add(Fraction(-ln.c, ln.a))
     if not xs:
         xs = {Fraction(0)}
     pts = []
@@ -186,7 +186,7 @@ def chambers(lines):
     the opposite of a chamber the negated sign vector when that is an
     unbounded chamber, else (a band end, one recession ray) the sign vector
     with the signs of the lines not parallel to the ray flipped."""
-    rows = [_int_triple(ln.a, ln.b, ln.c) for ln in lines]
+    rows = [ln.triple() for ln in lines]
     normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in rows]
     vectors = _sign_vectors(rows)
     rays = {s: _recession_rays(normals, s) for s in vectors}
@@ -224,8 +224,8 @@ def affine_points(lines):
         det = l1.a * l2.b - l2.a * l1.b
         if det == 0:
             continue
-        x = (l2.c * l1.b - l1.c * l2.b) / det
-        y = (l1.c * l2.a - l2.c * l1.a) / det
+        x = Fraction(l2.c * l1.b - l1.c * l2.b, det)
+        y = Fraction(l1.c * l2.a - l2.c * l1.a, det)
         coords.add((x, y))
     return tuple(
         AffinePoint(x, y, frozenset(ln.id for ln in lines if evaluate(ln, x, y) == 0))

@@ -243,6 +243,31 @@ def test_bad_eps_exits_2(spec, backend, eps, capsys):
     assert captured.err.startswith("error: eps must be finite and >= 0, not ")
 
 
+@pytest.mark.parametrize("eps", ["0", "1e-16", "1e-13"])
+def test_eps_below_floor_exits_2(eps, capsys):
+    # below 1e-12 rounding decides the zero tests: this scan printed 74
+    # hits at eps 0 and 1e-16 and 120 at 1e-15, where the exact backend
+    # finds 114
+    argv = [
+        "scan", "--arrangement", str(GOLDEN / "b3del.txt"), "--order", "3",
+        "--backend", "complex", f"--eps={eps}",
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    floor = f"error: eps {float(eps)!r} is below the rounding floor 1e-12\n"
+    assert captured.err == floor
+
+
+def test_eps_at_floor_matches_exact_scan(capsys):
+    argv = ["scan", "--arrangement", str(GOLDEN / "b3del.txt"), "--order", "3"]
+    assert main(argv) == 0
+    exact = capsys.readouterr().out
+    assert main([*argv, "--backend", "complex", "--eps=1e-12"]) == 0
+    assert capsys.readouterr().out == exact
+    assert exact.startswith("scan order=3 lines=8 hits=114\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_monodromy_exits_2(value, capsys):
     # nan and inf pass the zero test; unchecked, the band kernel and the

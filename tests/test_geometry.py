@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import brute
 import corpus
@@ -21,6 +22,7 @@ from linecoh.geometry import (
     canonical_triple,
     choose_flag,
 )
+from strategies import arrangements
 
 B3_TEXT = """
 0 1 0
@@ -51,7 +53,7 @@ def test_parse_b3_affine_rows():
 def test_parse_comments_and_fractions():
     arr = parse_arrangement("# heading\n1/2 0 -3/4  # vertical\n0 2 1\n")
     assert arr.n == 2
-    assert arr.lines[0].triple() == (1, 0, Fraction(-3, 2))
+    assert arr.lines[0].triple() == (2, 0, -3)
 
 
 def test_parse_single_line_rejected_downstream():
@@ -268,14 +270,27 @@ def _mapped_incidences(proj, chart):
     }
 
 
-@pytest.mark.parametrize("h", [0, 2, 4, 7])
-def test_move_to_infinity_preserves_lattice(h):
-    proj, _ = corpus.b3()
+def _assert_lattice_preserved(proj, h):
     chart = proj.chart(h)
     recone = cone(chart.arrangement)
     assert {p.incident for p in recone.intersections()} == _mapped_incidences(
         proj, chart
     )
+
+
+@pytest.mark.parametrize("h", [0, 2, 4, 7])
+def test_move_to_infinity_preserves_lattice(h):
+    proj, _ = corpus.b3()
+    _assert_lattice_preserved(proj, h)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(arrangements())
+def test_move_to_infinity_preserves_lattice_on_random_cones(arr):
+    # the adjugate chart path for every line of a random cone
+    proj = cone(arr)
+    for h in range(proj.n):
+        _assert_lattice_preserved(proj, h)
 
 
 def test_chart_h5_parallel_classes():

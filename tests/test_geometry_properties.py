@@ -1,14 +1,14 @@
-"""Property tests of the integer geometry: the chamber edge walk, the
-chambers transported to the flag, affine and projective intersection
-points and sharp pairs, checked against the oracles of ``brute`` (sample
-points, the sign-vector search with recession rays, Fraction arithmetic);
-and the invariance of h^1 under the flag variant, the chart and a
-projective change of coordinates.  The arrangements have parallel
-classes, concurrent triples and coefficients with large numerators and
-denominators."""
+"""Property tests of the integer geometry: the canonical triple, the
+chamber edge walk, the chambers transported to the flag, affine and
+projective intersection points and sharp pairs, checked against the
+oracles of ``brute`` (sample points, the sign-vector search with
+recession rays, Fraction arithmetic); and the invariance of h^1 under
+the flag variant, the chart and a projective change of coordinates.  The
+arrangements have parallel classes, concurrent triples and coefficients
+with large numerators and denominators."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,10 +19,11 @@ from linecoh.geometry import (
     _affine_intersections,
     _compute_chambers,
     _proj_intersections,
+    canonical_triple,
 )
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import sharp_pairs
-from strategies import arrangements, pencils
+from strategies import BIG, arrangements, pencils
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -75,16 +76,40 @@ def test_projective_points_are_exact_canonical_and_sorted(arr):
     pts = _proj_intersections(triples)
     assert sum(comb(p.multiplicity, 2) for p in pts) == comb(n, 2)
     for p in pts:
-        assert all(isinstance(v, Fraction) for v in p.coords)
-        assert next(v for v in p.coords if v) == 1
+        # canonical integer form: primitive, first nonzero entry positive
+        assert all(isinstance(v, int) for v in p.coords)
+        assert gcd(*p.coords) == 1
+        assert next(v for v in p.coords if v) > 0
         on = {
             k
             for k, t in enumerate(triples)
-            if sum(Fraction(u) * v for u, v in zip(t, p.coords)) == 0
+            if sum(u * v for u, v in zip(t, p.coords)) == 0
         }
         assert on == p.incident
-    coords = [p.coords for p in pts]
-    assert coords == sorted(coords) and len(set(coords)) == len(coords)
+    # sorted by the point over its first nonzero entry
+    keys = [
+        tuple(Fraction(v, next(u for u in p.coords if u)) for v in p.coords)
+        for p in pts
+    ]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+RATIONALS = st.fractions(max_denominator=10**6) | st.sampled_from(
+    [Fraction(0), Fraction(BIG), Fraction(-1, BIG)]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(RATIONALS, RATIONALS, RATIONALS).filter(any), RATIONALS.filter(bool))
+def test_canonical_triple_is_the_primitive_integer_form(t, k):
+    got = canonical_triple(*t)
+    assert canonical_triple(*(k * v for v in t)) == got
+    assert all(isinstance(v, int) for v in got)
+    assert gcd(*got) == 1 and next(v for v in got if v) > 0
+    # a positive multiple of t over its first nonzero entry
+    lead = next(v for v in t if v)
+    scale = next(v for v in got if v)
+    assert got == tuple(scale * v / lead for v in t)
 
 
 @st.composite
