@@ -12,7 +12,8 @@ generic flag is an affine change of coordinates on the integer rows, so
 the flagged chambers are the arrangement's chambers transported along
 it, not a second enumeration.  Charts move any member to infinity by an
 integer adjugate.  ``Fraction`` holds only coordinates: parsed tokens,
-affine points, the flag's axis height and intercepts.
+affine points, the flag's axis height and intercepts, and ``Line.monic``
+(the printed coefficients and the band offsets).
 """
 
 from __future__ import annotations
@@ -408,7 +409,7 @@ def choose_flag(arrangement, variant=0):
     if q is None:
         raise FlagError("shear search exhausted")
     # the axis y' = 0 lies one below the lowest sheared point
-    heights = [pt.y - pt.x * p / q for pt in pts] if p else [pt.y for pt in pts]
+    heights = [pt.y - pt.x * p / q for pt in pts]
     ty = min(heights) - 1
     # each row times q * ty.denominator > 0: (a + mu*b, b, c + b*ty)
     dy, ny = ty.denominator, ty.numerator
