@@ -3,31 +3,25 @@ loci, with the built-in eight-line deleted-B3 arrangement and its known
 thirteen-component decomposition.
 
 A torus point assigns a root of unity to every projective line subject to
-the product-one constraint; scanning enumerates the affine exponents and
-derives the infinity exponent.  h^1 at a nontrivial point is computed by
-the band kernel on the chart of ``resband.h1_on_band_chart``: the line at
+the product-one constraint; a point of order dividing N is an exponent
+vector mod N summing to 0.  h^1 at a nontrivial point is computed by the
+band kernel on the chart of ``resband.h1_on_band_chart``: the line at
 infinity when its q is not 1, otherwise the first line with q != 1.
 
-h^1 is constant on the orbits of the units u of Z/N acting on order-N
-exponent vectors by e -> u*e mod N (the Galois conjugates of a point), and
-so is membership in a catalog family, whose coordinates are monomials with
-integer exponents and signs.  ``torsion_scan`` therefore evaluates one
-point per orbit, its lexicographically smallest member, and hands its
-answer to the whole orbit.  Those members are generated directly: their
-first nonzero entry is a divisor d < N of N, and only the units
-u = 1 mod N/d can map one to a smaller vector (``_orbit_representatives``).
-
-Each orbit representative goes first to the certificate route
-(``certified_h1``): the zero/one resonant point certificates, evaluated
-as integer bit operations over the cached incidence table of the
-multiple points.  Two masks are read off the exponents, the lines with a
-nonzero exponent and the multiple points whose lines' exponents sum to
-0 mod N; a line's resonant points are the second mask and its own mask
-of points on it.  A scan meets only a few thousand distinct mask pairs
-and decides each pair once.  On deleted B3 the certificates decide all
-but 41 of the 19,531 representatives at N = 5; only the rest reach the
-band route (``h1_at_point``).  The scans of deleted B3 at orders 2 to 8
-give exactly the catalog's nontrivial torsion points of order dividing N
+The zero/one resonant point certificates (``certified_h1``) give h^1 = 0
+at almost every point, so ``torsion_scan`` lists only the points where
+they cannot (``candidate_points``): the local family of each multiple
+point, and for each set R of multiple points the subgroup V2(R) on which
+every line with q != 1 meets two points of R.  Each subgroup is read off
+a diagonal form of a small integer matrix (``_diagonal_form``); those
+depend only on the arrangement and are cached next to its incidence table
+(``_strata``).  Every listed point goes through the certificates, as
+integer bit operations over the cached incidence table with each distinct
+pair of masks decided once, and the points they leave undecided go to the
+band route (``h1_at_point``).  On deleted B3 at N = 5 the scan lists 540
+of the 78,124 nontrivial points and sends 164 of them to the band route.
+The scans of deleted B3 at orders 2 to 12 give exactly the catalog's
+nontrivial torsion points of order dividing N
 (``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
 """
@@ -36,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
-from math import gcd, lcm
-from operator import itemgetter, mul
+from math import gcd, lcm, prod
+from operator import add, itemgetter, mul
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
@@ -98,6 +92,11 @@ class ComponentFamily:
             pins.append(pin)
         # (row, +-1) per parameter: the coordinate equal to s_j^(+-1)
         object.__setattr__(self, "_pins", tuple(pins))
+        # the coordinates equal to 1 at every parameter
+        ones = (
+            i for i, row in enumerate(self.powers) if not (self.signs[i] or any(row))
+        )
+        object.__setattr__(self, "_ones", tuple(ones))
 
     @property
     def nparams(self):
@@ -137,16 +136,19 @@ class ComponentFamily:
         return frozenset(points)
 
     def contains(self, point):
-        """Exponent-linear solve: is the torus point in the family?  Each
-        parameter is read off its pinning coordinate, then every coordinate
-        is checked against the parametrization."""
+        """Exponent-linear solve: is the torus point in the family?  A point
+        with q != 1 on a coordinate the family holds at 1 is not; otherwise
+        each parameter is read off its pinning coordinate, then every
+        coordinate is checked against the parametrization."""
         n = point.order
+        if len(point.exponents) != self.nlines or any(
+            point.exponents[i] % n for i in self._ones
+        ):
+            return False
         m = n if not any(self.signs) else lcm(n, 2)
         lift = m // n
         half = m // 2
         exps = [e * lift % m for e in point.exponents]
-        if len(exps) != self.nlines:
-            return False
         signs = self.signs
         params = [
             sign * (exps[i] - signs[i] * half) % m for i, sign in self._pins
@@ -264,35 +266,143 @@ def _mask_reader(table, order):
     return masks
 
 
-def _unit_maps(order):
-    """c -> u*c mod N, as a tuple indexed by c, for each unit u != 1 of
-    Z/N."""
-    return {
-        u: tuple(u * c % order for c in range(order))
-        for u in range(2, order)
-        if gcd(u, order) == 1
-    }
+def _diagonal_form(rows, ncols):
+    """``(d, cols)`` for the integer matrix A of ``rows`` with ``ncols``
+    columns: the nonzero diagonal entries d_0 .. d_(r-1) (r the rank, up
+    to sign) and the columns of a unimodular Q with P*A*Q = diag(d) for
+    some unimodular P.  This is the Smith normal form without its
+    divisibility chain, which a kernel mod N does not need.
 
-
-def _orbit_representatives(order, length):
-    """The lexicographically smallest member of every orbit {u*c mod N : u
-    a unit of Z/N} of nonzero vectors c in (Z/N)^length, each once.
-
-    Every such member has a divisor d < N of N as its first nonzero entry
-    (see ``torsion_scan``), so only those vectors are generated, and one
-    is kept when no unit u = 1 mod N/d maps its tail to a smaller one.
+    >>> _diagonal_form([[2, 4], [1, 1]], 2)[0]
+    [1, 2]
     """
-    maps = _unit_maps(order)
-    for d in range(1, order):
-        if order % d:
+    a = [list(row) for row in rows]
+    cols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    d = []
+    for t in range(ncols):
+        # rows below t are 0 left of column t; zero rows go
+        a[t:] = [row for row in a[t:] if any(row)]
+        if len(a) == t:
+            break
+        while True:
+            # pivot: the entry of row t of least absolute value, moved to column t
+            _, j = min((abs(v), j) for j, v in enumerate(a[t][t:], t) if v)
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            cols[t], cols[j] = cols[j], cols[t]
+            pivot = a[t][t]
+            for i in range(t + 1, len(a)):
+                f = a[i][t] // pivot
+                if f:
+                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+            # a remainder is smaller than the pivot: it pivots next
+            below = [(abs(r[t]), i) for i, r in enumerate(a[t + 1 :], t + 1) if r[t]]
+            if below:
+                i = min(below)[1]
+                a[t], a[i] = a[i], a[t]
+                continue
+            # the pivot is alone in column t, so a column operation that
+            # clears row t changes no other row
+            for j in range(t + 1, ncols):
+                f = a[t][j] // pivot
+                if f:
+                    a[t][j] -= f * pivot
+                    cols[j] = [x - f * y for x, y in zip(cols[j], cols[t])]
+            if not any(a[t][t + 1 :]):
+                break
+        d.append(abs(pivot))
+    return d, cols
+
+
+def _strata(proj):
+    """The cached sources of ``candidate_points``: one triple ``(R, d,
+    cols)`` per subgroup to enumerate, its points Q*y mod N with Q the
+    matrix of the columns ``cols`` over all lines and d_k*y_k = 0 mod N
+    for k below ``len(d)``.
+
+    First the local family of every multiple point p (R is None): the
+    points supported on the lines of p whose exponents sum to 0, spanned
+    by e_j - e_last for the lines j of p but its last.  Then, for every
+    set R of multiple points (a bitmask over ``incidence_table(proj)``),
+    V2(R): the kernel of the rows of the points of R and the all-ones row
+    over the lines that meet at least two points of R, the other lines
+    held at 0, put in ``_diagonal_form``.  A V2(R) that is 0 at every
+    order (full rank and every d_k = 1) is left out."""
+    if proj._strata is not None:
+        return proj._strata
+    table = incidence_table(proj)
+
+    def embed(lines, values):
+        exps = [0] * proj.n
+        for j, v in zip(lines, values):
+            exps[j] = v
+        return tuple(exps)
+
+    sources = [
+        (None, (), tuple(embed((j, p[-1]), (1, -1)) for j in p[:-1]))
+        for p in table.points
+    ]
+    for r in range(1, 1 << len(table.points)):
+        free = [j for j, on in enumerate(table.on_mask) if (on & r).bit_count() >= 2]
+        if not free:
             continue
-        # the maps of the units u with u*d = d mod N
-        tables = [t for u, t in maps.items() if u % (order // d) == 1]
-        for pos in range(length):
-            head = (0,) * pos + (d,)
-            for tail in product(range(order), repeat=length - pos - 1):
-                if not any(tuple(map(t.__getitem__, tail)) < tail for t in tables):
-                    yield head + tail
+        rows = [
+            [int(j in p) for j in free]
+            for k, p in enumerate(table.points)
+            if r >> k & 1
+        ]
+        d, cols = _diagonal_form(rows + [[1] * len(free)], len(free))
+        if len(d) < len(free) or any(v > 1 for v in d):
+            sources.append((r, tuple(d), tuple(embed(free, c) for c in cols)))
+    proj._strata = tuple(sources)
+    return proj._strata
+
+
+def _steps(d, cols, order):
+    """``(step, count)`` per column of a source of ``_strata`` at order N:
+    y_k runs over the ``count`` multiples of ``step`` in Z/N."""
+    for k in range(len(cols)):
+        g = gcd(d[k], order) if k < len(d) else order
+        yield order // g, g
+
+
+def _visit_count(proj, order):
+    """The nonzero points ``candidate_points`` enumerates at ``order``,
+    read off the diagonals of ``_strata`` before any is listed."""
+    return sum(
+        prod(count for _, count in _steps(d, cols, order)) - 1
+        for _, d, cols in _strata(proj)
+    )
+
+
+def candidate_points(proj, order):
+    """``(exponents, certified)`` for every nontrivial torus point of order
+    dividing ``order`` at which the certificates do not give h^1 = 0, each
+    once (see ``torsion_scan`` for why these are all of them).
+
+    ``certified`` is the h^1 of ``certified_h1``, decided once per
+    distinct pair of masks, for the points of a local family (A); it is
+    None for the points at which every line with q != 1 carries at least
+    two resonant multiple points (B), each listed from the V2(R) of its
+    own set R of resonant points.  A family point in (B) and a V2(R)
+    point with other resonant points are skipped, as another source lists
+    them."""
+    table = incidence_table(proj)
+    read_masks = _mask_reader(table, order)
+    certified = {}  # masks -> certified h^1, filled as the points meet them
+    for resonant, d, cols in _strata(proj):
+        points = [(0,) * proj.n]
+        for col, (step, count) in zip(cols, _steps(d, cols, order)):
+            shifts = [tuple(t * step * c for c in col) for t in range(count)]
+            points = [tuple(map(add, p, s)) for p in points for s in shifts]
+        for exps in points[1:]:
+            exps = tuple(e % order for e in exps)
+            masks = read_masks(exps)
+            if masks not in certified:
+                certified[masks] = certify_masks(table, *masks)[1]
+            dim = certified[masks]
+            if (dim is not None) if resonant is None else masks[1] == resonant:
+                yield exps, dim
 
 
 @dataclass(frozen=True)
@@ -307,106 +417,76 @@ def torsion_scan(
 ):
     """All torus points of order dividing `order` with h^1 >= 1.
 
-    Enumerates exponents of the non-infinity lines (infinity is derived),
-    skips the trivial character, and reports hits sorted by the affine
-    exponents in ``proj.affine_ids()`` order.  ``catalog`` attaches the
-    names of matching families.  ``budget`` bounds the grid, order**(n-1)
-    points.  ``backend`` and ``eps`` go to ``h1_at_point``.  An order
-    below 1 raises ``ValueError``; order 1 has only the trivial character.
+    Reports hits sorted by the exponents of the non-infinity lines, in
+    ``proj.affine_ids()`` order (the infinity exponent follows from them).
+    ``catalog`` attaches the names of matching families.  ``backend`` and
+    ``eps`` go to ``h1_at_point``.  An order below 1 raises
+    ``ValueError``; order 1 has only the trivial character.  ``budget``
+    bounds the 2^K sets of the K multiple points walked to build the
+    strata, and the points visited, which the diagonals of the strata
+    give before any is listed; beyond either, ``BudgetExceededError``.
 
-    h^1 is computed only at the lexicographically smallest affine exponent
-    vector e of each orbit {u*e mod N : u a unit of Z/N}; a hit's h^1 and
-    family names go to every member of its orbit.  Why h^1(u*e) = h^1(e):
-    lift u to a unit u' of Z/2N (u' = u for odd u, u + N otherwise).  The
-    field automorphism zeta_2N -> zeta_2N^u' maps every band matrix entry
-    zeta^s - zeta^-s at half-exponents e onto the entry at u'*e, and it
-    preserves the rank.  Multiplying by u keeps the set of lines with
-    q = 1, so the chart rule of ``h1_on_band_chart`` moves the same line
-    to infinity, and it keeps every resonance test (a half-exponent sum
-    vanishing mod N), so the same bands are resonant.  Finally u'*e
-    differs from the canonical half-exponents u*e mod N by multiples of N,
-    that is, by square root flips h_i -> -h_i, on which h^1 does not
-    depend (``LocalSystem.flipped``).
-    Family membership is an exponent-linear condition with integer
-    coefficients, so it is kept by the same automorphism.
+    Only the points of ``candidate_points`` are visited; at every other
+    nontrivial point the certificates give h^1 = 0, so skipping it is
+    exact.  Why: let R(e) be the resonant multiple points of a nontrivial
+    point e.  A line with q != 1 through no point of R(e) certifies 0.  A
+    line with q != 1 through exactly one, p, certifies 0 unless every line
+    with q != 1 passes through p; then e is supported on the lines of p,
+    whose exponents sum to 0 by the torus constraint, so e lies in the
+    local family of p (A).  Otherwise every line with q != 1 meets at
+    least two points of R(e) (B), and e lies in V2(R(e)): exponents 0 on
+    the lines meeting fewer than two points of R(e), the lines of each
+    point of R(e) summing to 0, and all lines summing to 0.  Conversely
+    every point of V2(R) with R(e) = R is in (B).  So every point the
+    certificates do not set to 0 is in (A), where they give |p| - 2, or
+    in (B), where they decide nothing; the two are disjoint.  A point in
+    (B) is kept only from the V2(R) with R = R(e).  A point of a local
+    family is kept only when the certificates decide it, which excludes
+    (B); it is then in (A) through no other point, as two local families
+    share at most one line and a nontrivial point supported on one line
+    breaks the torus constraint.  So every point is visited once.
 
-    The smallest members are generated directly
-    (``_orbit_representatives``).  Units keep zero entries, so every
-    member of the orbit of e has its first nonzero entry a at the same
-    position.  The units act transitively on the residues with a given gcd
-    with N, as (Z/N)* maps onto (Z/(N/g))*; the residues with gcd g are the
-    multiples of g, and the smallest of them is g itself.  So the smallest
-    member starts with d = gcd(a, N), a divisor of N below N, and only
-    vectors that start so are generated.  Among those, a unit u with
-    u*d != d mod N gives an image whose first nonzero entry is a larger
-    residue with gcd d, hence a larger image; only the units u != 1 with
-    u*d = d, that is u = 1 mod N/d, can give a smaller one, and they fix
-    the entries up to d, so their images of the tail are compared.  For
-    prime N no such unit is left, and every vector starting with 1 is a
-    representative.
-
-    Each representative is first offered to the certificates of
-    ``certified_h1``, on the cached ``incidence_table(proj)``; only the
-    points they leave undecided reach ``h1_at_point`` (the band kernel).
-    The certificates read two bitmasks off the exponents (``_mask_reader``)
-    and nothing else, so each distinct pair of masks is decided once per
-    scan and its value reused for every representative with the same
-    masks.  This is exact: both certificates (a line with q != 1 and no
-    resonant multiple point gives h^1 = 0; one with exactly one resonant
-    point p gives |p| - 2 when every line off p is trivial, and 0
-    otherwise) are theorems of the paper, and their tests are integer
-    congruences mod N, so a certified value is exact under either
-    backend.  Multiplying by a unit u keeps every one of those
-    congruences, so a certified value holds on the whole orbit, as a band
-    value does.  Certificates from two lines that disagree raise
-    ``InvariantError``.
+    Each visited point goes first to the certificates of
+    ``certified_h1`` on the cached ``incidence_table(proj)``; only the
+    points they leave undecided, the (B) points, reach ``h1_at_point``
+    (the band kernel).  The certificates read two bitmasks off the
+    exponents (``_mask_reader``) and nothing else, so each distinct pair
+    of masks is decided once per scan.  This is exact: both certificates
+    (a line with q != 1 and no resonant multiple point gives h^1 = 0; one
+    with exactly one resonant point p gives |p| - 2 when every line off p
+    is trivial, and 0 otherwise) are theorems of the paper, and their
+    tests are integer congruences mod N, so a certified value is exact
+    under either backend.  Certificates from two lines that disagree
+    raise ``InvariantError``.
     """
     if order < 1:
         raise ValueError("torsion order must be >= 1")
     if order == 1:
         return []
-    affine = proj.affine_ids()
-    total = order ** len(affine)
+    subsets = 1 << len(incidence_table(proj).points)
+    if subsets > budget:
+        raise BudgetExceededError(
+            f"{subsets} sets of multiple points exceed the budget {budget}"
+        )
+    total = _visit_count(proj, order)
     if total > budget:
         raise BudgetExceededError(
             f"{total} points at order {order} exceeds the budget {budget}"
         )
     inf = proj.infinity_index
-    incidence = incidence_table(proj)
-    units = _unit_maps(order).values()
-
-    def exponents(combo):
-        exps = list(combo)
-        exps.insert(inf, -sum(combo) % order)
-        return exps
-
-    read_masks = _mask_reader(incidence, order)
-    certified = {}  # masks -> certified h^1, filled as the scan meets them
     found = []
-    for combo in _orbit_representatives(order, len(affine)):
-        exps = exponents(combo)
-        masks = read_masks(exps)
-        if masks not in certified:
-            certified[masks] = certify_masks(incidence, *masks)[1]
-        dim = certified[masks]
+    for exps, dim in candidate_points(proj, order):
+        point = TorusPoint(exps, order)
         if dim is None:
-            dim = h1_at_point(
-                proj, TorusPoint(tuple(exps), order), backend=backend, eps=eps
-            )
+            dim = h1_at_point(proj, point, backend=backend, eps=eps)
         if dim >= 1:
             names = ()
             if catalog is not None:
-                point = TorusPoint(tuple(exps), order)
                 names = tuple(f.name for f in catalog if f.contains(point))
-            orbit = {combo, *(tuple(map(t.__getitem__, combo)) for t in units)}
-            found.extend((member, dim, names) for member in orbit)
-    found.sort()
-    return [
-        ScanHit(
-            point=TorusPoint(tuple(exponents(combo)), order), h1=dim, families=names
-        )
-        for combo, dim, names in found
-    ]
+            hit = ScanHit(point=point, h1=dim, families=names)
+            found.append((exps[:inf] + exps[inf + 1 :], hit))
+    found.sort(key=itemgetter(0))
+    return [hit for _, hit in found]
 
 
 @dataclass(frozen=True)

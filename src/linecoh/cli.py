@@ -5,11 +5,15 @@ only the parser of the subcommand named first in argv; it falls back to
 the full parser when no known subcommand comes first (``--help`` among
 them) or arguments are left over, so usage and error messages name every
 subcommand.  Reports are deterministic (byte-identical across runs for the
-same inputs).  Exit codes: 0 success, 2 precondition failure (bad input,
-or an unreadable arrangement file or unwritable ``--out`` path), 3
-enumeration budget exceeded, 4 internal invariant broken (two
-computations that must agree did not); with floating arithmetic, an
-``--eps`` that is not a finite number >= 1e-12 is bad input.
+same inputs).  ``scan`` and ``b3`` list only the torus points the
+certificates cannot set to h1 = 0 (``charvar.torsion_scan``); their
+``--budget`` bounds the number of points listed, known before any is,
+and the 2^K sets of the K multiple points walked, not the N^(n-1) grid.
+Exit codes: 0 success, 2 precondition failure (bad input, or an
+unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
+budget exceeded, 4 internal invariant broken (two computations that must
+agree did not); with floating arithmetic, an ``--eps`` that is not a
+finite number >= 1e-12 is bad input.
 """
 
 from __future__ import annotations

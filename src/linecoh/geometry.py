@@ -522,6 +522,7 @@ class ProjArrangement:
         self._points = None
         self._charts = {}
         self._incidence = None  # resband.IncidenceTable, built on first use
+        self._strata = None  # charvar's scan sources, built on first use
 
     @property
     def n(self):

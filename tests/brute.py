@@ -12,11 +12,12 @@ node and recession rays.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
+from linecoh.charvar import ScanHit, TorusPoint, _mask_reader, h1_at_point
 from linecoh.geometry import AffinePoint, canonical_triple
-from linecoh.resband import SharpPair
+from linecoh.resband import SharpPair, certify_masks, incidence_table
 from linecoh.scalars import Matrix
 
 
@@ -299,3 +300,93 @@ def line_certificates(proj, exponents, order):
         else:
             rows.append((h, None, None))
     return rows
+
+
+def _scan_point(proj, order, combo):
+    """The torus point with affine exponents ``combo`` (infinity derived)."""
+    exps = list(combo)
+    exps.insert(proj.infinity_index, -sum(combo) % order)
+    return TorusPoint(tuple(exps), order)
+
+
+def _names(catalog, point):
+    if catalog is None:
+        return ()
+    return tuple(f.name for f in catalog if f.contains(point))
+
+
+def grid_scan(proj, order, catalog=None):
+    """Reference scan: h^1 by the band kernel and family names at every
+    nontrivial point of the grid of affine exponents."""
+    hits = []
+    for combo in product(range(order), repeat=proj.n - 1):
+        if not any(combo):
+            continue
+        point = _scan_point(proj, order, combo)
+        dim = h1_at_point(proj, point)
+        if dim >= 1:
+            hits.append(ScanHit(point=point, h1=dim, families=_names(catalog, point)))
+    return hits
+
+
+def unit_maps(order):
+    """c -> u*c mod N, as a tuple indexed by c, for each unit u != 1 of
+    Z/N."""
+    return {
+        u: tuple(u * c % order for c in range(order))
+        for u in range(2, order)
+        if gcd(u, order) == 1
+    }
+
+
+def orbit_representatives(order, length):
+    """The lexicographically smallest member of every orbit {u*c mod N : u
+    a unit of Z/N} of nonzero vectors c in (Z/N)^length, each once.
+
+    Units keep zero entries and act transitively on the residues with a
+    given gcd with N, so the smallest member starts with a divisor d < N
+    of N.  Only those vectors are generated, and one is kept when no unit
+    u = 1 mod N/d (the units that fix d) maps its tail to a smaller one.
+    """
+    maps = unit_maps(order)
+    for d in range(1, order):
+        if order % d:
+            continue
+        tables = [t for u, t in maps.items() if u % (order // d) == 1]
+        for pos in range(length):
+            head = (0,) * pos + (d,)
+            for tail in product(range(order), repeat=length - pos - 1):
+                if not any(tuple(map(t.__getitem__, tail)) < tail for t in tables):
+                    yield head + tail
+
+
+def orbit_scan(proj, order, catalog=None, backend="cyclotomic", eps=1e-9):
+    """Reference scan over the whole grid: one Galois-orbit representative
+    {u*e mod N : u a unit of Z/N} at a time, decided by the certificates
+    (one ``certify_masks`` call per distinct mask pair) or else by the
+    band kernel, its answer handed to the whole orbit.  h^1 and family
+    membership are Galois invariant (the property tests check the first)."""
+    if order == 1:
+        return []
+    table = incidence_table(proj)
+    read_masks = _mask_reader(table, order)
+    units = unit_maps(order).values()
+    certified = {}
+    found = []
+    for combo in orbit_representatives(order, proj.n - 1):
+        point = _scan_point(proj, order, combo)
+        masks = read_masks(point.exponents)
+        if masks not in certified:
+            certified[masks] = certify_masks(table, *masks)[1]
+        dim = certified[masks]
+        if dim is None:
+            dim = h1_at_point(proj, point, backend=backend, eps=eps)
+        if dim >= 1:
+            names = _names(catalog, point)
+            orbit = {combo, *(tuple(map(t.__getitem__, combo)) for t in units)}
+            found.extend((member, dim, names) for member in orbit)
+    found.sort()
+    return [
+        ScanHit(point=_scan_point(proj, order, combo), h1=dim, families=names)
+        for combo, dim, names in found
+    ]

@@ -1,8 +1,11 @@
+import random
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 
+import brute
 import corpus
 from linecoh import (
     Arrangement,
@@ -16,9 +19,10 @@ from linecoh import (
 )
 from linecoh.charvar import (
     ComponentFamily,
-    ScanHit,
     TorusPoint,
-    _orbit_representatives,
+    _diagonal_form,
+    _visit_count,
+    candidate_points,
     certified_h1,
 )
 from linecoh.mincomplex import cohomology_dims
@@ -27,25 +31,6 @@ from linecoh.resband import incidence_table
 # The two order-2 points of deleted B3 that lie on four catalog families
 # (Omega among them); h1 = 2 there.
 FOUR_FAMILY_POINTS = ((0, 1, 1, 0, 0, 1, 0, 1), (1, 0, 0, 1, 0, 1, 0, 1))
-
-
-def scan_per_point(proj, order, catalog):
-    """Reference scan: h^1 and family names at every grid point."""
-    affine = proj.affine_ids()
-    hits = []
-    for combo in product(range(order), repeat=len(affine)):
-        if not any(combo):
-            continue
-        exps = [0] * proj.n
-        for j, e in zip(affine, combo):
-            exps[j] = e
-        exps[proj.infinity_index] = -sum(combo) % order
-        point = TorusPoint(tuple(exps), order)
-        dim = h1_at_point(proj, point)
-        if dim >= 1:
-            names = tuple(f.name for f in catalog if f.contains(point))
-            hits.append(ScanHit(point=point, h1=dim, families=names))
-    return hits
 
 
 def assert_two_sided(hits, catalog, order):
@@ -180,9 +165,12 @@ def test_scan_order_four_hits_stay_in_catalog():
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("arrangement", [corpus.b3, corpus.b3_relabelled])
 def test_orbit_scan_matches_per_point_scan(arrangement, order):
+    # the reference orbit scan and the stratum scan both equal the band
+    # kernel at every grid point
     proj, catalog = arrangement()
-    hits = torsion_scan(proj, order, catalog=catalog)
-    assert hits == scan_per_point(proj, order, catalog)
+    hits = brute.grid_scan(proj, order, catalog)
+    assert brute.orbit_scan(proj, order, catalog) == hits
+    assert torsion_scan(proj, order, catalog=catalog) == hits
 
 
 def test_scan_order_five_hits_stay_in_catalog():
@@ -215,8 +203,70 @@ def test_scan_order_seven_hits_stay_in_catalog():
     assert_two_sided(hits, catalog, 7)
 
 
+@pytest.mark.parametrize(
+    "order, count", [(8, 1206), (9, 1608), (10, 2092), (11, 2650), (12, 3306)]
+)
+def test_scan_high_orders_are_the_catalog(order, count):
+    proj, catalog = corpus.b3()
+    hits = torsion_scan(proj, order, catalog=catalog)
+    assert len(hits) == count
+    assert all(h.families for h in hits)
+    assert_two_sided(hits, catalog, order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_candidate_points_are_the_points_not_certified_zero(order):
+    # on every grid point of relabelled deleted B3: listed exactly when
+    # the certificates do not give 0, once, with the certified value, or
+    # None when they decide nothing
+    proj, _ = corpus.b3_relabelled()
+    table = incidence_table(proj)
+    listed = dict(candidate_points(proj, order))
+    assert len(listed) == len(list(candidate_points(proj, order)))
+    expected = {}
+    for affine in product(range(order), repeat=proj.n - 1):
+        if not any(affine):
+            continue
+        exps = list(affine)
+        exps.insert(proj.infinity_index, -sum(affine) % order)
+        dim = certified_h1(table, exps, order)
+        if dim != 0:
+            expected[tuple(exps)] = dim
+    assert listed == expected
+
+
+def _kernel_mod(rows, ncols, order):
+    """Every x in (Z/N)^ncols with rows * x = 0 mod N, by the grid."""
+    return {
+        x
+        for x in product(range(order), repeat=ncols)
+        if all(sum(a * b for a, b in zip(row, x)) % order == 0 for row in rows)
+    }
+
+
+def test_diagonal_form_lists_the_kernel_mod_n():
+    rng = random.Random(5)
+    for _ in range(150):
+        ncols = rng.randrange(1, 5)
+        rows = [
+            [rng.randrange(-3, 4) for _ in range(ncols)]
+            for _ in range(rng.randrange(0, 5))
+        ]
+        d, cols = _diagonal_form(rows, ncols)
+        assert len(d) <= min(len(rows), ncols) and all(d)
+        for order in (2, 4, 6):
+            steps = [order // gcd(v, order) for v in d] + [1] * (ncols - len(d))
+            ys = list(product(*(range(0, order, step) for step in steps)))
+            listed = {
+                tuple(sum(map(mul, y, row)) % order for row in zip(*cols)) for y in ys
+            }
+            assert len(listed) == len(ys)
+            assert listed == _kernel_mod(rows, ncols, order)
+
+
 @pytest.mark.parametrize("order", range(2, 13))
 def test_orbit_representatives_are_the_orbit_minima(order):
+    # the generator of the reference orbit scan in ``brute``
     units = [u for u in range(1, order) if gcd(u, order) == 1]
     for length in range(1, 5):
         minima = {
@@ -224,7 +274,7 @@ def test_orbit_representatives_are_the_orbit_minima(order):
             for combo in product(range(order), repeat=length)
             if any(combo)
         }
-        reps = list(_orbit_representatives(order, length))
+        reps = list(brute.orbit_representatives(order, length))
         assert len(reps) == len(set(reps))
         assert set(reps) == minima
 
@@ -281,9 +331,15 @@ def test_certificates_decide_every_point_of_a_pencil():
 
 
 def test_scan_budget():
+    # the budget counts the 2^7 sets of multiple points walked and the
+    # points listed: 540 at order 5
     proj, _ = corpus.b3()
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="sets of multiple points"):
         torsion_scan(proj, 5, budget=100)
+    assert _visit_count(proj, 5) == 540
+    with pytest.raises(BudgetExceededError, match="540 points at order 5"):
+        torsion_scan(proj, 5, budget=539)
+    assert len(torsion_scan(proj, 5, budget=540)) == 388
 
 
 def test_scan_backend_independent():
@@ -299,6 +355,7 @@ def test_orbit_scan_backend_independent_at_order_three():
     proj, catalog = corpus.b3()
     exact = torsion_scan(proj, 3, catalog=catalog)
     assert torsion_scan(proj, 3, catalog=catalog, backend="complex") == exact
+    assert brute.orbit_scan(proj, 3, catalog, backend="complex") == exact
 
 
 def test_membership_quadruple_point_family():

@@ -180,20 +180,18 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["chambers", "--arrangement", str(bad)]) == 2
     fig = tmp_path / "one.txt"
     fig.write_text("1 0 0\n0 1 0\n")
-    assert (
-        main(
-            [
-                "scan",
-                "--arrangement",
-                str(fig),
-                "--order",
-                "6",
-                "--budget",
-                "10",
-            ]
-        )
-        == 3
-    )
+    # coned, three lines in general position: no multiple point, so the
+    # certificates give h1 = 0 everywhere and the scan lists no point
+    scan = ["scan", "--arrangement", str(fig), "--order", "6", "--budget", "10"]
+    assert main(scan) == 0
+    assert capsys.readouterr().out.startswith("scan order=6 lines=3 hits=0\n")
+    # coned, a pencil of three lines: its local family has 35 nonzero
+    # points at order 6
+    pencil = tmp_path / "pencil.txt"
+    pencil.write_text("1 0 0\n1 0 -1\n")
+    scan[2] = str(pencil)
+    assert main(scan) == 3
+    assert "35 points at order 6 exceeds the budget 10" in capsys.readouterr().err
     assert (
         main(
             [

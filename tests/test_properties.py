@@ -1,10 +1,12 @@
-"""Property tests of what the torus scan relies on: h^1 at a torsion point
-is unchanged by Galois conjugation e -> u*e mod N and by flipping the
-square roots of the monodromies, every h^1 the certificate prefilter
-decides equals the band kernel's and the chamber complex's, and the
-bitmask certificates decide line by line as the per-line reference rule
-of ``brute`` does."""
+"""Property tests of the torus scan and what it relies on: the stratum
+scan equals the reference orbit scan of ``brute``, h^1 at a torsion point
+is unchanged by Galois conjugation e -> u*e mod N (which the reference
+relies on) and by flipping the square roots of the monodromies, every h^1
+the certificates decide equals the band kernel's and the chamber
+complex's, and the bitmask certificates decide line by line as the
+per-line reference rule of ``brute`` does."""
 
+import random
 from itertools import product
 from math import gcd
 
@@ -14,7 +16,15 @@ from hypothesis import strategies as st
 
 import brute
 import corpus
-from linecoh import ProjArrangement, h1_at_point, h1_via_bands, make_local_system
+from linecoh import (
+    Arrangement,
+    ProjArrangement,
+    cone,
+    h1_at_point,
+    h1_via_bands,
+    make_local_system,
+    torsion_scan,
+)
 from linecoh.charvar import TorusPoint, certified_h1
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import InvariantError, incidence_table, vanishing_certificates
@@ -22,6 +32,20 @@ from strategies import arrangements
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 CERTIFICATE_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+SCAN_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def cone_arrangements(draw, max_lines=6):
+    """The cone of a hypothesis arrangement of 3 to ``max_lines`` lines
+    that meet somewhere, with the line at infinity at a random row."""
+    arr = draw(
+        arrangements(max_lines, min_lines=3).filter(lambda a: a.intersection_points())
+    )
+    triples = [ln.triple() for ln in arr.lines]
+    inf = draw(st.integers(0, arr.n))
+    triples.insert(inf, (0, 0, 1))
+    return ProjArrangement(triples, infinity_index=inf)
 
 
 @st.composite
@@ -30,20 +54,46 @@ def torsion_points(draw, max_lines=5, orders=st.integers(2, 6)):
     default) on the cone of a hypothesis arrangement of up to
     ``max_lines`` lines that meet somewhere (so no chart has only parallel
     lines), with the line at infinity at a random row."""
-    arr = draw(
-        arrangements(max_lines, min_lines=3).filter(lambda a: a.intersection_points())
-    )
-    triples = [ln.triple() for ln in arr.lines]
-    inf = draw(st.integers(0, arr.n))
-    triples.insert(inf, (0, 0, 1))
-    proj = ProjArrangement(triples, infinity_index=inf)
+    proj = draw(cone_arrangements(max_lines))
     order = draw(orders)
+    n = proj.n - 1
     affine = draw(
-        st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n).filter(any)
+        st.lists(st.integers(0, order - 1), min_size=n, max_size=n).filter(any)
     )
     exps = list(affine)
     exps.insert(proj.infinity_index, -sum(affine) % order)
     return proj, TorusPoint(tuple(exps), order)
+
+
+@SCAN_SETTINGS
+@given(cone_arrangements(max_lines=7), st.integers(2, 5))
+def test_stratum_scan_equals_orbit_scan(proj, order):
+    assert torsion_scan(proj, order) == brute.orbit_scan(proj, order)
+
+
+# lines x = a, y = b, x - y = c and x + y = c through the points of a small
+# grid: their subsets, coned, have many multiple points and so many strata
+GRID_LINES = [
+    *((1, 0, -a) for a in range(3)),
+    *((0, 1, -b) for b in range(3)),
+    *((1, -1, -c) for c in (-1, 0, 1)),
+    *((1, 1, -c) for c in (1, 2, 3)),
+]
+
+
+def test_stratum_scan_equals_orbit_scan_on_grid_cones():
+    rng = random.Random(13)
+    for size in (5, 5, 6, 6, 6, 6, 7, 7):
+        proj = cone(Arrangement(rng.sample(GRID_LINES, size)))
+        for order in (2, 3, 4, 5) if proj.n <= 7 else (2, 3, 4):
+            assert torsion_scan(proj, order) == brute.orbit_scan(proj, order)
+
+
+@pytest.mark.parametrize("order", range(2, 8))
+def test_stratum_scan_equals_orbit_scan_on_relabelled_b3(order):
+    proj, catalog = corpus.b3_relabelled()
+    hits = torsion_scan(proj, order, catalog=catalog)
+    assert hits == brute.orbit_scan(proj, order, catalog)
 
 
 @PROPERTY_SETTINGS
@@ -145,3 +195,4 @@ def test_bitmask_certificates_at_every_relabelled_b3_point(order):
         assert certified_h1(table, exps, order) == (dims.pop() if dims else None)
         undecided += bool(rows) and all(h1 is None for _, h1, _ in rows)
     assert undecided
+
