@@ -11,17 +11,20 @@ infinity when its q is not 1, otherwise the first line with q != 1.
 The zero/one resonant point certificates (``certified_h1``) give h^1 = 0
 at almost every point, so ``torsion_scan`` lists only the points where
 they cannot (``candidate_points``): the local family of each multiple
-point, and for each set R of multiple points the subgroup V2(R) on which
-every line with q != 1 meets two points of R.  Each subgroup is read off
-a diagonal form of a small integer matrix (``_diagonal_form``); those
-depend only on the arrangement and are cached next to its incidence table
-(``_strata``).  Every listed point goes through the certificates, as
-integer bit operations over the cached incidence table with each distinct
-pair of masks decided once, and the points they leave undecided go to the
-band route (``h1_at_point``).  On deleted B3 at N = 5 the scan lists 540
-of the 78,124 nontrivial points and sends 164 of them to the band route.
-The scans of deleted B3 at orders 2 to 12 give exactly the catalog's
-nontrivial torsion points of order dividing N
+point, and the points at which every line with q != 1 carries two
+resonant multiple points.  The latter are listed from the nodes of a
+depth-first walk that puts each multiple point in the set R of resonant
+points or leaves it out (``_frontier``).  A node's points form a subgroup
+read off a diagonal form of a small integer matrix (``_diagonal_form``),
+cached on the arrangement; a node that cannot hold such a point is
+dropped, and one that is cheaper to list than to walk on is listed.  The
+family points go through the certificates, as integer bit operations
+over the cached incidence table with each distinct pair of masks decided
+once, and the others go to the band route (``h1_at_point``) once per
+Galois orbit.  On deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504
+of the 78,124 nontrivial points and sends 41 orbits (164 points) to the
+band route.  The scans of deleted B3 at orders 2 to 12 give exactly the
+catalog's nontrivial torsion points of order dividing N
 (``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, product
 from math import gcd, lcm, prod
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
@@ -314,95 +317,201 @@ def _diagonal_form(rows, ncols):
     return d, cols
 
 
-def _strata(proj):
-    """The cached sources of ``candidate_points``: one triple ``(R, d,
-    cols)`` per subgroup to enumerate, its points Q*y mod N with Q the
-    matrix of the columns ``cols`` over all lines and d_k*y_k = 0 mod N
-    for k below ``len(d)``.
+def _with_sums(table, cols):
+    """Each of ``cols``, vectors over all lines, followed by its sums over
+    the lines of each multiple point of ``table``: the points of a span of
+    such columns carry the exponent sums that say which are resonant."""
+    points = [itemgetter(*p) for p in table.points]
+    return [tuple(col) + tuple(sum(p(col)) for p in points) for col in cols]
 
-    First the local family of every multiple point p (R is None): the
-    points supported on the lines of p whose exponents sum to 0, spanned
-    by e_j - e_last for the lines j of p but its last.  Then, for every
-    set R of multiple points (a bitmask over ``incidence_table(proj)``),
-    V2(R): the kernel of the rows of the points of R and the all-ones row
-    over the lines that meet at least two points of R, the other lines
-    held at 0, put in ``_diagonal_form``.  A V2(R) that is 0 at every
-    order (full rank and every d_k = 1) is left out."""
-    if proj._strata is not None:
-        return proj._strata
+
+def _node(proj, k, inside):
+    """``(d, cols)`` for the node of the walk of ``_frontier`` that has put
+    the multiple points of ``inside`` (a bitmask over
+    ``incidence_table(proj)``) in R and left the other points below ``k``
+    out.  Cached on ``proj`` while it holds fewer than ``_CACHED_NODES``.
+
+    The node's subgroup W holds V2(R) for every R it can still reach, from
+    ``inside`` to ``inside`` plus the points from ``k`` on: exponents 0 on
+    the lines meeting fewer than two of those points, the lines of each
+    point of ``inside`` and all lines summing to 0.  W mod N is Q*y, Q the
+    matrix of the columns ``cols`` (``_with_sums``) and d_i*y_i = 0 mod N
+    for i below ``len(d)``: the ``_diagonal_form`` of that system."""
+    node = proj._scan_nodes.get((k, inside))
+    if node is not None:
+        return node
     table = incidence_table(proj)
-
-    def embed(lines, values):
-        exps = [0] * proj.n
-        for j, v in zip(lines, values):
-            exps[j] = v
-        return tuple(exps)
-
-    sources = [
-        (None, (), tuple(embed((j, p[-1]), (1, -1)) for j in p[:-1]))
-        for p in table.points
+    reach = inside | (1 << len(table.points)) - (1 << k)
+    live = [j for j, on in enumerate(table.on_mask) if (on & reach).bit_count() >= 2]
+    rows = [
+        [int(j in p) for j in live]
+        for q, p in enumerate(table.points)
+        if inside >> q & 1
     ]
-    for r in range(1, 1 << len(table.points)):
-        free = [j for j, on in enumerate(table.on_mask) if (on & r).bit_count() >= 2]
-        if not free:
-            continue
-        rows = [
-            [int(j in p) for j in free]
-            for k, p in enumerate(table.points)
-            if r >> k & 1
-        ]
-        d, cols = _diagonal_form(rows + [[1] * len(free)], len(free))
-        if len(d) < len(free) or any(v > 1 for v in d):
-            sources.append((r, tuple(d), tuple(embed(free, c) for c in cols)))
-    proj._strata = tuple(sources)
-    return proj._strata
+    d, cols = _diagonal_form(rows + [[1] * len(live)], len(live))
+    full = [[0] * proj.n for _ in cols]
+    for exps, col in zip(full, cols):
+        for j, v in zip(live, col):
+            exps[j] = v
+    node = (d, _with_sums(table, full))
+    if len(proj._scan_nodes) < _CACHED_NODES:
+        proj._scan_nodes[k, inside] = node
+    return node
 
 
-def _steps(d, cols, order):
-    """``(step, count)`` per column of a source of ``_strata`` at order N:
-    y_k runs over the ``count`` multiples of ``step`` in Z/N."""
-    for k in range(len(cols)):
-        g = gcd(d[k], order) if k < len(d) else order
-        yield order // g, g
+# A walk node costs about as much as listing this many points; 4 is the
+# fastest of 4, 8, 16 and 32 on scans of deleted B3 at orders 2 to 5 with
+# the nodes cached
+_NODE_COST = 4
+# nodes kept per arrangement; deleted B3 has 255
+_CACHED_NODES = 4096
 
 
-def _visit_count(proj, order):
-    """The nonzero points ``candidate_points`` enumerates at ``order``,
-    read off the diagonals of ``_strata`` before any is listed."""
-    return sum(
-        prod(count for _, count in _steps(d, cols, order)) - 1
-        for _, d, cols in _strata(proj)
-    )
+def _frontier(proj, order, budget, spent):
+    """The (B) sources of ``candidate_points`` at order N, ``(outside,
+    cols, steps)`` per node of a depth-first walk that puts each multiple
+    point in R or leaves it out in turn (``_node``): the points Q*y of the
+    node's W mod N, y_i over the multiples of ``steps[i]`` in Z/N, of
+    which those with no resonant point in ``outside`` are the node's.
+
+    A node is dropped when its W mod N is 0, or when a point it left out
+    is resonant at every point of it: no R(e) there lies between the
+    node's bounds.  A node is listed when its W mod N has at most
+    ``_NODE_COST`` * 2^(points undecided) points, about the cost of
+    walking all its descendants, and always once every point is decided
+    (R is ``inside``).  So the walk and the listing cost at most about
+    three times the smaller of listing the grid and walking all 2^K sets
+    of the K multiple points, and far less where few sets hold points.
+
+    ``spent`` plus the nodes walked and the points listed is held to
+    ``budget``; beyond it, ``BudgetExceededError``, before any point is
+    listed."""
+    npoints = len(incidence_table(proj).points)
+    sources = []
+    stack = [(0, 0, 0)]
+    while stack:
+        k, inside, outside = stack.pop()
+        d, cols = _node(proj, k, inside)
+        steps = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
+        size = prod(order // step for step in steps)
+        spent += 1
+        if size > 1 and not any(
+            all(col[proj.n + q] * step % order == 0 for col, step in zip(cols, steps))
+            for q in range(k)
+            if outside >> q & 1
+        ):
+            if k == npoints or size <= _NODE_COST << (npoints - k):
+                sources.append((outside, cols, steps))
+                spent += size - 1
+            else:
+                stack.append((k + 1, inside, outside | 1 << k))
+                stack.append((k + 1, inside | 1 << k, outside))
+        if spent > budget:
+            raise BudgetExceededError(
+                f"the order-{order} scan exceeds the budget {budget} "
+                "(points listed and nodes walked)"
+            )
+    return sources
 
 
-def candidate_points(proj, order):
+def _span(cols, steps, order, width):
+    """The nonzero points sum_i y_i*cols[i] mod N, y_i over the multiples
+    of ``steps[i]`` in Z/N, each once (the columns are independent mod
+    N), packed in integers with one ``width``-bit field per entry.
+
+    An odometer over y: digit i steps up while the digits after it wrap
+    to 0, and a wrap adds its step times its column once more (count *
+    step = N), so each point is one packed sum.  Its fields are below 2N
+    < 2^width, and adding 2^(width-1) - N sets a field's top bit exactly
+    when it is at least N, so one subtraction reduces them all mod N."""
+    gens = [(col, step) for col, step in zip(cols, steps) if step < order]
+    incs = []
+    acc = [0] * len(cols[0])
+    for col, step in reversed(gens):
+        acc = [(a + step * c) % order for a, c in zip(acc, col)]
+        incs.append(sum(v << width * f for f, v in enumerate(acc)))
+    incs.reverse()
+    top = sum(1 << width * f + width - 1 for f in range(len(acc)))
+    fix = top - order * (top >> width - 1)
+    ends = [order // step - 1 for _, step in gens]
+    digits = [0] * len(gens)
+    point = 0
+    while True:
+        i = len(digits) - 1
+        while i >= 0 and digits[i] == ends[i]:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+        point += incs[i]
+        point -= ((point + fix & top) >> width - 1) * order
+        yield point
+
+
+def candidate_points(proj, order, budget=2_000_000):
     """``(exponents, certified)`` for every nontrivial torus point of order
     dividing ``order`` at which the certificates do not give h^1 = 0, each
     once (see ``torsion_scan`` for why these are all of them).
 
     ``certified`` is the h^1 of ``certified_h1``, decided once per
-    distinct pair of masks, for the points of a local family (A); it is
-    None for the points at which every line with q != 1 carries at least
-    two resonant multiple points (B), each listed from the V2(R) of its
-    own set R of resonant points.  A family point in (B) and a V2(R)
-    point with other resonant points are skipped, as another source lists
-    them."""
+    distinct pair of masks, for the points of a local family (A), listed
+    family by family; it is None for the points at which every line with
+    q != 1 carries at least two resonant multiple points (B), listed from
+    the nodes of ``_frontier``.  A family point in (B) is skipped, as a
+    node lists it.  ``budget`` bounds the points listed and the nodes
+    walked, as in ``torsion_scan``.
+
+    Points come packed from ``_span``, a field per line and then one per
+    multiple point (its exponent sum), and are read in that form: a
+    field's top bit is set after adding 2^(width-1) - 1 exactly when the
+    field is not 0, which gives the lines with q != 1 and the resonant
+    points as masks of top bits."""
     table = incidence_table(proj)
-    read_masks = _mask_reader(table, order)
-    certified = {}  # masks -> certified h^1, filled as the points meet them
-    for resonant, d, cols in _strata(proj):
-        points = [(0,) * proj.n]
-        for col, (step, count) in zip(cols, _steps(d, cols, order)):
-            shifts = [tuple(t * step * c for c in col) for t in range(count)]
-            points = [tuple(map(add, p, s)) for p in points for s in shifts]
-        for exps in points[1:]:
-            exps = tuple(e % order for e in exps)
-            masks = read_masks(exps)
-            if masks not in certified:
-                certified[masks] = certify_masks(table, *masks)[1]
-            dim = certified[masks]
-            if (dim is not None) if resonant is None else masks[1] == resonant:
-                yield exps, dim
+    n = proj.n
+    families = []
+    for p in table.points:
+        cols = [[0] * n for _ in p[1:]]
+        for col, j in zip(cols, p):
+            col[j], col[p[-1]] = 1, -1
+        families.append((None, _with_sums(table, cols), [1] * len(cols)))
+    spent = sum(order ** len(cols) - 1 for _, cols, _ in families)
+    sources = families + _frontier(proj, order, budget, spent)
+    width = order.bit_length() + 1
+    tops = [1 << width * f + width - 1 for f in range(n + len(table.points))]
+    line_tops, point_tops = tops[:n], tops[n:]
+    top, points_top = sum(tops), sum(point_tops)
+    near = top - (top >> width - 1)  # 2^(width-1) - 1 in every field
+
+    def mask(packed, bits):
+        return sum(1 << k for k, bit in enumerate(bits) if packed & bit)
+
+    def spread(compact, bits):
+        return sum(bit for k, bit in enumerate(bits) if compact >> k & 1)
+
+    on_tops = [spread(on, point_tops) for on in table.on_mask]
+    certified = {}  # packed masks -> certified h^1, filled as points meet them
+    for outside, cols, steps in sources:
+        if outside is not None:
+            outside = spread(outside, point_tops)
+        for point in _span(cols, steps, order, width):
+            nonzero = (point + near) & top
+            resonant = points_top & ~nonzero
+            if outside is None:
+                if nonzero not in certified:
+                    masks = mask(nonzero, line_tops), mask(resonant, point_tops)
+                    certified[nonzero] = certify_masks(table, *masks)[1]
+                dim = certified[nonzero]
+                keep = dim is not None
+            else:
+                dim = None
+                keep = not resonant & outside and all(
+                    (on & resonant).bit_count() >= 2
+                    for bit, on in zip(line_tops, on_tops)
+                    if nonzero & bit
+                )
+            if keep:
+                yield tuple(point >> width * j & ~(-1 << width) for j in range(n)), dim
 
 
 @dataclass(frozen=True)
@@ -422,9 +531,9 @@ def torsion_scan(
     ``catalog`` attaches the names of matching families.  ``backend`` and
     ``eps`` go to ``h1_at_point``.  An order below 1 raises
     ``ValueError``; order 1 has only the trivial character.  ``budget``
-    bounds the 2^K sets of the K multiple points walked to build the
-    strata, and the points visited, which the diagonals of the strata
-    give before any is listed; beyond either, ``BudgetExceededError``.
+    bounds the points listed and the nodes of the walk over the multiple
+    points (``_frontier``), all counted before any point is listed;
+    beyond it, ``BudgetExceededError``.
 
     Only the points of ``candidate_points`` are visited; at every other
     nontrivial point the certificates give h^1 = 0, so skipping it is
@@ -436,49 +545,49 @@ def torsion_scan(
     local family of p (A).  Otherwise every line with q != 1 meets at
     least two points of R(e) (B), and e lies in V2(R(e)): exponents 0 on
     the lines meeting fewer than two points of R(e), the lines of each
-    point of R(e) summing to 0, and all lines summing to 0.  Conversely
-    every point of V2(R) with R(e) = R is in (B).  So every point the
-    certificates do not set to 0 is in (A), where they give |p| - 2, or
-    in (B), where they decide nothing; the two are disjoint.  A point in
-    (B) is kept only from the V2(R) with R = R(e).  A point of a local
-    family is kept only when the certificates decide it, which excludes
-    (B); it is then in (A) through no other point, as two local families
-    share at most one line and a nontrivial point supported on one line
-    breaks the torus constraint.  So every point is visited once.
+    point of R(e) summing to 0, and all lines summing to 0.  So every
+    point the certificates do not set to 0 is in (A), where they give
+    |p| - 2, or in (B), where they decide nothing; the two are disjoint.
+    A point of a local family is kept only when the certificates decide
+    it, which excludes (B); it is then in (A) through no other point, as
+    two local families share at most one line and a nontrivial point
+    supported on one line breaks the torus constraint.  A (B) point e is
+    kept only from the node of the walk over the multiple points whose
+    choices agree with R(e): each node holds V2(R) for every R it can
+    still reach, so the nodes it drops hold no such e, and the nodes it
+    lists split the sets R between them.  So every point is visited once.
 
-    Each visited point goes first to the certificates of
-    ``certified_h1`` on the cached ``incidence_table(proj)``; only the
-    points they leave undecided, the (B) points, reach ``h1_at_point``
-    (the band kernel).  The certificates read two bitmasks off the
-    exponents (``_mask_reader``) and nothing else, so each distinct pair
-    of masks is decided once per scan.  This is exact: both certificates
-    (a line with q != 1 and no resonant multiple point gives h^1 = 0; one
-    with exactly one resonant point p gives |p| - 2 when every line off p
-    is trivial, and 0 otherwise) are theorems of the paper, and their
-    tests are integer congruences mod N, so a certified value is exact
-    under either backend.  Certificates from two lines that disagree
-    raise ``InvariantError``.
+    The family points are decided by the certificates of ``certified_h1``
+    on the cached ``incidence_table(proj)``, which read two bitmasks off
+    the exponents and nothing else, so each distinct pair of masks is
+    decided once per scan.  This is exact: both certificates (a line with
+    q != 1 and no resonant multiple point gives h^1 = 0; one with exactly
+    one resonant point p gives |p| - 2 when every line off p is trivial,
+    and 0 otherwise) are theorems of the paper, and their tests are
+    integer congruences mod N, so a certified value is exact under either
+    backend.  Certificates from two lines that disagree raise
+    ``InvariantError``.  The (B) points go to ``h1_at_point`` (the band
+    kernel), once per Galois orbit {u*e mod N : u a unit of Z/N}: h^1 is
+    the same on the whole orbit, as conjugation is a field automorphism of
+    Q(zeta_N) (the property tests check it), and the orbit lies in (B),
+    whose test is a set of congruences.
     """
     if order < 1:
         raise ValueError("torsion order must be >= 1")
     if order == 1:
         return []
-    subsets = 1 << len(incidence_table(proj).points)
-    if subsets > budget:
-        raise BudgetExceededError(
-            f"{subsets} sets of multiple points exceed the budget {budget}"
-        )
-    total = _visit_count(proj, order)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} points at order {order} exceeds the budget {budget}"
-        )
     inf = proj.infinity_index
+    units = [u for u in range(2, order) if gcd(u, order) == 1]
+    band = {}  # h^1 of the band route, set for a whole Galois orbit at once
     found = []
-    for exps, dim in candidate_points(proj, order):
+    for exps, dim in candidate_points(proj, order, budget):
         point = TorusPoint(exps, order)
         if dim is None:
+            dim = band.get(exps)
+        if dim is None:
             dim = h1_at_point(proj, point, backend=backend, eps=eps)
+            for u in units:
+                band[tuple(u * e % order for e in exps)] = dim
         if dim >= 1:
             names = ()
             if catalog is not None:

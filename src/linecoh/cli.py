@@ -7,8 +7,9 @@ them) or arguments are left over, so usage and error messages name every
 subcommand.  Reports are deterministic (byte-identical across runs for the
 same inputs).  ``scan`` and ``b3`` list only the torus points the
 certificates cannot set to h1 = 0 (``charvar.torsion_scan``); their
-``--budget`` bounds the number of points listed, known before any is,
-and the 2^K sets of the K multiple points walked, not the N^(n-1) grid.
+``--budget`` bounds the points listed and the nodes of the walk over the
+multiple points, all counted before any point is listed, not the
+N^(n-1) grid.
 Exit codes: 0 success, 2 precondition failure (bad input, or an
 unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must

@@ -522,7 +522,7 @@ class ProjArrangement:
         self._points = None
         self._charts = {}
         self._incidence = None  # resband.IncidenceTable, built on first use
-        self._strata = None  # charvar's scan sources, built on first use
+        self._scan_nodes = {}  # charvar's scan walk nodes, kept as scans meet them
 
     @property
     def n(self):

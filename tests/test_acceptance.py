@@ -296,6 +296,20 @@ def test_criterion_9_sharp_pair_bound():
         if certified is None and exps[0] and exps[inf]
     ]
     assert len(survivors) == 4354
+    # the order-3 survivors again, read off every grid point by the
+    # incidence sets of the multiple points alone
+    points = [p.incident for p in proj.multiple_points()]
+    at_three = []
+    for affine in product(range(3), repeat=fig2.n):
+        exps = affine[:inf] + (-sum(affine) % 3,) + affine[inf:]
+        if not (exps[0] and exps[inf]):
+            continue
+        resonant = [p for p in points if not sum(exps[j] for j in p) % 3]
+        if all(
+            not exps[h] or sum(h in p for p in resonant) >= 2 for h in range(proj.n)
+        ):
+            at_three.append(affine)
+    assert at_three == sorted(exps for order, exps in survivors if order == 3)
     for order, exps in survivors:
         system = make_local_system(exps, order=order)
         assert cohomology_dims(system, fig2)[1] <= 1, (order, exps)

@@ -21,7 +21,7 @@ from linecoh.charvar import (
     ComponentFamily,
     TorusPoint,
     _diagonal_form,
-    _visit_count,
+    _span,
     candidate_points,
     certified_h1,
 )
@@ -214,11 +214,16 @@ def test_scan_high_orders_are_the_catalog(order, count):
     assert_two_sided(hits, catalog, order)
 
 
+@pytest.mark.parametrize("cost", [0, 4, 1 << 40])
 @pytest.mark.parametrize("order", [2, 3, 4])
-def test_candidate_points_are_the_points_not_certified_zero(order):
+def test_candidate_points_are_the_points_not_certified_zero(
+    monkeypatch, order, cost
+):
     # on every grid point of relabelled deleted B3: listed exactly when
     # the certificates do not give 0, once, with the certified value, or
-    # None when they decide nothing
+    # None when they decide nothing; whether the walk lists every set of
+    # multiple points (cost 0), the whole grid at once or in between
+    monkeypatch.setattr(charvar, "_NODE_COST", cost)
     proj, _ = corpus.b3_relabelled()
     table = incidence_table(proj)
     listed = dict(candidate_points(proj, order))
@@ -244,7 +249,10 @@ def _kernel_mod(rows, ncols, order):
     }
 
 
-def test_diagonal_form_lists_the_kernel_mod_n():
+def test_diagonal_form_and_span_list_the_kernel_mod_n():
+    # the columns of the diagonal form span the kernel mod N, and the
+    # odometer of ``_span`` lists its nonzero points each once, packed in
+    # fields of order.bit_length() + 1 bits
     rng = random.Random(5)
     for _ in range(150):
         ncols = rng.randrange(1, 5)
@@ -262,6 +270,13 @@ def test_diagonal_form_lists_the_kernel_mod_n():
             }
             assert len(listed) == len(ys)
             assert listed == _kernel_mod(rows, ncols, order)
+            width = order.bit_length() + 1
+            spanned = [
+                tuple(point >> width * j & ~(-1 << width) for j in range(ncols))
+                for point in _span(cols, steps, order, width)
+            ]
+            assert len(spanned) == len(set(spanned)) == len(ys) - 1
+            assert set(spanned) == listed - {(0,) * ncols}
 
 
 @pytest.mark.parametrize("order", range(2, 13))
@@ -331,15 +346,14 @@ def test_certificates_decide_every_point_of_a_pencil():
 
 
 def test_scan_budget():
-    # the budget counts the 2^7 sets of multiple points walked and the
-    # points listed: 540 at order 5
+    # at order 5 the budget counts 268 points of the seven local families,
+    # 236 points listed from the walk and its 115 nodes
     proj, _ = corpus.b3()
-    with pytest.raises(BudgetExceededError, match="sets of multiple points"):
+    with pytest.raises(BudgetExceededError, match="order-5 scan exceeds the budget"):
         torsion_scan(proj, 5, budget=100)
-    assert _visit_count(proj, 5) == 540
-    with pytest.raises(BudgetExceededError, match="540 points at order 5"):
-        torsion_scan(proj, 5, budget=539)
-    assert len(torsion_scan(proj, 5, budget=540)) == 388
+    with pytest.raises(BudgetExceededError, match="budget 618"):
+        torsion_scan(proj, 5, budget=618)
+    assert len(torsion_scan(proj, 5, budget=619)) == 388
 
 
 def test_scan_backend_independent():

@@ -191,7 +191,7 @@ def test_error_exit_codes(tmp_path, capsys):
     pencil.write_text("1 0 0\n1 0 -1\n")
     scan[2] = str(pencil)
     assert main(scan) == 3
-    assert "35 points at order 6 exceeds the budget 10" in capsys.readouterr().err
+    assert "order-6 scan exceeds the budget 10" in capsys.readouterr().err
     assert (
         main(
             [

@@ -1,10 +1,10 @@
 """Property tests of the torus scan and what it relies on: the stratum
 scan equals the reference orbit scan of ``brute``, h^1 at a torsion point
-is unchanged by Galois conjugation e -> u*e mod N (which the reference
-relies on) and by flipping the square roots of the monodromies, every h^1
-the certificates decide equals the band kernel's and the chamber
-complex's, and the bitmask certificates decide line by line as the
-per-line reference rule of ``brute`` does."""
+is unchanged by Galois conjugation e -> u*e mod N (which the scan's band
+route and the reference rely on) and by flipping the square roots of the
+monodromies, every h^1 the certificates decide equals the band kernel's
+and the chamber complex's, and the bitmask certificates decide line by
+line as the per-line reference rule of ``brute`` does."""
 
 import random
 from itertools import product
@@ -87,6 +87,34 @@ def test_stratum_scan_equals_orbit_scan_on_grid_cones():
         proj = cone(Arrangement(rng.sample(GRID_LINES, size)))
         for order in (2, 3, 4, 5) if proj.n <= 7 else (2, 3, 4):
             assert torsion_scan(proj, order) == brute.orbit_scan(proj, order)
+
+
+# thirteen lines of five slopes through points of the integer grid: coned,
+# 21 multiple points (20 triple, one quadruple), so the walk over sets of
+# them would have 2^21 leaves; at order 2 it lists the grid at once
+MANY_POINT_LINES = [
+    (1, 0, 0),
+    (1, 0, -3),
+    (0, 1, -1),
+    (0, 1, -4),
+    (1, -1, 0),
+    (1, -1, 3),
+    (1, 1, -4),
+    (1, 1, -6),
+    (2, -1, -2),
+    (2, -1, 0),
+    (2, -1, 2),
+    (1, -2, 1),
+    (1, -2, 4),
+]
+
+
+def test_stratum_scan_equals_orbit_scan_with_21_multiple_points():
+    proj = cone(Arrangement(MANY_POINT_LINES))
+    assert len(incidence_table(proj).points) == 21
+    hits = torsion_scan(proj, 2)
+    assert len(hits) == 98
+    assert hits == brute.orbit_scan(proj, 2)
 
 
 @pytest.mark.parametrize("order", range(2, 8))
