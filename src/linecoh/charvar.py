@@ -368,11 +368,13 @@ _CACHED_NODES = 4096
 
 
 def _frontier(proj, order, budget, spent):
-    """The (B) sources of ``candidate_points`` at order N, ``(outside,
-    cols, steps)`` per node of a depth-first walk that puts each multiple
-    point in R or leaves it out in turn (``_node``): the points Q*y of the
-    node's W mod N, y_i over the multiples of ``steps[i]`` in Z/N, of
-    which those with no resonant point in ``outside`` are the node's.
+    """The (B) sources of ``candidate_points`` at order N, ``(k, inside,
+    outside, steps)`` per node of a depth-first walk that puts each
+    multiple point in R or leaves it out in turn (``_node(proj, k,
+    inside)``): the points Q*y of the node's W mod N, y_i over the
+    multiples of ``steps[i]`` in Z/N, of which those with no resonant
+    point in ``outside`` are the node's.  The columns are not kept, so a
+    long walk holds no more than the node cache.
 
     A node is dropped when its W mod N is 0, or when a point it left out
     is resonant at every point of it: no R(e) there lies between the
@@ -401,7 +403,7 @@ def _frontier(proj, order, budget, spent):
             if outside >> q & 1
         ):
             if k == npoints or size <= _NODE_COST << (npoints - k):
-                sources.append((outside, cols, steps))
+                sources.append((k, inside, outside, steps))
                 spent += size - 1
             else:
                 stack.append((k + 1, inside, outside | 1 << k))
@@ -474,9 +476,9 @@ def candidate_points(proj, order, budget=2_000_000):
         cols = [[0] * n for _ in p[1:]]
         for col, j in zip(cols, p):
             col[j], col[p[-1]] = 1, -1
-        families.append((None, _with_sums(table, cols), [1] * len(cols)))
-    spent = sum(order ** len(cols) - 1 for _, cols, _ in families)
-    sources = families + _frontier(proj, order, budget, spent)
+        families.append(_with_sums(table, cols))
+    spent = sum(order ** len(cols) - 1 for cols in families)
+    nodes = _frontier(proj, order, budget, spent)
     width = order.bit_length() + 1
     tops = [1 << width * f + width - 1 for f in range(n + len(table.points))]
     line_tops, point_tops = tops[:n], tops[n:]
@@ -489,29 +491,31 @@ def candidate_points(proj, order, budget=2_000_000):
     def spread(compact, bits):
         return sum(bit for k, bit in enumerate(bits) if compact >> k & 1)
 
-    on_tops = [spread(on, point_tops) for on in table.on_mask]
+    def exponents(point):
+        return tuple(point >> width * j & ~(-1 << width) for j in range(n))
+
     certified = {}  # packed masks -> certified h^1, filled as points meet them
-    for outside, cols, steps in sources:
-        if outside is not None:
-            outside = spread(outside, point_tops)
-        for point in _span(cols, steps, order, width):
+    for cols in families:
+        for point in _span(cols, [1] * len(cols), order, width):
+            nonzero = (point + near) & top
+            if nonzero not in certified:
+                resonant = points_top & ~nonzero
+                masks = mask(nonzero, line_tops), mask(resonant, point_tops)
+                certified[nonzero] = certify_masks(table, *masks)[1]
+            if certified[nonzero] is not None:
+                yield exponents(point), certified[nonzero]
+    on_tops = [spread(on, point_tops) for on in table.on_mask]
+    for k, inside, outside, steps in nodes:
+        outside = spread(outside, point_tops)
+        for point in _span(_node(proj, k, inside)[1], steps, order, width):
             nonzero = (point + near) & top
             resonant = points_top & ~nonzero
-            if outside is None:
-                if nonzero not in certified:
-                    masks = mask(nonzero, line_tops), mask(resonant, point_tops)
-                    certified[nonzero] = certify_masks(table, *masks)[1]
-                dim = certified[nonzero]
-                keep = dim is not None
-            else:
-                dim = None
-                keep = not resonant & outside and all(
-                    (on & resonant).bit_count() >= 2
-                    for bit, on in zip(line_tops, on_tops)
-                    if nonzero & bit
-                )
-            if keep:
-                yield tuple(point >> width * j & ~(-1 << width) for j in range(n)), dim
+            if not resonant & outside and all(
+                (on & resonant).bit_count() >= 2
+                for bit, on in zip(line_tops, on_tops)
+                if nonzero & bit
+            ):
+                yield exponents(point), None
 
 
 @dataclass(frozen=True)
