@@ -374,7 +374,8 @@ def _frontier(proj, order, budget, spent):
     inside)``): the points Q*y of the node's W mod N, y_i over the
     multiples of ``steps[i]`` in Z/N, of which those with no resonant
     point in ``outside`` are the node's.  The columns are not kept, so a
-    long walk holds no more than the node cache.
+    long walk holds no more than the node cache; ``_node`` builds them
+    from ``(k, inside)`` alone, so fetched again they match ``steps``.
 
     A node is dropped when its W mod N is 0, or when a point it left out
     is resonant at every point of it: no R(e) there lies between the
