@@ -23,7 +23,9 @@ over the cached incidence table with each distinct pair of masks decided
 once, and the others go to the band route (``h1_at_point``) once per
 Galois orbit.  On deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504
 of the 78,124 nontrivial points and sends 41 orbits (164 points) to the
-band route.  The scans of deleted B3 at orders 2 to 12 give exactly the
+band route.  A catalog names each hit with one lookup in an index of the
+families' torsion points (``ComponentFamily.torsion_exponents``), built
+once per scan.  The scans of deleted B3 at orders 2 to 12 give exactly the
 catalog's nontrivial torsion points of order dividing N
 (``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
@@ -74,6 +76,15 @@ class ComponentFamily:
     powers: tuple
 
     def __post_init__(self):
+        if not self.powers:
+            raise ValueError(f"{self.name}: no power rows")
+        if len(self.signs) != len(self.powers):
+            raise ValueError(
+                f"{self.name}: {len(self.signs)} signs "
+                f"for {len(self.powers)} power rows"
+            )
+        if len({len(row) for row in self.powers}) > 1:
+            raise ValueError(f"{self.name}: power rows of unequal length")
         k = self.nparams
         if sum(self.signs) % 2 != 0:
             raise ValueError(f"{self.name}: sign vector breaks the torus constraint")
@@ -113,7 +124,7 @@ class ComponentFamily:
         """The torus point at parameters s_j = zeta_order^{params[j]}."""
         if len(params) != self.nparams:
             raise ValueError("wrong number of parameters")
-        n = order if not any(self.signs) else lcm(order, 2)
+        n = self._modulus(order)
         step = n // order
         exps = []
         for i in range(self.nlines):
@@ -125,18 +136,31 @@ class ComponentFamily:
             raise ValueError(f"{self.name}: parametrization violates the constraint")
         return pt
 
+    def _modulus(self, order):
+        """m = ``order``, or lcm(``order``, 2) when a sign is set.  At a point
+        of order dividing ``order`` every parameter is an m-th root of
+        unity: it is pinned by a coordinate equal to +-s_j^(+-1)."""
+        return lcm(order, 2) if any(self.signs) else order
+
+    def torsion_exponents(self, order):
+        """The exponent vectors mod ``order`` of the family's points of order
+        dividing ``order``, each once: the parameters run over Z/m
+        (``_modulus``), and a point is kept when every exponent mod m is a
+        multiple of m / ``order``.  This lists m^nparams parameter tuples."""
+        m = self._modulus(order)
+        lift = m // order
+        rows = [(s * (m // 2), row) for s, row in zip(self.signs, self.powers)]
+        for params in product(range(m), repeat=self.nparams):
+            exps = [(b + sum(map(mul, row, params))) % m for b, row in rows]
+            if lift == 1 or not any(e % lift for e in exps):
+                yield tuple(e // lift for e in exps)
+
     def torsion_points(self, order):
         """The family's points of order dividing ``order``, as torus points
-        of that order.  A parameter equals a coordinate up to sign, so at
-        such a point it is a 2N-th root of unity: the parameters run over
-        the 2N grid, and points with an odd exponent at order 2N go."""
-        two_n = 2 * order
-        points = set()
-        for params in product(range(two_n), repeat=self.nparams):
-            exps = self.point(params, two_n).exponents
-            if not any(e % 2 for e in exps):
-                points.add(TorusPoint(tuple(e // 2 for e in exps), order))
-        return frozenset(points)
+        of that order (``torsion_exponents``)."""
+        return frozenset(
+            TorusPoint(exps, order) for exps in self.torsion_exponents(order)
+        )
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?  A point
@@ -148,7 +172,7 @@ class ComponentFamily:
             point.exponents[i] % n for i in self._ones
         ):
             return False
-        m = n if not any(self.signs) else lcm(n, 2)
+        m = self._modulus(n)
         lift = m // n
         half = m // 2
         exps = [e * lift % m for e in point.exponents]
@@ -412,7 +436,7 @@ def _frontier(proj, order, budget, spent):
         if spent > budget:
             raise BudgetExceededError(
                 f"the order-{order} scan exceeds the budget {budget} "
-                "(points listed and nodes walked)"
+                "(points listed, nodes walked and catalog parameter tuples)"
             )
     return sources
 
@@ -452,7 +476,7 @@ def _span(cols, steps, order, width):
         yield point
 
 
-def candidate_points(proj, order, budget=2_000_000):
+def candidate_points(proj, order, budget=2_000_000, spent=0):
     """``(exponents, certified)`` for every nontrivial torus point of order
     dividing ``order`` at which the certificates do not give h^1 = 0, each
     once (see ``torsion_scan`` for why these are all of them).
@@ -462,8 +486,9 @@ def candidate_points(proj, order, budget=2_000_000):
     family by family; it is None for the points at which every line with
     q != 1 carries at least two resonant multiple points (B), listed from
     the nodes of ``_frontier``.  A family point in (B) is skipped, as a
-    node lists it.  ``budget`` bounds the points listed and the nodes
-    walked, as in ``torsion_scan``.
+    node lists it.  ``budget`` bounds ``spent`` (work the caller counts
+    first, such as ``torsion_scan``'s catalog parameter tuples) plus the
+    points listed and the nodes walked.
 
     Points come packed from ``_span``, a field per line and then one per
     multiple point (its exponent sum), and are read in that form: a
@@ -478,7 +503,7 @@ def candidate_points(proj, order, budget=2_000_000):
         for col, j in zip(cols, p):
             col[j], col[p[-1]] = 1, -1
         families.append(_with_sums(table, cols))
-    spent = sum(order ** len(cols) - 1 for cols in families)
+    spent += sum(order ** len(cols) - 1 for cols in families)
     nodes = _frontier(proj, order, budget, spent)
     width = order.bit_length() + 1
     tops = [1 << width * f + width - 1 for f in range(n + len(table.points))]
@@ -533,12 +558,24 @@ def torsion_scan(
 
     Reports hits sorted by the exponents of the non-infinity lines, in
     ``proj.affine_ids()`` order (the infinity exponent follows from them).
-    ``catalog`` attaches the names of matching families.  ``backend`` and
-    ``eps`` go to ``h1_at_point``.  An order below 1 raises
-    ``ValueError``; order 1 has only the trivial character.  ``budget``
-    bounds the points listed and the nodes of the walk over the multiple
-    points (``_frontier``), all counted before any point is listed;
-    beyond it, ``BudgetExceededError``.
+    ``catalog`` attaches the names of the families holding each hit, in
+    catalog order.  ``backend`` and ``eps`` go to ``h1_at_point``.  An
+    order below 1 raises ``ValueError``; order 1 has only the trivial
+    character.  ``budget`` bounds the points listed, the nodes of the
+    walk over the multiple points (``_frontier``) and the catalog's
+    parameter tuples (the sum of m^nparams over its families, m of
+    ``ComponentFamily._modulus``), all counted before any point is
+    listed; beyond it, ``BudgetExceededError``.
+
+    The names come from an index built once per scan, from exponent
+    vectors to the names of the families through them, with one lookup
+    per hit.  A family's entries are its ``torsion_exponents``: its
+    parameters run over Z/m, and a point is kept when every exponent is
+    a multiple of m/N.  This is exactly the point set ``contains`` tests
+    for: every parameter s_j is pinned by a coordinate equal to
+    +-s_j^(+-1), so at a point of order dividing N it is an m-th root of
+    unity (the sign needs m even).  A family whose line count is not
+    ``proj.n`` holds no point of the scan, as in ``contains``.
 
     Only the points of ``candidate_points`` are visited; at every other
     nontrivial point the certificates give h^1 = 0, so skipping it is
@@ -581,26 +618,31 @@ def torsion_scan(
         raise ValueError("torsion order must be >= 1")
     if order == 1:
         return []
-    inf = proj.infinity_index
+    families = [f for f in catalog or () if f.nlines == proj.n]
+    parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
     units = [u for u in range(2, order) if gcd(u, order) == 1]
     band = {}  # h^1 of the band route, set for a whole Galois orbit at once
     found = []
-    for exps, dim in candidate_points(proj, order, budget):
-        point = TorusPoint(exps, order)
+    for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
         if dim is None:
             dim = band.get(exps)
         if dim is None:
-            dim = h1_at_point(proj, point, backend=backend, eps=eps)
+            dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
             for u in units:
                 band[tuple(u * e % order for e in exps)] = dim
         if dim >= 1:
-            names = ()
-            if catalog is not None:
-                names = tuple(f.name for f in catalog if f.contains(point))
-            hit = ScanHit(point=point, h1=dim, families=names)
-            found.append((exps[:inf] + exps[inf + 1 :], hit))
-    found.sort(key=itemgetter(0))
-    return [hit for _, hit in found]
+            found.append((exps, dim))
+    # built once the walk has held the whole count to the budget
+    index = {}
+    for f in families:
+        for exps in f.torsion_exponents(order):
+            index[exps] = index.get(exps, ()) + (f.name,)
+    inf = proj.infinity_index
+    found.sort(key=lambda hit: hit[0][:inf] + hit[0][inf + 1 :])
+    return [
+        ScanHit(point=TorusPoint(exps, order), h1=dim, families=index.get(exps, ()))
+        for exps, dim in found
+    ]
 
 
 @dataclass(frozen=True)

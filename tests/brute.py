@@ -309,6 +309,20 @@ def _scan_point(proj, order, combo):
     return TorusPoint(tuple(exps), order)
 
 
+def family_torsion_points(family, order):
+    """Reference for ``ComponentFamily.torsion_points``: a parameter equals
+    a coordinate up to sign and inversion, so at a point of order dividing
+    N it is a 2N-th root of unity; the parameters run over the 2N grid,
+    and points with an odd exponent at order 2N go."""
+    two_n = 2 * order
+    points = set()
+    for params in product(range(two_n), repeat=family.nparams):
+        exps = family.point(params, two_n).exponents
+        if not any(e % 2 for e in exps):
+            points.add(TorusPoint(tuple(e // 2 for e in exps), order))
+    return frozenset(points)
+
+
 def _names(catalog, point):
     if catalog is None:
         return ()

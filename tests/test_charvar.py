@@ -84,6 +84,18 @@ def test_family_validation():
         ComponentFamily(name="bad", signs=(0, 0), powers=((2,), (-2,)))
     with pytest.raises(ValueError, match="column"):
         ComponentFamily(name="bad", signs=(0, 0), powers=((1,), (1,)))
+    # four signs for three rows: zip in ``contains`` would drop the fourth
+    with pytest.raises(ValueError, match="short: 4 signs for 3 power rows"):
+        ComponentFamily(
+            name="short", signs=(0, 1, 1, 0), powers=((1,), (-1,), (0,))
+        )
+    with pytest.raises(ValueError, match="empty: no power rows"):
+        ComponentFamily(name="empty", signs=(), powers=())
+    # a row shorter than the others: zip would drop its missing powers
+    with pytest.raises(ValueError, match="ragged: power rows of unequal length"):
+        ComponentFamily(
+            name="ragged", signs=(0, 0, 0), powers=((1, 0), (0, 1), (-1,))
+        )
 
 
 def test_families_contain_their_own_points():
@@ -310,6 +322,41 @@ def test_family_torsion_points():
     assert all(c136.contains(p) for p in c136.torsion_points(3))
 
 
+# signed families beside the catalog: an Omega-like curve, a signed
+# two-parameter family, and a family with no parameters (one point, of
+# order 2)
+SIGNED_FAMILIES = (
+    ComponentFamily(
+        name="omega-like",
+        signs=(1, 0, 1, 0, 0),
+        powers=((1,), (-1,), (2,), (0,), (-2,)),
+    ),
+    ComponentFamily(
+        name="signed-pair",
+        signs=(0, 1, 0, 1, 0, 0),
+        powers=((1, 0), (0, 1), (-1, -1), (2, 0), (-1, 1), (-1, -1)),
+    ),
+    ComponentFamily(name="lone-point", signs=(1, 1, 0), powers=((), (), ())),
+)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_torsion_points_equal_the_doubled_grid(order):
+    # the m-grid of ``torsion_exponents`` against the 2N-grid reference
+    _, catalog = corpus.b3()
+    for fam in catalog + SIGNED_FAMILIES:
+        listed = list(fam.torsion_exponents(order))
+        assert len(listed) == len(set(listed))
+        assert fam.torsion_points(order) == brute.family_torsion_points(fam, order)
+
+
+@pytest.mark.parametrize("order", [8, 12, 16])
+def test_scan_names_are_the_families_containing_the_hit(order):
+    proj, catalog = corpus.b3()
+    for hit in torsion_scan(proj, order, catalog=catalog):
+        assert hit.families == tuple(f.name for f in catalog if f.contains(hit.point))
+
+
 def test_undecided_points_reach_the_band_route(monkeypatch):
     # every line with q != 1 carries at least two resonant multiple points at
     # the two four-family points and at the order-3 point of the braid
@@ -354,6 +401,18 @@ def test_scan_budget():
     with pytest.raises(BudgetExceededError, match="budget 618"):
         torsion_scan(proj, 5, budget=618)
     assert len(torsion_scan(proj, 5, budget=619)) == 388
+    # the catalog adds its parameter tuples: 6 * 5^2 local, 5^3 quadruple,
+    # 5 * 5^2 braid and 10 of Omega (its parameter runs over Z/10)
+    _, catalog = corpus.b3()
+    with pytest.raises(BudgetExceededError, match="budget 1028"):
+        torsion_scan(proj, 5, budget=1028, catalog=catalog)
+    assert len(torsion_scan(proj, 5, budget=1029, catalog=catalog)) == 388
+    # the three-line lone-point family holds no point of an eight-line
+    # scan and is not counted
+    other = catalog + SIGNED_FAMILIES[2:]
+    assert torsion_scan(proj, 5, budget=1029, catalog=other) == torsion_scan(
+        proj, 5, catalog=catalog
+    )
 
 
 def test_scan_backend_independent():
