@@ -29,7 +29,6 @@ from .geometry import (
     cone,
     move_to_infinity,
     parse_arrangement,
-    sep,
 )
 from .localsystem import (
     LocalSystem,

@@ -1,11 +1,14 @@
 """Command line front end.
 
 Subcommands: chambers, complex, h1, certify, scan, b3.  ``main`` builds
-only the parser of the subcommand named first in argv; it falls back to
-the full parser when no known subcommand comes first (``--help`` among
-them) or arguments are left over, so usage and error messages name every
-subcommand.  Reports are deterministic (byte-identical across runs for the
-same inputs).  ``scan`` and ``b3`` list only the torus points the
+the parser of the subcommand named first in argv on its own, an
+``ArgumentParser`` with prog "linecoh <name>" that reads the arguments
+after the name; its help and usage errors are those of the same
+subcommand inside the full parser.  The full parser is built only when no
+known subcommand comes first (``--help`` among them) or arguments are
+left over, so those usage and error messages name every subcommand.
+Reports are deterministic (byte-identical across runs for the same
+inputs).  ``scan`` and ``b3`` list only the torus points the
 certificates cannot set to h1 = 0 (``charvar.torsion_scan``); their
 ``--budget`` bounds the points listed and the nodes of the walk over the
 multiple points, and for ``b3`` the parameter tuples of the catalog
@@ -43,6 +46,13 @@ def _load(path):
     return proj.chart(proj.infinity_index).arrangement, proj
 
 
+def _integer(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise LocalSystemError(f"{what}, not {token!r}") from None
+
+
 def _parse_system(spec, n, backend, eps):
     head, _, rest = spec.partition(";")
     head = head.split()
@@ -56,10 +66,9 @@ def _parse_system(spec, n, backend, eps):
     if head[0] == "torsion":
         if len(head) != 2:
             raise LocalSystemError('torsion spec is "torsion N; e1 ... en"')
-        order = int(head[1])
-        return make_local_system(
-            [int(v) for v in values], order=order, backend=backend, eps=eps
-        )
+        order = _integer(head[1], "torsion order must be an integer")
+        exps = [_integer(v, "torsion exponents must be integers") for v in values]
+        return make_local_system(exps, order=order, backend=backend, eps=eps)
     if head[0] == "complex":
         return make_local_system(values=[complex(v) for v in values], eps=eps)
     raise LocalSystemError(f"unknown local system kind {head[0]!r}")
@@ -298,26 +307,36 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(command=None):
-    """The argument parser with every subcommand, or with ``command`` only."""
+def _build_parser():
+    """The argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="linecoh",
         description="Local system cohomology of real line arrangements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, func, add_options in _SUBCOMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=summary)
-            add_options(p)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=summary)
+        add_options(p)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _subcommand_parser(name, summary, func, add_options):
+    """The parser of subcommand ``name`` alone, for the arguments after the
+    name; ``add_parser`` builds the same parser, prog included, inside the
+    full one, so help and usage errors read the same."""
+    parser = argparse.ArgumentParser(prog=f"linecoh {name}")
+    add_options(parser)
+    parser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = extra = None
-    if argv and any(argv[0] == name for name, *_ in _SUBCOMMANDS):
-        args, extra = _build_parser(argv[0]).parse_known_args(argv)
+    row = next((row for row in _SUBCOMMANDS if argv and row[0] == argv[0]), None)
+    if row is not None:
+        args, extra = _subcommand_parser(*row).parse_known_args(argv[1:])
     if args is None or extra:
         # no or unknown command, top-level --help, or leftover arguments:
         # the full parser prints the usage naming every subcommand

@@ -6,22 +6,28 @@ or ``ProjArrangement``; it keeps every open half-plane and sign vector.
 Chambers are read off the arrangement's edges: each line is cut at its
 crossings, ordered by integer keys, and the two sides of every edge are
 chambers; the end edges decide boundedness and give the opposite pairing
-of band ends.  Intersection points are canonical cross products with
-integer incidence tests, sorted on integer keys scaled by an lcm.  A
-generic flag is an affine change of coordinates on the integer rows, so
-the flagged chambers are the arrangement's chambers transported along
-it, not a second enumeration.  Charts move any member to infinity by an
-integer adjugate.  ``Fraction`` holds only coordinates: parsed tokens,
-affine points, the flag's axis height and intercepts, and ``Line.monic``
-(the printed coefficients and the band offsets).
+of band ends.  Intersection points, affine ones included, are canonical
+cross products whose incidence comes from the pairs of lines that cross
+there, sorted on integer keys scaled by an lcm.  A generic flag is an
+affine change of coordinates on the integer rows: its shear height is the
+least point height, found by integer cross-multiplication, and the
+flagged chambers are the arrangement's chambers transported along it,
+not a second enumeration.  The lines separating two chambers are the set
+bits of the XOR of their sign bitmasks (``separating_ids``).  Charts move
+any member to infinity by an integer adjugate.  ``Fraction`` holds only
+the coefficient tokens that are not integers, the flag's axis height and
+intercepts, and ``Line.monic`` (the printed ``lines (n):`` coefficients
+and the band offsets); an integer token parses to an ``int``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, lcm
+from operator import itemgetter, mul
 
 MAX_LINES = 16
 
@@ -41,10 +47,37 @@ class FlagError(ArrangementError):
 
 
 def _fraction(token):
+    """A coefficient token as an ``int`` ("-3"), a ``Fraction`` of two ints
+    ("-3/4") or, for any other form ("0.75", "3e-2"), ``Fraction(token)``.
+    A decimal exponent above the interpreter's integer string digit limit
+    is refused before anything is computed, as a literal with more digits
+    is: "1e999999999" would otherwise ask for a 415 MB numerator.
+
+    >>> _fraction("-3"), _fraction("6/4"), _fraction("2e-1")
+    (-3, Fraction(3, 2), Fraction(1, 5))
+    """
+    num, slash, den = token.partition("/")
     try:
+        if (num[1:] if num[:1] in "+-" else num).isdecimal():
+            if not slash:
+                return int(num)
+            if den.isdecimal():
+                return Fraction(int(num), int(den))
+        elif not slash and _exponent_too_large(token):
+            raise ValueError("exponent above the integer digit limit")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ArrangementError(f"malformed rational {token!r}") from exc
+
+
+def _exponent_too_large(token):
+    """Whether the decimal exponent of ``token`` exceeds
+    ``sys.get_int_max_str_digits()`` in magnitude (no limit when that is 0
+    or, before Python 3.11, absent)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, e, exp = token.lower().rpartition("e")
+    digits = exp.lstrip("+-").replace("_", "")
+    return bool(limit and e and digits.isdecimal() and int(digits) > limit)
 
 
 def canonical_triple(a, b, c):
@@ -56,9 +89,16 @@ def canonical_triple(a, b, c):
     (3, -2, 6)
     """
     m = lcm(a.denominator, b.denominator, c.denominator)
-    a = a.numerator * (m // a.denominator)
-    b = b.numerator * (m // b.denominator)
-    c = c.numerator * (m // c.denominator)
+    return _primitive(
+        a.numerator * (m // a.denominator),
+        b.numerator * (m // b.denominator),
+        c.numerator * (m // c.denominator),
+    )
+
+
+def _primitive(a, b, c):
+    """The integer triple (a, b, c) over its gcd, signed so that its first
+    nonzero entry is positive: ``canonical_triple`` of integers."""
     g = gcd(a, b, c)
     if not g:
         raise ArrangementError("all-zero coefficient triple")
@@ -113,19 +153,10 @@ class Chamber:
 
 
 @dataclass(frozen=True)
-class AffinePoint:
-    x: Fraction
-    y: Fraction
-    incident: frozenset
-
-    @property
-    def multiplicity(self):
-        return len(self.incident)
-
-
-@dataclass(frozen=True)
 class IntersectionPoint:
-    """Projective intersection point with its full incidence set."""
+    """Intersection point with its full incidence set: ``coords`` is the
+    ``canonical_triple`` (x, y, z) of the point (x/z, y/z), z = 0 at
+    infinity."""
 
     coords: tuple
     incident: frozenset
@@ -213,35 +244,54 @@ def _compute_chambers(lines):
     return chambers
 
 
-def sep(c1, c2, lines):
-    """Ids of the lines separating two chambers of the same arrangement."""
-    return frozenset(
-        lines[k].id for k in range(len(lines)) if c1.signs[k] != c2.signs[k]
-    )
+# the set bits of a byte, low to high, and of the byte above it
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+_HIGH_BYTE_BITS = tuple(tuple(k + 8 for k in bits) for bits in _BYTE_BITS)
+
+
+def separating_ids(chambers, lines):
+    """The function (i, j) -> sorted ids of the lines separating chambers
+    ``chambers[i]`` and ``chambers[j]`` of ``lines``.
+
+    Each chamber's sign vector s is read once as a bitmask over line ids,
+    bit ``id`` set where the sign is +1: sum(s_k * 2**id_k) is that mask
+    twice, less the mask of all lines.  Two chambers are separated exactly
+    by the lines where their signs differ, the set bits of the XOR of
+    their masks, read off a table per byte in increasing id order (ids are
+    below MAX_LINES = 16, so two bytes hold them).
+    """
+    bits = [1 << ln.id for ln in lines]
+    full = sum(bits)
+    masks = [(sum(map(mul, bits, ch.signs)) + full) >> 1 for ch in chambers]
+
+    def ids(i, j):
+        m = masks[i] ^ masks[j]
+        return _BYTE_BITS[m & 255] + _HIGH_BYTE_BITS[m >> 8]
+
+    return ids
 
 
 def _crossings(rows):
-    """Distinct crossing points of the integer line triples ``rows``, as
-    (point, incidence) pairs; incidence holds positions in ``rows``.
+    """Distinct crossing points of the pairwise distinct integer line
+    triples ``rows``, as (point, incidence) pairs; incidence holds
+    positions in ``rows``.
 
     Each cross product (x, y, z) is normalised by ``canonical_triple``
     (z != 0 for an affine point, z = 0 for the crossing at infinity of
-    parallel affine lines), so equal points give equal keys, and
-    incidence is an integer dot product.
+    parallel affine lines), so equal points give equal keys.  Two distinct
+    lines meet in exactly one projective point, so the lines through a
+    point are those of the pairs whose cross product it is.
     """
-    keys = {
-        canonical_triple(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-        for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2)
-    }
-    return [
-        (
-            (x, y, z),
-            frozenset(
-                k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * z == 0
-            ),
-        )
-        for x, y, z in keys
-    ]
+    through = {}
+    for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(enumerate(rows), 2):
+        key = _primitive(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+        on = through.get(key)
+        if on is None:
+            through[key] = {i, j}
+        else:
+            on.add(i)
+            on.add(j)
+    return [(p, frozenset(on)) for p, on in through.items()]
 
 
 def _sorted_scaled(items):
@@ -259,15 +309,13 @@ def _sorted_scaled(items):
 
 
 def _affine_intersections(lines):
-    """Affine intersection points with their incidence sets (line ids),
-    sorted by (x, y); integer crossings (x, y, z) with z != 0, sorted on
-    integer keys, then one Fraction pair per point."""
+    """Affine intersection points of an arrangement's lines with their
+    incidence sets (positions, which are the line ids), sorted by (x/z,
+    y/z): the integer crossings (x, y, z) with z != 0, sorted on integer
+    keys."""
     rows = [ln.triple() for ln in lines]
     pts = _sorted_scaled([(p[2], p, on) for p, on in _crossings(rows) if p[2]])
-    return tuple(
-        AffinePoint(Fraction(x, z), Fraction(y, z), frozenset(lines[k].id for k in on))
-        for z, (x, y, _), on in pts
-    )
+    return tuple(IntersectionPoint(p, on) for _, p, on in pts)
 
 
 class Arrangement:
@@ -371,6 +419,43 @@ def _mu_candidates(limit):
         yield from ((k, 1), (-k, 1), (1, k + 1), (-1, k + 1))
 
 
+def _flag_axis(arrangement, variant):
+    """(p, q, ty, heights) of the flag ``variant``: the shear slope mu = p/q,
+    the axis height ty, a Fraction one below the least sheared point
+    height, and those heights as integer pairs (num, den), den > 0.
+
+    The point (x/z, y/z) of an integer crossing (x, y, z) has the sheared
+    height y/z - mu*x/z = (q*y - p*x) / (q*z), compared with the others by
+    integer cross-multiplication once its denominator is made positive.
+    """
+    lines = arrangement.lines
+    pts = arrangement.intersection_points()
+    if not pts:
+        raise FlagError("arrangement has no intersection point")
+    # shear (x, y) -> (x, y - mu*x), mu = p/q: afterwards no line may be
+    # parallel to the x-axis, i.e. q*a + p*b != 0 for every line.
+    shears = (
+        (p, q)
+        for p, q in _mu_candidates(2 * (len(lines) + variant + 2))
+        if all(q * ln.a + p * ln.b for ln in lines)
+    )
+    p, q = next(islice(shears, variant, None), (None, None))
+    if q is None:
+        raise FlagError("shear search exhausted")
+    heights = []
+    for pt in pts:
+        x, y, z = pt.coords
+        if z < 0:
+            x, y, z = -x, -y, -z
+        heights.append((q * y - p * x, q * z))
+    low, den = heights[0]
+    for hn, hd in heights:
+        if hn * den < low * hd:
+            low, den = hn, hd
+    # the axis y' = 0 lies one below the lowest sheared point
+    return p, q, Fraction(low - den, den), heights
+
+
 def choose_flag(arrangement, variant=0):
     """Realize a generic flag and classify the chambers by flag degree.
 
@@ -394,23 +479,8 @@ def choose_flag(arrangement, variant=0):
     the variant.
     """
     lines = arrangement.lines
-    pts = arrangement.intersection_points()
-    if not pts:
-        raise FlagError("arrangement has no intersection point")
     n = len(lines)
-    # shear (x, y) -> (x, y - mu*x), mu = p/q: afterwards no line may be
-    # parallel to the x-axis, i.e. q*a + p*b != 0 for every line.
-    shears = (
-        (p, q)
-        for p, q in _mu_candidates(2 * (n + variant + 2))
-        if all(q * ln.a + p * ln.b for ln in lines)
-    )
-    p, q = next(islice(shears, variant, None), (None, None))
-    if q is None:
-        raise FlagError("shear search exhausted")
-    # the axis y' = 0 lies one below the lowest sheared point
-    heights = [pt.y - pt.x * p / q for pt in pts]
-    ty = min(heights) - 1
+    p, q, ty, heights = _flag_axis(arrangement, variant)
     # each row times q * ty.denominator > 0: (a + mu*b, b, c + b*ty)
     dy, ny = ty.denominator, ty.numerator
     shifted = [
@@ -436,7 +506,7 @@ def choose_flag(arrangement, variant=0):
     # verify the flag conditions outright
     if any(ln.a == 0 for ln in flagged_lines):
         raise FlagError("a line is parallel to the flag axis")
-    if any(v <= ty for v in heights):
+    if any(hn * dy <= ny * hd for hn, hd in heights):
         raise FlagError("an intersection point is not above the flag axis")
     if any(
         x2 <= x1 for x1, x2 in zip(sorted_intercepts, sorted_intercepts[1:])
@@ -450,11 +520,11 @@ def choose_flag(arrangement, variant=0):
         sign_flips=tuple(flags),
     )
     # transport the chambers along the flag map (proof in the docstring)
+    reorder = itemgetter(*order)  # n >= 2 lines: a tuple
+    flip_signs = [-1 if flip else 1 for flip in flags]
     moved = {
         ch: Chamber(
-            signs=tuple(
-                -ch.signs[k] if flip else ch.signs[k] for k, flip in zip(order, flags)
-            ),
+            signs=tuple(map(mul, reorder(ch.signs), flip_signs)),
             bounded=ch.bounded,
         )
         for ch in arrangement.chambers()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Arrangement, FlaggedArrangement, sep
+from .geometry import Arrangement, FlaggedArrangement, separating_ids
 from .scalars import Matrix, matmul, rank
 
 
@@ -40,14 +40,11 @@ def complex_structure(flagged):
         return flagged._structure
     n = flagged.n
     chs = flagged.chambers
-    lines = flagged.lines
     u = flagged.u_index
-    u0 = chs[u[0]]
+    sep = separating_ids(chs, flagged.lines)
     basis1 = list(u[1:])  # chamber indices of U_1, ..., U_{n-1}, U_0^op
     basis2 = tuple(sorted(flagged.ch2, key=lambda i: chs[i].signs))
-    d0 = tuple(
-        (1, tuple(sorted(sep(u0, chs[ci], lines)))) for ci in basis1
-    )
+    d0 = tuple((1, sep(u[0], ci)) for ci in basis1)
     entries = []
     for row, c2 in enumerate(basis2):
         cham = chs[c2]
@@ -60,11 +57,9 @@ def complex_structure(flagged):
                 sign = 1
             else:
                 continue
-            ids = tuple(sorted(sep(chs[u[p]], cham, lines)))
-            entries.append((row, col, sign, ids))
+            entries.append((row, col, sign, sep(u[p], c2)))
         if cham.signs[n - 1] > 0:
-            ids = tuple(sorted(sep(chs[u[n]], cham, lines)))
-            entries.append((row, n - 1, -1, ids))
+            entries.append((row, n - 1, -1, sep(u[n], c2)))
     structure = ComplexStructure(
         flagged=flagged, d0=d0, d1=tuple(entries), basis2=basis2
     )

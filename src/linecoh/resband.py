@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .geometry import Arrangement, sep
+from .geometry import Arrangement, separating_ids
 from .scalars import Matrix, kernel_basis, kernel_dimension
 
 
@@ -81,7 +81,7 @@ class BandStructure:
     def is_resonant(self, system, k):
         """Resonance of the band's point at infinity: the product of q over
         its parallel class and the line at infinity is 1.  This equals the
-        vanishing of the weight between the band's ends, as sep(U_1, U_2)
+        vanishing of the weight between the band's ends, as Sep(U_1, U_2)
         is the set of lines not parallel to the band."""
         return system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
 
@@ -98,6 +98,7 @@ def band_structure(arrangement):
         return arrangement._bands
     lines = arrangement.lines
     chs = arrangement.chambers()
+    sep = separating_ids(chs, lines)
     groups = {}  # monic direction -> [(monic offset, line)]
     for ln in lines:
         a, b, c = ln.monic()
@@ -135,12 +136,8 @@ def band_structure(arrangement):
                     parallel_ids=class_ids,
                 )
             )
-            sep_ends.append(tuple(sorted(sep(chs[u1], chs[u2], lines))))
-            wave_seps.append(
-                tuple(
-                    (ci, tuple(sorted(sep(chs[u1], chs[ci], lines)))) for ci in inner
-                )
-            )
+            sep_ends.append(sep(u1, u2))
+            wave_seps.append(tuple((ci, sep(u1, ci)) for ci in inner))
     arrangement._bands = BandStructure(
         bands=tuple(bands), sep_ends=tuple(sep_ends), wave_seps=tuple(wave_seps)
     )

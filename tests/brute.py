@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import gcd
 
 from linecoh.charvar import ScanHit, TorusPoint, _mask_reader, h1_at_point
-from linecoh.geometry import AffinePoint, canonical_triple
+from linecoh.geometry import IntersectionPoint, canonical_triple
 from linecoh.resband import SharpPair, certify_masks, incidence_table
 from linecoh.scalars import Matrix
 
@@ -217,9 +217,9 @@ def bounded_count_formula(arrangement):
     return arrangement.point_index_sum() - arrangement.n + 1
 
 
-def affine_points(lines):
-    """Affine intersection points in Fraction arithmetic, sorted by (x, y),
-    with incidence by evaluating every line."""
+def _affine_coords(lines):
+    """The affine intersection points (x, y) of ``lines`` as Fraction pairs,
+    sorted."""
     coords = set()
     for l1, l2 in combinations(lines, 2):
         det = l1.a * l2.b - l2.a * l1.b
@@ -228,9 +228,32 @@ def affine_points(lines):
         x = Fraction(l2.c * l1.b - l1.c * l2.b, det)
         y = Fraction(l1.c * l2.a - l2.c * l1.a, det)
         coords.add((x, y))
+    return sorted(coords)
+
+
+def affine_points(lines):
+    """Affine intersection points in Fraction arithmetic, sorted by (x, y),
+    with incidence by evaluating every line, each given by the
+    ``canonical_triple`` of (x, y, 1)."""
     return tuple(
-        AffinePoint(x, y, frozenset(ln.id for ln in lines if evaluate(ln, x, y) == 0))
-        for x, y in sorted(coords)
+        IntersectionPoint(
+            canonical_triple(x, y, 1),
+            frozenset(ln.id for ln in lines if evaluate(ln, x, y) == 0),
+        )
+        for x, y in _affine_coords(lines)
+    )
+
+
+def flag_height(lines, p, q):
+    """The flag's axis height for the shear slope p/q, in Fraction
+    arithmetic: one below the least y - x*p/q over the affine points."""
+    return min(y - x * p / q for x, y in _affine_coords(lines)) - 1
+
+
+def sep(c1, c2, lines):
+    """Ids of the lines separating two chambers of the same arrangement."""
+    return frozenset(
+        lines[k].id for k in range(len(lines)) if c1.signs[k] != c2.signs[k]
     )
 
 

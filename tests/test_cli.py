@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,55 @@ def test_error_exit_codes(tmp_path, capsys):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("torsion x; 1 1 1 1 1", "torsion order must be an integer, not 'x'"),
+        (
+            "torsion 3; 1 1 1.5 1 1",
+            "torsion exponents must be integers, not '1.5'",
+        ),
+    ],
+)
+def test_non_integer_torsion_spec_exits_2(spec, message, capsys):
+    argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--local-system", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# the interpreter's integer string digit limit: 4300 by default, 0 (none)
+# before Python 3.11 and 3.10.7
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+beyond_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 5000, reason="needs an integer digit limit below 5000"
+)
+
+
+@pytest.mark.parametrize(
+    "token, code",
+    # an exponent above the digit limit is refused, as a literal with more
+    # digits is, before 10**5000 is computed
+    [
+        pytest.param("1" * 5001, 2, marks=beyond_limit),
+        pytest.param("1e5000", 2, marks=beyond_limit),
+        pytest.param("1e-5000", 2, marks=beyond_limit),
+        ("1e10", 0),
+        ("1e-10", 0),
+    ],
+)
+def test_exponent_above_digit_limit_exits_2(token, code, tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{token} 0 0\n0 1 0\n")
+    assert main(["chambers", "--arrangement", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: malformed rational {token!r}\n"
+    else:
+        assert captured.out.startswith("lines (2):\n  H1: 1*x + 0*y + 0 = 0\n")
 
 
 @pytest.mark.parametrize(
@@ -516,6 +566,10 @@ SURFACE_CASES = {
     "usage_h1_missing": (["h1"], 2),
     "help_h1": (["h1", "--help"], 0),
     "help_b3": (["b3", "--help"], 0),
+    "help_certify": (["certify", "--help"], 0),
+    "help_scan": (["scan", "--help"], 0),
+    "help_chambers": (["chambers", "--help"], 0),
+    "usage_complex_missing": (["complex"], 2),
     # leftover arguments after a known subcommand: the top-level usage
     "usage_h1_unrecognized": (
         [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import brute
 import corpus
+from brute import sep
 from linecoh import (
     Arrangement,
     ArrangementError,
@@ -13,7 +14,6 @@ from linecoh import (
     cone,
     move_to_infinity,
     parse_arrangement,
-    sep,
 )
 from linecoh.geometry import (
     MAX_LINES,

@@ -1,23 +1,35 @@
 """Property tests of the integer geometry: the canonical triple, the
 chamber edge walk, the chambers transported to the flag, affine and
-projective intersection points and sharp pairs, checked against the
-oracles of ``brute`` (sample points, the sign-vector search with
-recession rays, Fraction arithmetic); and the invariance of h^1 under
-the flag variant, the chart and a projective change of coordinates.  The
-arrangements have parallel classes, concurrent triples and coefficients
-with large numerators and denominators."""
+projective intersection points, the flag's axis height, the separating
+sets of the complex and band structures and sharp pairs, checked against
+the oracles of ``brute`` (sample points, the sign-vector search with
+recession rays, Fraction arithmetic, sets of differing signs); and the
+invariance of h^1 under the flag variant, the chart and a projective
+change of coordinates.  The arrangements have parallel classes,
+concurrent triples and coefficients with large numerators and
+denominators."""
 
 from fractions import Fraction
 from math import comb, gcd
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from linecoh import ProjArrangement, cone, h1_via_bands, make_local_system
+from linecoh import (
+    Arrangement,
+    ProjArrangement,
+    cone,
+    h1_via_bands,
+    make_local_system,
+    mincomplex,
+    resband,
+)
 from linecoh.geometry import (
     _affine_intersections,
     _compute_chambers,
+    _flag_axis,
     _proj_intersections,
     canonical_triple,
 )
@@ -142,6 +154,41 @@ def test_transported_flag_chambers_match_fresh_enumeration(arr):
 @given(arrangements())
 def test_affine_points_match_fraction_oracle(arr):
     assert _affine_intersections(arr.lines) == brute.affine_points(arr.lines)
+
+
+@PROPERTY_SETTINGS
+@given(arrangements())
+def test_flag_height_matches_fraction_minimum(arr):
+    assume(arr.intersection_points())
+    for variant in (0, 1, 2):
+        p, q, ty, _ = _flag_axis(arr, variant)
+        assert ty == brute.flag_height(arr.lines, p, q)
+
+
+def _reference_sep(chambers, lines):
+    return lambda i, j: tuple(sorted(brute.sep(chambers[i], chambers[j], lines)))
+
+
+def _separating_sets(arr):
+    """The separating ids of the complex and band structures of a fresh copy
+    of ``arr`` (both are kept on the objects they are built for)."""
+    fresh = Arrangement([ln.triple() for ln in arr.lines])
+    bands = resband.band_structure(fresh)
+    out = [bands.sep_ends, bands.wave_seps]
+    if fresh.intersection_points():
+        cx = mincomplex.complex_structure(fresh.flagged())
+        out += [cx.d0, cx.d1, cx.basis2]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(arrangements(), pencils()))
+def test_separating_sets_match_sep_reference(arr):
+    # the XOR of sign bitmasks against the frozenset of differing signs
+    got = _separating_sets(arr)
+    with mock.patch.object(mincomplex, "separating_ids", _reference_sep), \
+            mock.patch.object(resband, "separating_ids", _reference_sep):
+        assert got == _separating_sets(arr)
 
 
 @PROPERTY_SETTINGS
