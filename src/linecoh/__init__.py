@@ -11,7 +11,6 @@ from .charvar import (
     BudgetExceededError,
     ComponentFamily,
     TorusPoint,
-    component_membership,
     deleted_b3,
     h1_at_point,
     torsion_scan,

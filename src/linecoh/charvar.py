@@ -1,6 +1,6 @@
-"""Character torus scans and component membership for first cohomology jump
-loci, with the built-in eight-line deleted-B3 arrangement and its known
-thirteen-component decomposition.
+"""Character torus scans for first cohomology jump loci, with the built-in
+eight-line deleted-B3 arrangement and its known thirteen-component
+decomposition.
 
 A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; a point of order dividing N is an exponent
@@ -8,25 +8,25 @@ vector mod N summing to 0.  h^1 at a nontrivial point is computed by the
 band kernel on the chart of ``resband.h1_on_band_chart``: the line at
 infinity when its q is not 1, otherwise the first line with q != 1.
 
-The zero/one resonant point certificates (``certified_h1``) give h^1 = 0
-at almost every point, so ``torsion_scan`` lists only the points where
-they cannot (``candidate_points``): the local family of each multiple
-point, and the points at which every line with q != 1 carries two
-resonant multiple points.  The latter are listed from the nodes of a
+The zero/one resonant point certificates (``resband.certify_masks``) give
+h^1 = 0 at almost every point, so ``torsion_scan`` lists only the points
+where they cannot (``candidate_points``): the local family of each
+multiple point, and the points at which every line with q != 1 carries
+two resonant multiple points.  The latter are listed from the nodes of a
 depth-first walk that puts each multiple point in the set R of resonant
 points or leaves it out (``_frontier``).  A node's points form a subgroup
 read off a diagonal form of a small integer matrix (``_diagonal_form``),
 cached on the arrangement; a node that cannot hold such a point is
-dropped, and one that is cheaper to list than to walk on is listed.  The
-family points go through the certificates, as integer bit operations
-over the cached incidence table with each distinct pair of masks decided
-once, and the others go to the band route (``h1_at_point``) once per
-Galois orbit.  On deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504
-of the 78,124 nontrivial points and sends 41 orbits (164 points) to the
-band route.  A catalog names each hit with one lookup in an index of the
+dropped, and one that is cheaper to list than to walk on is listed.  A
+nontrivial point of the local family of p takes h^1 = |p| - 2, which the
+one resonant point certificate gives there without a mask read, and the
+others go to the band route (``h1_at_point``) once per Galois orbit.  On
+deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504 of the
+78,124 nontrivial points and sends 41 orbits (164 points) to the band
+route.  A catalog names each hit with one lookup in an index of the
 families' torsion points (``ComponentFamily.torsion_exponents``), built
-once per scan.  The scans of deleted B3 at orders 2 to 12 give exactly the
-catalog's nontrivial torsion points of order dividing N
+once per scan.  The scans of deleted B3 at orders 2 to 12 give exactly
+the catalog's nontrivial torsion points of order dividing N
 (``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
 """
@@ -34,13 +34,13 @@ two order-2 points on four families, and h^1 = 1 at every other hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
 from .geometry import ProjArrangement
 from .localsystem import make_local_system
-from .resband import certify_masks, h1_on_band_chart, incidence_table
+from .resband import h1_on_band_chart, incidence_table
 # bench/selfcheck.py checks that its tracer wraps this import site too
 from .resband import h1_via_bands  # noqa: F401
 
@@ -256,43 +256,6 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=1e-9):
     return found[1].dim
 
 
-def certified_h1(table, exponents, order):
-    """h^1 at a nontrivial torus point decided by the zero/one resonant
-    point certificates alone, or None when no line decides it.
-
-    ``table`` is ``incidence_table(proj)`` and ``exponents`` the exponent
-    vector over all projective lines.  A line is trivial when its exponent
-    is 0 mod ``order``, and a multiple point is resonant when the exponents
-    of its lines sum to 0 mod ``order``; ``certify_masks`` reads both as
-    bitmasks.
-    """
-    masks = _mask_reader(table, order)([e % order for e in exponents])
-    return certify_masks(table, *masks)[1]
-
-
-def _mask_reader(table, order):
-    """The function from exponent vectors reduced mod ``order`` to the
-    bitmasks of ``LocalSystem.resonance_masks``, read off congruences: bit
-    j of the first for each line j with q != 1 (a nonzero exponent), bit k
-    of the second for each multiple point of ``table`` with q = 1 (its
-    lines' exponents sum to 0 mod ``order``)."""
-    line_bits = [1 << j for j in range(len(table.on_mask))]
-    point_bits = [1 << k for k in range(len(table.points))]
-    point_lines = [itemgetter(*p) for p in table.points]
-
-    def masks(exponents):
-        return (
-            sum(compress(line_bits, exponents)),
-            sum(
-                compress(
-                    point_bits, [not sum(g(exponents)) % order for g in point_lines]
-                )
-            ),
-        )
-
-    return masks
-
-
 def _diagonal_form(rows, ncols):
     """``(d, cols)`` for the integer matrix A of ``rows`` with ``ncols``
     columns: the nonzero diagonal entries d_0 .. d_(r-1) (r the rank, up
@@ -477,18 +440,18 @@ def _span(cols, steps, order, width):
 
 
 def candidate_points(proj, order, budget=2_000_000, spent=0):
-    """``(exponents, certified)`` for every nontrivial torus point of order
+    """``(exponents, h1)`` for every nontrivial torus point of order
     dividing ``order`` at which the certificates do not give h^1 = 0, each
     once (see ``torsion_scan`` for why these are all of them).
 
-    ``certified`` is the h^1 of ``certified_h1``, decided once per
-    distinct pair of masks, for the points of a local family (A), listed
-    family by family; it is None for the points at which every line with
-    q != 1 carries at least two resonant multiple points (B), listed from
-    the nodes of ``_frontier``.  A family point in (B) is skipped, as a
-    node lists it.  ``budget`` bounds ``spent`` (work the caller counts
-    first, such as ``torsion_scan``'s catalog parameter tuples) plus the
-    points listed and the nodes walked.
+    ``h1`` is |p| - 2 for the points of the local family of a multiple
+    point p (A), listed family by family, and None for the points at which
+    every line with q != 1 carries at least two resonant multiple points
+    (B), listed from the nodes of ``_frontier``.  No family point is in
+    (B) and no two families share a point, so each is listed once.
+    ``budget`` bounds ``spent`` (work the caller counts first, such as
+    ``torsion_scan``'s catalog parameter tuples) plus the points listed
+    and the nodes walked.
 
     Points come packed from ``_span``, a field per line and then one per
     multiple point (its exponent sum), and are read in that form: a
@@ -511,25 +474,15 @@ def candidate_points(proj, order, budget=2_000_000, spent=0):
     top, points_top = sum(tops), sum(point_tops)
     near = top - (top >> width - 1)  # 2^(width-1) - 1 in every field
 
-    def mask(packed, bits):
-        return sum(1 << k for k, bit in enumerate(bits) if packed & bit)
-
     def spread(compact, bits):
         return sum(bit for k, bit in enumerate(bits) if compact >> k & 1)
 
     def exponents(point):
         return tuple(point >> width * j & ~(-1 << width) for j in range(n))
 
-    certified = {}  # packed masks -> certified h^1, filled as points meet them
-    for cols in families:
+    for cols, depth in zip(families, table.depth):
         for point in _span(cols, [1] * len(cols), order, width):
-            nonzero = (point + near) & top
-            if nonzero not in certified:
-                resonant = points_top & ~nonzero
-                masks = mask(nonzero, line_tops), mask(resonant, point_tops)
-                certified[nonzero] = certify_masks(table, *masks)[1]
-            if certified[nonzero] is not None:
-                yield exponents(point), certified[nonzero]
+            yield exponents(point), depth
     on_tops = [spread(on, point_tops) for on in table.on_mask]
     for k, inside, outside, steps in nodes:
         outside = spread(outside, point_tops)
@@ -590,29 +543,30 @@ def torsion_scan(
     point of R(e) summing to 0, and all lines summing to 0.  So every
     point the certificates do not set to 0 is in (A), where they give
     |p| - 2, or in (B), where they decide nothing; the two are disjoint.
-    A point of a local family is kept only when the certificates decide
-    it, which excludes (B); it is then in (A) through no other point, as
-    two local families share at most one line and a nontrivial point
-    supported on one line breaks the torus constraint.  A (B) point e is
-    kept only from the node of the walk over the multiple points whose
-    choices agree with R(e): each node holds V2(R) for every R it can
-    still reach, so the nodes it drops hold no such e, and the nodes it
-    lists split the sets R between them.  So every point is visited once.
+    The certificate gives |p| - 2 at every nontrivial point e of the
+    local family of p, so (A) is the whole family and needs no mask read:
+    a line h with q != 1 lies on p; p is resonant, as its lines hold all
+    of e; any other multiple point on h meets p only in h, so its exponent
+    sum is e_h != 0; and every line off p is trivial.  So no such point is
+    in (B), and no two families share a nontrivial point, as two multiple
+    points share at most one line and a nontrivial point supported on one
+    line breaks the torus constraint.  A (B) point e is kept only from the
+    node of the walk over the multiple points whose choices agree with
+    R(e): each node holds V2(R) for every R it can still reach, so the
+    nodes it drops hold no such e, and the nodes it lists split the sets R
+    between them.  So every point is visited once.
 
-    The family points are decided by the certificates of ``certified_h1``
-    on the cached ``incidence_table(proj)``, which read two bitmasks off
-    the exponents and nothing else, so each distinct pair of masks is
-    decided once per scan.  This is exact: both certificates (a line with
-    q != 1 and no resonant multiple point gives h^1 = 0; one with exactly
-    one resonant point p gives |p| - 2 when every line off p is trivial,
-    and 0 otherwise) are theorems of the paper, and their tests are
-    integer congruences mod N, so a certified value is exact under either
-    backend.  Certificates from two lines that disagree raise
-    ``InvariantError``.  The (B) points go to ``h1_at_point`` (the band
-    kernel), once per Galois orbit {u*e mod N : u a unit of Z/N}: h^1 is
-    the same on the whole orbit, as conjugation is a field automorphism of
-    Q(zeta_N) (the property tests check it), and the orbit lies in (B),
-    whose test is a set of congruences.
+    Both certificates (a line with q != 1 and no resonant multiple point
+    gives h^1 = 0; one with exactly one resonant point p gives |p| - 2
+    when every line off p is trivial, and 0 otherwise) are theorems of the
+    paper, and their tests are integer congruences mod N, so the skipped
+    points and the family values are exact under either backend.  The (B)
+    points go to ``h1_at_point`` (the band kernel), once per Galois orbit
+    {u*e mod N : u a unit of Z/N}: h^1 is the same on the whole orbit, as
+    conjugation is a field automorphism of Q(zeta_N) (the property tests
+    check it), and the orbit lies in (B), whose test is a set of
+    congruences.  The units are listed at the first band-route point, so
+    a scan the budget stops does no O(N) work.
     """
     if order < 1:
         raise ValueError("torsion order must be >= 1")
@@ -620,7 +574,7 @@ def torsion_scan(
         return []
     families = [f for f in catalog or () if f.nlines == proj.n]
     parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
-    units = [u for u in range(2, order) if gcd(u, order) == 1]
+    units = None
     band = {}  # h^1 of the band route, set for a whole Galois orbit at once
     found = []
     for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
@@ -628,6 +582,8 @@ def torsion_scan(
             dim = band.get(exps)
         if dim is None:
             dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
+            if units is None:
+                units = [u for u in range(2, order) if gcd(u, order) == 1]
             for u in units:
                 band[tuple(u * e % order for e in exps)] = dim
         if dim >= 1:
@@ -643,36 +599,3 @@ def torsion_scan(
         ScanHit(point=TorusPoint(exps, order), h1=dim, families=index.get(exps, ()))
         for exps, dim in found
     ]
-
-
-@dataclass(frozen=True)
-class MembershipRecord:
-    params: tuple
-    point: TorusPoint
-    h1: int
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    family: str
-    records: tuple
-    supported: bool  # every sampled point has h^1 >= 1
-
-
-def component_membership(family, samples, proj, order, backend="cyclotomic"):
-    """Evaluate h^1 at sampled parameter values of the family.
-
-    ``samples`` is a list of exponent tuples; parameter j takes the value
-    zeta_order^{t_j}.  The family is supported when every sample confirms
-    h^1 >= 1.
-    """
-    records = []
-    ok = True
-    for params in samples:
-        point = family.point(tuple(params), order)
-        if point.is_trivial():
-            raise ValueError("sample hits the trivial character")
-        dim = h1_at_point(proj, point, backend=backend)
-        records.append(MembershipRecord(params=tuple(params), point=point, h1=dim))
-        ok = ok and dim >= 1
-    return MembershipReport(family=family.name, records=tuple(records), supported=ok)

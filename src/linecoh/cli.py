@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 precondition failure (bad input, or an
 unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must
 agree did not); with floating arithmetic, an ``--eps`` that is not a
-finite number >= 1e-12 is bad input.
+finite number >= 1e-12 is bad input, and with exact arithmetic a torsion
+order above ``scalars.MAX_TORSION_ORDER`` = 1000.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def _load(path):
     return proj.chart(proj.infinity_index).arrangement, proj
 
 
-def _integer(token, what):
+def _number(kind, token, what):
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
         raise LocalSystemError(f"{what}, not {token!r}") from None
 
@@ -66,11 +67,14 @@ def _parse_system(spec, n, backend, eps):
     if head[0] == "torsion":
         if len(head) != 2:
             raise LocalSystemError('torsion spec is "torsion N; e1 ... en"')
-        order = _integer(head[1], "torsion order must be an integer")
-        exps = [_integer(v, "torsion exponents must be integers") for v in values]
+        order = _number(int, head[1], "torsion order must be an integer")
+        exps = [_number(int, v, "torsion exponents must be integers") for v in values]
         return make_local_system(exps, order=order, backend=backend, eps=eps)
     if head[0] == "complex":
-        return make_local_system(values=[complex(v) for v in values], eps=eps)
+        what = "complex monodromies must be complex literals"
+        return make_local_system(
+            values=[_number(complex, v, what) for v in values], eps=eps
+        )
     raise LocalSystemError(f"unknown local system kind {head[0]!r}")
 
 

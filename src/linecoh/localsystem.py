@@ -21,7 +21,7 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import ComplexBackend, CyclotomicBackend
+from .scalars import MAX_TORSION_ORDER, ComplexBackend, CyclotomicBackend
 
 
 class LocalSystemError(ValueError):
@@ -128,7 +128,8 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
 
     Torsion mode: ``exponents`` (integers) and ``order`` N give
     q_i = zeta_N^{e_i} with the canonical square root zeta_{2N}^{e_i};
-    ``backend`` selects exact cyclotomic arithmetic or floating complex.
+    ``backend`` selects exact cyclotomic arithmetic, for N up to
+    ``MAX_TORSION_ORDER``, or floating complex, for any N.
     Complex mode: ``values`` lists nonzero finite complex monodromies
     directly and square roots are principal.
     """
@@ -149,6 +150,11 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
     two_n = 2 * order
     exps = [int(e) for e in exponents]
     if backend == "cyclotomic":
+        if order > MAX_TORSION_ORDER:
+            raise LocalSystemError(
+                f"torsion order {order} exceeds the bound {MAX_TORSION_ORDER} "
+                "of the cyclotomic backend"
+            )
         return LocalSystem(_cyclotomic_backend(two_n), (e % two_n for e in exps))
     if backend == "complex":
         halves = (cmath.exp(2j * cmath.pi * e / two_n) for e in exps)

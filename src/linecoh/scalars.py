@@ -37,7 +37,6 @@ and strip integer content, so entries stay in Z[zeta] without blowup.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from functools import lru_cache
 
@@ -175,13 +174,6 @@ class CyclotomicBackend:
     def eq(self, u, v):
         return self.is_zero(self.sub(u, v))
 
-    def to_complex(self, u):
-        return sum(
-            float(c) * cmath.exp(2j * cmath.pi * k / self.order)
-            for k, c in enumerate(u)
-            if c
-        )
-
     def format(self, u):
         """Human-readable polynomial in z = zeta_order."""
         terms = []
@@ -207,6 +199,10 @@ class CyclotomicBackend:
 
 
 EPS_FLOOR = 1e-12  # about 300 times the rounding errors of the zero tests
+# the largest torsion order N of the exact backend: a system of order N
+# builds CyclotomicBackend(2N), whose power table holds 2N * phi(2N)
+# integers, up to 2N^2 (about 30 MB at N = 1000, and 3 GB at N = 10007)
+MAX_TORSION_ORDER = 1000
 
 
 class ComplexBackend:
@@ -273,9 +269,6 @@ class ComplexBackend:
 
     def eq(self, u, v):
         return abs(u - v) <= self.eps
-
-    def to_complex(self, u):
-        return complex(u)
 
     def format(self, u):
         return format(u, ".6g")

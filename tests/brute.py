@@ -11,11 +11,13 @@ opposite pairing: a sign-vector search with a Fourier-Motzkin test per
 node and recession rays.
 """
 
+import cmath
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import gcd
+from operator import itemgetter
 
-from linecoh.charvar import ScanHit, TorusPoint, _mask_reader, h1_at_point
+from linecoh.charvar import ScanHit, TorusPoint, h1_at_point
 from linecoh.geometry import IntersectionPoint, canonical_triple
 from linecoh.resband import SharpPair, certify_masks, incidence_table
 from linecoh.scalars import Matrix
@@ -61,6 +63,13 @@ def half_infinity(system):
 
 def monodromy_infinity(system):
     return system.backend.mul(half_infinity(system), half_infinity(system))
+
+
+def to_complex(bk, u):
+    """The complex value of an element of the cyclotomic backend ``bk``."""
+    return sum(
+        float(c) * cmath.exp(2j * cmath.pi * k / bk.order) for k, c in enumerate(u) if c
+    )
 
 
 def torsion_weight(bk, exponents, ids):
@@ -325,6 +334,43 @@ def line_certificates(proj, exponents, order):
     return rows
 
 
+def certified_h1(table, exponents, order):
+    """h^1 at a nontrivial torus point decided by the zero/one resonant
+    point certificates alone, or None when no line decides it.
+
+    ``table`` is ``incidence_table(proj)`` and ``exponents`` the exponent
+    vector over all projective lines.  A line is trivial when its exponent
+    is 0 mod ``order``, and a multiple point is resonant when the exponents
+    of its lines sum to 0 mod ``order``; ``certify_masks`` reads both as
+    bitmasks.
+    """
+    masks = mask_reader(table, order)([e % order for e in exponents])
+    return certify_masks(table, *masks)[1]
+
+
+def mask_reader(table, order):
+    """The function from exponent vectors reduced mod ``order`` to the
+    bitmasks of ``LocalSystem.resonance_masks``, read off congruences: bit
+    j of the first for each line j with q != 1 (a nonzero exponent), bit k
+    of the second for each multiple point of ``table`` with q = 1 (its
+    lines' exponents sum to 0 mod ``order``)."""
+    line_bits = [1 << j for j in range(len(table.on_mask))]
+    point_bits = [1 << k for k in range(len(table.points))]
+    point_lines = [itemgetter(*p) for p in table.points]
+
+    def masks(exponents):
+        return (
+            sum(compress(line_bits, exponents)),
+            sum(
+                compress(
+                    point_bits, [not sum(g(exponents)) % order for g in point_lines]
+                )
+            ),
+        )
+
+    return masks
+
+
 def _scan_point(proj, order, combo):
     """The torus point with affine exponents ``combo`` (infinity derived)."""
     exps = list(combo)
@@ -406,7 +452,7 @@ def orbit_scan(proj, order, catalog=None, backend="cyclotomic", eps=1e-9):
     if order == 1:
         return []
     table = incidence_table(proj)
-    read_masks = _mask_reader(table, order)
+    read_masks = mask_reader(table, order)
     units = unit_maps(order).values()
     certified = {}
     found = []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 from operator import mul
@@ -11,7 +12,6 @@ from linecoh import (
     Arrangement,
     BudgetExceededError,
     charvar,
-    component_membership,
     cone,
     h1_at_point,
     make_local_system,
@@ -23,7 +23,6 @@ from linecoh.charvar import (
     _diagonal_form,
     _span,
     candidate_points,
-    certified_h1,
 )
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import incidence_table
@@ -246,7 +245,7 @@ def test_candidate_points_are_the_points_not_certified_zero(
             continue
         exps = list(affine)
         exps.insert(proj.infinity_index, -sum(affine) % order)
-        dim = certified_h1(table, exps, order)
+        dim = brute.certified_h1(table, exps, order)
         if dim != 0:
             expected[tuple(exps)] = dim
     assert listed == expected
@@ -375,7 +374,7 @@ def test_undecided_points_reach_the_band_route(monkeypatch):
     cases = [(TorusPoint(q, 2), 2) for q in FOUR_FAMILY_POINTS] + [(braid, 1)]
     chart = proj.chart(proj.infinity_index)
     for point, dim in cases:
-        assert certified_h1(table, point.exponents, point.order) is None
+        assert brute.certified_h1(table, point.exponents, point.order) is None
         hits = {h.point: h.h1 for h in torsion_scan(proj, point.order)}
         assert point in banded and hits[point] == dim
         system = make_local_system(point.exponents[:7], order=point.order)
@@ -415,6 +414,20 @@ def test_scan_budget():
     )
 
 
+def test_over_budget_scan_at_a_large_order_stops_early():
+    # the budget is checked before any O(N) work, such as listing the
+    # units of Z/N for the band route, which takes 169 MB at N = 10^7
+    proj, _ = corpus.b3()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="budget 10 "):
+            torsion_scan(proj, 10**7, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_scan_backend_independent():
     proj, _ = corpus.b3()
     exact = torsion_scan(proj, 2)
@@ -434,28 +447,19 @@ def test_orbit_scan_backend_independent_at_order_three():
 def test_membership_quadruple_point_family():
     proj, catalog = corpus.b3()
     c5678 = next(f for f in catalog if f.name == "C_5678")
-    report = component_membership(
-        c5678, [(1, 2, 3), (1, 1, 1), (2, 1, 4)], proj, order=5
-    )
-    assert report.supported
-    assert [r.h1 for r in report.records] == [2, 2, 2]
+    for params in [(1, 2, 3), (1, 1, 1), (2, 1, 4)]:
+        assert h1_at_point(proj, c5678.point(params, 5)) == 2
 
 
 def test_membership_translated_component():
     proj, catalog = corpus.b3()
     omega = next(f for f in catalog if f.name == "Omega")
-    report = component_membership(omega, [(1,), (2,)], proj, order=5)
-    assert report.supported
+    for params in [(1,), (2,)]:
+        assert h1_at_point(proj, omega.point(params, 5)) >= 1
     # order-4 parameter lands on (i, i, i, i, -1, -1, -1, -1)
-    at_i = component_membership(omega, [(1,)], proj, order=4)
-    assert at_i.records[0].point == TorusPoint((1, 1, 1, 1, 2, 2, 2, 2), 4)
-    assert at_i.supported
-
-
-def test_membership_rejects_trivial_sample():
-    proj, catalog = corpus.b3()
-    with pytest.raises(ValueError, match="trivial"):
-        component_membership(catalog[0], [(0, 0)], proj, order=5)
+    at_i = omega.point((1,), 4)
+    assert at_i == TorusPoint((1, 1, 1, 1, 2, 2, 2, 2), 4)
+    assert h1_at_point(proj, at_i) >= 1
 
 
 def test_case_dichotomies_at_sampled_points():

@@ -207,6 +207,11 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+BOUND = "exceeds the bound 1000 of the cyclotomic backend"
+
+
+# a spec value that cannot be read, or a torsion order beyond the exact
+# backend's bound, exits 2 with a message naming the field or the bound
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -214,6 +219,15 @@ def test_error_exit_codes(tmp_path, capsys):
         (
             "torsion 3; 1 1 1.5 1 1",
             "torsion exponents must be integers, not '1.5'",
+        ),
+        (
+            "complex; 1+2j 1 1 1 x",
+            "complex monodromies must be complex literals, not 'x'",
+        ),
+        ("torsion 1001; 0 1 3 0 0", f"torsion order 1001 {BOUND}"),
+        (
+            "torsion 99999999999999999999; 0 1 3 0 0",
+            f"torsion order 99999999999999999999 {BOUND}",
         ),
     ],
 )
@@ -223,6 +237,12 @@ def test_non_integer_torsion_spec_exits_2(spec, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_floating_backend_takes_any_torsion_order(capsys):
+    argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--backend", "complex"]
+    assert main(argv + ["--local-system", "torsion 1001; 0 1 3 0 0"]) == 0
+    assert capsys.readouterr().out == "resonant bands: 2\nh1 = 2\n"
 
 
 # the interpreter's integer string digit limit: 4300 by default, 0 (none)

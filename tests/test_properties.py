@@ -3,8 +3,9 @@ scan equals the reference orbit scan of ``brute``, h^1 at a torsion point
 is unchanged by Galois conjugation e -> u*e mod N (which the scan's band
 route and the reference rely on) and by flipping the square roots of the
 monodromies, every h^1 the certificates decide equals the band kernel's
-and the chamber complex's, and the bitmask certificates decide line by
-line as the per-line reference rule of ``brute`` does."""
+and the chamber complex's, every nontrivial point of a local family has
+h^1 = |p| - 2 as the scan lists it, and the bitmask certificates decide
+line by line as the per-line reference rule of ``brute`` does."""
 
 import random
 from itertools import product
@@ -25,7 +26,7 @@ from linecoh import (
     make_local_system,
     torsion_scan,
 )
-from linecoh.charvar import TorusPoint, certified_h1
+from linecoh.charvar import TorusPoint, candidate_points
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import InvariantError, incidence_table, vanishing_certificates
 from strategies import arrangements
@@ -155,7 +156,7 @@ def test_h1_ignores_square_root_flips(case, data):
 @given(torsion_points(max_lines=6), st.booleans())
 def test_certified_h1_equals_band_and_oracle_h1(case, with_oracle):
     proj, point = case
-    dim = certified_h1(incidence_table(proj), point.exponents, point.order)
+    dim = brute.certified_h1(incidence_table(proj), point.exponents, point.order)
     if dim is None:
         return
     assert h1_at_point(proj, point) == dim
@@ -164,6 +165,27 @@ def test_certified_h1_equals_band_and_oracle_h1(case, with_oracle):
         exps = [point.exponents[old] for old in chart.to_old]
         system = make_local_system(exps, order=point.order)
         assert cohomology_dims(system, chart.arrangement)[1] == dim
+
+
+@CERTIFICATE_SETTINGS
+@given(cone_arrangements(max_lines=6), st.integers(2, 6))
+def test_local_family_points_have_h1_depth(proj, order):
+    # every nontrivial point of the local family of a multiple point p has
+    # certified h1 = |p| - 2 = the band kernel's, the value the scan lists
+    table = incidence_table(proj)
+    listed = dict(candidate_points(proj, order))
+    for p in table.points:
+        for head in product(range(order), repeat=len(p) - 1):
+            if not any(head):
+                continue
+            exps = [0] * proj.n
+            for j, e in zip(p, head):
+                exps[j] = e
+            exps[p[-1]] = -sum(head) % order
+            depth = len(p) - 2
+            assert brute.certified_h1(table, exps, order) == depth
+            assert h1_at_point(proj, TorusPoint(tuple(exps), order)) == depth
+            assert listed[tuple(exps)] == depth
 
 
 @PROPERTY_SETTINGS
@@ -198,11 +220,11 @@ def test_bitmask_certificates_equal_the_per_line_rule(case, data):
     system = make_local_system([exps[j] for j in proj.affine_ids()], order=n)
     if len(dims) > 1:
         with pytest.raises(InvariantError):
-            certified_h1(table, exps, n)
+            brute.certified_h1(table, exps, n)
         with pytest.raises(InvariantError):
             vanishing_certificates(system, proj)
         return
-    assert certified_h1(table, exps, n) == (dims.pop() if dims else None)
+    assert brute.certified_h1(table, exps, n) == (dims.pop() if dims else None)
     report = vanishing_certificates(system, proj)
     assert [(c.line, c.h1, c.point) for c in report.certificates] == rows
 
@@ -220,7 +242,7 @@ def test_bitmask_certificates_at_every_relabelled_b3_point(order):
         rows = brute.line_certificates(proj, exps, order)
         dims = {h1 for _, h1, _ in rows if h1 is not None}
         assert len(dims) <= 1
-        assert certified_h1(table, exps, order) == (dims.pop() if dims else None)
+        assert brute.certified_h1(table, exps, order) == (dims.pop() if dims else None)
         undecided += bool(rows) and all(h1 is None for _, h1, _ in rows)
     assert undecided
 
