@@ -29,13 +29,7 @@ from .geometry import (
     move_to_infinity,
     parse_arrangement,
 )
-from .localsystem import (
-    LocalSystem,
-    LocalSystemError,
-    ResonanceReport,
-    make_local_system,
-    resonance_report,
-)
+from .localsystem import LocalSystem, LocalSystemError, make_local_system
 from .mincomplex import TwistedComplex, build_complex, cohomology_dims
 from .resband import (
     Band,

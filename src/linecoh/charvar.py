@@ -126,11 +126,7 @@ class ComponentFamily:
             raise ValueError("wrong number of parameters")
         n = self._modulus(order)
         step = n // order
-        exps = []
-        for i in range(self.nlines):
-            e = self.signs[i] * (n // 2) if self.signs[i] else 0
-            e += step * sum(m * t for m, t in zip(self.powers[i], params))
-            exps.append(e % n)
+        exps = next(self._exponents(n, [[step * t for t in params]]))
         pt = TorusPoint(tuple(exps), n)
         if sum(pt.exponents) % n != 0:
             raise ValueError(f"{self.name}: parametrization violates the constraint")
@@ -142,6 +138,14 @@ class ComponentFamily:
         unity: it is pinned by a coordinate equal to +-s_j^(+-1)."""
         return lcm(order, 2) if any(self.signs) else order
 
+    def _exponents(self, m, params_seq):
+        """The parametrization mod m: per tuple of parameter exponents mod
+        m in ``params_seq``, the list of coordinate exponents
+        signs[i] * m/2 + sum_j powers[i][j] * params[j] mod m."""
+        rows = [(s * (m // 2), row) for s, row in zip(self.signs, self.powers)]
+        for params in params_seq:
+            yield [(b + sum(map(mul, row, params))) % m for b, row in rows]
+
     def torsion_exponents(self, order):
         """The exponent vectors mod ``order`` of the family's points of order
         dividing ``order``, each once: the parameters run over Z/m
@@ -149,9 +153,7 @@ class ComponentFamily:
         multiple of m / ``order``.  This lists m^nparams parameter tuples."""
         m = self._modulus(order)
         lift = m // order
-        rows = [(s * (m // 2), row) for s, row in zip(self.signs, self.powers)]
-        for params in product(range(m), repeat=self.nparams):
-            exps = [(b + sum(map(mul, row, params))) % m for b, row in rows]
+        for exps in self._exponents(m, product(range(m), repeat=self.nparams)):
             if lift == 1 or not any(e % lift for e in exps):
                 yield tuple(e // lift for e in exps)
 
@@ -174,16 +176,11 @@ class ComponentFamily:
             return False
         m = self._modulus(n)
         lift = m // n
-        half = m // 2
         exps = [e * lift % m for e in point.exponents]
-        signs = self.signs
         params = [
-            sign * (exps[i] - signs[i] * half) % m for i, sign in self._pins
+            sign * (exps[i] - self.signs[i] * (m // 2)) % m for i, sign in self._pins
         ]
-        return all(
-            (s * half + sum(map(mul, row, params))) % m == e
-            for e, s, row in zip(exps, signs, self.powers)
-        )
+        return next(self._exponents(m, [params])) == exps
 
 
 def deleted_b3():

@@ -17,8 +17,9 @@ Exit codes: 0 success, 2 precondition failure (bad input, or an
 unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must
 agree did not); with floating arithmetic, an ``--eps`` that is not a
-finite number >= 1e-12 is bad input, and with exact arithmetic a torsion
-order above ``scalars.MAX_TORSION_ORDER`` = 1000.
+finite number >= 1e-12 is bad input, and so is a torsion order above
+``scalars.MAX_TORSION_ORDER`` = 1000 with exact arithmetic, or one with
+2 sin(pi/N) <= eps (about 6.3e9 at the default eps 1e-9) with floating.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 
 from . import charvar, mincomplex, resband
 from .geometry import ProjArrangement, cone, parse_arrangement
-from .localsystem import LocalSystemError, make_local_system, resonance_report
+from .localsystem import LocalSystemError, make_local_system
 
 
 class _CliError(ValueError):
@@ -182,28 +183,21 @@ def cmd_certify(args):
     arr, proj = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     report = resband.vanishing_certificates(system, proj)
-    rows = []
-    rep = resonance_report(system, proj)
-    rows.append(
-        "resonant lines: "
-        + (" ".join(f"H{j + 1}" for j in sorted(rep.resonant_lines)) or "none")
-    )
-    for cert in report.certificates:
-        if cert.kind == "no_resonant_point":
-            rows.append(
-                f"H{cert.line + 1}: no resonant multiple point -> h1 = 0"
-            )
-        elif cert.kind == "unique_resonant_point":
-            names = "".join(str(j + 1) for j in sorted(cert.point.incident))
-            rows.append(
-                f"H{cert.line + 1}: unique resonant point {names} -> h1 = {cert.h1}"
-            )
+    resonant = [f"H{j + 1}" for j in range(proj.n) if not report.nontrivial >> j & 1]
+    rows = [f"resonant lines: {' '.join(resonant) or 'none'}"]
+    points = resband.incidence_table(proj).points
+    for h, h1, k in report.rows:
+        if h1 is None:
+            rows.append(f"H{h + 1}: no certificate")
+        elif k is None:
+            rows.append(f"H{h + 1}: no resonant multiple point -> h1 = 0")
         else:
-            rows.append(f"H{cert.line + 1}: no certificate")
+            names = "".join(str(j + 1) for j in points[k])
+            rows.append(f"H{h + 1}: unique resonant point {names} -> h1 = {h1}")
     rows.append(
         f"certified h1: {report.h1 if report.h1 is not None else 'undetermined'}"
     )
-    pairs = resband.sharp_pairs(system, proj)
+    pairs = resband.sharp_pairs(proj, report)
     if pairs:
         for sp in pairs:
             i, j = sp.pair

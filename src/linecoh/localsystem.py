@@ -18,7 +18,7 @@ Computed cohomology dimensions are independent of the square root choices;
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 from .scalars import MAX_TORSION_ORDER, ComplexBackend, CyclotomicBackend
@@ -77,21 +77,18 @@ class LocalSystem:
     def q_is_one_at(self, proj, j):
         return self.backend.square_is_one(self._half_at(proj, j))
 
-    def q_point_is_one(self, proj, point):
-        return self.backend.square_is_one(
-            self.backend.half_prod(self._half_at(proj, j) for j in point.incident)
-        )
-
     def resonance_masks(self, proj):
         """The two bitmasks the resonant point certificates read: bit j of
         the first for each projective line j with q != 1, bit k of the
         second for each multiple point with q = 1, k its position in
         ``proj.multiple_points()``."""
-        lines = sum(1 << j for j in range(proj.n) if not self.q_is_one_at(proj, j))
+        bk = self.backend
+        halves = [self._half_at(proj, j) for j in range(proj.n)]
+        lines = sum(1 << j for j, h in enumerate(halves) if not bk.square_is_one(h))
         points = sum(
             1 << k
             for k, p in enumerate(proj.multiple_points())
-            if self.q_point_is_one(proj, p)
+            if bk.square_is_one(bk.half_prod(halves[j] for j in p.incident))
         )
         return lines, points
 
@@ -129,7 +126,9 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
     Torsion mode: ``exponents`` (integers) and ``order`` N give
     q_i = zeta_N^{e_i} with the canonical square root zeta_{2N}^{e_i};
     ``backend`` selects exact cyclotomic arithmetic, for N up to
-    ``MAX_TORSION_ORDER``, or floating complex, for any N.
+    ``MAX_TORSION_ORDER``, or floating complex, for N with
+    2 sin(pi/N) > eps: a nontrivial N-th root of unity is that far from
+    1, and a nonzero weight h - h^(-1), h a 2N-th root, from 0.
     Complex mode: ``values`` lists nonzero finite complex monodromies
     directly and square roots are principal.
     """
@@ -157,25 +156,15 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
             )
         return LocalSystem(_cyclotomic_backend(two_n), (e % two_n for e in exps))
     if backend == "complex":
+        field = ComplexBackend(eps)
+        # 1 / order takes an int of any size; pi / order makes it a float
+        if order >= 2 and 2 * math.sin(math.pi * (1 / order)) <= eps:
+            raise LocalSystemError(
+                f"torsion order {order} is too large for the floating backend "
+                f"at eps {eps!r}: its roots of unity other than 1 can lie "
+                "within eps of 1"
+            )
         halves = (cmath.exp(2j * cmath.pi * e / two_n) for e in exps)
-        return LocalSystem(ComplexBackend(eps), halves)
+        return LocalSystem(field, halves)
     raise LocalSystemError(f"unknown backend {backend!r}")
 
-
-@dataclass(frozen=True)
-class ResonanceReport:
-    """Lines with q_H = 1 and multiple points with q_X = 1 in the coned
-    arrangement."""
-
-    resonant_lines: frozenset
-    resonant_points: tuple
-
-
-def resonance_report(system, proj):
-    lines, points = system.resonance_masks(proj)
-    return ResonanceReport(
-        resonant_lines=frozenset(j for j in range(proj.n) if not lines >> j & 1),
-        resonant_points=tuple(
-            p for k, p in enumerate(proj.multiple_points()) if points >> k & 1
-        ),
-    )

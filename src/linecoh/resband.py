@@ -13,7 +13,9 @@ bound.  They read only two bitmasks over one cached incidence table per
 projective arrangement: the lines with q != 1 and the multiple points
 with q = 1.  ``LocalSystem.resonance_masks`` fills them from the
 resonance tests and the torus scan from exponent congruences, and one
-rule (``certify_masks``) turns either pair into h^1.
+rule (``certify_masks``) turns either pair into h^1.  For a system,
+``vanishing_certificates`` reads them once into a ``CertificateReport``
+that also feeds ``sharp_pairs``.
 """
 
 from __future__ import annotations
@@ -242,29 +244,6 @@ def h1_via_bands(system, arrangement):
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Conclusion drawn from one line with nontrivial monodromy.
-
-    kind "no_resonant_point": no resonant multiple point on the line, so
-    h^1 = 0.  kind "unique_resonant_point": exactly one, so h^1 equals
-    (number of lines through it) - 2 when every line missing the point has
-    trivial monodromy, and 0 otherwise.
-    """
-
-    line: int
-    kind: str
-    h1: int | None
-    point: object = None
-    off_lines_trivial: bool | None = None
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    certificates: tuple
-    h1: int | None  # resolved dimension, when some certificate applies
-
-
-@dataclass(frozen=True)
 class IncidenceTable:
     """The multiple points of a projective arrangement, in
     ``proj.multiple_points()`` order, as sorted tuples of incident lines;
@@ -328,31 +307,27 @@ def certify_masks(table, nontrivial, resonant):
     return rows, (dims.pop() if dims else None)
 
 
+@dataclass(frozen=True)
+class CertificateReport:
+    """One read of a system's resonance on a projective arrangement: the
+    masks of ``LocalSystem.resonance_masks`` (``nontrivial``, bit j for
+    each line j with q != 1; ``resonant``, bit k for each multiple point
+    with q = 1), the ``certify_masks`` rows ``(h, h1, k)`` and the h^1
+    they certify, None when no row does."""
+
+    nontrivial: int
+    resonant: int
+    rows: tuple
+    h1: int | None
+
+
 def vanishing_certificates(system, proj):
-    """Scan every line with q != 1 for the zero/one resonant point
-    certificates (``certify_masks``) on the resonance masks of
-    ``system``."""
-    multiple = proj.multiple_points()
-    table = incidence_table(proj)
+    """The ``CertificateReport`` of ``system`` on ``proj``, from one
+    ``resonance_masks`` read; ``sharp_pairs`` and ``linecoh certify``
+    read that report, not the system."""
     nontrivial, resonant = system.resonance_masks(proj)
-    rows, dim = certify_masks(table, nontrivial, resonant)
-    certs = []
-    for h, h1, k in rows:
-        if h1 is None:
-            certs.append(Certificate(line=h, kind="none", h1=None))
-        elif k is None:
-            certs.append(Certificate(line=h, kind="no_resonant_point", h1=0))
-        else:
-            certs.append(
-                Certificate(
-                    line=h,
-                    kind="unique_resonant_point",
-                    h1=h1,
-                    point=multiple[k],
-                    off_lines_trivial=not (nontrivial & table.off_mask[k]),
-                )
-            )
-    return CertificateReport(certificates=tuple(certs), h1=dim)
+    rows, dim = certify_masks(incidence_table(proj), nontrivial, resonant)
+    return CertificateReport(nontrivial, resonant, tuple(rows), dim)
 
 
 @dataclass(frozen=True)
@@ -368,8 +343,9 @@ class SharpPair:
     bound: int | None
 
 
-def sharp_pairs(system, proj):
-    """Sharp pairs of ``proj`` under ``system`` (see ``SharpPair``).
+def sharp_pairs(proj, report):
+    """Sharp pairs of ``proj`` under the system of ``report``, its
+    ``CertificateReport`` (see ``SharpPair``).
 
     A pair is sharp when the crossings of the other lines all lie in one
     of the two region pairs cut out by it, i.e. the product of the pair's
@@ -377,12 +353,12 @@ def sharp_pairs(system, proj):
     ``canonical_triple`` rows, so the side of every line with q != 1 at
     every point is taken once from an integer dot product of the stored
     rows; the pair loop compares those table entries.  Resonance comes
-    from the masks of ``LocalSystem.resonance_masks``; ``incidence_table``
-    says which multiple points lie on a line.
+    from the report's masks; ``incidence_table`` says which multiple
+    points lie on a line.
     """
     points = proj.intersections()
     on_mask = incidence_table(proj).on_mask
-    nontrivial, resonant = system.resonance_masks(proj)
+    nontrivial, resonant = report.nontrivial, report.resonant
     nonres = [h for h in range(proj.n) if nontrivial >> h & 1]
     hypothesis = all((resonant & on_mask[h]).bit_count() >= 2 for h in nonres)
     coords = [p.coords for p in points]

@@ -270,17 +270,20 @@ def _dot(triple, coords):
     return sum(u * v for u, v in zip(triple, coords))
 
 
-def sharp_pairs(system, proj):
+def sharp_pairs(proj, exponents, order):
     """Sharp pairs with every side taken from a Fraction dot product of the
-    pair's lines against every point."""
+    pair's lines against every point, at the torsion point with
+    ``exponents`` mod ``order`` over the projective lines: a line has
+    q != 1 when its exponent is nonzero, and a point q = 1 when its lines'
+    exponents sum to 0."""
     points = proj.intersections()
-    nonres = [h for h in range(proj.n) if not system.q_is_one_at(proj, h)]
+
+    def resonant(p):
+        return not sum(exponents[j] for j in p.incident) % order
+
+    nonres = [h for h in range(proj.n) if exponents[h] % order]
     hypothesis = all(
-        sum(
-            1
-            for p in points
-            if p.is_multiple and h in p.incident and system.q_point_is_one(proj, p)
-        )
+        sum(1 for p in points if p.is_multiple and h in p.incident and resonant(p))
         >= 2
         for h in nonres
     )
@@ -297,9 +300,7 @@ def sharp_pairs(system, proj):
         if len(regions) == 2:
             continue
         crossing = next(p for p in points if {h1, h2} <= p.incident)
-        forces_zero = crossing.incident == frozenset(
-            (h1, h2)
-        ) or not system.q_point_is_one(proj, crossing)
+        forces_zero = crossing.incident == frozenset((h1, h2)) or not resonant(crossing)
         bound = (0 if forces_zero else 1) if hypothesis else None
         out.append(SharpPair(pair=(h1, h2), hypothesis_holds=hypothesis, bound=bound))
     return tuple(out)

@@ -311,7 +311,8 @@ def test_criterion_9_sharp_pair_bound():
     # the configured pair is indeed reported sharp with the <=1 bound
     order, exps = survivors[0]
     system = make_local_system(exps, order=order)
-    reported = {sp.pair: sp for sp in sharp_pairs(system, proj)}
+    report = vanishing_certificates(system, proj)
+    reported = {sp.pair: sp for sp in sharp_pairs(proj, report)}
     assert (0, inf) in reported
     assert reported[(0, inf)].hypothesis_holds
     assert reported[(0, inf)].bound is not None
@@ -325,8 +326,9 @@ def test_criterion_9_sharp_pair_bound():
         if hit.h1 >= 2:
             two_dim += 1
             loaded = make_local_system(hit.point.exponents[:7], order=2)
+            report = vanishing_certificates(loaded, b3)
             assert all(
-                not sp.hypothesis_holds for sp in sharp_pairs(loaded, b3)
+                not sp.hypothesis_holds for sp in sharp_pairs(b3, report)
             ), hit.point.exponents
     assert two_dim
     _announce(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from linecoh import charvar, resband
 from linecoh.cli import main
-from linecoh.localsystem import make_local_system
+from linecoh.localsystem import LocalSystem, make_local_system
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -243,6 +243,38 @@ def test_floating_backend_takes_any_torsion_order(capsys):
     argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--backend", "complex"]
     assert main(argv + ["--local-system", "torsion 1001; 0 1 3 0 0"]) == 0
     assert capsys.readouterr().out == "resonant bands: 2\nh1 = 2\n"
+
+
+def test_floating_backend_refuses_orders_it_cannot_tell_from_one(capsys):
+    # 2 sin(pi/N) <= eps: a nontrivial N-th root of unity would read as 1
+    # and the system as trivial
+    argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--backend", "complex"]
+    spec = "torsion 99999999999999999999; 0 1 3 0 0"
+    assert main(argv + ["--local-system", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: torsion order 99999999999999999999 is too large for the floating "
+        "backend at eps 1e-09: its roots of unity other than 1 can lie within eps "
+        "of 1\n"
+    )
+
+
+def test_certify_reads_the_resonance_once(monkeypatch, capsys):
+    # the certificates, the sharp pairs and the printed resonant lines all
+    # come from one certificate report
+    calls = []
+    real = LocalSystem.resonance_masks
+
+    def counting(self, proj):
+        calls.append(proj)
+        return real(self, proj)
+
+    monkeypatch.setattr(LocalSystem, "resonance_masks", counting)
+    argv = ["certify", "--arrangement", str(GOLDEN / "b3del.txt")]
+    assert main(argv + ["--local-system", "torsion 5; 0 0 0 0 1 1 1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "certify_b3.out").read_text()
+    assert len(calls) == 1
 
 
 # the interpreter's integer string digit limit: 4300 by default, 0 (none)

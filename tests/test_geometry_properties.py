@@ -34,7 +34,7 @@ from linecoh.geometry import (
     canonical_triple,
 )
 from linecoh.mincomplex import cohomology_dims
-from linecoh.resband import sharp_pairs
+from linecoh.resband import sharp_pairs, vanishing_certificates
 from strategies import BIG, arrangements, pencils
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -125,9 +125,15 @@ def test_canonical_triple_is_the_primitive_integer_form(t, k):
 
 
 @st.composite
-def torsion_systems(draw, n):
+def torsion_exponents(draw, n):
+    """(order, exponents of n affine lines)."""
     order = draw(st.integers(2, 4))
-    exps = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+    return order, draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+
+
+@st.composite
+def torsion_systems(draw, n):
+    order, exps = draw(torsion_exponents(n))
     return make_local_system(exps, order=order)
 
 
@@ -194,9 +200,14 @@ def test_separating_sets_match_sep_reference(arr):
 @PROPERTY_SETTINGS
 @given(arrangements(), st.data())
 def test_sharp_pairs_match_fraction_oracle(arr, data):
-    system = data.draw(torsion_systems(arr.n))
+    order, affine = data.draw(torsion_exponents(arr.n))
     proj = cone(arr)
-    assert sharp_pairs(system, proj) == brute.sharp_pairs(system, proj)
+    report = vanishing_certificates(make_local_system(affine, order=order), proj)
+    exps = [0] * proj.n
+    for j, e in zip(proj.affine_ids(), affine):
+        exps[j] = e
+    exps[proj.infinity_index] = -sum(affine) % order
+    assert sharp_pairs(proj, report) == brute.sharp_pairs(proj, exps, order)
 
 
 INVARIANCE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)

@@ -4,10 +4,10 @@ import pytest
 
 import brute
 import corpus
-from linecoh import make_local_system, resonance_report
+from linecoh import make_local_system
 from linecoh.localsystem import LocalSystemError
 from linecoh.mincomplex import cohomology_dims
-from linecoh.resband import h1_via_bands
+from linecoh.resband import h1_via_bands, vanishing_certificates
 from linecoh.scalars import CyclotomicBackend
 
 
@@ -49,10 +49,11 @@ def test_q_point_examples():
     )
     # q5 q6 q7 q8 = 1 makes the quadruple point resonant
     system = make_local_system([0, 0, 0, 0, 1, 1, 1], order=5)
-    assert system.q_point_is_one(proj, quad)
+    assert system.resonance_masks(proj)[1] >> proj.multiple_points().index(quad) & 1
     assert not system.prod_is_one((1, 2, 4))  # q2 q3 q5 = zeta_5
     trivial = make_local_system([0] * 7, order=1)
-    assert all(trivial.q_point_is_one(proj, p) for p in proj.intersections())
+    every_point = (1 << len(proj.multiple_points())) - 1
+    assert trivial.resonance_masks(proj) == (0, every_point)
 
 
 def test_delta_basics():
@@ -87,26 +88,28 @@ def test_delta_zero_iff_product_one():
         ) == system.prod_is_one(ids)
 
 
+def _resonant_points(system, proj):
+    """Incidence sets of the multiple points with q = 1, read off the
+    resonant mask of the system's certificate report."""
+    points = vanishing_certificates(system, proj).resonant
+    return [p.incident for k, p in enumerate(proj.multiple_points()) if points >> k & 1]
+
+
 def test_resonance_report_unique_point_on_fifth_line():
     proj, _ = corpus.b3()
     # q5678 = 1, all other products generic
     system = make_local_system([0, 0, 0, 0, 1, 2, 4], order=7)
-    report = resonance_report(system, proj)
-    on_h5 = {p.incident for p in report.resonant_points if 4 in p.incident}
+    on_h5 = {p for p in _resonant_points(system, proj) if 4 in p}
     assert on_h5 == {frozenset({4, 5, 6, 7})}
 
 
 def test_resonance_report_trivial_and_qplus():
     proj, _ = corpus.b3()
     trivial = make_local_system([0] * 7, order=1)
-    report = resonance_report(trivial, proj)
-    assert report.resonant_lines == frozenset(range(8))
-    assert len(report.resonant_points) == len(proj.multiple_points())
+    assert vanishing_certificates(trivial, proj).nontrivial == 0  # q = 1 on all 8
+    assert len(_resonant_points(trivial, proj)) == len(proj.multiple_points())
     qplus = make_local_system([0, 1, 1, 0, 0, 1, 0], order=2)
-    report = resonance_report(qplus, proj)
-    at_infinity = {
-        p.incident for p in report.resonant_points if 7 in p.incident
-    }
+    at_infinity = {p for p in _resonant_points(qplus, proj) if 7 in p}
     # exactly the three band directions of the standard affine picture
     assert at_infinity == {
         frozenset({0, 1, 7}),

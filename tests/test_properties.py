@@ -197,11 +197,13 @@ def test_resonance_tests_match_exponent_congruences(case, backend):
     exps, n = point.exponents, point.order
     affine = [exps[j] for j in proj.affine_ids()]
     system = make_local_system(affine, order=n, backend=backend)
+    report = vanishing_certificates(system, proj)
     for j in range(proj.n):
         assert system.q_is_one_at(proj, j) == (exps[j] % n == 0)
-    for p in proj.multiple_points():
+        assert (report.nontrivial >> j & 1) == (exps[j] % n != 0)
+    for k, p in enumerate(proj.multiple_points()):
         congruence = sum(exps[j] for j in p.incident) % n == 0
-        assert system.q_point_is_one(proj, p) == congruence
+        assert (report.resonant >> k & 1) == congruence
 
 
 @CERTIFICATE_SETTINGS
@@ -226,7 +228,10 @@ def test_bitmask_certificates_equal_the_per_line_rule(case, data):
         return
     assert brute.certified_h1(table, exps, n) == (dims.pop() if dims else None)
     report = vanishing_certificates(system, proj)
-    assert [(c.line, c.h1, c.point) for c in report.certificates] == rows
+    # a row's point position k names the sorted lines table.points[k]
+    assert [
+        (h, h1, None if k is None else table.points[k]) for h, h1, k in report.rows
+    ] == [(h, h1, p and tuple(sorted(p.incident))) for h, h1, p in rows]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

@@ -13,6 +13,7 @@ from linecoh.resband import (
     band_structure,
     bands,
     h1_via_bands,
+    incidence_table,
     resonant_bands,
     sharp_pairs,
     standing_wave,
@@ -270,8 +271,7 @@ def test_certificate_no_resonant_point():
     system = make_local_system([1, 0, 0, 0, 1, 0, 0], order=5)
     report = vanishing_certificates(system, proj)
     assert report.h1 == 0
-    kinds = {c.line: c.kind for c in report.certificates}
-    assert kinds[4] == "no_resonant_point"
+    assert (4, 0, None) in report.rows  # no resonant point on the fifth line
     assert cohomology_dims(system, proj.chart(7).arrangement)[1] == 0
 
 
@@ -281,10 +281,10 @@ def test_certificate_unique_point_dimension_two():
     system = make_local_system([0, 0, 0, 0, 1, 1, 1], order=5)
     report = vanishing_certificates(system, proj)
     assert report.h1 == 2
-    cert = next(c for c in report.certificates if c.line == 4)
-    assert cert.kind == "unique_resonant_point"
-    assert cert.point.incident == frozenset({4, 5, 6, 7})
-    assert cert.off_lines_trivial
+    table = incidence_table(proj)
+    ((h1, k),) = [(h1, k) for h, h1, k in report.rows if h == 4]
+    assert h1 == 2 and table.points[k] == (4, 5, 6, 7)  # unique resonant point
+    assert not report.nontrivial & table.off_mask[k]  # lines off it trivial
     chart = proj.chart(4)
     exps = [[0, 0, 0, 0, 1, 1, 1][o] if o != 7 else 2 for o in chart.to_old]
     moved = make_local_system(exps, order=5)
@@ -344,14 +344,14 @@ def test_sharp_pair_first_vertical_and_infinity():
     fig2 = corpus.sharp_pair_arrangement()
     proj = cone(fig2)
     system = make_local_system([1] + [0] * 10, order=3)
-    pairs = sharp_pairs(system, proj)
+    pairs = sharp_pairs(proj, vanishing_certificates(system, proj))
     assert [sp.pair for sp in pairs] == [(0, 11)]
 
 
 def test_two_lines_sharp_trivially():
     proj = cone(corpus.triangle())
     system = make_local_system([1, 1, 1], order=3)
-    pairs = sharp_pairs(system, proj)
+    pairs = sharp_pairs(proj, vanishing_certificates(system, proj))
     assert pairs  # every pair of nontrivial lines bounds an empty region
 
 
@@ -359,7 +359,7 @@ def test_sharp_pair_bound_attained():
     fig2 = corpus.sharp_pair_arrangement()
     proj = cone(fig2)
     system = make_local_system([1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1], order=2)
-    pairs = sharp_pairs(system, proj)
+    pairs = sharp_pairs(proj, vanishing_certificates(system, proj))
     match = [sp for sp in pairs if sp.hypothesis_holds and sp.bound is not None]
     assert match and all(sp.bound == 1 for sp in match)
     assert cohomology_dims(system, fig2)[1] == 1
@@ -369,7 +369,7 @@ def test_sharp_pair_forced_zero():
     fig2 = corpus.sharp_pair_arrangement()
     proj = cone(fig2)
     system = make_local_system([0, 0, 1, 0, 1, 1, 1, 1, 1, 0, 1], order=2)
-    pairs = sharp_pairs(system, proj)
+    pairs = sharp_pairs(proj, vanishing_certificates(system, proj))
     zero = [sp for sp in pairs if sp.bound == 0]
     assert any(sp.pair == (7, 8) for sp in zero)
     assert cohomology_dims(system, fig2)[1] == 0
@@ -378,4 +378,4 @@ def test_sharp_pair_forced_zero():
 def test_no_sharp_pairs_when_h1_is_two():
     proj, _ = corpus.b3()
     qplus = make_local_system([0, 1, 1, 0, 0, 1, 0], order=2)
-    assert sharp_pairs(qplus, proj) == ()
+    assert sharp_pairs(proj, vanishing_certificates(qplus, proj)) == ()
