@@ -22,7 +22,6 @@ from .geometry import (
     Chart,
     FlagError,
     IntersectionPoint,
-    Line,
     ProjArrangement,
     choose_flag,
     cone,

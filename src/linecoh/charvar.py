@@ -43,6 +43,9 @@ from .localsystem import make_local_system
 from .resband import h1_on_band_chart, incidence_table
 # bench/selfcheck.py checks that its tracer wraps this import site too
 from .resband import h1_via_bands  # noqa: F401
+from .scalars import DEFAULT_EPS
+
+DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -240,7 +243,7 @@ def deleted_b3():
     return proj, catalog
 
 
-def h1_at_point(proj, point, backend="cyclotomic", eps=1e-9):
+def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     """h^1 at a nontrivial torus point by the band kernel on the chart of
     ``h1_on_band_chart``: the line at infinity when its q is not 1,
     otherwise the first line with q != 1.  The system holds the exponents
@@ -436,7 +439,7 @@ def _span(cols, steps, order, width):
         yield point
 
 
-def candidate_points(proj, order, budget=2_000_000, spent=0):
+def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     """``(exponents, h1)`` for every nontrivial torus point of order
     dividing ``order`` at which the certificates do not give h^1 = 0, each
     once (see ``torsion_scan`` for why these are all of them).
@@ -502,7 +505,12 @@ class ScanHit:
 
 
 def torsion_scan(
-    proj, order, budget=2_000_000, catalog=None, backend="cyclotomic", eps=1e-9
+    proj,
+    order,
+    budget=DEFAULT_BUDGET,
+    catalog=None,
+    backend="cyclotomic",
+    eps=DEFAULT_EPS,
 ):
     """All torus points of order dividing `order` with h^1 >= 1.
 

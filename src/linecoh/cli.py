@@ -16,10 +16,13 @@ index, all counted before any point is listed, not the N^(n-1) grid.
 Exit codes: 0 success, 2 precondition failure (bad input, or an
 unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must
-agree did not); with floating arithmetic, an ``--eps`` that is not a
-finite number >= 1e-12 is bad input, and so is a torsion order above
+agree did not, a failed cochain check d1*d0 = 0 or a negative dimension);
+with floating arithmetic, an ``--eps`` that is not a finite number >=
+1e-12 is bad input, and so is a torsion order above
 ``scalars.MAX_TORSION_ORDER`` = 1000 with exact arithmetic, or one with
-2 sin(pi/N) <= eps (about 6.3e9 at the default eps 1e-9) with floating.
+2 sin(pi/N) <= eps (about 6.3e9 at the default eps 1e-9) with floating,
+or complex monodromies whose products of two weights can round by more
+than eps, (n + 1) * 2^-52 * prod max(|q_i|, 1/|q_i|) > eps.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import argparse
 import sys
 
 from . import charvar, mincomplex, resband
-from .geometry import ProjArrangement, cone, parse_arrangement
+from .geometry import ProjArrangement, cone, monic, parse_arrangement
 from .localsystem import LocalSystemError, make_local_system
+from .scalars import DEFAULT_EPS
 
 
 class _CliError(ValueError):
@@ -94,8 +98,8 @@ def _sign_header(arr):
     return [
         f"lines ({arr.n}):",
         *(
-            "  H{}: {}*x + {}*y + {} = 0".format(ln.id + 1, *ln.monic())
-            for ln in arr.lines
+            "  H{}: {}*x + {}*y + {} = 0".format(k + 1, *monic(row))
+            for k, row in enumerate(arr.lines)
         ),
     ]
 
@@ -104,17 +108,17 @@ def cmd_chambers(args):
     arr, _ = _load(args.arrangement)
     rows = _sign_header(arr)
     flagged = arr.flagged()
-    rows.append(f"flag line order: {' '.join(f'H{i + 1}' for i in flagged.frame.order)}")
+    rows.append(f"flag line order: {' '.join(f'H{i + 1}' for i in flagged.order)}")
     rows.append("chambers (signs in flag order):")
-    chs = flagged.chambers
-    for ch in chs:
+    degree = dict.fromkeys(flagged.u_index, 1)  # degree 2 off the axis
+    degree[flagged.u_index[0]] = 0
+    for ch in flagged.chambers:
         opp = ch.opposite.sign_string() if ch.opposite is not None else "-"
         rows.append(
             f"  {ch.sign_string()}  bounded={'y' if ch.bounded else 'n'}"
-            f"  degree={ch.flag_degree}  opposite={opp}"
+            f"  degree={degree.get(ch.index, 2)}  opposite={opp}"
         )
-    counts = (1, len(flagged.ch1), len(flagged.ch2))
-    rows.append(f"counts by degree: {counts[0]} {counts[1]} {counts[2]}")
+    rows.append(f"counts by degree: 1 {len(flagged.ch1)} {len(flagged.ch2)}")
     _emit(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -124,11 +128,10 @@ def cmd_complex(args):
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     flagged = arr.flagged()
     structure = mincomplex.complex_structure(flagged)
-    symbolic = system.backend.kind == "cyclotomic"
     rows = _sign_header(arr)
     rows.append("d0 (column over U_1 ... U_0^op):")
     for sign, ids in structure.d0:
-        rows.append("  " + mincomplex.format_entry(system, sign, ids, symbolic))
+        rows.append("  " + mincomplex.format_entry(system, sign, ids))
     rows.append("d1 (rows = degree-2 chambers):")
     n = flagged.n
     sym = {}
@@ -138,12 +141,14 @@ def cmd_complex(args):
         cells = []
         for c in range(n):
             if (r, c) in sym:
-                cells.append(mincomplex.format_entry(system, *sym[(r, c)], symbolic))
+                cells.append(mincomplex.format_entry(system, *sym[(r, c)]))
             else:
                 cells.append("0")
         rows.append(f"  {flagged.chambers[ci].sign_string()}: " + "  ".join(cells))
-    cx = mincomplex.build_complex(system, arr)
-    rows.append(f"cochain check d1*d0 = 0: {'ok' if cx.cochain_ok() else 'FAILED'}")
+    cx = mincomplex.build_complex(system, flagged)
+    if not cx.cochain_ok():
+        raise resband.InvariantError("cochain check d1*d0 = 0 failed")
+    rows.append("cochain check d1*d0 = 0: ok")
     h0, h1, h2 = cx.dims()
     rows.append(f"h0 h1 h2 = {h0} {h1} {h2}")
     _emit(args.out, "\n".join(rows) + "\n")
@@ -270,9 +275,9 @@ def _options(system=False, order=False, check=False):
             )
         if order:
             p.add_argument("--order", type=int, required=True)
-            p.add_argument("--budget", type=int, default=2_000_000)
+            p.add_argument("--budget", type=int, default=charvar.DEFAULT_BUDGET)
         p.add_argument("--backend", choices=_BACKENDS, default="cyclotomic")
-        p.add_argument("--eps", type=float, default=1e-9)
+        p.add_argument("--eps", type=float, default=DEFAULT_EPS)
         p.add_argument("--out", default=None)
         if check:
             p.add_argument(
@@ -284,7 +289,7 @@ def _options(system=False, order=False, check=False):
 
 def _b3_options(p):
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=charvar.DEFAULT_BUDGET)
     p.add_argument("--backend", choices=_BACKENDS, default="cyclotomic")
     p.add_argument("--out", default=None)
 

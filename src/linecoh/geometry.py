@@ -16,8 +16,8 @@ not a second enumeration.  The lines separating two chambers are the set
 bits of the XOR of their sign bitmasks (``separating_ids``).  Charts move
 any member to infinity by an integer adjugate.  ``Fraction`` holds only
 the coefficient tokens that are not integers, the flag's axis height and
-intercepts, and ``Line.monic`` (the printed ``lines (n):`` coefficients
-and the band offsets); an integer token parses to an ``int``.
+intercepts, and ``monic`` (the printed ``lines (n):`` coefficients and
+the band offsets); an integer token parses to an ``int``.
 """
 
 from __future__ import annotations
@@ -107,30 +107,13 @@ def _primitive(a, b, c):
     return (a // g, b // g, c // g)
 
 
-@dataclass(frozen=True)
-class Line:
-    """The line a*x + b*y + c = 0, (a, b) != (0, 0): a ``canonical_triple``
-    in an ``Arrangement``, an integer row in flag coordinates when flagged."""
-
-    a: int
-    b: int
-    c: int
-    id: int
-
-    @classmethod
-    def canonical(cls, a, b, c, id):
-        if a == 0 and b == 0:
-            raise ArrangementError(f"degenerate line 0*x + 0*y + {c} = 0")
-        return cls(*canonical_triple(a, b, c), id)
-
-    def triple(self):
-        return (self.a, self.b, self.c)
-
-    def monic(self):
-        """The coefficients over the first nonzero one, as Fractions: the
-        direction and offset that reports print and bands are ordered by."""
-        lead = self.a or self.b
-        return (Fraction(self.a, lead), Fraction(self.b, lead), Fraction(self.c, lead))
+def monic(row):
+    """The coefficients of the line ``row`` = (a, b, c), (a, b) != (0, 0),
+    over the first nonzero one, as Fractions: the direction and offset that
+    reports print and bands are ordered by."""
+    a, b, c = row
+    lead = a or b
+    return (Fraction(a, lead), Fraction(b, lead), Fraction(c, lead))
 
 
 @dataclass(eq=False)
@@ -139,13 +122,12 @@ class Chamber:
 
     signs[k] is +1 or -1: the sign of line k's equation on the region.
     ``opposite`` points to the antipodal unbounded chamber (None when
-    bounded); ``flag_degree`` is filled in by the flag classification.
+    bounded).
     """
 
     signs: tuple
     bounded: bool
     opposite: "Chamber | None" = field(default=None, repr=False)
-    flag_degree: int | None = None
     index: int = -1
 
     def sign_string(self):
@@ -171,7 +153,8 @@ class IntersectionPoint:
 
 
 def _compute_chambers(lines):
-    """The chambers of ``lines``, sorted by sign vector, from the edges.
+    """The chambers of the integer rows ``lines``, sorted by sign vector,
+    from the edges.
 
     On line k = (a, b, c), moving along the direction d = (-b, a) changes
     line j's equation at the rate D = a*b_j - b*a_j; where D != 0, j crosses
@@ -191,12 +174,11 @@ def _compute_chambers(lines):
     n = len(lines)
     if n > MAX_LINES:
         raise ArrangementTooLargeError(f"{n} lines exceeds the bound {MAX_LINES}")
-    rows = [ln.triple() for ln in lines]
     end_line = {}  # sign vector -> a line holding one of its unbounded edges
     inner = set()  # sign vectors seen beside a bounded edge
-    for k, (a, b, c) in enumerate(rows):
+    for k, (a, b, c) in enumerate(lines):
         signs, crossing = [], []
-        for j, (aj, bj, cj) in enumerate(rows):
+        for j, (aj, bj, cj) in enumerate(lines):
             d = a * bj - b * aj
             if d:
                 signs.append(1 if d < 0 else -1)
@@ -232,10 +214,10 @@ def _compute_chambers(lines):
             continue
         opp = by_signs.get(tuple(-s for s in ch.signs))
         if opp is None or opp.bounded:
-            a, b, _ = rows[end_line[ch.signs]]
+            a, b, _ = lines[end_line[ch.signs]]
             target = tuple(
                 s if a * bj == b * aj else -s
-                for s, (aj, bj, _) in zip(ch.signs, rows)
+                for s, (aj, bj, _) in zip(ch.signs, lines)
             )
             opp = by_signs.get(target)
             if opp is None or opp.bounded:
@@ -249,18 +231,19 @@ _BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
 _HIGH_BYTE_BITS = tuple(tuple(k + 8 for k in bits) for bits in _BYTE_BITS)
 
 
-def separating_ids(chambers, lines):
+def separating_ids(chambers, ids):
     """The function (i, j) -> sorted ids of the lines separating chambers
-    ``chambers[i]`` and ``chambers[j]`` of ``lines``.
+    ``chambers[i]`` and ``chambers[j]``, where ``ids[k]`` is the id of the
+    line of sign k: ``range(n)`` for an arrangement, ``order`` for a flag.
 
     Each chamber's sign vector s is read once as a bitmask over line ids,
-    bit ``id`` set where the sign is +1: sum(s_k * 2**id_k) is that mask
+    bit ``id`` set where the sign is +1: sum(s_k * 2**ids[k]) is that mask
     twice, less the mask of all lines.  Two chambers are separated exactly
     by the lines where their signs differ, the set bits of the XOR of
     their masks, read off a table per byte in increasing id order (ids are
     below MAX_LINES = 16, so two bytes hold them).
     """
-    bits = [1 << ln.id for ln in lines]
+    bits = [1 << i for i in ids]
     full = sum(bits)
     masks = [(sum(map(mul, bits, ch.signs)) + full) >> 1 for ch in chambers]
 
@@ -313,24 +296,25 @@ def _affine_intersections(lines):
     incidence sets (positions, which are the line ids), sorted by (x/z,
     y/z): the integer crossings (x, y, z) with z != 0, sorted on integer
     keys."""
-    rows = [ln.triple() for ln in lines]
-    pts = _sorted_scaled([(p[2], p, on) for p, on in _crossings(rows) if p[2]])
+    pts = _sorted_scaled([(p[2], p, on) for p, on in _crossings(lines) if p[2]])
     return tuple(IntersectionPoint(p, on) for _, p, on in pts)
 
 
 class Arrangement:
-    """A finite list of distinct affine lines; ids equal list positions."""
+    """A finite list of distinct affine lines a*x + b*y + c = 0, (a, b) !=
+    (0, 0), as ``canonical_triple`` rows; a line's id is its position."""
 
     def __init__(self, coefficients):
-        lines = {}
+        rows = {}  # canonical row -> its first position
         for i, (a, b, c) in enumerate(coefficients):
-            ln = Line.canonical(a, b, c, id=i)
-            first = lines.setdefault(ln.triple(), ln)
-            if first is not ln:
-                raise ArrangementError(f"duplicate line (rows {first.id} and {i})")
-        if not lines:
+            if a == 0 and b == 0:
+                raise ArrangementError(f"degenerate line 0*x + 0*y + {c} = 0")
+            t = canonical_triple(a, b, c)
+            if rows.setdefault(t, i) != i:
+                raise ArrangementError(f"duplicate line (rows {rows[t]} and {i})")
+        if not rows:
             raise ArrangementError("empty arrangement")
-        self.lines = tuple(lines.values())
+        self.lines = tuple(rows)
         self._chambers = None
         self._points = None
         self._flags = {}
@@ -367,28 +351,20 @@ class Arrangement:
 # generic flag
 
 
-@dataclass(frozen=True)
-class FlagFrame:
-    """The renumbering and sign normalization of the lines induced by the
-    flag's coordinate change (see ``choose_flag``)."""
-
-    order: tuple  # flag position -> original line id
-    sign_flips: tuple  # per flag position
-
-
 class FlaggedArrangement:
     """An arrangement in flag coordinates.
 
     Lines are renumbered so their positive x-axis intercepts increase, each
-    equation is normalized to be negative at the origin, and every
-    intersection point lies strictly above the x-axis.  Chambers carry flag
-    degrees; ``u_index[p]`` is the chamber index of the p-th chamber met
-    along the axis (U_0 at the origin, then U_1, ..., U_{n-1}, and finally
-    the chamber opposite U_0).
+    equation is an integer row normalized to be negative at the origin, and
+    every intersection point lies strictly above the x-axis: flagged line
+    ``pos`` is original line ``order[pos]``.  ``u_index[p]`` is the chamber
+    index of the p-th chamber met along the axis (U_0 at the origin, then
+    U_1, ..., U_{n-1}, and finally the chamber opposite U_0): U_0 has flag
+    degree 0, the others degree 1, and the chambers ``ch2`` degree 2.
     """
 
-    def __init__(self, frame, lines, chambers, u_index, ch2, intercepts):
-        self.frame = frame
+    def __init__(self, order, lines, chambers, u_index, ch2, intercepts):
+        self.order = order
         self.lines = lines
         self.chambers = chambers
         self.u_index = u_index
@@ -437,7 +413,7 @@ def _flag_axis(arrangement, variant):
     shears = (
         (p, q)
         for p, q in _mu_candidates(2 * (len(lines) + variant + 2))
-        if all(q * ln.a + p * ln.b for ln in lines)
+        if all(q * a + p * b for a, b, _ in lines)
     )
     p, q = next(islice(shears, variant, None), (None, None))
     if q is None:
@@ -464,19 +440,19 @@ def choose_flag(arrangement, variant=0):
     tx, ty one below the least axis intercept and the least sheared point
     height.  Flagged line ``pos`` is the integer row of the original line
     ``k = order[pos]`` rewritten in the new coordinates, scaled by a
-    positive integer and multiplied by -1 when ``sign_flips[pos]``: its
-    equation takes, at the image of a point, a positive multiple of the
-    value of line k's equation at the point, up to that sign.  So the map
-    sends the chamber with sign vector s onto the chamber with sign vector
-    (+-s[order[pos]])_pos, one to one.  An affine bijection keeps
-    recession cones up to a linear isomorphism (bounded chambers stay
-    bounded), parallelism and antipodes, and the opposite pairing is
-    defined by those alone, so the transported chambers, re-sorted by
-    their new sign vectors, carry exactly the ``bounded`` fields, indices and
-    opposite links that a fresh enumeration of the flagged lines would
-    give.  The chambers of ``arrangement`` are enumerated once and reused;
-    the transported ones are new objects, as ``flag_degree`` depends on
-    the variant.
+    positive integer and multiplied by -1 where that makes it negative at
+    the origin: its equation takes, at the image of a point, a positive
+    multiple of the value of line k's equation at the point, up to that
+    sign.  So the map sends the chamber with sign vector s onto the chamber
+    with sign vector (+-s[order[pos]])_pos, one to one.  An affine
+    bijection keeps recession cones up to a linear isomorphism (bounded
+    chambers stay bounded), parallelism and antipodes, and the opposite
+    pairing is defined by those alone, so the transported chambers,
+    re-sorted by their new sign vectors, carry exactly the ``bounded``
+    fields, indices and opposite links that a fresh enumeration of the
+    flagged lines would give.  The chambers of ``arrangement`` are
+    enumerated once and reused; the transported ones are new objects, as
+    their indices and signs depend on the variant.
     """
     lines = arrangement.lines
     n = len(lines)
@@ -484,27 +460,24 @@ def choose_flag(arrangement, variant=0):
     # each row times q * ty.denominator > 0: (a + mu*b, b, c + b*ty)
     dy, ny = ty.denominator, ty.numerator
     shifted = [
-        (dy * (q * ln.a + p * ln.b), dy * q * ln.b, q * (dy * ln.c + ny * ln.b))
-        for ln in lines
+        (dy * (q * a + p * b), dy * q * b, q * (dy * c + ny * b)) for a, b, c in lines
     ]
     intercepts = [Fraction(-c, a) for a, _, c in shifted]
     tx = min(intercepts) - 1
     dx, nx = tx.denominator, tx.numerator
-    order = sorted(range(n), key=intercepts.__getitem__)
-    flags = []
+    order = tuple(sorted(range(n), key=intercepts.__getitem__))
+    flip_signs = []
     flagged_lines = []
     for k in order:
         # times tx.denominator > 0: (a, b, c + a*tx)
         a, b, c = shifted[k]
         a, b, c = dx * a, dx * b, dx * c + nx * a
-        flip = c > 0
-        if flip:
-            a, b, c = -a, -b, -c
-        flags.append(flip)
-        flagged_lines.append(Line(a, b, c, id=lines[k].id))
+        sign = -1 if c > 0 else 1
+        flip_signs.append(sign)
+        flagged_lines.append((sign * a, sign * b, sign * c))
     sorted_intercepts = [intercepts[k] - tx for k in order]
     # verify the flag conditions outright
-    if any(ln.a == 0 for ln in flagged_lines):
+    if any(a == 0 for a, _, _ in flagged_lines):
         raise FlagError("a line is parallel to the flag axis")
     if any(hn * dy <= ny * hd for hn, hd in heights):
         raise FlagError("an intersection point is not above the flag axis")
@@ -512,16 +485,11 @@ def choose_flag(arrangement, variant=0):
         x2 <= x1 for x1, x2 in zip(sorted_intercepts, sorted_intercepts[1:])
     ) or sorted_intercepts[0] <= 0:
         raise FlagError("axis intercepts are not strictly increasing and positive")
-    if any(ln.c >= 0 for ln in flagged_lines):
+    if any(c >= 0 for _, _, c in flagged_lines):
         raise FlagError("origin is not in every negative half-plane")
 
-    frame = FlagFrame(
-        order=tuple(lines[k].id for k in order),
-        sign_flips=tuple(flags),
-    )
     # transport the chambers along the flag map (proof in the docstring)
     reorder = itemgetter(*order)  # n >= 2 lines: a tuple
-    flip_signs = [-1 if flip else 1 for flip in flags]
     moved = {
         ch: Chamber(
             signs=tuple(map(mul, reorder(ch.signs), flip_signs)),
@@ -545,15 +513,8 @@ def choose_flag(arrangement, variant=0):
         u_index.append(ch.index)
     u_set = set(u_index)
     ch2 = tuple(ch.index for ch in chs if ch.index not in u_set)
-    for ch in chs:
-        if ch.index == u_index[0]:
-            ch.flag_degree = 0
-        elif ch.index in u_set:
-            ch.flag_degree = 1
-        else:
-            ch.flag_degree = 2
     fa = FlaggedArrangement(
-        frame=frame,
+        order=order,
         lines=tuple(flagged_lines),
         chambers=tuple(chs),
         u_index=tuple(u_index),
@@ -644,9 +605,7 @@ def cone(arrangement):
     over keeps the arrangement's cached chambers and flags.
     """
     n = arrangement.n
-    triples = [ln.triple() for ln in arrangement.lines]
-    triples.append((0, 0, 1))
-    proj = ProjArrangement(triples, infinity_index=n)
+    proj = ProjArrangement([*arrangement.lines, (0, 0, 1)], infinity_index=n)
     proj._charts[n] = Chart(arrangement, tuple(range(n)), n)
     return proj
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 
-from .scalars import MAX_TORSION_ORDER, ComplexBackend, CyclotomicBackend
+from .scalars import DEFAULT_EPS, MAX_TORSION_ORDER, ComplexBackend, CyclotomicBackend
 
 
 class LocalSystemError(ValueError):
@@ -120,7 +121,9 @@ def _cyclotomic_backend(order):
     return CyclotomicBackend(order)
 
 
-def make_local_system(exponents=None, order=None, values=None, backend="cyclotomic", eps=1e-9):
+def make_local_system(
+    exponents=None, order=None, values=None, backend="cyclotomic", eps=DEFAULT_EPS
+):
     """Build a local system.
 
     Torsion mode: ``exponents`` (integers) and ``order`` N give
@@ -130,7 +133,9 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
     2 sin(pi/N) > eps: a nontrivial N-th root of unity is that far from
     1, and a nonzero weight h - h^(-1), h a 2N-th root, from 0.
     Complex mode: ``values`` lists nonzero finite complex monodromies
-    directly and square roots are principal.
+    directly and square roots are principal; values with (n + 1) * 2^-52 *
+    prod max(|q_i|, 1/|q_i|) > eps, whose products of two weights could
+    round by more than eps (see ``scalars``), are refused.
     """
     if values is not None:
         if exponents is not None or order is not None:
@@ -141,6 +146,14 @@ def make_local_system(exponents=None, order=None, values=None, backend="cyclotom
             raise LocalSystemError("monodromy values must be finite")
         if any(map(field.is_zero, vals)):
             raise LocalSystemError("zero monodromy value")
+        rounding = (len(vals) + 1) * sys.float_info.epsilon * math.prod(
+            max(abs(v), 1 / abs(v)) for v in vals
+        )
+        if rounding > eps:
+            raise LocalSystemError(
+                "monodromy moduli too far from 1 for the floating backend at "
+                f"eps {eps!r}: products of weights can round by {rounding:.3g}"
+            )
         return LocalSystem(field, map(cmath.sqrt, vals))
     if order is None or exponents is None:
         raise LocalSystemError("torsion mode needs exponents and an order")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import Arrangement, FlaggedArrangement, separating_ids
+from .resband import InvariantError
 from .scalars import Matrix, matmul, rank
 
 
@@ -41,7 +42,7 @@ def complex_structure(flagged):
     n = flagged.n
     chs = flagged.chambers
     u = flagged.u_index
-    sep = separating_ids(chs, flagged.lines)
+    sep = separating_ids(chs, flagged.order)
     basis1 = list(u[1:])  # chamber indices of U_1, ..., U_{n-1}, U_0^op
     basis2 = tuple(sorted(flagged.ch2, key=lambda i: chs[i].signs))
     d0 = tuple((1, sep(u[0], ci)) for ci in basis1)
@@ -94,29 +95,29 @@ class TwistedComplex:
     d0: Matrix
     d1: Matrix
 
-    @property
-    def flagged(self):
-        return self.structure.flagged
-
     def cochain_ok(self):
         """Exact check that d1 . d0 = 0."""
         return matmul(self.d1, self.d0).is_zero()
 
     def dims(self):
+        """(h^0, h^1, h^2) from the two ranks; a negative one (ranks that
+        floating rounding has made inconsistent) is an ``InvariantError``."""
         n = self.structure.n
         r0 = rank(self.d0)
         r1 = rank(self.d1)
-        h0 = 1 - r0
-        h1 = (n - r1) - r0
-        h2 = len(self.structure.basis2) - r1
-        return (h0, h1, h2)
+        dims = (1 - r0, (n - r1) - r0, len(self.structure.basis2) - r1)
+        if min(dims) < 0:
+            raise InvariantError(f"negative dimension: h0 h1 h2 = {dims}")
+        return dims
 
 
-def build_complex(system, arrangement, variant=0):
+def build_complex(system, arrangement):
+    """The ``TwistedComplex`` of ``system`` on an arrangement's default
+    flag, or on the given ``FlaggedArrangement``."""
     flagged = (
         arrangement
         if isinstance(arrangement, FlaggedArrangement)
-        else arrangement.flagged(variant)
+        else arrangement.flagged()
     )
     structure = complex_structure(flagged)
     return TwistedComplex(
@@ -126,21 +127,22 @@ def build_complex(system, arrangement, variant=0):
     )
 
 
-def cohomology_dims(system, arrangement, variant=0):
+def cohomology_dims(system, arrangement):
     """(h^0, h^1, h^2) of the arrangement complement with the given
-    monodromies, via the chamber complex."""
+    monodromies, via the chamber complex (``build_complex``)."""
     if isinstance(arrangement, Arrangement):
         if system.n != arrangement.n:
             raise ValueError("local system size does not match the arrangement")
-    return build_complex(system, arrangement, variant).dims()
+    return build_complex(system, arrangement).dims()
 
 
-def format_entry(system, sign, ids, symbolic):
-    """One matrix entry, either symbolically (D{ids} is the weight of the
-    separating set, 1-based in reports) or as a backend scalar."""
-    if not ids and symbolic:
-        return "0"
-    if symbolic:
+def format_entry(system, sign, ids):
+    """One matrix entry: symbolically over the cyclotomic backend (D{ids}
+    is the weight of the separating set, 1-based in reports), as a complex
+    scalar over the floating one."""
+    if system.backend.kind == "cyclotomic":
+        if not ids:
+            return "0"
         label = "".join(str(i + 1) for i in ids) if len(ids) <= 9 else ",".join(
             str(i + 1) for i in ids
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .geometry import Arrangement, separating_ids
+from .geometry import Arrangement, monic, separating_ids
 from .scalars import Matrix, kernel_basis, kernel_dimension
 
 
@@ -98,24 +98,21 @@ def band_structure(arrangement):
         raise ValueError("bands need a position-indexed arrangement, not a flagged one")
     if arrangement._bands is not None:
         return arrangement._bands
-    lines = arrangement.lines
     chs = arrangement.chambers()
-    sep = separating_ids(chs, lines)
-    groups = {}  # monic direction -> [(monic offset, line)]
-    for ln in lines:
-        a, b, c = ln.monic()
-        groups.setdefault((a, b), []).append((c, ln))
+    sep = separating_ids(chs, range(arrangement.n))
+    groups = {}  # monic direction -> [(monic offset, line position)]
+    for k, row in enumerate(arrangement.lines):
+        a, b, c = monic(row)
+        groups.setdefault((a, b), []).append((c, k))
     bands, sep_ends, wave_seps = [], [], []
     for key in sorted(groups):
-        cls = [ln for _, ln in sorted(groups[key], key=lambda t: t[0], reverse=True)]
+        cls = [k for _, k in sorted(groups[key], key=lambda t: t[0], reverse=True)]
         if len(cls) < 2:
             continue
-        class_ids = frozenset(ln.id for ln in cls)
+        class_ids = frozenset(cls)
         for low, up in zip(cls, cls[1:]):
             inner = tuple(
-                ch.index
-                for ch in chs
-                if ch.signs[low.id] > 0 and ch.signs[up.id] < 0
+                ch.index for ch in chs if ch.signs[low] > 0 and ch.signs[up] < 0
             )
             ends = sorted(
                 (i for i in inner if not chs[i].bounded),
@@ -130,8 +127,8 @@ def band_structure(arrangement):
                 raise ValueError("band ends are not opposite chambers")
             bands.append(
                 Band(
-                    lower=low.id,
-                    upper=up.id,
+                    lower=low,
+                    upper=up,
                     u1=u1,
                     u2=u2,
                     inner=inner,

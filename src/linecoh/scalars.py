@@ -7,13 +7,20 @@ Two interchangeable backends feed every cohomology computation:
   reduced modulo the M-th cyclotomic polynomial.  Coefficients are Python
   ints, so an element lies in Z[zeta_M]; zero testing is exact.
 * ``ComplexBackend(eps)`` -- plain complex floats with one tolerance
-  rule: a value is zero exactly when its modulus is at most ``eps``, a
-  finite number >= ``EPS_FLOOR`` = 1e-12 (any other ``eps`` raises
-  ``ValueError``).  Rounding leaves exact zeros near 1e-15, so a smaller
-  ``eps`` misses zeros: the order-3 deleted-B3 scan finds 74 or 120 hits
-  at 1e-16 or 1e-15, not 114, and matches at orders 2-6 from 3e-15 up.
-  ``is_zero``, the resonance tests and the echelon pivot choice all use
-  it, and no threshold is relative to the size of the matrix entries.
+  rule: a value is zero exactly when its modulus is at most ``eps``
+  (``DEFAULT_EPS`` = 1e-9 unless given), a finite number >=
+  ``EPS_FLOOR`` = 1e-12 (any other ``eps`` raises ``ValueError``).
+  Rounding leaves exact zeros near 1e-15, so a smaller ``eps`` misses
+  zeros: the order-3 deleted-B3 scan finds 74 or 120 hits at 1e-16 or
+  1e-15, not 114, and matches at orders 2-6 from 3e-15 up.  ``is_zero``,
+  the resonance tests and the echelon pivot choice all use it, and no
+  threshold is relative to the size of the matrix entries.  So the
+  entries must be small enough for their rounding to stay below ``eps``:
+  a weight h - 1/h, h a product of half monodromies h_i (the infinity
+  one included), has modulus at most W = prod max(|h_i|, 1/|h_i|), the
+  cochain check and the elimination multiply two weights, and
+  ``make_local_system`` refuses complex monodromies q_i = h_i^2 with
+  (n + 1) * 2^-52 * W^2 > eps, W^2 = prod max(|q_i|, 1/|q_i|).
 
 Both backends also own the representation of a half monodromy, a square
 root h of a monodromy q = h^2, through the same six operations:
@@ -174,30 +181,8 @@ class CyclotomicBackend:
     def eq(self, u, v):
         return self.is_zero(self.sub(u, v))
 
-    def format(self, u):
-        """Human-readable polynomial in z = zeta_order."""
-        terms = []
-        for k, c in enumerate(u):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                mon = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    terms.append(mon)
-                elif c == -1:
-                    terms.append(f"-{mon}")
-                else:
-                    terms.append(f"{c}*{mon}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
-        return out
 
-
+DEFAULT_EPS = 1e-9
 EPS_FLOOR = 1e-12  # about 300 times the rounding errors of the zero tests
 # the largest torsion order N of the exact backend: a system of order N
 # builds CyclotomicBackend(2N), whose power table holds 2N * phi(2N)
@@ -211,7 +196,7 @@ class ComplexBackend:
 
     kind = "complex"
 
-    def __init__(self, eps=1e-9):
+    def __init__(self, eps=DEFAULT_EPS):
         if not 0 <= eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, not {eps!r}")
         if eps < EPS_FLOOR:

@@ -24,13 +24,15 @@ from linecoh.scalars import Matrix
 
 
 def evaluate(line, x, y):
-    """Value of the line's equation at (x, y)."""
-    return line.a * x + line.b * y + line.c
+    """Value of the equation of the line (a, b, c) at (x, y)."""
+    a, b, c = line
+    return a * x + b * y + c
 
 
 def direction_key(line):
     """Canonical normal direction; equal keys <=> parallel lines."""
-    return canonical_triple(line.a, line.b, 0)[:2]
+    a, b, _ = line
+    return canonical_triple(a, b, 0)[:2]
 
 
 def transpose(mat):
@@ -41,11 +43,10 @@ def transpose(mat):
     )
 
 
-def delta(system, lines, c1, c2):
-    """Connection weight between two chambers of the arrangement whose line
-    list is given (weight of the separating set)."""
-    ids = [lines[k].id for k in range(len(lines)) if c1.signs[k] != c2.signs[k]]
-    return system.delta_ids(ids)
+def delta(system, ids, c1, c2):
+    """Connection weight between two chambers (weight of the separating
+    set), ``ids[k]`` the id of the line of sign k."""
+    return system.delta_ids(sep(c1, c2, ids))
 
 
 def half(system, i):
@@ -90,18 +91,18 @@ def _candidates(values):
 
 def sample_points(lines):
     xs = set()
-    for l1, l2 in combinations(lines, 2):
-        det = l1.a * l2.b - l2.a * l1.b
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
         if det:
-            xs.add(Fraction(l2.c * l1.b - l1.c * l2.b, det))
-    for ln in lines:
-        if ln.b == 0:
-            xs.add(Fraction(-ln.c, ln.a))
+            xs.add(Fraction(c2 * b1 - c1 * b2, det))
+    for a, b, c in lines:
+        if b == 0:
+            xs.add(Fraction(-c, a))
     if not xs:
         xs = {Fraction(0)}
     pts = []
     for x0 in _candidates(xs):
-        ys = {-(ln.a * x0 + ln.c) / ln.b for ln in lines if ln.b != 0}
+        ys = {-(a * x0 + c) / b for a, b, c in lines if b != 0}
         if not ys:
             ys = {Fraction(0)}
         for y0 in _candidates(ys):
@@ -196,9 +197,8 @@ def chambers(lines):
     the opposite of a chamber the negated sign vector when that is an
     unbounded chamber, else (a band end, one recession ray) the sign vector
     with the signs of the lines not parallel to the ray flipped."""
-    rows = [ln.triple() for ln in lines]
-    normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in rows]
-    vectors = _sign_vectors(rows)
+    normals = [(a // gcd(a, b), b // gcd(a, b)) for a, b, _ in lines]
+    vectors = _sign_vectors(lines)
     rays = {s: _recession_rays(normals, s) for s in vectors}
     index = {s: i for i, s in enumerate(vectors)}
     out = []
@@ -230,12 +230,12 @@ def _affine_coords(lines):
     """The affine intersection points (x, y) of ``lines`` as Fraction pairs,
     sorted."""
     coords = set()
-    for l1, l2 in combinations(lines, 2):
-        det = l1.a * l2.b - l2.a * l1.b
+    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
         if det == 0:
             continue
-        x = Fraction(l2.c * l1.b - l1.c * l2.b, det)
-        y = Fraction(l1.c * l2.a - l2.c * l1.a, det)
+        x = Fraction(c2 * b1 - c1 * b2, det)
+        y = Fraction(c1 * a2 - c2 * a1, det)
         coords.add((x, y))
     return sorted(coords)
 
@@ -247,7 +247,7 @@ def affine_points(lines):
     return tuple(
         IntersectionPoint(
             canonical_triple(x, y, 1),
-            frozenset(ln.id for ln in lines if evaluate(ln, x, y) == 0),
+            frozenset(k for k, ln in enumerate(lines) if evaluate(ln, x, y) == 0),
         )
         for x, y in _affine_coords(lines)
     )
@@ -259,11 +259,10 @@ def flag_height(lines, p, q):
     return min(y - x * p / q for x, y in _affine_coords(lines)) - 1
 
 
-def sep(c1, c2, lines):
-    """Ids of the lines separating two chambers of the same arrangement."""
-    return frozenset(
-        lines[k].id for k in range(len(lines)) if c1.signs[k] != c2.signs[k]
-    )
+def sep(c1, c2, ids):
+    """Ids of the lines separating two chambers of the same arrangement,
+    ``ids[k]`` the id of the line of sign k."""
+    return frozenset(i for i, s1, s2 in zip(ids, c1.signs, c2.signs) if s1 != s2)
 
 
 def _dot(triple, coords):

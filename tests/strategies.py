@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from linecoh import Arrangement
-from linecoh.geometry import Line
+from linecoh.geometry import canonical_triple
 
 BIG = 10**12 + 1
 COEFFS = st.sampled_from(
@@ -48,7 +48,7 @@ def arrangements(draw, max_lines=7, min_lines=1):
                 c = -(a * x0 + b * y0)
         if a == 0 and b == 0:
             continue
-        key = Line.canonical(a, b, c, id=0).triple()
+        key = canonical_triple(a, b, c)
         if key not in keys:
             keys.add(key)
             rows.append((a, b, c))
@@ -65,7 +65,7 @@ def pencils(draw, max_lines=6):
     rows, keys = [], set()
     for _ in range(draw(st.integers(1, max_lines))):
         k, c = draw(COEFFS.filter(bool)), draw(COEFFS)
-        key = Line.canonical(k * a, k * b, c, id=0).triple()
+        key = canonical_triple(k * a, k * b, c)
         if key not in keys:
             keys.add(key)
             rows.append((k * a, k * b, c))

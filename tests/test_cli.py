@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecoh import charvar, resband
+from linecoh import charvar, mincomplex, resband
 from linecoh.cli import main
 from linecoh.localsystem import LocalSystem, make_local_system
 
@@ -472,6 +472,38 @@ def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
     code = main(["certify", "--arrangement", fig1_file, "--local-system", spec])
     assert code == 4
     assert "error: contradictory certificates: [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["h1", "complex", "certify"])
+def test_huge_complex_monodromies_exit_2(fig1_file, command, capsys):
+    # weights up to 1e120 round by far more than eps: the oracle printed
+    # h0 h1 h2 = 0 -1 1, and h1 --check a mismatch
+    spec = "complex; 1e80 1e80 1e80 1 1"
+    code = main([command, "--arrangement", fig1_file, "--local-system", spec])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: monodromy moduli too far from 1")
+
+
+def test_failed_cochain_check_exits_4(fig1_file, monkeypatch, capsys):
+    monkeypatch.setattr(mincomplex.TwistedComplex, "cochain_ok", lambda self: False)
+    spec = "torsion 2; 1 1 1 1 1"
+    code = main(["complex", "--arrangement", fig1_file, "--local-system", spec])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cochain check d1*d0 = 0 failed\n"
+
+
+def test_negative_dimension_exits_4(fig1_file, monkeypatch, capsys):
+    # a rank above the basis size stands for ranks that rounding made
+    # inconsistent
+    monkeypatch.setattr(mincomplex, "rank", lambda mat: mat.ncols + 1)
+    spec = "torsion 4; 0 1 3 2 0"
+    argv = ["h1", "--arrangement", fig1_file, "--local-system", spec, "--check"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error: negative dimension: h0 h1 h2")
 
 
 def test_h1_complex_near_eps_band_resonance(capsys):

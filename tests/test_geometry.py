@@ -41,9 +41,7 @@ def test_parse_b3_affine_rows():
     assert arr.n == 7
     proj, _ = corpus.b3()
     chart = proj.chart(proj.infinity_index)
-    assert [ln.triple() for ln in arr.lines] == [
-        ln.triple() for ln in chart.arrangement.lines
-    ]
+    assert arr.lines == chart.arrangement.lines
     # coning the affine rows reproduces the projective arrangement,
     # with z = 0 appended as the line at infinity
     assert cone(arr).lines == proj.lines
@@ -53,7 +51,7 @@ def test_parse_b3_affine_rows():
 def test_parse_comments_and_fractions():
     arr = parse_arrangement("# heading\n1/2 0 -3/4  # vertical\n0 2 1\n")
     assert arr.n == 2
-    assert arr.lines[0].triple() == (2, 0, -3)
+    assert arr.lines[0] == (2, 0, -3)
 
 
 def test_parse_single_line_rejected_downstream():
@@ -196,16 +194,16 @@ def test_sep_properties():
     chs = fl.chambers
     u0 = chs[fl.u_index[0]]
     u0v = chs[fl.u_index[arr.n]]
-    assert sep(u0, u0v, fl.lines) == frozenset(range(5))
-    assert sep(u0, u0, fl.lines) == frozenset()
+    assert sep(u0, u0v, fl.order) == frozenset(range(5))
+    assert sep(u0, u0, fl.order) == frozenset()
     for p in range(1, 5):
         up = chs[fl.u_index[p]]
-        assert sep(u0, up, fl.lines) == frozenset(range(p))
+        assert sep(u0, up, fl.order) == frozenset(range(p))
     rng = random.Random(3)
     for _ in range(40):
         a, b, c = (chs[rng.randrange(len(chs))] for _ in range(3))
-        assert sep(a, c, fl.lines) <= sep(a, b, fl.lines) | sep(b, c, fl.lines)
-        assert sep(a, b, fl.lines) == sep(b, a, fl.lines)
+        assert sep(a, c, fl.order) <= sep(a, b, fl.order) | sep(b, c, fl.order)
+        assert sep(a, b, fl.order) == sep(b, a, fl.order)
 
 
 def test_flag_partition_sizes():
@@ -229,14 +227,14 @@ def test_flag_partition_sizes():
 
 def test_flag_keeps_input_numbering_for_figure():
     fl = corpus.figure_five_lines().flagged()
-    assert fl.frame.order == (0, 1, 2, 3, 4)
+    assert fl.order == (0, 1, 2, 3, 4)
     assert list(fl.intercepts) == sorted(fl.intercepts)
 
 
 def test_flag_variants_are_valid_flags():
     arr = corpus.figure_five_lines()
     f0, f1 = arr.flagged(0), arr.flagged(1)
-    assert f0.frame != f1.frame
+    assert f0.order != f1.order
     for fl in (f0, f1):
         assert len(fl.ch2) == arr.point_index_sum()
 
@@ -257,7 +255,7 @@ def test_move_to_infinity_identity():
     proj, _ = corpus.b3()
     chart = move_to_infinity(proj, proj.infinity_index)
     assert chart.to_old == (0, 1, 2, 3, 4, 5, 6)
-    assert [ln.triple() for ln in chart.arrangement.lines] == list(proj.lines[:7])
+    assert chart.arrangement.lines == proj.lines[:7]
 
 
 def _mapped_incidences(proj, chart):
@@ -297,8 +295,8 @@ def test_chart_h5_parallel_classes():
     proj, _ = corpus.b3()
     chart = proj.chart(4)  # fifth line at infinity
     groups = {}
-    for ln in chart.arrangement.lines:
-        groups.setdefault(brute.direction_key(ln), []).append(chart.to_old[ln.id])
+    for k, ln in enumerate(chart.arrangement.lines):
+        groups.setdefault(brute.direction_key(ln), []).append(chart.to_old[k])
     classes = sorted(sorted(v) for v in groups.values() if len(v) > 1)
     assert classes == [[1, 2], [5, 6, 7]]
 

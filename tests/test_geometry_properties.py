@@ -171,14 +171,14 @@ def test_flag_height_matches_fraction_minimum(arr):
         assert ty == brute.flag_height(arr.lines, p, q)
 
 
-def _reference_sep(chambers, lines):
-    return lambda i, j: tuple(sorted(brute.sep(chambers[i], chambers[j], lines)))
+def _reference_sep(chambers, ids):
+    return lambda i, j: tuple(sorted(brute.sep(chambers[i], chambers[j], ids)))
 
 
 def _separating_sets(arr):
     """The separating ids of the complex and band structures of a fresh copy
     of ``arr`` (both are kept on the objects they are built for)."""
-    fresh = Arrangement([ln.triple() for ln in arr.lines])
+    fresh = Arrangement(arr.lines)
     bands = resband.band_structure(fresh)
     out = [bands.sep_ends, bands.wave_seps]
     if fresh.intersection_points():
@@ -220,7 +220,7 @@ def test_h1_is_independent_of_flag_variant(arr, data):
     system = data.draw(torsion_systems(arr.n))
     dims = cohomology_dims(system, arr)
     for variant in (1, 2):
-        assert cohomology_dims(system, arr, variant) == dims
+        assert cohomology_dims(system, arr.flagged(variant)) == dims
 
 
 def _det3(m):

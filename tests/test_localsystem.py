@@ -8,7 +8,7 @@ from linecoh import make_local_system
 from linecoh.localsystem import LocalSystemError
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import h1_via_bands, vanishing_certificates
-from linecoh.scalars import CyclotomicBackend
+from linecoh.scalars import EPS_FLOOR, CyclotomicBackend
 
 
 def test_trivial_system():
@@ -64,12 +64,12 @@ def test_delta_basics():
     bk = system.backend
     u0 = chs[fl.u_index[0]]
     u1 = chs[fl.u_index[1]]
-    assert bk.is_zero(brute.delta(system, fl.lines, u0, u0))
+    assert bk.is_zero(brute.delta(system, fl.order, u0, u0))
     expected = bk.sub(brute.half(system, 0), bk.root(-system.halves[0]))
-    assert bk.eq(brute.delta(system, fl.lines, u0, u1), expected)
+    assert bk.eq(brute.delta(system, fl.order, u0, u1), expected)
     assert bk.eq(
-        brute.delta(system, fl.lines, u0, u1),
-        brute.delta(system, fl.lines, u1, u0),
+        brute.delta(system, fl.order, u0, u1),
+        brute.delta(system, fl.order, u1, u0),
     )
 
 
@@ -84,7 +84,7 @@ def test_delta_zero_iff_product_one():
         a, b = chs[rng.randrange(len(chs))], chs[rng.randrange(len(chs))]
         ids = [k for k in range(5) if a.signs[k] != b.signs[k]]
         assert system.backend.is_zero(
-            brute.delta(system, fl.lines, a, b)
+            brute.delta(system, fl.order, a, b)
         ) == system.prod_is_one(ids)
 
 
@@ -128,8 +128,8 @@ def test_flip_changes_delta_sign_only():
     rng = random.Random(12)
     for _ in range(30):
         a, b = chs[rng.randrange(len(chs))], chs[rng.randrange(len(chs))]
-        d1 = brute.delta(system, fl.lines, a, b)
-        d2 = brute.delta(flipped, fl.lines, a, b)
+        d1 = brute.delta(system, fl.order, a, b)
+        d2 = brute.delta(flipped, fl.order, a, b)
         assert bk.eq(d1, d2) or bk.eq(d1, bk.neg(d2))
 
 
@@ -163,3 +163,16 @@ def test_zero_monodromy_rejected():
             make_local_system(values=[complex(bad), 1 + 0j])
     with pytest.raises(LocalSystemError):
         make_local_system([0, 1], order=None)
+
+
+def test_floating_modulus_rule():
+    # (n + 1) * 2^-52 * prod max(|q_i|, 1/|q_i|) against eps: five lines
+    # with |q| up to 3 stay inside even the floor, 1e80 does not
+    make_local_system(values=[3, 1 / 3, -1, 2, 3], eps=EPS_FLOOR)
+    with pytest.raises(LocalSystemError, match="too far from 1"):
+        make_local_system(values=[1e80, 1e80, 1e80, 1, 1])
+    # a small modulus counts as its inverse: 1e-4 passes at the default
+    # eps, not at the floor
+    make_local_system(values=[1e-4, 1, 1])
+    with pytest.raises(LocalSystemError, match="too far from 1"):
+        make_local_system(values=[1e-4, 1, 1], eps=EPS_FLOOR)

@@ -160,9 +160,9 @@ def test_flag_independence_of_dimensions():
     for _ in range(6):
         order = rng.randrange(2, 5)
         system = make_local_system(corpus.random_exponents(rng, 7, order), order=order)
-        d0 = cohomology_dims(system, arr, variant=0)
-        d1 = cohomology_dims(system, arr, variant=1)
-        d2 = cohomology_dims(system, arr, variant=2)
+        d0 = cohomology_dims(system, arr.flagged(0))
+        d1 = cohomology_dims(system, arr.flagged(1))
+        d2 = cohomology_dims(system, arr.flagged(2))
         assert d0 == d1 == d2
 
 

@@ -43,7 +43,7 @@ def cone_arrangements(draw, max_lines=6):
     arr = draw(
         arrangements(max_lines, min_lines=3).filter(lambda a: a.intersection_points())
     )
-    triples = [ln.triple() for ln in arr.lines]
+    triples = list(arr.lines)
     inf = draw(st.integers(0, arr.n))
     triples.insert(inf, (0, 0, 1))
     return ProjArrangement(triples, infinity_index=inf)
