@@ -130,8 +130,8 @@ def cmd_complex(args):
     structure = mincomplex.complex_structure(flagged)
     rows = _sign_header(arr)
     rows.append("d0 (column over U_1 ... U_0^op):")
-    for sign, ids in structure.d0:
-        rows.append("  " + mincomplex.format_entry(system, sign, ids))
+    for ids in structure.d0:
+        rows.append("  " + mincomplex.format_entry(system, 1, ids))
     rows.append("d1 (rows = degree-2 chambers):")
     n = flagged.n
     sym = {}

@@ -318,7 +318,7 @@ class Arrangement:
         self._chambers = None
         self._points = None
         self._flags = {}
-        self._bands = None  # resband.BandStructure, built on first use
+        self._bands = None  # resband.bands: one Band per band, built on first use
 
     @property
     def n(self):
@@ -363,25 +363,20 @@ class FlaggedArrangement:
     degree 0, the others degree 1, and the chambers ``ch2`` degree 2.
     """
 
-    def __init__(self, order, lines, chambers, u_index, ch2, intercepts):
+    def __init__(self, order, lines, chambers, u_index, ch2):
         self.order = order
         self.lines = lines
         self.chambers = chambers
         self.u_index = u_index
         self.ch2 = ch2
-        self.intercepts = intercepts
         self._structure = None
 
     @property
     def n(self):
-        return len(self.lines)
+        return len(self.order)
 
     def __repr__(self):
         return f"FlaggedArrangement({self.n} lines, {len(self.chambers)} chambers)"
-
-    @property
-    def ch0(self):
-        return (self.u_index[0],)
 
     @property
     def ch1(self):
@@ -519,7 +514,6 @@ def choose_flag(arrangement, variant=0):
         chambers=tuple(chs),
         u_index=tuple(u_index),
         ch2=ch2,
-        intercepts=tuple(sorted_intercepts),
     )
     # chamber count bookkeeping: |ch^2| must equal sum over points of (mult-1)
     expected = arrangement.point_index_sum()

@@ -46,6 +46,11 @@ class LocalSystem:
     def __repr__(self):
         return f"LocalSystem({self.backend!r}, halves={self.halves})"
 
+    def check_size(self, n):
+        """Refuse an arrangement whose n affine lines are not this system's."""
+        if len(self.halves) != n:
+            raise LocalSystemError("local system size does not match the arrangement")
+
     # -- products and resonance tests ---------------------------------------
 
     def infinity_is_one(self):
@@ -76,6 +81,7 @@ class LocalSystem:
         return self.halves[proj.affine_position(j)]
 
     def q_is_one_at(self, proj, j):
+        self.check_size(proj.n - 1)
         return self.backend.square_is_one(self._half_at(proj, j))
 
     def resonance_masks(self, proj):
@@ -83,6 +89,7 @@ class LocalSystem:
         the first for each projective line j with q != 1, bit k of the
         second for each multiple point with q = 1, k its position in
         ``proj.multiple_points()``."""
+        self.check_size(proj.n - 1)
         bk = self.backend
         halves = [self._half_at(proj, j) for j in range(proj.n)]
         lines = sum(1 << j for j, h in enumerate(halves) if not bk.square_is_one(h))
@@ -99,6 +106,7 @@ class LocalSystem:
         """The same monodromies on the affine lines of ``proj.chart(h)``,
         for any h: each chart line, in ``chart.to_old`` order, takes the
         half monodromy of the projective line it comes from."""
+        self.check_size(proj.n - 1)
         return LocalSystem(
             self.backend,
             (self._half_at(proj, old) for old in proj.chart(h).to_old),

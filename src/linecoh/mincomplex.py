@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Arrangement, FlaggedArrangement, separating_ids
+from .geometry import FlaggedArrangement, separating_ids
 from .resband import InvariantError
 from .scalars import Matrix, matmul, rank
 
@@ -21,19 +21,19 @@ from .scalars import Matrix, matmul, rank
 class ComplexStructure:
     """Local-system-independent skeleton of the two differentials.
 
-    d0 is a list over basis-1 positions of (sign, separating ids).
-    d1 holds (row, col, sign, separating ids) for its nonzero entries;
-    rows run over the degree-2 chambers in sign vector order.
+    d0 lists over basis-1 positions the separating ids of its entries,
+    all of sign +1.  d1 holds (row, col, sign, separating ids) for its
+    nonzero entries; rows run over the degree-2 chambers in sign vector
+    order.
     """
 
-    flagged: FlaggedArrangement
     d0: tuple
     d1: tuple
     basis2: tuple
 
     @property
     def n(self):
-        return self.flagged.n
+        return len(self.d0)
 
 
 def complex_structure(flagged):
@@ -45,7 +45,7 @@ def complex_structure(flagged):
     sep = separating_ids(chs, flagged.order)
     basis1 = list(u[1:])  # chamber indices of U_1, ..., U_{n-1}, U_0^op
     basis2 = tuple(sorted(flagged.ch2, key=lambda i: chs[i].signs))
-    d0 = tuple((1, sep(u[0], ci)) for ci in basis1)
+    d0 = tuple(sep(u[0], ci) for ci in basis1)
     entries = []
     for row, c2 in enumerate(basis2):
         cham = chs[c2]
@@ -61,20 +61,13 @@ def complex_structure(flagged):
             entries.append((row, col, sign, sep(u[p], c2)))
         if cham.signs[n - 1] > 0:
             entries.append((row, n - 1, -1, sep(u[n], c2)))
-    structure = ComplexStructure(
-        flagged=flagged, d0=d0, d1=tuple(entries), basis2=basis2
-    )
-    flagged._structure = structure
-    return structure
+    flagged._structure = ComplexStructure(d0=d0, d1=tuple(entries), basis2=basis2)
+    return flagged._structure
 
 
 def _evaluate_d0(system, structure):
-    bk = system.backend
-    rows = []
-    for sign, ids in structure.d0:
-        val = system.delta_ids(ids)
-        rows.append([bk.neg(val) if sign < 0 else val])
-    return Matrix(bk, rows, ncols=1)
+    rows = [[system.delta_ids(ids)] for ids in structure.d0]
+    return Matrix(system.backend, rows, ncols=1)
 
 
 def _evaluate_d1(system, structure):
@@ -113,7 +106,9 @@ class TwistedComplex:
 
 def build_complex(system, arrangement):
     """The ``TwistedComplex`` of ``system`` on an arrangement's default
-    flag, or on the given ``FlaggedArrangement``."""
+    flag, or on the given ``FlaggedArrangement``; the system must have one
+    monodromy per line."""
+    system.check_size(arrangement.n)
     flagged = (
         arrangement
         if isinstance(arrangement, FlaggedArrangement)
@@ -130,9 +125,6 @@ def build_complex(system, arrangement):
 def cohomology_dims(system, arrangement):
     """(h^0, h^1, h^2) of the arrangement complement with the given
     monodromies, via the chamber complex (``build_complex``)."""
-    if isinstance(arrangement, Arrangement):
-        if system.n != arrangement.n:
-            raise ValueError("local system size does not match the arrangement")
     return build_complex(system, arrangement).dims()
 
 

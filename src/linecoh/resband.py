@@ -5,15 +5,20 @@ decide or bound h^1 without any linear algebra.
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
 standing waves of the resonant bands; that kernel is computed here.
-``h1_on_band_chart`` is the one place that picks the chart for it: the
-line at infinity when its monodromy is not 1, otherwise the first line
-with q != 1.  The certificate routines cover the cases where a line with
-q != 1 sees zero or one resonant multiple point, and the sharp pair upper
-bound.  They read only two bitmasks over one cached incidence table per
-projective arrangement: the lines with q != 1 and the multiple points
-with q = 1.  ``LocalSystem.resonance_masks`` fills them from the
-resonance tests and the torus scan from exponent congruences, and one
-rule (``certify_masks``) turns either pair into h^1.  For a system,
+Each band is one ``Band`` record, cached per arrangement by ``bands``:
+its chambers, its parallel class and the separating sets of its wave.
+The lines separating a band's two ends are exactly those not parallel to
+it, so ``resonant_bands`` is the one resonance rule, and one helper turns
+a record's separating sets into wave coefficients.  ``h1_on_band_chart``
+is the one place that picks the chart for it: the line at infinity when
+its monodromy is not 1, otherwise the first line with q != 1.  The
+certificate routines cover the cases where a line with q != 1 sees zero
+or one resonant multiple point, and the sharp pair upper bound.  They
+read only two bitmasks over one cached incidence table per projective
+arrangement: the lines with q != 1 and the multiple points with q = 1.
+``LocalSystem.resonance_masks`` fills them from the resonance tests and
+the torus scan from exponent congruences, and one rule
+(``certify_masks``) turns either pair into h^1.  For a system,
 ``vanishing_certificates`` reads them once into a ``CertificateReport``
 that also feeds ``sharp_pairs``.
 """
@@ -42,7 +47,8 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Band:
-    """Strip between two consecutive parallel lines.
+    """One band, the strip between two consecutive parallel lines, as the
+    one record the band route reads.
 
     ``u1``/``u2`` are the chamber indices of the two unbounded ends (u1 has
     the lexicographically smaller sign vector).  A strip that no line
@@ -50,7 +56,10 @@ class Band:
     own opposite, so u1 = u2; its standing wave is then zero, and h^1 =
     n - 1 for n parallel lines.  ``inner`` lists all chambers inside the
     strip; ``parallel_ids`` is the full parallel class of the boundary
-    direction, whose point at infinity the band converges to.
+    direction, whose point at infinity the band converges to.  Every other
+    line crosses the strip, so Sep(U_1, U_2) is exactly the lines not in
+    ``parallel_ids``.  ``waves`` pairs each chamber of ``inner`` with the
+    sorted ids of Sep(U_1, chamber).
     """
 
     lower: int
@@ -59,6 +68,7 @@ class Band:
     u2: int
     inner: tuple
     parallel_ids: frozenset
+    waves: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -67,33 +77,10 @@ class StandingWave:
     coefficients: dict  # chamber index -> backend element
 
 
-@dataclass(frozen=True)
-class BandStructure:
-    """Local-system-independent skeleton of the bands of one arrangement.
-
-    Per band, in ``bands`` order: ``sep_ends`` holds the ids separating its
-    two unbounded ends and ``wave_seps`` pairs each chamber of the band with
-    the ids of Sep(U_1, chamber).
+def bands(arrangement):
+    """All bands of a (position-indexed) arrangement, sorted by direction
+    and position along the normal; built once and kept on the arrangement.
     """
-
-    bands: tuple
-    sep_ends: tuple
-    wave_seps: tuple
-
-    def is_resonant(self, system, k):
-        """Resonance of the band's point at infinity: the product of q over
-        its parallel class and the line at infinity is 1.  This equals the
-        vanishing of the weight between the band's ends, as Sep(U_1, U_2)
-        is the set of lines not parallel to the band."""
-        return system.prod_is_one(self.bands[k].parallel_ids, with_infinity=True)
-
-    def resonant(self, system):
-        """Positions of the resonant bands."""
-        return [k for k in range(len(self.bands)) if self.is_resonant(system, k)]
-
-
-def band_structure(arrangement):
-    """The cached ``BandStructure`` of a (position-indexed) arrangement."""
     if not isinstance(arrangement, Arrangement):
         raise ValueError("bands need a position-indexed arrangement, not a flagged one")
     if arrangement._bands is not None:
@@ -104,7 +91,7 @@ def band_structure(arrangement):
     for k, row in enumerate(arrangement.lines):
         a, b, c = monic(row)
         groups.setdefault((a, b), []).append((c, k))
-    bands, sep_ends, wave_seps = [], [], []
+    out = []
     for key in sorted(groups):
         cls = [k for _, k in sorted(groups[key], key=lambda t: t[0], reverse=True)]
         if len(cls) < 2:
@@ -125,55 +112,53 @@ def band_structure(arrangement):
             u1, u2 = ends
             if chs[u1].opposite is not chs[u2]:
                 raise ValueError("band ends are not opposite chambers")
-            bands.append(
-                Band(
-                    lower=low,
-                    upper=up,
-                    u1=u1,
-                    u2=u2,
-                    inner=inner,
-                    parallel_ids=class_ids,
-                )
-            )
-            sep_ends.append(sep(u1, u2))
-            wave_seps.append(tuple((ci, sep(u1, ci)) for ci in inner))
-    arrangement._bands = BandStructure(
-        bands=tuple(bands), sep_ends=tuple(sep_ends), wave_seps=tuple(wave_seps)
-    )
+            waves = tuple((ci, sep(u1, ci)) for ci in inner)
+            out.append(Band(low, up, u1, u2, inner, class_ids, waves))
+    arrangement._bands = tuple(out)
     return arrangement._bands
 
 
-def bands(arrangement):
-    """All bands, sorted by direction and position along the normal."""
-    return band_structure(arrangement).bands
-
-
 def resonant_bands(system, arrangement):
-    structure = band_structure(arrangement)
-    return tuple(structure.bands[k] for k in structure.resonant(system))
+    """The bands, in ``bands`` order, whose point at infinity is resonant:
+    the product of q over the band's ``parallel_ids`` and the line at
+    infinity is 1.  This is the one resonance rule of the band route; it
+    equals the vanishing of the weight between the band's two ends, as
+    Sep(U_1, U_2) is the lines not in ``parallel_ids``.  The system must
+    have one monodromy per line."""
+    system.check_size(arrangement.n)
+    return tuple(
+        band
+        for band in bands(arrangement)
+        if system.prod_is_one(band.parallel_ids, with_infinity=True)
+    )
+
+
+def _wave_coefficients(system, waves):
+    """Chamber index -> the weight Delta of its separating ids, over the
+    ``(chamber, ids)`` pairs of a band's ``waves``."""
+    return {ci: system.delta_ids(ids) for ci, ids in waves}
 
 
 def standing_wave(system, arrangement, band, end=1):
     """The chamber combination Delta(U_end, C) . [C] over chambers C in the
-    band. Meaningful for resonant bands; computable (with a warning) always."""
-    structure = band_structure(arrangement)
-    try:
-        k = structure.bands.index(band)
-    except ValueError:
-        raise ValueError("band does not belong to this arrangement") from None
-    if not structure.is_resonant(system, k):
+    band, for end 1 or 2. Meaningful for resonant bands; computable (with a
+    warning) always."""
+    if end not in (1, 2):
+        raise ValueError(f"band end must be 1 or 2, not {end!r}")
+    if band not in bands(arrangement):
+        raise ValueError("band does not belong to this arrangement")
+    if band not in resonant_bands(system, arrangement):
         warnings.warn("standing wave of a non-resonant band", stacklevel=2)
-    if end == 1:
-        seps = structure.wave_seps[k]
-    else:
-        # Sep(U_2, C) = Sep(U_1, C) symmetric difference Sep(U_1, U_2)
-        ends = set(structure.sep_ends[k])
-        seps = [
-            (ci, sorted(ends.symmetric_difference(ids)))
-            for ci, ids in structure.wave_seps[k]
+    waves = band.waves
+    if end == 2:
+        # Sep(U_2, C) = Sep(U_1, C) symmetric difference Sep(U_1, U_2), and
+        # Sep(U_1, U_2) is the lines not in parallel_ids
+        par = band.parallel_ids
+        waves = [
+            (ci, [j for j in range(arrangement.n) if (j in ids) == (j in par)])
+            for ci, ids in waves
         ]
-    coeffs = {ci: system.delta_ids(ids) for ci, ids in seps}
-    return StandingWave(band=structure.bands[k], coefficients=coeffs)
+    return StandingWave(band=band, coefficients=_wave_coefficients(system, waves))
 
 
 @dataclass(frozen=True)
@@ -208,32 +193,28 @@ def h1_on_band_chart(system, proj):
 
 def h1_via_bands(system, arrangement):
     """First cohomology from linear relations among standing waves: the
-    number of resonant bands minus the rank of their wave matrix.
+    number of resonant bands minus the rank of their wave matrix, whose
+    columns are the resonant bands' waves and whose rows are the chambers
+    those waves meet, in index order.
 
     Requires a nontrivial infinity monodromy; raises otherwise.
     """
+    res = resonant_bands(system, arrangement)
     if system.infinity_is_one():
         raise TheoremInapplicableError(
             "infinity monodromy is trivial; move a non-resonant line to "
             "infinity or use the chamber complex"
         )
-    structure = band_structure(arrangement)
-    res = structure.resonant(system)
     if not res:
         return BandKernel(dim=0, bands=())
-    row_ids = sorted({ci for k in res for ci, _ in structure.wave_seps[k]})
-    row_pos = {ci: r for r, ci in enumerate(row_ids)}
-    bk = system.backend
-    rows = [[bk.zero] * len(res) for _ in row_ids]
-    for col, k in enumerate(res):
-        for ci, ids in structure.wave_seps[k]:
-            rows[row_pos[ci]][col] = system.delta_ids(ids)
-    mat = Matrix(bk, rows, ncols=len(res))
-    return BandKernel(
-        dim=kernel_dimension(mat),
-        bands=tuple(structure.bands[k] for k in res),
-        matrix=mat,
-    )
+    cols = [_wave_coefficients(system, band.waves) for band in res]
+    row_pos = {ci: r for r, ci in enumerate(sorted(set().union(*cols)))}
+    rows = [[system.backend.zero] * len(cols) for _ in row_pos]
+    for c, col in enumerate(cols):
+        for ci, val in col.items():
+            rows[row_pos[ci]][c] = val
+    mat = Matrix(system.backend, rows, ncols=len(res))
+    return BandKernel(dim=kernel_dimension(mat), bands=res, matrix=mat)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_criterion_2_betti_and_flag_invariants():
     for name, arr in _oracle_corpus():
         fl = arr.flagged()
         expected2 = arr.point_index_sum()
-        assert len(fl.ch0) == 1
+        assert len(fl.u_index[:1]) == 1
         assert len(fl.ch1) == arr.n
         assert len(fl.ch2) == expected2
         trivial = make_local_system([0] * arr.n, order=1)

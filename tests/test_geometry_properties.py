@@ -179,8 +179,7 @@ def _separating_sets(arr):
     """The separating ids of the complex and band structures of a fresh copy
     of ``arr`` (both are kept on the objects they are built for)."""
     fresh = Arrangement(arr.lines)
-    bands = resband.band_structure(fresh)
-    out = [bands.sep_ends, bands.wave_seps]
+    out = [[b.waves for b in resband.bands(fresh)]]
     if fresh.intersection_points():
         cx = mincomplex.complex_structure(fresh.flagged())
         out += [cx.d0, cx.d1, cx.basis2]

@@ -16,16 +16,19 @@ from linecoh.scalars import rank
 def test_d0_structure_five_lines():
     fl = corpus.figure_five_lines().flagged()
     structure = complex_structure(fl)
-    seps = [ids for _, ids in structure.d0]
-    assert seps == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4)]
-    assert all(sign == 1 for sign, _ in structure.d0)
+    assert structure.d0 == ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
 
 
 def _figure_row_labels(arr):
     """Identify the six degree-2 chambers of the five-line figure: the
-    opposites of U_1..U_4 and the bounded chambers of the two bands."""
+    opposites of U_1..U_4 and the bounded chambers of the two bands.
+    ``band.inner`` holds arrangement chamber indices; they index the
+    flagged chambers too because this flag keeps the line order and every
+    sign, which is checked first."""
     fl = arr.flagged()
     chs = fl.chambers
+    assert fl.order == tuple(range(arr.n))
+    assert [ch.signs for ch in chs] == [ch.signs for ch in arr.chambers()]
     labels = {}
     for p in range(1, 5):
         labels[f"U{p}v"] = chs[fl.u_index[p]].opposite.index

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from linecoh import cone, make_local_system
+from linecoh import Arrangement, cone, make_local_system
+from linecoh.geometry import separating_ids
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import (
     TheoremInapplicableError,
-    band_structure,
     bands,
+    h1_on_band_chart,
     h1_via_bands,
     incidence_table,
     resonant_bands,
@@ -95,12 +96,12 @@ def test_band_resonance_equals_end_weight_vanishing(seed, order, data):
     exps = data.draw(
         st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n)
     )
-    structure = band_structure(arr)
+    sep = separating_ids(arr.chambers(), range(arr.n))
     for backend in ("cyclotomic", "complex"):
         system = make_local_system(exps, order=order, backend=backend)
-        for k, band in enumerate(structure.bands):
-            by_point = system.prod_is_one(band.parallel_ids, with_infinity=True)
-            assert system.prod_is_one(structure.sep_ends[k]) == by_point
+        for b in bands(arr):
+            by_point = system.prod_is_one(b.parallel_ids, with_infinity=True)
+            assert system.prod_is_one(sep(b.u1, b.u2)) == by_point
 
 
 def test_resonant_bands_all_four_at_order_two():
@@ -182,6 +183,45 @@ def test_standing_wave_warns_when_not_resonant():
     system = make_local_system([1, 0, 0, 0, 1], order=4)
     with pytest.warns(UserWarning, match="non-resonant"):
         standing_wave(system, arr, bands(arr)[0])
+
+
+@pytest.mark.parametrize("end", [0, 3, -1])
+def test_standing_wave_rejects_other_ends(end):
+    arr = corpus.figure_five_lines()
+    system = make_local_system([1, 1, 3, 2, 3], order=4)
+    with pytest.raises(ValueError, match="end must be 1 or 2"):
+        standing_wave(system, arr, bands(arr)[0], end=end)
+
+
+def test_standing_wave_rejects_a_band_of_another_arrangement():
+    arr = corpus.figure_five_lines()
+    system = make_local_system([1, 1, 3, 2, 3], order=4)
+    other = Arrangement([(1, 0, -1), (1, 0, -2), (0, 1, 0)])
+    with pytest.raises(ValueError, match="does not belong"):
+        standing_wave(system, arr, bands(other)[0])
+
+
+SIZE_MISMATCH_ENTRIES = {
+    "h1_via_bands": h1_via_bands,
+    "cohomology_dims": lambda system, arr: cohomology_dims(system, arr.flagged()),
+    "vanishing_certificates": lambda system, arr: vanishing_certificates(
+        system, cone(arr)
+    ),
+    "h1_on_band_chart": lambda system, arr: h1_on_band_chart(system, cone(arr)),
+    "resonant_bands": resonant_bands,
+}
+
+
+@pytest.mark.parametrize("size", [4, 6])
+@pytest.mark.parametrize("entry", sorted(SIZE_MISMATCH_ENTRIES))
+def test_system_size_mismatch_rejected_everywhere(entry, size):
+    # with five lines this system has h^1 = 2; one line fewer or more must
+    # be refused, not read as a prefix of the lines or past their end
+    arr = corpus.figure_five_lines()
+    system = make_local_system([0, 1, 3, 2, 0, 1][:size], order=4)
+    assert not system.infinity_is_one()
+    with pytest.raises(ValueError, match="size does not match the arrangement"):
+        SIZE_MISMATCH_ENTRIES[entry](system, arr)
 
 
 def test_h1_requires_nontrivial_infinity():
