@@ -523,7 +523,8 @@ def torsion_scan(
     walk over the multiple points (``_frontier``) and the catalog's
     parameter tuples (the sum of m^nparams over its families, m of
     ``ComponentFamily._modulus``), all counted before any point is
-    listed; beyond it, ``BudgetExceededError``.
+    listed; beyond it, ``BudgetExceededError``.  A negative budget is bad
+    input, a ``ValueError``.
 
     The names come from an index built once per scan, from exponent
     vectors to the names of the families through them, with one lookup
@@ -573,6 +574,8 @@ def torsion_scan(
     congruences.  The units are listed at the first band-route point, so
     a scan the budget stops does no O(N) work.
     """
+    if budget < 0:
+        raise ValueError(f"scan budget must be >= 0, not {budget}")
     if order < 1:
         raise ValueError("torsion order must be >= 1")
     if order == 1:

@@ -12,9 +12,10 @@ inputs).  ``scan`` and ``b3`` list only the torus points the
 certificates cannot set to h1 = 0 (``charvar.torsion_scan``); their
 ``--budget`` bounds the points listed and the nodes of the walk over the
 multiple points, and for ``b3`` the parameter tuples of the catalog
-index, all counted before any point is listed, not the N^(n-1) grid.
-Exit codes: 0 success, 2 precondition failure (bad input, or an
-unreadable arrangement file or unwritable ``--out`` path), 3 enumeration
+index, all counted before any point is listed, not the N^(n-1) grid;
+a negative ``--budget`` is bad input.  Exit codes: 0 success, 2
+precondition failure (bad input, or an unreadable arrangement file or
+unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must
 agree did not, a failed cochain check d1*d0 = 0 or a negative dimension);
 with floating arithmetic, an ``--eps`` that is not a finite number >=

@@ -56,21 +56,22 @@ class LocalSystem:
     def infinity_is_one(self):
         return self.backend.square_is_one(self.half_inf)
 
-    def _half_prod(self, ids):
+    def half_ids(self, ids):
+        """prod h_i over a set of affine line ids, a half monodromy."""
         halves = self.halves
-        return self.backend.half_prod(halves[i] for i in ids)
+        return self.backend.half_prod([halves[i] for i in ids])
 
     def prod_is_one(self, ids, with_infinity=False):
         """Does prod of q_i over the given affine lines (optionally times
         the infinity monodromy) equal 1?"""
-        h = self._half_prod(ids)
+        h = self.half_ids(ids)
         if with_infinity:
             h = self.backend.half_prod((h, self.half_inf))
         return self.backend.square_is_one(h)
 
     def delta_ids(self, ids):
         """prod h_i - prod h_i^(-1) over a set of affine line ids."""
-        return self.backend.weight(self._half_prod(ids))
+        return self.backend.weight(self.half_ids(ids))
 
     # -- coned arrangement helpers ------------------------------------------
 

@@ -8,11 +8,30 @@ standing waves of the resonant bands; that kernel is computed here.
 Each band is one ``Band`` record, cached per arrangement by ``bands``:
 its chambers, its parallel class and the separating sets of its wave.
 The lines separating a band's two ends are exactly those not parallel to
-it, so ``resonant_bands`` is the one resonance rule, and one helper turns
-a record's separating sets into wave coefficients.  ``h1_on_band_chart``
-is the one place that picks the chart for it: the line at infinity when
-its monodromy is not 1, otherwise the first line with q != 1.  The
-certificate routines cover the cases where a line with q != 1 sees zero
+it, so ``resonant_bands`` is the one resonance rule, and
+``LocalSystem.half_ids`` turns a record's separating sets into the half
+monodromies whose weights are its wave coefficients.
+``h1_on_band_chart`` is the one place that picks the chart for it: the
+line at infinity when its monodromy is not 1, otherwise the first line
+with q != 1.
+
+On the exact backend of order M = 2N the wave matrix is ranked over F_p,
+never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
+its separating ids, maps to omega^s - omega^(-s) mod p for primes p = 1
+(mod M) below 2^62 and omega a primitive M-th root of unity mod p.  The
+rank is exact.  zeta -> omega is a ring map Z[zeta] -> F_p with kernel a
+prime P of norm p, so rank mod p <= rank.  Every entry has modulus at
+most 2 under every embedding, so by Hadamard's inequality every nonzero
+minor m of size at most k = min(rows, columns) has 0 < |N(m)| <= B =
+(4k)^(k phi(M)/2).  Let r be the largest rank mod p_i over distinct
+primes with prod p_i > B.  A rank above r would give a nonzero
+(r+1)-minor lying in every P_i, so prod p_i would divide N(m), which is
+impossible; so r is the rank.  A prime with rank k ends the search at
+once, and on deleted B3 up to order 12 one or two primes always do
+(``scalars.weight_rank``).  The kernel vectors, which only tests read,
+are eliminated over Z[zeta] on demand.
+
+The certificate routines cover the cases where a line with q != 1 sees zero
 or one resonant multiple point, and the sharp pair upper bound.  They
 read only two bitmasks over one cached incidence table per projective
 arrangement: the lines with q != 1 and the multiple points with q = 1.
@@ -31,7 +50,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import Arrangement, monic, separating_ids
-from .scalars import Matrix, kernel_basis, kernel_dimension
+from .scalars import kernel_basis, weight_matrix, weight_rank
 
 
 class TheoremInapplicableError(ValueError):
@@ -133,12 +152,6 @@ def resonant_bands(system, arrangement):
     )
 
 
-def _wave_coefficients(system, waves):
-    """Chamber index -> the weight Delta of its separating ids, over the
-    ``(chamber, ids)`` pairs of a band's ``waves``."""
-    return {ci: system.delta_ids(ids) for ci, ids in waves}
-
-
 def standing_wave(system, arrangement, band, end=1):
     """The chamber combination Delta(U_end, C) . [C] over chambers C in the
     band, for end 1 or 2. Meaningful for resonant bands; computable (with a
@@ -158,24 +171,31 @@ def standing_wave(system, arrangement, band, end=1):
             (ci, [j for j in range(arrangement.n) if (j in ids) == (j in par)])
             for ci, ids in waves
         ]
-    return StandingWave(band=band, coefficients=_wave_coefficients(system, waves))
+    return StandingWave(
+        band=band, coefficients={ci: system.delta_ids(ids) for ci, ids in waves}
+    )
 
 
 @dataclass(frozen=True)
 class BandKernel:
-    """h^1 together with the standing wave matrix whose kernel it counts."""
+    """h^1 together with the standing wave matrix whose kernel it counts,
+    kept as its ``columns``: per resonant band, the half monodromy whose
+    weight is the band's wave coefficient at each row."""
 
     dim: int
     bands: tuple  # the resonant bands, in matrix column order
-    matrix: Matrix | None = field(default=None, repr=False, compare=False)
+    backend: object = field(repr=False, compare=False)
+    columns: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def kernel(self):
-        """Kernel basis vectors, coefficients per band; eliminated on first
-        access, since the dimension alone needs only the rank."""
-        if self.matrix is None:
+        """Kernel basis vectors, coefficients per band, of the matrix over
+        the backend (over Z[zeta] on the exact one); built and eliminated
+        on first access, since the dimension needs only the rank."""
+        if not self.bands:
             return ()
-        return tuple(tuple(vec) for vec in kernel_basis(self.matrix))
+        mat = weight_matrix(self.backend, self.columns)
+        return tuple(tuple(vec) for vec in kernel_basis(mat))
 
 
 def h1_on_band_chart(system, proj):
@@ -197,6 +217,18 @@ def h1_via_bands(system, arrangement):
     columns are the resonant bands' waves and whose rows are the chambers
     those waves meet, in index order.
 
+    The rank is ``scalars.weight_rank`` of the waves' half monodromies.
+    On the exact backend that is the largest rank over F_p, p = 1 (mod M)
+    prime, of the images zeta^s - zeta^(-s) -> omega^s - omega^(-s) mod p,
+    over the first primes whose product exceeds B = (4k)^(k phi(M)/2),
+    k = min(rows, columns), stopping early at rank k.  It is the rank over
+    Q(zeta): reduction mod p is a ring map whose kernel is a prime P of
+    norm p, so no rank mod p exceeds the true one; each entry has modulus
+    at most 2 under every embedding, so by Hadamard a nonzero minor m of
+    size at most k has 0 < |N(m)| <= B; and a rank above the largest rank
+    mod p_i would put a nonzero minor in every P_i, making prod p_i > B
+    divide N(m).  The floating backend eliminates the matrix itself.
+
     Requires a nontrivial infinity monodromy; raises otherwise.
     """
     res = resonant_bands(system, arrangement)
@@ -205,16 +237,25 @@ def h1_via_bands(system, arrangement):
             "infinity monodromy is trivial; move a non-resonant line to "
             "infinity or use the chamber complex"
         )
+    bk = system.backend
     if not res:
-        return BandKernel(dim=0, bands=())
-    cols = [_wave_coefficients(system, band.waves) for band in res]
-    row_pos = {ci: r for r, ci in enumerate(sorted(set().union(*cols)))}
-    rows = [[system.backend.zero] * len(cols) for _ in row_pos]
-    for c, col in enumerate(cols):
-        for ci, val in col.items():
-            rows[row_pos[ci]][c] = val
-    mat = Matrix(system.backend, rows, ncols=len(res))
-    return BandKernel(dim=kernel_dimension(mat), bands=res, matrix=mat)
+        return BandKernel(dim=0, bands=(), backend=bk)
+    rows = sorted(set().union(*[band.inner for band in res]))
+    pos = {ci: r for r, ci in enumerate(rows)}
+    one = bk.half_prod(())  # the half monodromy 1, of weight 0
+    half = system.half_ids
+    columns = []
+    for band in res:
+        col = [one] * len(rows)
+        for ci, ids in band.waves:
+            col[pos[ci]] = half(ids)
+        columns.append(tuple(col))
+    return BandKernel(
+        dim=len(res) - weight_rank(bk, columns),
+        bands=res,
+        backend=bk,
+        columns=tuple(columns),
+    )
 
 
 # ---------------------------------------------------------------------------

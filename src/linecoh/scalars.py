@@ -39,6 +39,11 @@ Each backend has one row echelon routine, shared by ``rank`` and
 ``kernel_basis``.  Over the cyclotomic backend both are fraction-free:
 elimination and back-substitution multiply by pivots instead of dividing,
 and strip integer content, so entries stay in Z[zeta] without blowup.
+The band route ranks its matrices of weights with ``weight_rank``
+instead, over F_p for primes p = 1 (mod M) below 2^62 (proven prime by
+deterministic Miller-Rabin) on the cyclotomic backend, each backend
+keeping its primes and their weight tables once found; the chamber
+complex keeps the exact ``rank``.
 """
 
 from __future__ import annotations
@@ -109,6 +114,11 @@ class CyclotomicBackend:
             pows.append(cur)
         self._pow = [tuple(p) for p in pows]
         self._weights = {}
+        # (p, weight table mod p) for the primes p = 1 (mod order) below
+        # 2^62, largest first, and per size k the norm bound of its minors
+        self._reductions = []
+        self._prime_search = primes_one_mod(order)
+        self._norm_bounds = {}
 
     def __repr__(self):
         return f"CyclotomicBackend({self.order})"
@@ -141,6 +151,27 @@ class CyclotomicBackend:
         if val is None:
             val = self._weights[s] = self.sub(self.root(s), self.root(-s))
         return val
+
+    # -- reductions mod p, for weight_rank ----------------------------------
+
+    def reduction(self, i):
+        """``(p, table)``: the i-th prime p = 1 (mod order) below 2^62,
+        largest first, and ``table[s]`` = omega^s - omega^(-s) mod p for a
+        primitive order-th root of unity omega mod p, the image of
+        ``weight(s)`` under zeta -> omega.  Found on first use and kept."""
+        while len(self._reductions) <= i:
+            p = next(self._prime_search)
+            self._reductions.append((p, weight_table(self.order, p)))
+        return self._reductions[i]
+
+    def norm_bound(self, k):
+        """(4k)^(k phi / 2), rounded down, phi = ``degree``: the bound on
+        |N(m)| for a nonzero minor m of size at most k of a matrix of
+        weights (see ``weight_rank``)."""
+        bound = self._norm_bounds.get(k)
+        if bound is None:
+            bound = self._norm_bounds[k] = math.isqrt((4 * k) ** (k * self.degree))
+        return bound
 
     def add(self, u, v):
         return tuple(a + b for a, b in zip(u, v))
@@ -180,6 +211,67 @@ class CyclotomicBackend:
 
     def eq(self, u, v):
         return self.is_zero(self.sub(u, v))
+
+
+# the primes of weight_rank lie below this, so two residues multiply to
+# at most 124 bits
+PRIME_BOUND = 1 << 62
+# Miller-Rabin with these bases (the first 12 primes) is exact below
+# 3.18e23 > 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin primality for 0 <= n < 2^64.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime((1 << 61) - 1), is_prime((1 << 62) - 1)
+    (True, False)
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_one_mod(m):
+    """The primes p = 1 (mod m) below ``PRIME_BOUND``, largest first."""
+    for p in range((PRIME_BOUND - 2) // m * m + 1, 1, -m):
+        if is_prime(p):
+            yield p
+
+
+def weight_table(m, p):
+    """``table[s]`` = omega^s - omega^(-s) mod p for 0 <= s < m, omega the
+    first primitive m-th root of unity mod p found among g^((p-1)/m),
+    g = 2, 3, ...; p a prime = 1 (mod m) below 2^64."""
+    if (p - 1) % m or not is_prime(p):
+        raise ValueError(f"{p} is not a prime = 1 (mod {m})")
+    factors = {q for q in range(2, m + 1) if m % q == 0 and is_prime(q)}
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // m, p)
+        if all(pow(omega, m // q, p) != 1 for q in factors):
+            break
+    pows = [1] * m
+    for s in range(1, m):
+        pows[s] = pows[s - 1] * omega % p
+    return [(pows[s] - pows[-s % m]) % p for s in range(m)]
 
 
 DEFAULT_EPS = 1e-9
@@ -386,6 +478,64 @@ def rank(mat):
 
 def kernel_dimension(mat):
     return mat.ncols - rank(mat)
+
+
+def weight_matrix(bk, columns):
+    """The matrix whose column j holds the weights h - h^(-1) of the half
+    monodromies ``columns[j]``, one per row."""
+    weight = bk.weight
+    return Matrix(
+        bk, [[weight(h) for h in row] for row in zip(*columns)], ncols=len(columns)
+    )
+
+
+def _rank_mod(p, vectors):
+    """Rank over F_p of a list of equally long residue lists, by
+    fraction-free elimination: v -> d*v - c*b for a basis vector b with
+    pivot entry d and c the entry of v there, which keeps the span."""
+    basis = []  # (pivot position, vector)
+    for v in vectors:
+        for piv, b in basis:
+            c = v[piv]
+            if c:
+                d = b[piv]
+                v = [(x * d - c * y) % p for x, y in zip(v, b)]
+        for piv, x in enumerate(v):
+            if x:
+                basis.append((piv, v))
+                break
+    return len(basis)
+
+
+def weight_rank(bk, columns):
+    """Rank of ``weight_matrix(bk, columns)``, a nonempty matrix.
+
+    Over ``ComplexBackend`` that is ``rank`` of the matrix.  Over
+    ``CyclotomicBackend(M)`` the matrix is never built: the entry of half
+    exponent s maps to ``table[s]`` mod p for the primes of
+    ``bk.reduction(i)``, and the rank is the largest of the ranks over F_p
+    of the first primes whose product exceeds ``bk.norm_bound(k)``,
+    k = min(rows, columns); the first prime with rank k ends the search.
+    That is the rank over Q(zeta_M), by the norm bound argument given in
+    ``resband.h1_via_bands``: no rank mod p exceeds it, and a larger rank
+    would put a nonzero minor, of norm at most the bound, in the kernel of
+    every reduction, so the product of the primes would divide its norm.
+    """
+    if bk.kind != "cyclotomic":
+        return rank(weight_matrix(bk, columns))
+    k = min(len(columns), len(columns[0]))
+    bound = bk.norm_bound(k)
+    best, covered, i = 0, 1, 0
+    while covered <= bound:
+        p, table = bk.reduction(i)
+        image = table.__getitem__
+        r = _rank_mod(p, [list(map(image, col)) for col in columns])
+        if r == k:
+            return k
+        best = max(best, r)
+        covered *= p
+        i += 1
+    return best
 
 
 def _strip_content(bk, vec, support):

@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from linecoh.charvar import ScanHit, TorusPoint, h1_at_point
 from linecoh.geometry import IntersectionPoint, canonical_triple
-from linecoh.resband import SharpPair, certify_masks, incidence_table
+from linecoh.resband import SharpPair, certify_masks, incidence_table, resonant_bands
 from linecoh.scalars import Matrix
 
 
@@ -47,6 +47,29 @@ def delta(system, ids, c1, c2):
     """Connection weight between two chambers (weight of the separating
     set), ``ids[k]`` the id of the line of sign k."""
     return system.delta_ids(sep(c1, c2, ids))
+
+
+def wave_matrix(system, arrangement):
+    """The standing wave matrix over the system's backend (over Z[zeta] on
+    the exact one): a column per resonant band, in ``resonant_bands``
+    order, a row per chamber of those bands, in index order, and the entry
+    Delta(Sep(U_1, C)) from ``sep``, not from the bands' stored waves."""
+    chs = arrangement.chambers()
+    ids = range(arrangement.n)
+    res = resonant_bands(system, arrangement)
+    rows = sorted({ci for band in res for ci in band.inner})
+    zero = system.backend.zero
+    return Matrix(
+        system.backend,
+        [
+            [
+                delta(system, ids, chs[band.u1], chs[ci]) if ci in band.inner else zero
+                for band in res
+            ]
+            for ci in rows
+        ],
+        ncols=len(res),
+    )
 
 
 def half(system, i):

@@ -322,6 +322,21 @@ def test_scan_orders_below_one_exit_2(argv, capsys):
     assert captured.err == "error: torsion order must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--arrangement", str(GOLDEN / "fig1.txt"), "--order", "2"],
+        ["b3", "--order", "2"],
+    ],
+)
+def test_negative_budget_exits_2(argv, capsys):
+    # a negative budget is bad input, not a scan that exceeds it (exit 3)
+    assert main([*argv, "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan budget must be >= 0, not -1\n"
+
+
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf", "-inf", "1e400"])
 @pytest.mark.parametrize(
     "spec, backend",

@@ -1,12 +1,15 @@
 import random
 import warnings
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brute
 import corpus
-from linecoh import Arrangement, cone, make_local_system
+from linecoh import Arrangement, LocalSystem, cone, make_local_system, scalars
+from linecoh.charvar import candidate_points
 from linecoh.geometry import separating_ids
 from linecoh.mincomplex import cohomology_dims
 from linecoh.resband import (
@@ -20,8 +23,16 @@ from linecoh.resband import (
     standing_wave,
     vanishing_certificates,
 )
-from linecoh.scalars import Matrix, rank
-from strategies import pencils
+from linecoh.scalars import (
+    CyclotomicBackend,
+    Matrix,
+    kernel_dimension,
+    rank,
+    weight_matrix,
+    weight_rank,
+    weight_table,
+)
+from strategies import arrangements, pencils
 
 
 def test_bands_figure_five_lines():
@@ -299,6 +310,165 @@ def test_h1_matches_oracle_randomly():
         if system.infinity_is_one():
             continue
         assert h1_via_bands(system, arr).dim == cohomology_dims(system, arr)[1]
+
+
+# ---------------------------------------------------------------------------
+# the band route's rank over F_p
+
+
+@lru_cache(maxsize=None)
+def _b3_band_points(order):
+    """The affine exponents of the nontrivial points of deleted B3 of
+    order dividing ``order`` that the certificates leave to the band
+    route."""
+    proj, _ = corpus.b3()
+    return [
+        tuple(exps[j] for j in proj.affine_ids())
+        for exps, dim in candidate_points(proj, order)
+        if dim is None
+    ]
+
+
+@st.composite
+def band_route_cases(draw, orders=st.integers(2, 12)):
+    """``(proj, exponents, order)``: deleted B3 at a point the certificates
+    leave to the band route, or the cone of a random arrangement whose
+    lines meet somewhere (the oracle's flag needs a point) at a random
+    nontrivial point."""
+    order = draw(orders)
+    if draw(st.booleans()):
+        proj, _ = corpus.b3()
+        return proj, draw(st.sampled_from(_b3_band_points(order))), order
+    arr = draw(
+        arrangements(6, min_lines=3).filter(lambda a: a.intersection_points())
+    )
+    exps = draw(
+        st.lists(st.integers(0, order - 1), min_size=arr.n, max_size=arr.n).filter(any)
+    )
+    return cone(arr), tuple(exps), order
+
+
+def _exact_band_h1(system, proj):
+    """The kernel dimension of the exact Z[zeta] wave matrix of ``brute``
+    on the chart of ``h1_on_band_chart``, and the chamber-complex h1."""
+    h, _ = h1_on_band_chart(system, proj)
+    mat = brute.wave_matrix(system.on_chart(proj, h), proj.chart(h).arrangement)
+    oracle = cohomology_dims(system, proj.chart(proj.infinity_index).arrangement)[1]
+    return kernel_dimension(mat), oracle
+
+
+def test_modular_band_h1_equals_exact_wave_kernel(monkeypatch):
+    """h1 of the band route, ranked over F_p, equals the kernel dimension of
+    the exact wave matrix and the oracle's h1; deleted B3 at orders 8, 10
+    and 12 has points whose norm bound needs a second prime (about one in
+    ten of its band route points there, such as the explicit examples)."""
+    primes_used = []
+    reduction = CyclotomicBackend.reduction
+
+    def counted(bk, i):
+        primes_used[-1] = max(primes_used[-1], i + 1)
+        return reduction(bk, i)
+
+    monkeypatch.setattr(CyclotomicBackend, "reduction", counted)
+
+    b3, _ = corpus.b3()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(band_route_cases())
+    @example((b3, (0, 4, 4, 0, 0, 4, 0), 8))
+    @example((b3, (1, 5, 5, 1, 2, 6, 10), 12))
+    def check(case):
+        proj, exps, order = case
+        system = make_local_system(exps, order=order)
+        primes_used.append(0)
+        _, kernel = h1_on_band_chart(system, proj)
+        exact, oracle = _exact_band_h1(system, proj)
+        assert kernel.dim == exact == oracle
+
+    check()
+    assert sum(used >= 2 for used in primes_used) > 0
+
+
+# the primes = 1 (mod 12) below 110, for order 6: one of them divides the
+# norm of 4 + sqrt(3), a minor of weights 2i sin(pi s / 6)
+SMALL_PRIMES = (13, 37, 61, 73, 97, 109)
+
+
+def _small_prime_backend(primes):
+    """``CyclotomicBackend(12)`` with its prime table patched to ``primes``
+    (then, past them, the usual primes below 2^62)."""
+    bk = CyclotomicBackend(12)
+    bk._reductions = [(p, weight_table(12, p)) for p in primes]
+    return bk
+
+
+@pytest.fixture
+def ranks_mod_p(monkeypatch):
+    """The ranks over F_p that ``weight_rank`` computes, in call order."""
+    ranks = []
+    rank_mod = scalars._rank_mod
+
+    def recorded(p, vectors):
+        ranks.append(rank_mod(p, vectors))
+        return ranks[-1]
+
+    monkeypatch.setattr(scalars, "_rank_mod", recorded)
+    return ranks
+
+
+# columns of half exponents mod 12, 1 to 4 rows and columns
+WEIGHT_COLUMNS = st.integers(1, 4).flatmap(
+    lambda nrows: st.lists(
+        st.lists(st.integers(0, 11), min_size=nrows, max_size=nrows),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@pytest.mark.parametrize("primes", [SMALL_PRIMES, SMALL_PRIMES[::-1]])
+def test_small_primes_drop_ranks_but_not_the_rank(primes, ranks_mod_p):
+    """With the prime table patched to small primes, the rank of a weight
+    matrix mod some prime falls below its rank over Q(zeta); the maximum
+    over the primes whose product passes the norm bound is still exact.
+    The explicit examples drop mod 13: a 2 x 2 minor, and the same pair
+    of columns with their negatives and two zero rows, a rank-2 matrix
+    whose bound (k = 4) needs all six primes, 13 last in falling order."""
+    bk = _small_prime_backend(primes)
+    drops = 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(WEIGHT_COLUMNS)
+    @example([[1, 3], [3, 8]])
+    @example([[1, 3, 0, 0], [3, 8, 0, 0], [7, 9, 0, 0], [9, 2, 0, 0]])
+    def check(columns):
+        nonlocal drops
+        exact = rank(weight_matrix(bk, columns))
+        ranks_mod_p.clear()
+        assert weight_rank(bk, columns) == exact
+        drops += any(r < exact for r in ranks_mod_p)
+
+    check()
+    assert drops > 0
+
+
+@pytest.mark.parametrize("primes", [SMALL_PRIMES, SMALL_PRIMES[::-1]])
+def test_small_primes_keep_band_h1_exact(primes):
+    """The band route on the patched backend still gives the exact h1.
+    (Its wave matrices showed no drop mod these primes: their minors seem
+    to have norms divisible only by primes dividing 2N.)"""
+    bk = _small_prime_backend(primes)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(band_route_cases(orders=st.just(6)))
+    def check(case):
+        proj, exps, order = case
+        system = make_local_system(exps, order=order)
+        _, kernel = h1_on_band_chart(LocalSystem(bk, system.halves), proj)
+        exact, oracle = _exact_band_h1(system, proj)
+        assert kernel.dim == exact == oracle
+
+    check()
 
 
 # ---------------------------------------------------------------------------
