@@ -47,8 +47,6 @@ from .scalars import (
     CyclotomicBackend,
     Matrix,
     cyclotomic_polynomial,
-    kernel_basis,
-    kernel_dimension,
     matmul,
     rank,
 )

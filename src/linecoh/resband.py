@@ -4,7 +4,7 @@ decide or bound h^1 without any linear algebra.
 
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
-standing waves of the resonant bands; that kernel is computed here.
+standing waves of the resonant bands; that number is computed here.
 Each band is one ``Band`` record, cached per arrangement by ``bands``:
 its chambers, its parallel class and the separating sets of its wave.
 The lines separating a band's two ends are exactly those not parallel to
@@ -18,18 +18,9 @@ with q != 1.
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
 its separating ids, maps to omega^s - omega^(-s) mod p for primes p = 1
-(mod M) below 2^62 and omega a primitive M-th root of unity mod p.  The
-rank is exact.  zeta -> omega is a ring map Z[zeta] -> F_p with kernel a
-prime P of norm p, so rank mod p <= rank.  Every entry has modulus at
-most 2 under every embedding, so by Hadamard's inequality every nonzero
-minor m of size at most k = min(rows, columns) has 0 < |N(m)| <= B =
-(4k)^(k phi(M)/2).  Let r be the largest rank mod p_i over distinct
-primes with prod p_i > B.  A rank above r would give a nonzero
-(r+1)-minor lying in every P_i, so prod p_i would divide N(m), which is
-impossible; so r is the rank.  A prime with rank k ends the search at
-once, and on deleted B3 up to order 12 one or two primes always do
-(``scalars.weight_rank``).  The kernel vectors, which only tests read,
-are eliminated over Z[zeta] on demand.
+(mod M) below 2^62 and omega a primitive M-th root of unity mod p.  A
+norm bound keeps the rank exact (``scalars.weight_rank`` proves it); on
+deleted B3 up to order 12 one or two primes always suffice.
 
 The certificate routines cover the cases where a line with q != 1 sees zero
 or one resonant multiple point, and the sharp pair upper bound.  They
@@ -46,11 +37,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 from .geometry import Arrangement, monic, separating_ids
-from .scalars import kernel_basis, weight_matrix, weight_rank
+from .scalars import weight_rank
 
 
 class TheoremInapplicableError(ValueError):
@@ -178,24 +168,11 @@ def standing_wave(system, arrangement, band, end=1):
 
 @dataclass(frozen=True)
 class BandKernel:
-    """h^1 together with the standing wave matrix whose kernel it counts,
-    kept as its ``columns``: per resonant band, the half monodromy whose
-    weight is the band's wave coefficient at each row."""
+    """h^1 by the band route: the dimension of the kernel of the standing
+    wave matrix, whose columns are the resonant ``bands``."""
 
     dim: int
     bands: tuple  # the resonant bands, in matrix column order
-    backend: object = field(repr=False, compare=False)
-    columns: tuple = field(default=(), repr=False, compare=False)
-
-    @cached_property
-    def kernel(self):
-        """Kernel basis vectors, coefficients per band, of the matrix over
-        the backend (over Z[zeta] on the exact one); built and eliminated
-        on first access, since the dimension needs only the rank."""
-        if not self.bands:
-            return ()
-        mat = weight_matrix(self.backend, self.columns)
-        return tuple(tuple(vec) for vec in kernel_basis(mat))
 
 
 def h1_on_band_chart(system, proj):
@@ -217,17 +194,9 @@ def h1_via_bands(system, arrangement):
     columns are the resonant bands' waves and whose rows are the chambers
     those waves meet, in index order.
 
-    The rank is ``scalars.weight_rank`` of the waves' half monodromies.
-    On the exact backend that is the largest rank over F_p, p = 1 (mod M)
-    prime, of the images zeta^s - zeta^(-s) -> omega^s - omega^(-s) mod p,
-    over the first primes whose product exceeds B = (4k)^(k phi(M)/2),
-    k = min(rows, columns), stopping early at rank k.  It is the rank over
-    Q(zeta): reduction mod p is a ring map whose kernel is a prime P of
-    norm p, so no rank mod p exceeds the true one; each entry has modulus
-    at most 2 under every embedding, so by Hadamard a nonzero minor m of
-    size at most k has 0 < |N(m)| <= B; and a rank above the largest rank
-    mod p_i would put a nonzero minor in every P_i, making prod p_i > B
-    divide N(m).  The floating backend eliminates the matrix itself.
+    The rank is ``scalars.weight_rank`` of the waves' half monodromies:
+    over F_p on the exact backend, exact by the norm bound proved there;
+    the floating backend eliminates the matrix itself.
 
     Requires a nontrivial infinity monodromy; raises otherwise.
     """
@@ -239,7 +208,7 @@ def h1_via_bands(system, arrangement):
         )
     bk = system.backend
     if not res:
-        return BandKernel(dim=0, bands=(), backend=bk)
+        return BandKernel(dim=0, bands=())
     rows = sorted(set().union(*[band.inner for band in res]))
     pos = {ci: r for r, ci in enumerate(rows)}
     one = bk.half_prod(())  # the half monodromy 1, of weight 0
@@ -250,12 +219,7 @@ def h1_via_bands(system, arrangement):
         for ci, ids in band.waves:
             col[pos[ci]] = half(ids)
         columns.append(tuple(col))
-    return BandKernel(
-        dim=len(res) - weight_rank(bk, columns),
-        bands=res,
-        backend=bk,
-        columns=tuple(columns),
-    )
+    return BandKernel(dim=len(res) - weight_rank(bk, columns), bands=res)
 
 
 # ---------------------------------------------------------------------------

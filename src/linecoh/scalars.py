@@ -476,10 +476,6 @@ def rank(mat):
     return len(_echelon(mat)[1])
 
 
-def kernel_dimension(mat):
-    return mat.ncols - rank(mat)
-
-
 def weight_matrix(bk, columns):
     """The matrix whose column j holds the weights h - h^(-1) of the half
     monodromies ``columns[j]``, one per row."""
@@ -511,19 +507,32 @@ def weight_rank(bk, columns):
     """Rank of ``weight_matrix(bk, columns)``, a nonempty matrix.
 
     Over ``ComplexBackend`` that is ``rank`` of the matrix.  Over
-    ``CyclotomicBackend(M)`` the matrix is never built: the entry of half
-    exponent s maps to ``table[s]`` mod p for the primes of
-    ``bk.reduction(i)``, and the rank is the largest of the ranks over F_p
-    of the first primes whose product exceeds ``bk.norm_bound(k)``,
-    k = min(rows, columns); the first prime with rank k ends the search.
-    That is the rank over Q(zeta_M), by the norm bound argument given in
-    ``resband.h1_via_bands``: no rank mod p exceeds it, and a larger rank
-    would put a nonzero minor, of norm at most the bound, in the kernel of
-    every reduction, so the product of the primes would divide its norm.
+    ``CyclotomicBackend(M)`` the matrix is never built.  A column is zero
+    exactly when each of its half exponents s has 2s = 0 (mod M), so
+    k = min(rows, nonzero columns) bounds the rank before any prime, and
+    k = 0 gives rank 0 at once.  Otherwise the entry of half exponent s
+    maps to ``table[s]`` mod p for the primes of ``bk.reduction(i)``, and
+    the rank is the largest r of the ranks over F_p of the first primes
+    whose product exceeds B = ``bk.norm_bound(k)`` = (4k)^(k phi(M)/2);
+    the first prime with rank k ends the search.
+
+    That r is the rank over Q(zeta_M).  zeta -> omega is a ring map
+    Z[zeta] -> F_p whose kernel is a prime P of norm p, so no rank mod p
+    exceeds the true one.  Every entry zeta^s - zeta^(-s) has modulus at
+    most 2 under every embedding, so by Hadamard's inequality a nonzero
+    minor m of size at most k has 0 < |N(m)| <= B.  A rank above r would
+    give a nonzero (r+1)-minor lying in every P_i, so prod p_i > B would
+    divide N(m), which is impossible.
     """
     if bk.kind != "cyclotomic":
         return rank(weight_matrix(bk, columns))
-    k = min(len(columns), len(columns[0]))
+    nrows = len(columns[0])
+    # the half exponents of weight 0: 0, and M/2 when M is even
+    half = bk.order // 2 if bk.order % 2 == 0 else None
+    columns = [col for col in columns if col.count(0) + col.count(half) < nrows]
+    k = min(len(columns), nrows)
+    if not k:
+        return 0
     bound = bk.norm_bound(k)
     best, covered, i = 0, 1, 0
     while covered <= bound:
@@ -559,7 +568,8 @@ def kernel_basis(mat):
     back-substitution that scales the partial vector by each pivot instead
     of dividing by it.  Over the cyclotomic backend each vector therefore
     lies in Z[zeta]^n with integer content 1; it is not normalized to 1 at
-    ``free``.
+    ``free``.  No library route calls it; ``bench/spans.py`` still traces
+    it by name.
     """
     bk = mat.backend
     mul, add = bk.mul, bk.add

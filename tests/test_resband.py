@@ -25,8 +25,6 @@ from linecoh.resband import (
 )
 from linecoh.scalars import (
     CyclotomicBackend,
-    Matrix,
-    kernel_dimension,
     rank,
     weight_matrix,
     weight_rank,
@@ -255,52 +253,6 @@ def test_h1_figure_five_lines():
     assert h1_via_bands(system, arr).dim == 2
 
 
-def _equal_wave_groups(system, arr):
-    bk = system.backend
-    groups = []
-    for band in resonant_bands(system, arr):
-        wave = standing_wave(system, arr, band)
-        support = {
-            c: v for c, v in wave.coefficients.items() if not bk.is_zero(v)
-        }
-        for grp in groups:
-            ref = grp["wave"]
-            if set(ref) == set(support) and all(
-                bk.eq(ref[c], support[c]) for c in ref
-            ):
-                grp["bands"].append(band)
-                break
-        else:
-            groups.append({"wave": support, "bands": [band]})
-    return groups
-
-
-def test_qplus_kernel_spans_differences_of_equal_waves():
-    proj, _ = corpus.b3()
-    arr = proj.chart(7).arrangement
-    for exps in ([0, 1, 1, 0, 0, 1, 0], [1, 0, 0, 1, 0, 1, 0]):
-        system = make_local_system(exps, order=2)
-        result = h1_via_bands(system, arr)
-        assert result.dim == 2
-        groups = _equal_wave_groups(system, arr)
-        sizes = sorted(len(g["bands"]) for g in groups)
-        assert sizes == [1, 3]
-        triple = next(g["bands"] for g in groups if len(g["bands"]) == 3)
-        cols = {band: k for k, band in enumerate(result.bands)}
-        bk = system.backend
-        target = []
-        for u, v in zip(triple, triple[1:]):
-            vec = [bk.zero] * len(result.bands)
-            vec[cols[u]] = bk.one
-            vec[cols[v]] = bk.neg(bk.one)
-            target.append(vec)
-        got = [list(vec) for vec in result.kernel]
-        r_target = rank(Matrix(bk, target))
-        r_got = rank(Matrix(bk, got))
-        r_union = rank(Matrix(bk, target + got))
-        assert r_target == r_got == r_union == 2
-
-
 def test_h1_matches_oracle_randomly():
     rng = random.Random(55)
     arr = corpus.figure_five_lines()
@@ -354,7 +306,7 @@ def _exact_band_h1(system, proj):
     h, _ = h1_on_band_chart(system, proj)
     mat = brute.wave_matrix(system.on_chart(proj, h), proj.chart(h).arrangement)
     oracle = cohomology_dims(system, proj.chart(proj.infinity_index).arrangement)[1]
-    return kernel_dimension(mat), oracle
+    return mat.ncols - rank(mat), oracle
 
 
 def test_modular_band_h1_equals_exact_wave_kernel(monkeypatch):
@@ -469,6 +421,26 @@ def test_small_primes_keep_band_h1_exact(primes):
         assert kernel.dim == exact == oracle
 
     check()
+
+
+def test_zero_columns_need_no_prime():
+    """A column whose half exponents are all 0 or M/2 is zero, so k counts
+    only the other columns: all-zero columns give rank 0 without a prime,
+    and zero columns beside nonzero ones leave the rank alone."""
+    bk = CyclotomicBackend(2000)
+    assert weight_rank(bk, [(0, 1000, 0), (1000, 1000, 0)]) == 0
+    assert weight_rank(bk, [(0,), (1000,)]) == 0
+    assert bk._reductions == []
+    assert weight_rank(bk, [(0, 1000, 0), (1, 2, 3), (1000, 0, 0)]) == 1
+
+
+def test_fig1_order_1000_band_route_needs_no_prime(monkeypatch):
+    """The fig1 system of order 1000 whose wave matrix is two zero columns:
+    h1 = 2, as the chamber complex says, with no prime drawn."""
+    monkeypatch.setattr(CyclotomicBackend, "reduction", None)
+    arr = corpus.figure_five_lines()
+    system = make_local_system([0, 250, 750, 500, 0], order=1000)
+    assert h1_via_bands(system, arr).dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from linecoh.scalars import (
     Matrix,
     cyclotomic_polynomial,
     kernel_basis,
-    kernel_dimension,
     matmul,
     rank,
 )
@@ -114,7 +113,7 @@ def test_kernel_vectors_annihilate():
     mats.append(Matrix(ComplexBackend(1e-9), [[9e-10, 0], [0, 9e-10]]))
     for mat in mats:
         basis = kernel_basis(mat)
-        assert len(basis) == kernel_dimension(mat)
+        assert len(basis) == mat.ncols - rank(mat)
         for vec in basis:
             image = matmul(mat, Matrix(mat.backend, [[v] for v in vec]))
             assert image.is_zero()
