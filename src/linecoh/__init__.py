@@ -33,13 +33,11 @@ from .mincomplex import TwistedComplex, build_complex, cohomology_dims
 from .resband import (
     Band,
     InvariantError,
-    StandingWave,
     TheoremInapplicableError,
     bands,
     h1_via_bands,
     resonant_bands,
     sharp_pairs,
-    standing_wave,
     vanishing_certificates,
 )
 from .scalars import (

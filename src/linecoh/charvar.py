@@ -27,7 +27,7 @@ route.  A catalog names each hit with one lookup in an index of the
 families' torsion points (``ComponentFamily.torsion_exponents``), built
 once per scan.  The scans of deleted B3 at orders 2 to 12 give exactly
 the catalog's nontrivial torsion points of order dividing N
-(``ComponentFamily.torsion_points``), with h^1 = 2 on C_5678 and at the
+(``ComponentFamily.torsion_exponents``), with h^1 = 2 on C_5678 and at the
 two order-2 points on four families, and h^1 = 1 at every other hit.
 """
 
@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 
 from .geometry import ProjArrangement
-from .localsystem import make_local_system
+from .localsystem import check_torsion_order, make_local_system
 from .resband import h1_on_band_chart, incidence_table
 # bench/selfcheck.py checks that its tracer wraps this import site too
 from .resband import h1_via_bands  # noqa: F401
@@ -58,9 +58,6 @@ class TorusPoint:
 
     exponents: tuple
     order: int
-
-    def is_trivial(self):
-        return all(e % self.order == 0 for e in self.exponents)
 
 
 @dataclass(frozen=True)
@@ -123,18 +120,6 @@ class ComponentFamily:
     def nlines(self):
         return len(self.powers)
 
-    def point(self, params, order):
-        """The torus point at parameters s_j = zeta_order^{params[j]}."""
-        if len(params) != self.nparams:
-            raise ValueError("wrong number of parameters")
-        n = self._modulus(order)
-        step = n // order
-        exps = next(self._exponents(n, [[step * t for t in params]]))
-        pt = TorusPoint(tuple(exps), n)
-        if sum(pt.exponents) % n != 0:
-            raise ValueError(f"{self.name}: parametrization violates the constraint")
-        return pt
-
     def _modulus(self, order):
         """m = ``order``, or lcm(``order``, 2) when a sign is set.  At a point
         of order dividing ``order`` every parameter is an m-th root of
@@ -159,13 +144,6 @@ class ComponentFamily:
         for exps in self._exponents(m, product(range(m), repeat=self.nparams)):
             if lift == 1 or not any(e % lift for e in exps):
                 yield tuple(e // lift for e in exps)
-
-    def torsion_points(self, order):
-        """The family's points of order dividing ``order``, as torus points
-        of that order (``torsion_exponents``)."""
-        return frozenset(
-            TorusPoint(exps, order) for exps in self.torsion_exponents(order)
-        )
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?  A point
@@ -256,18 +234,20 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     return found[1].dim
 
 
-def _diagonal_form(rows, ncols):
-    """``(d, cols)`` for the integer matrix A of ``rows`` with ``ncols``
-    columns: the nonzero diagonal entries d_0 .. d_(r-1) (r the rank, up
-    to sign) and the columns of a unimodular Q with P*A*Q = diag(d) for
-    some unimodular P.  This is the Smith normal form without its
-    divisibility chain, which a kernel mod N does not need.
+def _diagonal_form(rows, cols):
+    """``(d, S*Q)`` for the integer matrix A of ``rows`` and the matrix S
+    whose columns are ``cols``, one per column of A: the nonzero diagonal
+    entries d_0 .. d_(r-1) (r the rank, up to sign) and the columns of
+    S*Q, Q a unimodular matrix with P*A*Q = diag(d) for some unimodular P;
+    the column operations that give Q act on S.  This is the Smith normal
+    form without its divisibility chain, which a kernel mod N does not need.
 
-    >>> _diagonal_form([[2, 4], [1, 1]], 2)[0]
-    [1, 2]
+    >>> _diagonal_form([[2, 4], [1, 1]], [[1, 0], [0, 1]])
+    ([1, 2], [[1, 0], [-1, 1]])
     """
     a = [list(row) for row in rows]
-    cols = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    cols = [list(col) for col in cols]
+    ncols = len(cols)
     d = []
     for t in range(ncols):
         # rows below t are 0 left of column t; zero rows go
@@ -304,14 +284,6 @@ def _diagonal_form(rows, ncols):
     return d, cols
 
 
-def _with_sums(table, cols):
-    """Each of ``cols``, vectors over all lines, followed by its sums over
-    the lines of each multiple point of ``table``: the points of a span of
-    such columns carry the exponent sums that say which are resonant."""
-    points = [itemgetter(*p) for p in table.points]
-    return [tuple(col) + tuple(sum(p(col)) for p in points) for col in cols]
-
-
 def _node(proj, k, inside):
     """``(d, cols)`` for the node of the walk of ``_frontier`` that has put
     the multiple points of ``inside`` (a bitmask over
@@ -322,8 +294,12 @@ def _node(proj, k, inside):
     ``inside`` to ``inside`` plus the points from ``k`` on: exponents 0 on
     the lines meeting fewer than two of those points, the lines of each
     point of ``inside`` and all lines summing to 0.  W mod N is Q*y, Q the
-    matrix of the columns ``cols`` (``_with_sums``) and d_i*y_i = 0 mod N
-    for i below ``len(d)``: the ``_diagonal_form`` of that system."""
+    matrix of the columns ``cols`` and d_i*y_i = 0 mod N for i below
+    ``len(d)``: the ``_diagonal_form`` of that system.  Its column
+    operations start from each live line's unit vector over all lines
+    followed by its incidence with each multiple point of the table, so a
+    column carries its exponent sums over the points, which say which
+    points are resonant."""
     node = proj._scan_nodes.get((k, inside))
     if node is not None:
         return node
@@ -335,12 +311,11 @@ def _node(proj, k, inside):
         for q, p in enumerate(table.points)
         if inside >> q & 1
     ]
-    d, cols = _diagonal_form(rows + [[1] * len(live)], len(live))
-    full = [[0] * proj.n for _ in cols]
-    for exps, col in zip(full, cols):
-        for j, v in zip(live, col):
-            exps[j] = v
-    node = (d, _with_sums(table, full))
+    start = [
+        [int(i == j) for i in range(proj.n)] + [int(j in p) for p in table.points]
+        for j in live
+    ]
+    node = _diagonal_form(rows + [[1] * len(live)], start)
     if len(proj._scan_nodes) < _CACHED_NODES:
         proj._scan_nodes[k, inside] = node
     return node
@@ -453,11 +428,11 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     ``torsion_scan``'s catalog parameter tuples) plus the points listed
     and the nodes walked.
 
-    Points come packed from ``_span``, a field per line and then one per
-    multiple point (its exponent sum), and are read in that form: a
-    field's top bit is set after adding 2^(width-1) - 1 exactly when the
-    field is not 0, which gives the lines with q != 1 and the resonant
-    points as masks of top bits."""
+    Points come packed from ``_span``, a field per line, and a (B) point
+    also one per multiple point (its exponent sum).  They are read in that
+    form: a field's top bit is set after adding 2^(width-1) - 1 exactly
+    when the field is not 0, which gives the lines with q != 1 and the
+    resonant points of a (B) point as masks of top bits."""
     table = incidence_table(proj)
     n = proj.n
     families = []
@@ -465,7 +440,7 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
         cols = [[0] * n for _ in p[1:]]
         for col, j in zip(cols, p):
             col[j], col[p[-1]] = 1, -1
-        families.append(_with_sums(table, cols))
+        families.append(cols)
     spent += sum(order ** len(cols) - 1 for cols in families)
     nodes = _frontier(proj, order, budget, spent)
     width = order.bit_length() + 1
@@ -571,8 +546,10 @@ def torsion_scan(
     {u*e mod N : u a unit of Z/N}: h^1 is the same on the whole orbit, as
     conjugation is a field automorphism of Q(zeta_N) (the property tests
     check it), and the orbit lies in (B), whose test is a set of
-    congruences.  The units are listed at the first band-route point, so
-    a scan the budget stops does no O(N) work.
+    congruences.  The first point comes once the walk has held the count
+    to the budget; only then are the order checked against the backend
+    (``check_torsion_order``) and the units listed, so a scan the budget
+    stops does no O(N) work, and one the backend cannot take lists no point.
     """
     if budget < 0:
         raise ValueError(f"scan budget must be >= 0, not {budget}")
@@ -586,12 +563,13 @@ def torsion_scan(
     band = {}  # h^1 of the band route, set for a whole Galois orbit at once
     found = []
     for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
+        if units is None:
+            check_torsion_order(order, backend, eps)
+            units = [u for u in range(2, order) if gcd(u, order) == 1]
         if dim is None:
             dim = band.get(exps)
         if dim is None:
             dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
-            if units is None:
-                units = [u for u in range(2, order) if gcd(u, order) == 1]
             for u in units:
                 band[tuple(u * e % order for e in exps)] = dim
         if dim >= 1:

@@ -17,7 +17,8 @@ a negative ``--budget`` is bad input.  Exit codes: 0 success, 2
 precondition failure (bad input, or an unreadable arrangement file or
 unwritable ``--out`` path), 3 enumeration
 budget exceeded, 4 internal invariant broken (two computations that must
-agree did not, a failed cochain check d1*d0 = 0 or a negative dimension);
+agree did not, a failed cochain check d1*d0 = 0, a negative dimension or
+a broken chamber, flag or band invariant);
 with floating arithmetic, an ``--eps`` that is not a finite number >=
 1e-12 is bad input, and so is a torsion order above
 ``scalars.MAX_TORSION_ORDER`` = 1000 with exact arithmetic, or one with

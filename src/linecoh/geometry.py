@@ -43,7 +43,13 @@ class ArrangementTooLargeError(ArrangementError):
 
 
 class FlagError(ArrangementError):
-    """No valid generic flag; requires at least one intersection point."""
+    """No generic flag: the arrangement has no intersection point."""
+
+
+class InvariantError(RuntimeError):
+    """A condition that holds by construction failed, or two computations
+    that must agree did not: a defect of the program (or of the floating
+    tolerance), never of the input."""
 
 
 def _fraction(token):
@@ -221,7 +227,7 @@ def _compute_chambers(lines):
             )
             opp = by_signs.get(target)
             if opp is None or opp.bounded:
-                raise ArrangementError("opposite chamber pairing failed")
+                raise InvariantError("opposite chamber pairing failed")
         ch.opposite = opp
     return chambers
 
@@ -412,7 +418,7 @@ def _flag_axis(arrangement, variant):
     )
     p, q = next(islice(shears, variant, None), (None, None))
     if q is None:
-        raise FlagError("shear search exhausted")
+        raise InvariantError("shear search exhausted")
     heights = []
     for pt in pts:
         x, y, z = pt.coords
@@ -471,17 +477,18 @@ def choose_flag(arrangement, variant=0):
         flip_signs.append(sign)
         flagged_lines.append((sign * a, sign * b, sign * c))
     sorted_intercepts = [intercepts[k] - tx for k in order]
-    # verify the flag conditions outright
+    # verify the flag conditions outright; they hold by construction, so a
+    # failure is a defect of the program
     if any(a == 0 for a, _, _ in flagged_lines):
-        raise FlagError("a line is parallel to the flag axis")
+        raise InvariantError("a line is parallel to the flag axis")
     if any(hn * dy <= ny * hd for hn, hd in heights):
-        raise FlagError("an intersection point is not above the flag axis")
+        raise InvariantError("an intersection point is not above the flag axis")
     if any(
         x2 <= x1 for x1, x2 in zip(sorted_intercepts, sorted_intercepts[1:])
     ) or sorted_intercepts[0] <= 0:
-        raise FlagError("axis intercepts are not strictly increasing and positive")
+        raise InvariantError("axis intercepts are not strictly increasing and positive")
     if any(c >= 0 for _, _, c in flagged_lines):
-        raise FlagError("origin is not in every negative half-plane")
+        raise InvariantError("origin is not in every negative half-plane")
 
     # transport the chambers along the flag map (proof in the docstring)
     reorder = itemgetter(*order)  # n >= 2 lines: a tuple
@@ -504,7 +511,7 @@ def choose_flag(arrangement, variant=0):
         target = tuple(1 if k < p else -1 for k in range(n))
         ch = by_signs.get(target)
         if ch is None:
-            raise FlagError("expected axis chamber is infeasible")
+            raise InvariantError("expected axis chamber is infeasible")
         u_index.append(ch.index)
     u_set = set(u_index)
     ch2 = tuple(ch.index for ch in chs if ch.index not in u_set)
@@ -518,7 +525,7 @@ def choose_flag(arrangement, variant=0):
     # chamber count bookkeeping: |ch^2| must equal sum over points of (mult-1)
     expected = arrangement.point_index_sum()
     if len(ch2) != expected:
-        raise FlagError(
+        raise InvariantError(
             f"flag classification mismatch: |ch2| = {len(ch2)}, expected {expected}"
         )
     return fa

@@ -12,7 +12,7 @@ backend or as complex values on the floating one; arbitrary nonzero
 complex monodromies use principal square roots.
 
 Computed cohomology dimensions are independent of the square root choices;
-``flipped()`` exists so that independence can be exercised.
+the tests exercise that independence with ``brute.flipped``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ class LocalSystem:
         )
         return lines, points
 
-    # -- convention changes ---------------------------------------------------
-
     def on_chart(self, proj, h):
         """The same monodromies on the affine lines of ``proj.chart(h)``,
         for any h: each chart line, in ``chart.to_old`` order, takes the
@@ -111,15 +109,6 @@ class LocalSystem:
         return LocalSystem(
             self.backend,
             (self._half_at(proj, old) for old in proj.chart(h).to_old),
-        )
-
-    def flipped(self, ids=None):
-        """Same monodromies with h_i replaced by -h_i (all lines by default)."""
-        which = set(range(self.n) if ids is None else ids)
-        neg = self.backend.half_neg
-        return LocalSystem(
-            self.backend,
-            (neg(h) if i in which else h for i, h in enumerate(self.halves)),
         )
 
 
@@ -170,15 +159,27 @@ def make_local_system(
         raise LocalSystemError("torsion order must be >= 1")
     two_n = 2 * order
     exps = [int(e) for e in exponents]
+    check_torsion_order(order, backend, eps)
+    if backend == "cyclotomic":
+        return LocalSystem(_cyclotomic_backend(two_n), (e % two_n for e in exps))
+    halves = (cmath.exp(2j * cmath.pi * e / two_n) for e in exps)
+    return LocalSystem(ComplexBackend(eps), halves)
+
+
+def check_torsion_order(order, backend="cyclotomic", eps=DEFAULT_EPS):
+    """Refuse, with ``LocalSystemError``, a torsion order N >= 1 that
+    ``backend`` cannot take (see ``make_local_system``): one above
+    ``MAX_TORSION_ORDER`` on the cyclotomic backend, or one with
+    2 sin(pi/N) <= eps on the floating one, once ``ComplexBackend`` has
+    checked ``eps``; and an unknown backend."""
     if backend == "cyclotomic":
         if order > MAX_TORSION_ORDER:
             raise LocalSystemError(
                 f"torsion order {order} exceeds the bound {MAX_TORSION_ORDER} "
                 "of the cyclotomic backend"
             )
-        return LocalSystem(_cyclotomic_backend(two_n), (e % two_n for e in exps))
-    if backend == "complex":
-        field = ComplexBackend(eps)
+    elif backend == "complex":
+        ComplexBackend(eps)
         # 1 / order takes an int of any size; pi / order makes it a float
         if order >= 2 and 2 * math.sin(math.pi * (1 / order)) <= eps:
             raise LocalSystemError(
@@ -186,7 +187,5 @@ def make_local_system(
                 f"at eps {eps!r}: its roots of unity other than 1 can lie "
                 "within eps of 1"
             )
-        halves = (cmath.exp(2j * cmath.pi * e / two_n) for e in exps)
-        return LocalSystem(field, halves)
-    raise LocalSystemError(f"unknown backend {backend!r}")
-
+    else:
+        raise LocalSystemError(f"unknown backend {backend!r}")

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import FlaggedArrangement, separating_ids
-from .resband import InvariantError
+from .geometry import FlaggedArrangement, InvariantError, separating_ids
 from .scalars import Matrix, matmul, rank
 
 

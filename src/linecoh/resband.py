@@ -1,6 +1,6 @@
-"""Bands between consecutive parallel lines, standing waves, and the kernel
-computation of first cohomology, plus the combinatorial certificates that
-decide or bound h^1 without any linear algebra.
+"""Bands between consecutive parallel lines and the rank of their standing
+wave matrix, which gives first cohomology, plus the combinatorial
+certificates that decide or bound h^1 without any linear algebra.
 
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
@@ -35,11 +35,10 @@ that also feeds ``sharp_pairs``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .geometry import Arrangement, monic, separating_ids
+from .geometry import Arrangement, InvariantError, monic, separating_ids
 from .scalars import weight_rank
 
 
@@ -47,11 +46,6 @@ class TheoremInapplicableError(ValueError):
     """The band kernel computes h^1 only when the infinity monodromy is
     nontrivial; ``h1_on_band_chart`` moves a line with q != 1 to infinity
     first, and with every q = 1 only the chamber complex applies."""
-
-
-class InvariantError(RuntimeError):
-    """Two internal computations that must agree did not: a defect of the
-    program (or of the floating tolerance), never of the input."""
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,6 @@ class Band:
     inner: tuple
     parallel_ids: frozenset
     waves: tuple = field(repr=False)
-
-
-@dataclass(frozen=True)
-class StandingWave:
-    band: Band
-    coefficients: dict  # chamber index -> backend element
 
 
 def bands(arrangement):
@@ -117,10 +105,10 @@ def bands(arrangement):
             if len(ends) == 1 and chs[ends[0]].opposite is chs[ends[0]]:
                 ends *= 2  # a strip no line crosses: both of its ends
             if len(ends) != 2:
-                raise ValueError("band does not have exactly two unbounded ends")
+                raise InvariantError("band does not have exactly two unbounded ends")
             u1, u2 = ends
             if chs[u1].opposite is not chs[u2]:
-                raise ValueError("band ends are not opposite chambers")
+                raise InvariantError("band ends are not opposite chambers")
             waves = tuple((ci, sep(u1, ci)) for ci in inner)
             out.append(Band(low, up, u1, u2, inner, class_ids, waves))
     arrangement._bands = tuple(out)
@@ -139,30 +127,6 @@ def resonant_bands(system, arrangement):
         band
         for band in bands(arrangement)
         if system.prod_is_one(band.parallel_ids, with_infinity=True)
-    )
-
-
-def standing_wave(system, arrangement, band, end=1):
-    """The chamber combination Delta(U_end, C) . [C] over chambers C in the
-    band, for end 1 or 2. Meaningful for resonant bands; computable (with a
-    warning) always."""
-    if end not in (1, 2):
-        raise ValueError(f"band end must be 1 or 2, not {end!r}")
-    if band not in bands(arrangement):
-        raise ValueError("band does not belong to this arrangement")
-    if band not in resonant_bands(system, arrangement):
-        warnings.warn("standing wave of a non-resonant band", stacklevel=2)
-    waves = band.waves
-    if end == 2:
-        # Sep(U_2, C) = Sep(U_1, C) symmetric difference Sep(U_1, U_2), and
-        # Sep(U_1, U_2) is the lines not in parallel_ids
-        par = band.parallel_ids
-        waves = [
-            (ci, [j for j in range(arrangement.n) if (j in ids) == (j in par)])
-            for ci, ids in waves
-        ]
-    return StandingWave(
-        band=band, coefficients={ci: system.delta_ids(ids) for ci, ids in waves}
     )
 
 

@@ -22,11 +22,12 @@ Two interchangeable backends feed every cohomology computation:
   ``make_local_system`` refuses complex monodromies q_i = h_i^2 with
   (n + 1) * 2^-52 * W^2 > eps, W^2 = prod max(|q_i|, 1/|q_i|).
 
-Both backends also own the representation of a half monodromy, a square
-root h of a monodromy q = h^2, through the same six operations:
-``half`` (the field element of h), ``half_prod`` (product of an iterable),
-``half_inv``, ``half_neg`` (h -> -h), ``square_is_one`` (is h^2 = 1?) and
-``weight`` (h - h^(-1)).
+Both backends offer the field operations ``add``, ``sub``, ``neg``,
+``mul`` and ``is_zero``, which the chamber complex and ``rank`` use, and
+own the representation of a half monodromy, a square root h of a
+monodromy q = h^2, through the same five operations: ``half_prod``
+(product of an iterable), ``half_inv``, ``half_neg`` (h -> -h),
+``square_is_one`` (is h^2 = 1?) and ``weight`` (h - h^(-1)).
 
 * Over ``CyclotomicBackend(M)``, M even, h = zeta_M^s is the exponent s
   mod M: products add exponents, the inverse is -s, the negation s + M/2,
@@ -129,9 +130,6 @@ class CyclotomicBackend:
 
     # -- half monodromies h = zeta_order ** s, stored as s mod order -------
 
-    def half(self, s):
-        return self.root(s)
-
     def half_prod(self, halves):
         return sum(halves) % self.order
 
@@ -200,17 +198,8 @@ class CyclotomicBackend:
                         out[j] += ck * pw[j]
         return tuple(out)
 
-    def scale(self, r, u):
-        return tuple(r * a for a in u)
-
     def is_zero(self, u):
         return not any(u)
-
-    def is_one(self, u):
-        return self.is_zero(self.sub(u, self.one))
-
-    def eq(self, u, v):
-        return self.is_zero(self.sub(u, v))
 
 
 # the primes of weight_rank lie below this, so two residues multiply to
@@ -302,9 +291,6 @@ class ComplexBackend:
 
     # -- half monodromies, stored as complex values -------------------------
 
-    def half(self, v):
-        return v
-
     def half_prod(self, halves):
         prod = 1 + 0j
         for v in halves:
@@ -335,17 +321,11 @@ class ComplexBackend:
     def mul(self, u, v):
         return u * v
 
-    def scale(self, r, u):
-        return complex(r) * u
-
     def is_zero(self, u):
         return abs(u) <= self.eps
 
     def is_one(self, u):
         return abs(u - 1) <= self.eps
-
-    def eq(self, u, v):
-        return abs(u - v) <= self.eps
 
     def format(self, u):
         return format(u, ".6g")
@@ -367,9 +347,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.backend.kind})"
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def is_zero(self):
         bz = self.backend.is_zero

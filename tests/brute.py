@@ -14,11 +14,12 @@ node and recession rays.
 import cmath
 from fractions import Fraction
 from itertools import combinations, compress, product
-from math import gcd
-from operator import itemgetter
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from linecoh.charvar import ScanHit, TorusPoint, h1_at_point
 from linecoh.geometry import IntersectionPoint, canonical_triple
+from linecoh.localsystem import LocalSystem
 from linecoh.resband import SharpPair, certify_masks, incidence_table, resonant_bands
 from linecoh.scalars import Matrix
 
@@ -49,32 +50,59 @@ def delta(system, ids, c1, c2):
     return system.delta_ids(sep(c1, c2, ids))
 
 
+def standing_wave(system, arrangement, band, end=1):
+    """The standing wave of ``band`` seen from its end ``end`` (1 or 2): per
+    chamber C of the band, its index -> Delta(Sep(U_end, C)), from ``sep``,
+    not from the band's stored waves."""
+    chs = arrangement.chambers()
+    u = chs[band.u1 if end == 1 else band.u2]
+    ids = range(arrangement.n)
+    return {ci: delta(system, ids, u, chs[ci]) for ci in band.inner}
+
+
 def wave_matrix(system, arrangement):
     """The standing wave matrix over the system's backend (over Z[zeta] on
     the exact one): a column per resonant band, in ``resonant_bands``
     order, a row per chamber of those bands, in index order, and the entry
-    Delta(Sep(U_1, C)) from ``sep``, not from the bands' stored waves."""
-    chs = arrangement.chambers()
-    ids = range(arrangement.n)
-    res = resonant_bands(system, arrangement)
-    rows = sorted({ci for band in res for ci in band.inner})
+    of ``standing_wave``."""
+    waves = [
+        standing_wave(system, arrangement, band)
+        for band in resonant_bands(system, arrangement)
+    ]
+    rows = sorted({ci for wave in waves for ci in wave})
     zero = system.backend.zero
     return Matrix(
         system.backend,
-        [
-            [
-                delta(system, ids, chs[band.u1], chs[ci]) if ci in band.inner else zero
-                for band in res
-            ]
-            for ci in rows
-        ],
-        ncols=len(res),
+        [[wave.get(ci, zero) for wave in waves] for ci in rows],
+        ncols=len(waves),
     )
+
+
+def eq(bk, u, v):
+    """Are the backend elements u and v equal (under ``bk.is_zero``)?"""
+    return bk.is_zero(bk.sub(u, v))
+
+
+def flipped(system, ids=None):
+    """The same monodromies with h_i replaced by -h_i for the lines
+    ``ids`` (all lines by default)."""
+    which = set(range(system.n) if ids is None else ids)
+    neg = system.backend.half_neg
+    return LocalSystem(
+        system.backend,
+        (neg(h) if i in which else h for i, h in enumerate(system.halves)),
+    )
+
+
+def _half_element(bk, h):
+    """The field element of the half monodromy h: zeta^h on the cyclotomic
+    backend, which stores the exponent, h itself on the floating one."""
+    return bk.root(h) if bk.kind == "cyclotomic" else h
 
 
 def half(system, i):
     """The square root h_i of line i's monodromy as a backend element."""
-    return system.backend.half(system.halves[i])
+    return _half_element(system.backend, system.halves[i])
 
 
 def monodromy(system, i):
@@ -82,7 +110,7 @@ def monodromy(system, i):
 
 
 def half_infinity(system):
-    return system.backend.half(system.half_inf)
+    return _half_element(system.backend, system.half_inf)
 
 
 def monodromy_infinity(system):
@@ -401,15 +429,30 @@ def _scan_point(proj, order, combo):
     return TorusPoint(tuple(exps), order)
 
 
+def family_point(family, params, order):
+    """The torus point of ``family`` at parameters s_j = zeta_N^params[j],
+    N = ``order``: coordinate i is (-1)^signs[i] * prod_j
+    s_j^powers[i][j], an exponent mod m = N, or lcm(N, 2) when a sign is
+    set."""
+    if len(params) != family.nparams:
+        raise ValueError("wrong number of parameters")
+    m = lcm(order, 2) if any(family.signs) else order
+    exps = tuple(
+        (sign * m // 2 + m // order * sum(map(mul, row, params))) % m
+        for sign, row in zip(family.signs, family.powers)
+    )
+    return TorusPoint(exps, m)
+
+
 def family_torsion_points(family, order):
-    """Reference for ``ComponentFamily.torsion_points``: a parameter equals
-    a coordinate up to sign and inversion, so at a point of order dividing
-    N it is a 2N-th root of unity; the parameters run over the 2N grid,
-    and points with an odd exponent at order 2N go."""
+    """Reference for ``ComponentFamily.torsion_exponents``: a parameter
+    equals a coordinate up to sign and inversion, so at a point of order
+    dividing N it is a 2N-th root of unity; the parameters run over the
+    2N grid, and points with an odd exponent at order 2N go."""
     two_n = 2 * order
     points = set()
     for params in product(range(two_n), repeat=family.nparams):
-        exps = family.point(params, two_n).exponents
+        exps = family_point(family, params, two_n).exponents
         if not any(e % 2 for e in exps):
             points.add(TorusPoint(tuple(e // 2 for e in exps), order))
     return frozenset(points)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecoh import charvar, mincomplex, resband
+from linecoh import charvar, geometry, mincomplex, resband
 from linecoh.cli import main
 from linecoh.localsystem import LocalSystem, make_local_system
 
@@ -260,6 +260,45 @@ def test_floating_backend_refuses_orders_it_cannot_tell_from_one(capsys):
     )
 
 
+# the cone of x = 0, y = 0, x = y, x = 1 and y = 1 (A3): its four local
+# families hold about 4 million points at order 1001
+A3 = "1 0 0\n0 1 0\n1 -1 0\n1 0 -1\n0 1 -1\n"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--order", "1001"], f"torsion order 1001 {BOUND}"),
+        (
+            ["--order", "13", "--backend", "complex", "--eps", "0.5"],
+            "torsion order 13 is too large for the floating backend at eps 0.5",
+        ),
+    ],
+)
+def test_scan_refuses_an_order_its_backend_cannot_take_at_the_first_point(
+    tmp_path, monkeypatch, capsys, options, message
+):
+    # refused once the walk yields its first point, not after listing the
+    # families on the way to the band route
+    path = tmp_path / "a3.txt"
+    path.write_text(A3)
+    listed = []
+    real = charvar.candidate_points
+
+    def counting(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            listed.append(item)
+            yield item
+
+    monkeypatch.setattr(charvar, "candidate_points", counting)
+    argv = ["scan", "--arrangement", str(path), "--budget", "50000000", *options]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(listed) == 1
+
+
 def test_certify_reads_the_resonance_once(monkeypatch, capsys):
     # the certificates, the sharp pairs and the printed resonant lines all
     # come from one certificate report
@@ -487,6 +526,23 @@ def test_invariant_failures_exit_4(fig1_file, monkeypatch, capsys):
     code = main(["certify", "--arrangement", fig1_file, "--local-system", spec])
     assert code == 4
     assert "error: contradictory certificates: [0, 1]" in capsys.readouterr().err
+
+
+def test_broken_flag_exits_4(fig1_file, monkeypatch, capsys):
+    # an axis height above the lowest point breaks a flag condition that
+    # holds by construction: a defect, not bad input
+    real = geometry._flag_axis
+
+    def raised(arrangement, variant):
+        p, q, ty, heights = real(arrangement, variant)
+        return p, q, ty + 2, heights
+
+    monkeypatch.setattr(geometry, "_flag_axis", raised)
+    spec = "torsion 4; 0 1 3 2 0"
+    code = main(["h1", "--arrangement", fig1_file, "--local-system", spec, "--check"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: an intersection point is not above the flag axis\n"
 
 
 @pytest.mark.parametrize("command", ["h1", "complex", "certify"])

@@ -26,7 +26,7 @@ def test_canonical_square_roots_for_order_two():
     assert brute.monodromy(system, 1) == bk.root(2)
     # product over the cone (with the derived infinity factor) is one
     assert system.prod_is_one(range(7), with_infinity=True)
-    assert bk.eq(brute.monodromy_infinity(system), bk.neg(bk.one))
+    assert brute.eq(bk, brute.monodromy_infinity(system), bk.neg(bk.one))
 
 
 def test_infinity_forced_inverse_product():
@@ -39,7 +39,7 @@ def test_infinity_forced_inverse_product():
         prod = bk.one
         for i in range(6):
             prod = bk.mul(prod, brute.monodromy(system, i))
-        assert bk.is_one(bk.mul(prod, brute.monodromy_infinity(system)))
+        assert brute.eq(bk, bk.mul(prod, brute.monodromy_infinity(system)), bk.one)
 
 
 def test_q_point_examples():
@@ -66,8 +66,9 @@ def test_delta_basics():
     u1 = chs[fl.u_index[1]]
     assert bk.is_zero(brute.delta(system, fl.order, u0, u0))
     expected = bk.sub(brute.half(system, 0), bk.root(-system.halves[0]))
-    assert bk.eq(brute.delta(system, fl.order, u0, u1), expected)
-    assert bk.eq(
+    assert brute.eq(bk, brute.delta(system, fl.order, u0, u1), expected)
+    assert brute.eq(
+        bk,
         brute.delta(system, fl.order, u0, u1),
         brute.delta(system, fl.order, u1, u0),
     )
@@ -123,14 +124,14 @@ def test_flip_changes_delta_sign_only():
     fl = arr.flagged()
     chs = fl.chambers
     system = make_local_system([0, 1, 3, 2, 0], order=4)
-    flipped = system.flipped()
+    flipped = brute.flipped(system)
     bk = system.backend
     rng = random.Random(12)
     for _ in range(30):
         a, b = chs[rng.randrange(len(chs))], chs[rng.randrange(len(chs))]
         d1 = brute.delta(system, fl.order, a, b)
         d2 = brute.delta(flipped, fl.order, a, b)
-        assert bk.eq(d1, d2) or bk.eq(d1, bk.neg(d2))
+        assert brute.eq(bk, d1, d2) or brute.eq(bk, d1, bk.neg(d2))
 
 
 def test_flip_preserves_dimensions():
@@ -139,7 +140,7 @@ def test_flip_preserves_dimensions():
     for _ in range(10):
         order = rng.randrange(2, 6)
         system = make_local_system(corpus.random_exponents(rng, 5, order), order=order)
-        flipped = system.flipped()
+        flipped = brute.flipped(system)
         assert cohomology_dims(system, arr) == cohomology_dims(flipped, arr)
         if not system.infinity_is_one():
             assert (

@@ -37,7 +37,7 @@ def test_primitive_root(order):
     assert bk.root(order) == bk.one
     for d in range(1, order):
         if order % d == 0:
-            assert not bk.is_one(bk.root(d))
+            assert not brute.eq(bk, bk.root(d), bk.one)
 
 
 def test_field_arithmetic():
@@ -47,8 +47,8 @@ def test_field_arithmetic():
         a, b, c = (bk.root(rng.randrange(8)) for _ in range(3))
         left = bk.mul(bk.add(a, b), c)
         right = bk.add(bk.mul(a, c), bk.mul(b, c))
-        assert bk.eq(left, right)
-    assert bk.eq(bk.root(4), bk.neg(bk.one))
+        assert brute.eq(bk, left, right)
+    assert brute.eq(bk, bk.root(4), bk.neg(bk.one))
 
 
 def test_rank_trivial_cases():
@@ -101,7 +101,7 @@ def test_rank_backend_agreement():
 def test_rank_with_fraction_entries():
     bk = CyclotomicBackend(4)
     row = [bk.root(1), bk.one]
-    mat = Matrix(bk, [row, [bk.scale(2, e) for e in row]])
+    mat = Matrix(bk, [row, [bk.add(e, e) for e in row]])
     assert rank(mat) == 1  # second row is twice the first
 
 
@@ -159,5 +159,5 @@ def test_half_monodromy_operations_agree_across_backends(order, data):
     assert abs(brute.to_complex(cyc, cyc.weight(s)) - cpx.weight(v)) < 1e-9
     assert cyc.square_is_one(s) == cpx.square_is_one(v)
     for bk, h in ((cyc, s), (cpx, v)):
-        assert bk.eq(bk.weight(bk.half_neg(h)), bk.neg(bk.weight(h)))
+        assert brute.eq(bk, bk.weight(bk.half_neg(h)), bk.neg(bk.weight(h)))
     assert exact.delta_ids(ids) == brute.torsion_weight(cyc, exps, ids)
