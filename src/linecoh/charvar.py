@@ -550,12 +550,14 @@ def torsion_scan(
     to the budget; only then are the order checked against the backend
     (``check_torsion_order``) and the units listed, so a scan the budget
     stops does no O(N) work, and one the backend cannot take lists no point.
+    A scan that lists none, order 1 included, checks the order all the same.
     """
     if budget < 0:
         raise ValueError(f"scan budget must be >= 0, not {budget}")
     if order < 1:
         raise ValueError("torsion order must be >= 1")
     if order == 1:
+        check_torsion_order(order, backend, eps)
         return []
     families = [f for f in catalog or () if f.nlines == proj.n]
     parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
@@ -574,6 +576,8 @@ def torsion_scan(
                 band[tuple(u * e % order for e in exps)] = dim
         if dim >= 1:
             found.append((exps, dim))
+    if units is None:  # no point came, but the walk held the budget
+        check_torsion_order(order, backend, eps)
     # built once the walk has held the whole count to the budget
     index = {}
     for f in families:

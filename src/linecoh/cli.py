@@ -181,7 +181,7 @@ def cmd_h1(args):
         if h1 != result.dim:
             rows.append("MISMATCH between band kernel and chamber complex")
             _emit(args.out, "\n".join(rows) + "\n")
-            return 2
+            return 4
     _emit(args.out, "\n".join(rows) + "\n")
     return 0
 

@@ -563,12 +563,6 @@ class ProjArrangement:
     def __repr__(self):
         return f"ProjArrangement({self.n} lines, infinity={self.infinity_index})"
 
-    def affine_position(self, j):
-        """Position of projective line j in the affine (non-infinity) list."""
-        if j == self.infinity_index:
-            raise ValueError("the infinity line has no affine position")
-        return j if j < self.infinity_index else j - 1
-
     def affine_ids(self):
         return tuple(j for j in range(self.n) if j != self.infinity_index)
 
@@ -607,7 +601,7 @@ def cone(arrangement):
     """
     n = arrangement.n
     proj = ProjArrangement([*arrangement.lines, (0, 0, 1)], infinity_index=n)
-    proj._charts[n] = Chart(arrangement, tuple(range(n)), n)
+    proj._charts[n] = Chart(arrangement, tuple(range(n)))
     return proj
 
 
@@ -618,7 +612,6 @@ class Chart:
 
     arrangement: Arrangement
     to_old: tuple  # affine position -> line index in the source
-    moved: int
 
 
 def _adjugate(rows):
@@ -659,7 +652,7 @@ def move_to_infinity(proj, h):
         tuple(sum(row[r] * adj[r][c] for r in range(3)) for c in range(3))
         for row in (proj.lines[k] for k in keep)
     ]
-    return Chart(Arrangement(coeffs), tuple(keep), moved=h)
+    return Chart(Arrangement(coeffs), tuple(keep))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ h_i = zeta_{2N}^{e_i}, stored as exponents mod 2N on the exact cyclotomic
 backend or as complex values on the floating one; arbitrary nonzero
 complex monodromies use principal square roots.
 
+Only ``projective_halves`` knows which half belongs to which line of a
+projective arrangement, infinity included; ``on_chart``, the band chart
+rule and the certificate masks of ``resband`` all read it.
+
 Computed cohomology dimensions are independent of the square root choices;
 the tests exercise that independence with ``brute.flipped``.
 """
@@ -75,41 +79,20 @@ class LocalSystem:
 
     # -- coned arrangement helpers ------------------------------------------
 
-    def _half_at(self, proj, j):
-        """Half monodromy of projective line j (``half_inf`` at infinity)."""
-        if j == proj.infinity_index:
-            return self.half_inf
-        return self.halves[proj.affine_position(j)]
-
-    def q_is_one_at(self, proj, j):
+    def projective_halves(self, proj):
+        """The half monodromy of every line of ``proj``, by projective
+        index: the affine halves in order, with ``half_inf`` inserted at
+        ``proj.infinity_index``."""
         self.check_size(proj.n - 1)
-        return self.backend.square_is_one(self._half_at(proj, j))
-
-    def resonance_masks(self, proj):
-        """The two bitmasks the resonant point certificates read: bit j of
-        the first for each projective line j with q != 1, bit k of the
-        second for each multiple point with q = 1, k its position in
-        ``proj.multiple_points()``."""
-        self.check_size(proj.n - 1)
-        bk = self.backend
-        halves = [self._half_at(proj, j) for j in range(proj.n)]
-        lines = sum(1 << j for j, h in enumerate(halves) if not bk.square_is_one(h))
-        points = sum(
-            1 << k
-            for k, p in enumerate(proj.multiple_points())
-            if bk.square_is_one(bk.half_prod(halves[j] for j in p.incident))
-        )
-        return lines, points
+        inf = proj.infinity_index
+        return (*self.halves[:inf], self.half_inf, *self.halves[inf:])
 
     def on_chart(self, proj, h):
         """The same monodromies on the affine lines of ``proj.chart(h)``,
         for any h: each chart line, in ``chart.to_old`` order, takes the
         half monodromy of the projective line it comes from."""
-        self.check_size(proj.n - 1)
-        return LocalSystem(
-            self.backend,
-            (self._half_at(proj, old) for old in proj.chart(h).to_old),
-        )
+        halves = self.projective_halves(proj)
+        return LocalSystem(self.backend, (halves[j] for j in proj.chart(h).to_old))
 
 
 @lru_cache(maxsize=64)

@@ -11,9 +11,9 @@ The lines separating a band's two ends are exactly those not parallel to
 it, so ``resonant_bands`` is the one resonance rule, and
 ``LocalSystem.half_ids`` turns a record's separating sets into the half
 monodromies whose weights are its wave coefficients.
-``h1_on_band_chart`` is the one place that picks the chart for it: the
-line at infinity when its monodromy is not 1, otherwise the first line
-with q != 1.
+``h1_on_band_chart`` is the one place that picks the chart for it, from
+``LocalSystem.projective_halves``: the line at infinity when its
+monodromy is not 1, otherwise the first line with q != 1.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -26,11 +26,12 @@ The certificate routines cover the cases where a line with q != 1 sees zero
 or one resonant multiple point, and the sharp pair upper bound.  They
 read only two bitmasks over one cached incidence table per projective
 arrangement: the lines with q != 1 and the multiple points with q = 1.
-``LocalSystem.resonance_masks`` fills them from the resonance tests and
-the torus scan from exponent congruences, and one rule
-(``certify_masks``) turns either pair into h^1.  For a system,
-``vanishing_certificates`` reads them once into a ``CertificateReport``
-that also feeds ``sharp_pairs``.
+For a system, ``vanishing_certificates`` computes both once from
+``LocalSystem.projective_halves`` and the table, and one rule
+(``certify_masks``) turns them into h^1, in a ``CertificateReport`` that
+also feeds ``sharp_pairs``.  The torus scan reads no masks per point:
+``charvar.candidate_points`` reads the same two sets off packed exponent
+sums and lists only the points where that rule cannot give 0.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ def h1_on_band_chart(system, proj):
     the first line with q != 1, and kernel the ``BandKernel`` of
     ``system`` (on ``proj``'s infinity chart) moved to ``proj.chart(h)``.
     """
+    halves = system.projective_halves(proj)
     lines = (proj.infinity_index, *range(proj.n))
-    h = next((j for j in lines if not system.q_is_one_at(proj, j)), None)
+    h = next((j for j in lines if not system.backend.square_is_one(halves[j])), None)
     if h is None:
         return None
     return h, h1_via_bands(system.on_chart(proj, h), proj.chart(h).arrangement)
@@ -223,9 +225,9 @@ def incidence_table(proj):
 
 def certify_masks(table, nontrivial, resonant):
     """``(rows, h1)``: the zero/one resonant point certificates on the
-    masks of ``LocalSystem.resonance_masks`` (lines with q != 1, multiple
-    points of ``table`` with q = 1) and the h^1 they certify, None when
-    no row does.
+    masks of a ``CertificateReport`` (lines with q != 1, multiple points
+    of ``table`` with q = 1) and the h^1 they certify, None when no row
+    does.
 
     One row ``(h, h1, k)`` per line h with q != 1, in line order: no
     resonant point on h gives ``(h, 0, None)``; exactly one, at position
@@ -256,11 +258,11 @@ def certify_masks(table, nontrivial, resonant):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """One read of a system's resonance on a projective arrangement: the
-    masks of ``LocalSystem.resonance_masks`` (``nontrivial``, bit j for
-    each line j with q != 1; ``resonant``, bit k for each multiple point
-    with q = 1), the ``certify_masks`` rows ``(h, h1, k)`` and the h^1
-    they certify, None when no row does."""
+    """One read of a system's resonance on a projective arrangement: two
+    masks (``nontrivial``, bit j for each line j with q != 1;
+    ``resonant``, bit k for each multiple point with q = 1, k its position
+    in ``incidence_table(proj).points``), the ``certify_masks`` rows
+    ``(h, h1, k)`` and the h^1 they certify, None when no row does."""
 
     nontrivial: int
     resonant: int
@@ -269,11 +271,20 @@ class CertificateReport:
 
 
 def vanishing_certificates(system, proj):
-    """The ``CertificateReport`` of ``system`` on ``proj``, from one
-    ``resonance_masks`` read; ``sharp_pairs`` and ``linecoh certify``
-    read that report, not the system."""
-    nontrivial, resonant = system.resonance_masks(proj)
-    rows, dim = certify_masks(incidence_table(proj), nontrivial, resonant)
+    """The ``CertificateReport`` of ``system`` on ``proj``, its masks read
+    off one ``LocalSystem.projective_halves`` call and ``incidence_table``;
+    ``sharp_pairs`` and ``linecoh certify`` read that report, not the
+    system."""
+    table = incidence_table(proj)
+    halves = system.projective_halves(proj)
+    bk = system.backend
+    nontrivial = sum(1 << j for j, h in enumerate(halves) if not bk.square_is_one(h))
+    resonant = sum(
+        1 << k
+        for k, p in enumerate(table.points)
+        if bk.square_is_one(bk.half_prod(halves[j] for j in p))
+    )
+    rows, dim = certify_masks(table, nontrivial, resonant)
     return CertificateReport(nontrivial, resonant, tuple(rows), dim)
 
 

@@ -25,14 +25,14 @@ Two interchangeable backends feed every cohomology computation:
 Both backends offer the field operations ``add``, ``sub``, ``neg``,
 ``mul`` and ``is_zero``, which the chamber complex and ``rank`` use, and
 own the representation of a half monodromy, a square root h of a
-monodromy q = h^2, through the same five operations: ``half_prod``
-(product of an iterable), ``half_inv``, ``half_neg`` (h -> -h),
-``square_is_one`` (is h^2 = 1?) and ``weight`` (h - h^(-1)).
+monodromy q = h^2, through the same four operations: ``half_prod``
+(product of an iterable), ``half_inv``, ``square_is_one`` (is h^2 = 1?)
+and ``weight`` (h - h^(-1)).
 
 * Over ``CyclotomicBackend(M)``, M even, h = zeta_M^s is the exponent s
-  mod M: products add exponents, the inverse is -s, the negation s + M/2,
-  and h^2 = 1 exactly when 2s = 0 mod M.  ``weight(s)`` is memoised per
-  backend, filled on first use.
+  mod M: products add exponents, the inverse is -s, and h^2 = 1 exactly
+  when 2s = 0 mod M.  ``weight(s)`` is memoised per backend, filled on
+  first use.
 * Over ``ComplexBackend``, h is the complex value itself and
   ``square_is_one(h)`` is ``is_one(h * h)``, the absolute ``eps`` rule.
 
@@ -135,9 +135,6 @@ class CyclotomicBackend:
 
     def half_inv(self, s):
         return -s % self.order
-
-    def half_neg(self, s):
-        return (s + self.order // 2) % self.order
 
     def square_is_one(self, s):
         return 2 * s % self.order == 0
@@ -299,9 +296,6 @@ class ComplexBackend:
 
     def half_inv(self, v):
         return 1 / v
-
-    def half_neg(self, v):
-        return -v
 
     def square_is_one(self, v):
         return self.is_one(v * v)

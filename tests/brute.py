@@ -83,14 +83,19 @@ def eq(bk, u, v):
     return bk.is_zero(bk.sub(u, v))
 
 
+def half_neg(bk, h):
+    """The half monodromy -h: the exponent h + M/2 mod M on the cyclotomic
+    backend of order M, the value -h on the floating one."""
+    return (h + bk.order // 2) % bk.order if bk.kind == "cyclotomic" else -h
+
+
 def flipped(system, ids=None):
     """The same monodromies with h_i replaced by -h_i for the lines
     ``ids`` (all lines by default)."""
     which = set(range(system.n) if ids is None else ids)
-    neg = system.backend.half_neg
+    bk = system.backend
     return LocalSystem(
-        system.backend,
-        (neg(h) if i in which else h for i, h in enumerate(system.halves)),
+        bk, (half_neg(bk, h) if i in which else h for i, h in enumerate(system.halves))
     )
 
 
@@ -401,9 +406,10 @@ def certified_h1(table, exponents, order):
 
 def mask_reader(table, order):
     """The function from exponent vectors reduced mod ``order`` to the
-    bitmasks of ``LocalSystem.resonance_masks``, read off congruences: bit
-    j of the first for each line j with q != 1 (a nonzero exponent), bit k
-    of the second for each multiple point of ``table`` with q = 1 (its
+    two bitmasks of a ``CertificateReport``, read off congruences rather
+    than the half monodromies ``vanishing_certificates`` tests: bit j of
+    the first for each line j with q != 1 (a nonzero exponent), bit k of
+    the second for each multiple point of ``table`` with q = 1 (its
     lines' exponents sum to 0 mod ``order``)."""
     line_bits = [1 << j for j in range(len(table.on_mask))]
     point_bits = [1 << k for k in range(len(table.points))]

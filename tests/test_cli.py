@@ -299,17 +299,58 @@ def test_scan_refuses_an_order_its_backend_cannot_take_at_the_first_point(
     assert len(listed) == 1
 
 
+# three lines in general position: their cone has no multiple point, so a
+# scan on it lists no point
+GENERIC = "1 0 0\n0 1 0\n1 1 -1\n"
+BAD_EPS = "eps must be finite and >= 0"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--order", "1001"], f"torsion order 1001 {BOUND}"),
+        (["--order", "3", "--backend", "complex", "--eps", "-1"], BAD_EPS),
+        (["--order", "1", "--backend", "complex", "--eps", "-1"], BAD_EPS),
+    ],
+)
+def test_scan_that_lists_no_point_still_checks_its_order(
+    tmp_path, capsys, options, message
+):
+    path = tmp_path / "generic.txt"
+    path.write_text(GENERIC)
+    assert main(["scan", "--arrangement", str(path), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_h1_check_mismatch_exits_4(monkeypatch, capsys):
+    # two computations that must agree and do not: exit 4, not bad input
+    real = resband.h1_via_bands
+
+    def off_by_one(system, arrangement):
+        kernel = real(system, arrangement)
+        return dataclasses.replace(kernel, dim=kernel.dim + 1)
+
+    monkeypatch.setattr(resband, "h1_via_bands", off_by_one)
+    argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--check"]
+    assert main(argv + ["--local-system", "torsion 4; 0 1 3 2 0"]) == 4
+    out = capsys.readouterr().out
+    assert "h1 = 3\n" in out
+    assert out.endswith("MISMATCH between band kernel and chamber complex\n")
+
+
 def test_certify_reads_the_resonance_once(monkeypatch, capsys):
     # the certificates, the sharp pairs and the printed resonant lines all
     # come from one certificate report
     calls = []
-    real = LocalSystem.resonance_masks
+    real = LocalSystem.projective_halves
 
     def counting(self, proj):
         calls.append(proj)
         return real(self, proj)
 
-    monkeypatch.setattr(LocalSystem, "resonance_masks", counting)
+    monkeypatch.setattr(LocalSystem, "projective_halves", counting)
     argv = ["certify", "--arrangement", str(GOLDEN / "b3del.txt")]
     assert main(argv + ["--local-system", "torsion 5; 0 0 0 0 1 1 1"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "certify_b3.out").read_text()

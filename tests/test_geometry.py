@@ -260,10 +260,11 @@ def test_move_to_infinity_identity():
     assert chart.arrangement.lines == proj.lines[:7]
 
 
-def _mapped_incidences(proj, chart):
-    """Incidence sets of the source, rewritten in chart-cone numbering."""
+def _mapped_incidences(proj, chart, h):
+    """Incidence sets of the source, rewritten in the numbering of the
+    cone of ``chart``, which puts line h at infinity."""
     new_of_old = {old: pos for pos, old in enumerate(chart.to_old)}
-    new_of_old[chart.moved] = len(chart.to_old)  # the new infinity line
+    new_of_old[h] = len(chart.to_old)  # the new infinity line
     return {
         frozenset(new_of_old[j] for j in p.incident)
         for p in proj.intersections()
@@ -274,7 +275,7 @@ def _assert_lattice_preserved(proj, h):
     chart = proj.chart(h)
     recone = cone(chart.arrangement)
     assert {p.incident for p in recone.intersections()} == _mapped_incidences(
-        proj, chart
+        proj, chart, h
     )
 
 

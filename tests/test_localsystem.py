@@ -49,11 +49,12 @@ def test_q_point_examples():
     )
     # q5 q6 q7 q8 = 1 makes the quadruple point resonant
     system = make_local_system([0, 0, 0, 0, 1, 1, 1], order=5)
-    assert system.resonance_masks(proj)[1] >> proj.multiple_points().index(quad) & 1
+    report = vanishing_certificates(system, proj)
+    assert report.resonant >> proj.multiple_points().index(quad) & 1
     assert not system.prod_is_one((1, 2, 4))  # q2 q3 q5 = zeta_5
-    trivial = make_local_system([0] * 7, order=1)
+    trivial = vanishing_certificates(make_local_system([0] * 7, order=1), proj)
     every_point = (1 << len(proj.multiple_points())) - 1
-    assert trivial.resonance_masks(proj) == (0, every_point)
+    assert (trivial.nontrivial, trivial.resonant) == (0, every_point)
 
 
 def test_delta_basics():

@@ -28,7 +28,12 @@ from linecoh import (
 )
 from linecoh.charvar import TorusPoint, candidate_points
 from linecoh.mincomplex import cohomology_dims
-from linecoh.resband import InvariantError, incidence_table, vanishing_certificates
+from linecoh.resband import (
+    InvariantError,
+    h1_on_band_chart,
+    incidence_table,
+    vanishing_certificates,
+)
 from strategies import arrangements
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -192,18 +197,24 @@ def test_local_family_points_have_h1_depth(proj, order):
 @given(torsion_points(), st.sampled_from(["cyclotomic", "complex"]))
 def test_resonance_tests_match_exponent_congruences(case, backend):
     # q_H = 1 and q_X = 1 on the projective lines, the infinity line at any
-    # row, are the congruences the certificate route reads off the exponents
+    # row, are the congruences the certificate route reads off the exponents;
+    # the band route's chart is the first line with q != 1 of infinity, 0, 1, ...
     proj, point = case
     exps, n = point.exponents, point.order
     affine = [exps[j] for j in proj.affine_ids()]
     system = make_local_system(affine, order=n, backend=backend)
+    halves = system.projective_halves(proj)
     report = vanishing_certificates(system, proj)
     for j in range(proj.n):
-        assert system.q_is_one_at(proj, j) == (exps[j] % n == 0)
+        assert system.backend.square_is_one(halves[j]) == (exps[j] % n == 0)
         assert (report.nontrivial >> j & 1) == (exps[j] % n != 0)
     for k, p in enumerate(proj.multiple_points()):
         congruence = sum(exps[j] for j in p.incident) % n == 0
         assert (report.resonant >> k & 1) == congruence
+    lines = (proj.infinity_index, *range(proj.n))
+    found = h1_on_band_chart(system, proj)
+    chart = None if found is None else found[0]
+    assert chart == next((j for j in lines if exps[j] % n), None)
 
 
 @CERTIFICATE_SETTINGS

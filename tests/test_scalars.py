@@ -159,5 +159,5 @@ def test_half_monodromy_operations_agree_across_backends(order, data):
     assert abs(brute.to_complex(cyc, cyc.weight(s)) - cpx.weight(v)) < 1e-9
     assert cyc.square_is_one(s) == cpx.square_is_one(v)
     for bk, h in ((cyc, s), (cpx, v)):
-        assert brute.eq(bk, bk.weight(bk.half_neg(h)), bk.neg(bk.weight(h)))
+        assert brute.eq(bk, bk.weight(brute.half_neg(bk, h)), bk.neg(bk.weight(h)))
     assert exact.delta_ids(ids) == brute.torsion_weight(cyc, exps, ids)
