@@ -4,9 +4,9 @@ decomposition.
 
 A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; a point of order dividing N is an exponent
-vector mod N summing to 0.  h^1 at a nontrivial point is computed by the
-band kernel on the chart of ``resband.h1_on_band_chart``: the line at
-infinity when its q is not 1, otherwise the first line with q != 1.
+vector mod N summing to 0.  h^1 at a nontrivial point is the band kernel
+on the chart of ``resband.h1_on_band_chart`` (infinity when its q is not
+1, else the first line with q != 1), read off that chart's band table.
 
 The zero/one resonant point certificates (``resband.certify_masks``) give
 h^1 = 0 at almost every point, so ``torsion_scan`` lists only the points
@@ -24,17 +24,16 @@ others go to the band route (``h1_at_point``) once per Galois orbit.  On
 deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504 of the
 78,124 nontrivial points and sends 41 orbits (164 points) to the band
 route.  A catalog names each hit with one lookup in an index of the
-families' torsion points (``ComponentFamily.torsion_exponents``), built
-once per scan.  The scans of deleted B3 at orders 2 to 12 give exactly
-the catalog's nontrivial torsion points of order dividing N
-(``ComponentFamily.torsion_exponents``), with h^1 = 2 on C_5678 and at the
-two order-2 points on four families, and h^1 = 1 at every other hit.
+families' torsion points (``ComponentFamily.torsion_exponents``, an
+odometer), built once per scan.  The scans of deleted B3 at orders 2 to
+12 give exactly the catalog's nontrivial torsion points of order dividing
+N, with h^1 = 2 on C_5678 and at the two order-2 points on four families,
+and h^1 = 1 at every other hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -126,24 +125,29 @@ class ComponentFamily:
         unity: it is pinned by a coordinate equal to +-s_j^(+-1)."""
         return lcm(order, 2) if any(self.signs) else order
 
-    def _exponents(self, m, params_seq):
-        """The parametrization mod m: per tuple of parameter exponents mod
-        m in ``params_seq``, the list of coordinate exponents
-        signs[i] * m/2 + sum_j powers[i][j] * params[j] mod m."""
-        rows = [(s * (m // 2), row) for s, row in zip(self.signs, self.powers)]
-        for params in params_seq:
-            yield [(b + sum(map(mul, row, params))) % m for b, row in rows]
-
     def torsion_exponents(self, order):
         """The exponent vectors mod ``order`` of the family's points of order
         dividing ``order``, each once: the parameters run over Z/m
         (``_modulus``), and a point is kept when every exponent mod m is a
-        multiple of m / ``order``.  This lists m^nparams parameter tuples."""
+        multiple of m / ``order``.  This lists m^nparams parameter tuples in
+        ``product`` order by an odometer: a step of j adds power column j to
+        one exponent list mod m; a wrap of j to 0 adds it again (m * col = 0)."""
         m = self._modulus(order)
         lift = m // order
-        for exps in self._exponents(m, product(range(m), repeat=self.nparams)):
-            if lift == 1 or not any(e % lift for e in exps):
+        cols = [[row[j] % m for row in self.powers] for j in range(self.nparams)]
+        exps, digits = [s * (m // 2) for s in self.signs], [0] * self.nparams
+        while True:
+            if lift == 1:
+                yield tuple(exps)
+            elif not any(e % lift for e in exps):
                 yield tuple(e // lift for e in exps)
+            for j in reversed(range(len(digits))):
+                exps = [(e + c) % m for e, c in zip(exps, cols[j])]
+                digits[j] = (digits[j] + 1) % m
+                if digits[j]:
+                    break
+            else:
+                return
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?  A point
@@ -161,7 +165,10 @@ class ComponentFamily:
         params = [
             sign * (exps[i] - self.signs[i] * (m // 2)) % m for i, sign in self._pins
         ]
-        return next(self._exponents(m, [params])) == exps
+        return exps == [
+            (s * (m // 2) + sum(map(mul, row, params))) % m
+            for s, row in zip(self.signs, self.powers)
+        ]
 
 
 def deleted_b3():
@@ -225,9 +232,14 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     """h^1 at a nontrivial torus point by the band kernel on the chart of
     ``h1_on_band_chart``: the line at infinity when its q is not 1,
     otherwise the first line with q != 1.  The system holds the exponents
-    of the affine lines; the infinity monodromy follows from them."""
-    exps = [point.exponents[j] for j in proj.affine_ids()]
-    system = make_local_system(exps, order=point.order, backend=backend, eps=eps)
+    of the affine lines; the infinity monodromy follows from them.  A
+    point off the torus of ``proj`` (one exponent per line, summing to 0
+    mod an order >= 1) is a ``ValueError``."""
+    exps, order = point.exponents, point.order
+    if len(exps) != proj.n or order < 1 or sum(exps) % order:
+        raise ValueError(f"{point} is not a torus point of {proj.n} lines")
+    exps = [exps[j] for j in proj.affine_ids()]
+    system = make_local_system(exps, order=order, backend=backend, eps=eps)
     found = h1_on_band_chart(system, proj)
     if found is None:
         raise ValueError("trivial point: every monodromy equals 1")
@@ -352,6 +364,7 @@ def _frontier(proj, order, budget, spent):
     ``budget``; beyond it, ``BudgetExceededError``, before any point is
     listed."""
     npoints = len(incidence_table(proj).points)
+    n = proj.n
     sources = []
     stack = [(0, 0, 0)]
     while stack:
@@ -361,7 +374,7 @@ def _frontier(proj, order, budget, spent):
         size = prod(order // step for step in steps)
         spent += 1
         if size > 1 and not any(
-            all(col[proj.n + q] * step % order == 0 for col, step in zip(cols, steps))
+            all(col[n + q] * step % order == 0 for col, step in zip(cols, steps))
             for q in range(k)
             if outside >> q & 1
         ):
@@ -452,8 +465,11 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     def spread(compact, bits):
         return sum(bit for k, bit in enumerate(bits) if compact >> k & 1)
 
+    shifts = [width * j for j in range(n)]
+    field = ~(-1 << width)
+
     def exponents(point):
-        return tuple(point >> width * j & ~(-1 << width) for j in range(n))
+        return tuple(point >> shift & field for shift in shifts)
 
     for cols, depth in zip(families, table.depth):
         for point in _span(cols, [1] * len(cols), order, width):

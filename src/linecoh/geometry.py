@@ -325,6 +325,7 @@ class Arrangement:
         self._points = None
         self._flags = {}
         self._bands = None  # resband.bands: one Band per band, built on first use
+        self._band_table = None  # resband's affine band table, built on first use
 
     @property
     def n(self):
@@ -555,6 +556,7 @@ class ProjArrangement:
         self._charts = {}
         self._incidence = None  # resband.IncidenceTable, built on first use
         self._scan_nodes = {}  # charvar's scan walk nodes, kept as scans meet them
+        self._band_tables = {}  # resband's band table per chart, built on first use
 
     @property
     def n(self):

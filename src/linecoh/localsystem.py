@@ -12,8 +12,10 @@ backend or as complex values on the floating one; arbitrary nonzero
 complex monodromies use principal square roots.
 
 Only ``projective_halves`` knows which half belongs to which line of a
-projective arrangement, infinity included; ``on_chart``, the band chart
-rule and the certificate masks of ``resband`` all read it.
+projective arrangement, infinity included; the band chart rule, the band
+kernel on that chart (through its own band tables, not ``delta_ids``)
+and the certificate masks of ``resband`` all read it, so no system is
+rebuilt on another chart.
 
 Computed cohomology dimensions are independent of the square root choices;
 the tests exercise that independence with ``brute.flipped``.
@@ -55,29 +57,10 @@ class LocalSystem:
         if len(self.halves) != n:
             raise LocalSystemError("local system size does not match the arrangement")
 
-    # -- products and resonance tests ---------------------------------------
-
-    def infinity_is_one(self):
-        return self.backend.square_is_one(self.half_inf)
-
-    def half_ids(self, ids):
-        """prod h_i over a set of affine line ids, a half monodromy."""
-        halves = self.halves
-        return self.backend.half_prod([halves[i] for i in ids])
-
-    def prod_is_one(self, ids, with_infinity=False):
-        """Does prod of q_i over the given affine lines (optionally times
-        the infinity monodromy) equal 1?"""
-        h = self.half_ids(ids)
-        if with_infinity:
-            h = self.backend.half_prod((h, self.half_inf))
-        return self.backend.square_is_one(h)
-
     def delta_ids(self, ids):
         """prod h_i - prod h_i^(-1) over a set of affine line ids."""
-        return self.backend.weight(self.half_ids(ids))
-
-    # -- coned arrangement helpers ------------------------------------------
+        halves = self.halves
+        return self.backend.weight(self.backend.half_prod([halves[i] for i in ids]))
 
     def projective_halves(self, proj):
         """The half monodromy of every line of ``proj``, by projective
@@ -86,13 +69,6 @@ class LocalSystem:
         self.check_size(proj.n - 1)
         inf = proj.infinity_index
         return (*self.halves[:inf], self.half_inf, *self.halves[inf:])
-
-    def on_chart(self, proj, h):
-        """The same monodromies on the affine lines of ``proj.chart(h)``,
-        for any h: each chart line, in ``chart.to_old`` order, takes the
-        half monodromy of the projective line it comes from."""
-        halves = self.projective_halves(proj)
-        return LocalSystem(self.backend, (halves[j] for j in proj.chart(h).to_old))
 
 
 @lru_cache(maxsize=64)

@@ -8,12 +8,13 @@ standing waves of the resonant bands; that number is computed here.
 Each band is one ``Band`` record, cached per arrangement by ``bands``:
 its chambers, its parallel class and the separating sets of its wave.
 The lines separating a band's two ends are exactly those not parallel to
-it, so ``resonant_bands`` is the one resonance rule, and
-``LocalSystem.half_ids`` turns a record's separating sets into the half
-monodromies whose weights are its wave coefficients.
-``h1_on_band_chart`` is the one place that picks the chart for it, from
-``LocalSystem.projective_halves``: the line at infinity when its
-monodromy is not 1, otherwise the first line with q != 1.
+it, so ``resonant_bands`` is the one resonance rule.  One core,
+``_band_kernel``, reads a band table: per record its resonance and wave
+ids, all indexing one tuple of half monodromies.  ``h1_via_bands`` reads
+an arrangement's table under its own ids; ``h1_on_band_chart``, the one
+chart rule (infinity when its q is not 1, else the first line with
+q != 1), reads the chart's table under projective ids off
+``LocalSystem.projective_halves``, so it builds no chart system.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -116,6 +117,39 @@ def bands(arrangement):
     return arrangement._bands
 
 
+def _band_table(arrangement, ids):
+    """Per ``bands(arrangement)`` record ``(band, resonance ids, waves)``,
+    line position k renamed ``ids[k]`` and infinity ``ids[n]``: the
+    resonance ids are the parallel class and infinity, and the waves pair
+    each chamber of the band with its renamed separating ids."""
+    rename = ids.__getitem__
+    return tuple(
+        (
+            band,
+            (*map(rename, band.parallel_ids), ids[arrangement.n]),
+            tuple((ci, tuple(map(rename, sep))) for ci, sep in band.waves),
+        )
+        for band in bands(arrangement)
+    )
+
+
+def _affine_table(system, arrangement):
+    """``(halves, table)``: the system's halves, infinity last, and the
+    arrangement's ``_band_table`` under its own ids, cached on it."""
+    system.check_size(arrangement.n)
+    bands(arrangement)  # refuses a flagged arrangement
+    if arrangement._band_table is None:
+        arrangement._band_table = _band_table(arrangement, range(arrangement.n + 1))
+    return (*system.halves, system.half_inf), arrangement._band_table
+
+
+def _resonant(bk, halves, table):
+    """The entries of a band table whose resonance ids have product of q
+    equal to 1, ``halves`` the half monodromies by id."""
+    prod, half = bk.half_prod, halves.__getitem__
+    return [entry for entry in table if bk.square_is_one(prod(map(half, entry[1])))]
+
+
 def resonant_bands(system, arrangement):
     """The bands, in ``bands`` order, whose point at infinity is resonant:
     the product of q over the band's ``parallel_ids`` and the line at
@@ -123,12 +157,8 @@ def resonant_bands(system, arrangement):
     equals the vanishing of the weight between the band's two ends, as
     Sep(U_1, U_2) is the lines not in ``parallel_ids``.  The system must
     have one monodromy per line."""
-    system.check_size(arrangement.n)
-    return tuple(
-        band
-        for band in bands(arrangement)
-        if system.prod_is_one(band.parallel_ids, with_infinity=True)
-    )
+    res = _resonant(system.backend, *_affine_table(system, arrangement))
+    return tuple(band for band, _, _ in res)
 
 
 @dataclass(frozen=True)
@@ -140,52 +170,57 @@ class BandKernel:
     bands: tuple  # the resonant bands, in matrix column order
 
 
+def _band_kernel(bk, halves, table):
+    """The ``BandKernel`` of a band table under ``halves``, by id, with
+    q != 1 at infinity: the resonant bands minus the rank of their wave
+    matrix (a column per band, a row per chamber they meet, in index order;
+    an entry is the half monodromy of its wave ids), which
+    ``scalars.weight_rank`` ranks over F_p on the exact backend."""
+    res = _resonant(bk, halves, table)
+    if not res:
+        return BandKernel(dim=0, bands=())
+    rows = sorted(set().union(*[band.inner for band, _, _ in res]))
+    pos = {ci: r for r, ci in enumerate(rows)}
+    prod, half = bk.half_prod, halves.__getitem__
+    one = prod(())  # the half monodromy 1, of weight 0
+    columns = []
+    for _, _, waves in res:
+        col = [one] * len(rows)
+        for ci, ids in waves:
+            col[pos[ci]] = prod(map(half, ids))
+        columns.append(col)
+    return BandKernel(len(res) - weight_rank(bk, columns), tuple(b for b, _, _ in res))
+
+
 def h1_on_band_chart(system, proj):
     """``(h, kernel)`` by the band route's one chart rule, or None when
     every q is 1: h is the line at infinity when its q is not 1, otherwise
     the first line with q != 1, and kernel the ``BandKernel`` of
-    ``system`` (on ``proj``'s infinity chart) moved to ``proj.chart(h)``.
+    ``system`` (on ``proj``'s infinity chart) on ``proj.chart(h)``, from
+    that chart's band table under projective ids, kept on ``proj``.
     """
     halves = system.projective_halves(proj)
     lines = (proj.infinity_index, *range(proj.n))
     h = next((j for j in lines if not system.backend.square_is_one(halves[j])), None)
     if h is None:
         return None
-    return h, h1_via_bands(system.on_chart(proj, h), proj.chart(h).arrangement)
+    if h not in proj._band_tables:
+        chart = proj.chart(h)
+        proj._band_tables[h] = _band_table(chart.arrangement, (*chart.to_old, h))
+    return h, _band_kernel(system.backend, halves, proj._band_tables[h])
 
 
 def h1_via_bands(system, arrangement):
-    """First cohomology from linear relations among standing waves: the
-    number of resonant bands minus the rank of their wave matrix, whose
-    columns are the resonant bands' waves and whose rows are the chambers
-    those waves meet, in index order.
-
-    The rank is ``scalars.weight_rank`` of the waves' half monodromies:
-    over F_p on the exact backend, exact by the norm bound proved there;
-    the floating backend eliminates the matrix itself.
-
-    Requires a nontrivial infinity monodromy; raises otherwise.
-    """
-    res = resonant_bands(system, arrangement)
-    if system.infinity_is_one():
+    """First cohomology from linear relations among standing waves, the
+    ``_band_kernel`` of ``system`` on ``arrangement``; it needs a nontrivial
+    infinity monodromy and raises ``TheoremInapplicableError`` otherwise."""
+    halves, table = _affine_table(system, arrangement)
+    if system.backend.square_is_one(system.half_inf):
         raise TheoremInapplicableError(
             "infinity monodromy is trivial; move a non-resonant line to "
             "infinity or use the chamber complex"
         )
-    bk = system.backend
-    if not res:
-        return BandKernel(dim=0, bands=())
-    rows = sorted(set().union(*[band.inner for band in res]))
-    pos = {ci: r for r, ci in enumerate(rows)}
-    one = bk.half_prod(())  # the half monodromy 1, of weight 0
-    half = system.half_ids
-    columns = []
-    for band in res:
-        col = [one] * len(rows)
-        for ci, ids in band.waves:
-            col[pos[ci]] = half(ids)
-        columns.append(tuple(col))
-    return BandKernel(dim=len(res) - weight_rank(bk, columns), bands=res)
+    return _band_kernel(system.backend, halves, table)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,31 @@ def half(system, i):
     return _half_element(system.backend, system.halves[i])
 
 
+def infinity_is_one(system):
+    """Is the system's infinity monodromy 1?"""
+    return system.backend.square_is_one(system.half_inf)
+
+
+def prod_is_one(system, ids, with_infinity=False):
+    """Does prod of q_i over the given affine lines (optionally times the
+    infinity monodromy) equal 1?"""
+    h = system.backend.half_prod([system.halves[i] for i in ids])
+    if with_infinity:
+        h = system.backend.half_prod((h, system.half_inf))
+    return system.backend.square_is_one(h)
+
+
+def on_chart(system, proj, h):
+    """The same monodromies on the affine lines of ``proj.chart(h)``, a
+    system of its own, for any h: each chart line, in ``chart.to_old``
+    order, takes the half monodromy of the projective line it comes from,
+    and the chart's infinity half is recomputed as the inverse product of
+    those.  The reference for the band route's chart tables, which read
+    the projective halves in place."""
+    halves = system.projective_halves(proj)
+    return LocalSystem(system.backend, (halves[j] for j in proj.chart(h).to_old))
+
+
 def monodromy(system, i):
     return system.backend.mul(half(system, i), half(system, i))
 
@@ -448,6 +473,25 @@ def family_point(family, params, order):
         for sign, row in zip(family.signs, family.powers)
     )
     return TorusPoint(exps, m)
+
+
+def torsion_exponents(family, order):
+    """Reference for the odometer of ``ComponentFamily.torsion_exponents``:
+    every tuple of parameter exponents mod m (``_modulus``) from
+    ``product``, each coordinate signs[i] * m/2 + sum_j powers[i][j] *
+    params[j] mod m computed afresh, kept when every coordinate is a
+    multiple of m / ``order``."""
+    m = family._modulus(order)
+    lift = m // order
+    out = []
+    for params in product(range(m), repeat=family.nparams):
+        exps = [
+            (sign * (m // 2) + sum(map(mul, row, params))) % m
+            for sign, row in zip(family.signs, family.powers)
+        ]
+        if not any(e % lift for e in exps):
+            out.append(tuple(e // lift for e in exps))
+    return out
 
 
 def family_torsion_points(family, order):

@@ -149,6 +149,33 @@ def test_h1_at_trivial_point_rejected():
         h1_at_point(proj, TorusPoint((0,) * 8, 2))
 
 
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        (0, 0, 0, 0, 1, 1, 1),  # seven of the eight lines
+        (0, 0, 0, 0, 1, 1, 1, 0, 1),  # a ninth exponent
+        (0, 0, 0, 0, 1, 1, 1, 2),  # a sum off 0 mod 3
+    ],
+    ids=["seven", "nine", "sum"],
+)
+def test_h1_at_point_refuses_points_off_the_torus(exponents):
+    # each was answered as the point (0, 0, 0, 0, 1, 1, 1, 0) of C_5678
+    proj, _ = corpus.b3()
+    assert h1_at_point(proj, TorusPoint((0, 0, 0, 0, 1, 1, 1, 0), 3)) == 2
+    with pytest.raises(ValueError, match="not a torus point of 8 lines"):
+        h1_at_point(proj, TorusPoint(exponents, 3))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_scan_points_are_torus_points(order):
+    # every point a scan can send to ``h1_at_point`` passes its check
+    projs = [corpus.b3()[0]] + [cone(corpus.sharp_pair_arrangement())] * (order == 3)
+    for proj in projs:
+        for exps, _ in candidate_points(proj, order):
+            assert len(exps) == proj.n
+            assert sum(exps) % order == 0
+
+
 def test_scan_small_orders():
     proj, catalog = corpus.b3()
     assert torsion_scan(proj, 1) == []
@@ -346,13 +373,22 @@ SIGNED_FAMILIES = (
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_torsion_points_equal_the_doubled_grid(order):
-    # the m-grid of ``torsion_exponents`` against the 2N-grid reference
+    # the m-grid of ``torsion_exponents`` against the 2N-grid reference and
+    # its odometer against the ``product`` enumeration of the m-grid, for
+    # the thirteen catalog families (Omega has signs: m = 2N at odd N, a
+    # lift of 2) and the signed families beside them
     _, catalog = corpus.b3()
+    assert len(catalog) == 13
     for fam in catalog + SIGNED_FAMILIES:
         listed = list(fam.torsion_exponents(order))
         assert len(listed) == len(set(listed))
         points = {TorusPoint(exps, order) for exps in listed}
         assert points == brute.family_torsion_points(fam, order)
+        reference = brute.torsion_exponents(fam, order)
+        assert sorted(listed) == sorted(reference)
+        # in the same order too: an odometer that drops its wrap steps
+        # shifts each inner cycle, which lists the same set in another order
+        assert listed == reference
 
 
 @pytest.mark.parametrize("order", [8, 12, 16])

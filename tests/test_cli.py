@@ -326,13 +326,13 @@ def test_scan_that_lists_no_point_still_checks_its_order(
 
 def test_h1_check_mismatch_exits_4(monkeypatch, capsys):
     # two computations that must agree and do not: exit 4, not bad input
-    real = resband.h1_via_bands
+    real = resband._band_kernel
 
-    def off_by_one(system, arrangement):
-        kernel = real(system, arrangement)
+    def off_by_one(bk, halves, table):
+        kernel = real(bk, halves, table)
         return dataclasses.replace(kernel, dim=kernel.dim + 1)
 
-    monkeypatch.setattr(resband, "h1_via_bands", off_by_one)
+    monkeypatch.setattr(resband, "_band_kernel", off_by_one)
     argv = ["h1", "--arrangement", str(GOLDEN / "fig1.txt"), "--check"]
     assert main(argv + ["--local-system", "torsion 4; 0 1 3 2 0"]) == 4
     out = capsys.readouterr().out

@@ -253,7 +253,7 @@ def test_band_h1_is_independent_of_chart(arr, m, data):
     charts = [h for h in range(proj.n) if not system.backend.square_is_one(halves[h])]
     assume(charts)
     dims = {
-        h1_via_bands(system.on_chart(p, h), p.chart(h).arrangement).dim
+        h1_via_bands(brute.on_chart(system, p, h), p.chart(h).arrangement).dim
         for h in charts
         for p in (proj, moved)
     }

@@ -98,7 +98,7 @@ def test_cochain_condition_random():
 def test_h1_two_when_outer_lines_trivial():
     arr = corpus.figure_five_lines()
     system = make_local_system([0, 1, 3, 2, 0], order=4)
-    assert not system.infinity_is_one()
+    assert not brute.infinity_is_one(system)
     assert cohomology_dims(system, arr) == (0, 2, 4)
 
 
@@ -150,7 +150,7 @@ def test_nontrivial_infinity_kills_h0():
         order = rng.randrange(2, 7)
         system = make_local_system(corpus.random_exponents(rng, 5, order), order=order)
         h0 = cohomology_dims(system, arr)[0]
-        if system.infinity_is_one():
+        if brute.infinity_is_one(system):
             continue
         assert h0 == 0
         assert rank(build_complex(system, arr).d0) == 1

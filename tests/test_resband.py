@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import brute
 import corpus
-from linecoh import LocalSystem, cone, make_local_system, scalars
+from linecoh import LocalSystem, cone, make_local_system, resband, scalars
 from linecoh.charvar import candidate_points
 from linecoh.geometry import separating_ids
 from linecoh.mincomplex import cohomology_dims
@@ -107,8 +107,8 @@ def test_band_resonance_equals_end_weight_vanishing(seed, order, data):
     for backend in ("cyclotomic", "complex"):
         system = make_local_system(exps, order=order, backend=backend)
         for b in bands(arr):
-            by_point = system.prod_is_one(b.parallel_ids, with_infinity=True)
-            assert system.prod_is_one(sep(b.u1, b.u2)) == by_point
+            by_point = brute.prod_is_one(system, b.parallel_ids, with_infinity=True)
+            assert brute.prod_is_one(system, sep(b.u1, b.u2)) == by_point
 
 
 def test_resonant_bands_all_four_at_order_two():
@@ -199,7 +199,7 @@ def test_system_size_mismatch_rejected_everywhere(entry, size):
     # be refused, not read as a prefix of the lines or past their end
     arr = corpus.figure_five_lines()
     system = make_local_system([0, 1, 3, 2, 0, 1][:size], order=4)
-    assert not system.infinity_is_one()
+    assert not brute.infinity_is_one(system)
     with pytest.raises(ValueError, match="size does not match the arrangement"):
         SIZE_MISMATCH_ENTRIES[entry](system, arr)
 
@@ -230,7 +230,7 @@ def test_h1_matches_oracle_randomly():
     for _ in range(40):
         order = rng.randrange(2, 6)
         system = make_local_system(corpus.random_exponents(rng, 5, order), order=order)
-        if system.infinity_is_one():
+        if brute.infinity_is_one(system):
             continue
         assert h1_via_bands(system, arr).dim == cohomology_dims(system, arr)[1]
 
@@ -275,7 +275,7 @@ def _exact_band_h1(system, proj):
     """The kernel dimension of the exact Z[zeta] wave matrix of ``brute``
     on the chart of ``h1_on_band_chart``, and the chamber-complex h1."""
     h, _ = h1_on_band_chart(system, proj)
-    mat = brute.wave_matrix(system.on_chart(proj, h), proj.chart(h).arrangement)
+    mat = brute.wave_matrix(brute.on_chart(system, proj, h), proj.chart(h).arrangement)
     oracle = cohomology_dims(system, proj.chart(proj.infinity_index).arrangement)[1]
     return mat.ncols - rank(mat), oracle
 
@@ -310,6 +310,45 @@ def test_modular_band_h1_equals_exact_wave_kernel(monkeypatch):
 
     check()
     assert sum(used >= 2 for used in primes_used) > 0
+
+
+@pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
+def test_chart_tables_equal_the_chart_systems(backend):
+    """On every chart h with q_h != 1, the band route on h's band table
+    under projective ids, read off the projective halves, gives the
+    ``BandKernel`` (dimension and resonant bands) of ``h1_via_bands`` on
+    the chart system ``brute.on_chart`` builds; ``h1_on_band_chart`` keeps
+    that table for the h it picks.  On the exact backend the dimension is
+    also the chamber-complex h1."""
+    dims = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(band_route_cases())
+    def check(case):
+        proj, exps, order = case
+        system = make_local_system(exps, order=order, backend=backend)
+        halves = system.projective_halves(proj)
+        oracle = None
+        if backend == "cyclotomic":
+            affine = proj.chart(proj.infinity_index).arrangement
+            oracle = cohomology_dims(system, affine)[1]
+        tables = {}
+        for h in range(proj.n):
+            if system.backend.square_is_one(halves[h]):
+                continue
+            chart = proj.chart(h)
+            tables[h] = resband._band_table(chart.arrangement, (*chart.to_old, h))
+            kernel = resband._band_kernel(system.backend, halves, tables[h])
+            chart_system = brute.on_chart(system, proj, h)
+            assert kernel == h1_via_bands(chart_system, chart.arrangement)
+            assert oracle is None or kernel.dim == oracle
+            dims.add(kernel.dim)
+        h, kernel = h1_on_band_chart(system, proj)
+        assert proj._band_tables[h] == tables[h]
+        assert kernel == resband._band_kernel(system.backend, halves, tables[h])
+
+    check()
+    assert {0, 1, 2} <= dims
 
 
 # the primes = 1 (mod 12) below 110, for order 6: one of them divides the
