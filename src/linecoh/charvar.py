@@ -20,15 +20,18 @@ cached on the arrangement; a node that cannot hold such a point is
 dropped, and one that is cheaper to list than to walk on is listed.  A
 nontrivial point of the local family of p takes h^1 = |p| - 2, which the
 one resonant point certificate gives there without a mask read, and the
-others go to the band route (``h1_at_point``) once per Galois orbit.  On
-deleted B3 at N = 5 the walk has 115 nodes, the scan lists 504 of the
-78,124 nontrivial points and sends 41 orbits (164 points) to the band
-route.  A catalog names each hit with one lookup in an index of the
-families' torsion points (``ComponentFamily.torsion_exponents``, an
-odometer), built once per scan.  The scans of deleted B3 at orders 2 to
-12 give exactly the catalog's nontrivial torsion points of order dividing
-N, with h^1 = 2 on C_5678 and at the two order-2 points on four families,
-and h^1 = 1 at every other hit.
+others go to the band route (``h1_at_point``) once per orbit under the
+Galois units and the arrangement's projective automorphisms
+(``ProjArrangement.automorphisms``).  On deleted B3 at N = 5 the walk has
+115 nodes, and the scan lists 504 of the 78,124 nontrivial points.  164
+of them are in 41 Galois orbits, which its 8 automorphisms merge into
+12, so the band route runs 12 times.  A catalog names each hit with one
+lookup in an index of the families' torsion points
+(``ComponentFamily.torsion_exponents``, an odometer), built once per
+scan.  The scans of deleted B3 at orders 2 to 12 give exactly the
+catalog's nontrivial torsion points of order dividing N, with h^1 = 2 on
+C_5678 and at the two order-2 points on four families, and h^1 = 1 at
+every other hit.
 """
 
 from __future__ import annotations
@@ -558,14 +561,23 @@ def torsion_scan(
     when every line off p is trivial, and 0 otherwise) are theorems of the
     paper, and their tests are integer congruences mod N, so the skipped
     points and the family values are exact under either backend.  The (B)
-    points go to ``h1_at_point`` (the band kernel), once per Galois orbit
-    {u*e mod N : u a unit of Z/N}: h^1 is the same on the whole orbit, as
-    conjugation is a field automorphism of Q(zeta_N) (the property tests
-    check it), and the orbit lies in (B), whose test is a set of
-    congruences.  The first point comes once the walk has held the count
-    to the budget; only then are the order checked against the backend
-    (``check_torsion_order``) and the units listed, so a scan the budget
-    stops does no O(N) work, and one the backend cannot take lists no point.
+    points go to ``h1_at_point`` (the band kernel), once per orbit
+    {u*(e o sigma) mod N : u a unit of Z/N, sigma in
+    ``proj.automorphisms()``}, (e o sigma)_i = e_sigma(i).  h^1 is the same
+    on the whole orbit.  Conjugation is a field automorphism of
+    Q(zeta_N), so h^1(u*e) = h^1(e).  A real projective map phi with
+    phi(H_i) = H_sigma(i) is a biholomorphism of the complement; it takes
+    the positive meridian of H_i to that of H_sigma(i), so the local system
+    of e pulls back to that of e o sigma, and h^1(e o sigma) = h^1(e) (the
+    property tests check both).  e o sigma still sums to 0.  The orbit
+    lies in (B), which is read off the lines and multiple points whose
+    exponent sums are 0 mod N: a unit keeps those sets, and sigma permutes
+    the lines and the multiple points.  So the ``band`` dict holds only
+    (B) points, no more entries than the scan lists.  The first point
+    comes once the walk has held the count to the budget; only then are
+    the order checked against the backend (``check_torsion_order``) and
+    the units listed, so a scan the budget stops does no O(N) work, and
+    one the backend cannot take lists no point.
     A scan that lists none, order 1 included, checks the order all the same.
     """
     if budget < 0:
@@ -578,18 +590,22 @@ def torsion_scan(
     families = [f for f in catalog or () if f.nlines == proj.n]
     parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
     units = None
-    band = {}  # h^1 of the band route, set for a whole Galois orbit at once
+    # h^1 of the band route, set at once for every u*(e o sigma) of a
+    # decided e, u a unit and sigma an automorphism
+    band = {}
     found = []
     for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
         if units is None:
             check_torsion_order(order, backend, eps)
-            units = [u for u in range(2, order) if gcd(u, order) == 1]
+            units = [u for u in range(1, order) if gcd(u, order) == 1]
         if dim is None:
             dim = band.get(exps)
         if dim is None:
             dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
-            for u in units:
-                band[tuple(u * e % order for e in exps)] = dim
+            for sigma in proj.automorphisms():
+                moved = [exps[s] for s in sigma]
+                for u in units:
+                    band[tuple(u * e % order for e in moved)] = dim
         if dim >= 1:
             found.append((exps, dim))
     if units is None:  # no point came, but the walk held the budget

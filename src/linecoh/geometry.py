@@ -17,7 +17,10 @@ bits of the XOR of their sign bitmasks (``separating_ids``).  Charts move
 any member to infinity by an integer adjugate.  ``Fraction`` holds only
 the coefficient tokens that are not integers, the flag's axis height and
 intercepts, and ``monic`` (the printed ``lines (n):`` coefficients and
-the band offsets); an integer token parses to an ``int``.
+the band offsets); an integer token parses to an ``int``.  The
+permutations of the lines that an integer projective change of
+coordinates realises are found from the images of a frame of four lines
+(``ProjArrangement.automorphisms``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -556,6 +559,7 @@ class ProjArrangement:
         self._charts = {}
         self._incidence = None  # resband.IncidenceTable, built on first use
         self._scan_nodes = {}  # charvar's scan walk nodes, kept as scans meet them
+        self._automorphisms = None  # shared by charvar's scans, found on first use
         self._band_tables = {}  # resband's band table per chart, built on first use
 
     @property
@@ -581,6 +585,16 @@ class ProjArrangement:
         if h not in self._charts:
             self._charts[h] = move_to_infinity(self, h)
         return self._charts[h]
+
+    def automorphisms(self):
+        """The permutations sigma (line i to line sigma[i]) that some integer
+        projective change of coordinates realises, the identity first, as
+        tuples; cached.  Without four lines of which no three are concurrent
+        (a pencil, a near-pencil, fewer than four lines) only the identity
+        (``_automorphisms``)."""
+        if self._automorphisms is None:
+            self._automorphisms = _automorphisms(self)
+        return self._automorphisms
 
 
 def _proj_intersections(triples):
@@ -616,11 +630,18 @@ class Chart:
     to_old: tuple  # affine position -> line index in the source
 
 
+def _det(rows):
+    """The determinant of an integer 3x3 matrix, 0 exactly when its three
+    rows, read as lines, are concurrent."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _adjugate(rows):
     """The adjugate det(T) * T^-1 of an invertible integer 3x3 matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
+    if _det(rows) == 0:
         raise ArrangementError("singular projective change of coordinates")
+    (a, b, c), (d, e, f), (g, h, i) = rows
     return (
         (e * i - f * h, c * h - b * i, b * f - c * e),
         (f * g - d * i, a * i - c * g, c * d - a * f),
@@ -650,11 +671,87 @@ def move_to_infinity(proj, h):
             t = (units[i], units[j], hrow)
             break
     adj = _adjugate(t)
-    coeffs = [
-        tuple(sum(row[r] * adj[r][c] for r in range(3)) for c in range(3))
-        for row in (proj.lines[k] for k in keep)
-    ]
+    coeffs = [_row_times(proj.lines[k], adj) for k in keep]
     return Chart(Arrangement(coeffs), tuple(keep))
+
+
+def _row_times(row, mat):
+    """The row vector ``row`` times the 3x3 matrix ``mat``."""
+    return tuple(sum(row[r] * mat[r][c] for r in range(3)) for c in range(3))
+
+
+def _automorphisms(proj):
+    """The permutations sigma of ``ProjArrangement.automorphisms``, sorted
+    (so the identity comes first).
+
+    A line is a row l, and an invertible integer matrix S moves it to the
+    row l*S: the lines of the point map x -> adj(S)*x, as (l*S)*(adj(S)*x)
+    = det(S)*(l*x).  The frame is the first four lines f_0 .. f_3 in index
+    order of which no three are concurrent (a nonzero determinant): four
+    points of the dual plane in general position, so a projective map is
+    fixed by their images up to scale, and those images are again four
+    lines of which no three are concurrent.  A map permuting the lines
+    also permutes the multiple points, keeping their sizes, so it takes
+    each line to one of the same type (the sorted sizes of the multiple
+    points on it); the images g_0 .. g_3 tried are those.
+
+    With A the adjugate of the matrix F of rows f_0, f_1, f_2, a = f_3*A
+    holds the coordinates of f_3 in those rows, times det(F), all nonzero
+    as no three frame lines are concurrent; b = g_3*adj(G) is the same for
+    the images.  S = A*diag(nu)*G with nu_i = b_i * a_j * a_k ({i, j, k} =
+    {0, 1, 2}) takes f_i to det(F)*nu_i*g_i and f_3 to (a_0*a_1*a_2) *
+    det(G) * g_3, and every line l to sum_i c_i*nu_i*g_i, c = l*A.  A
+    candidate is kept when every such image is a line of ``proj`` (its
+    ``_primitive`` form looked up).  So every permutation returned is
+    realised, and every realised one is found: its map takes the frame to
+    a candidate, and is the S of that candidate.  With no frame (fewer
+    than four lines, a pencil or a near-pencil) only the identity is
+    returned; it is realised, which is all a caller may rely on."""
+    lines = proj.lines
+    n = len(lines)
+    frame = next(
+        (
+            quad
+            for quad in combinations(range(n), 4)
+            if all(_det([lines[i] for i in tri]) for tri in combinations(quad, 3))
+        ),
+        None,
+    )
+    if frame is None:
+        return (tuple(range(n)),)
+    points = proj.multiple_points()
+    kinds = [
+        sorted(p.multiplicity for p in points if j in p.incident) for j in range(n)
+    ]
+    images = [[j for j in range(n) if kinds[j] == kinds[f]] for f in frame]
+    index = {row: j for j, row in enumerate(lines)}
+    adj = _adjugate([lines[f] for f in frame[:3]])
+    a0, a1, a2 = _row_times(lines[frame[3]], adj)
+    rest = [(j, _row_times(lines[j], adj)) for j in range(n) if j not in frame]
+    found = []
+    for g in product(*images[:3]):
+        rows = [lines[j] for j in g]
+        if not _det(rows):
+            continue
+        adj_g = _adjugate(rows)
+        cols = tuple(zip(*rows))
+        for g3 in images[3]:
+            b0, b1, b2 = _row_times(lines[g3], adj_g)
+            if not (b0 and b1 and b2):
+                continue
+            nu0, nu1, nu2 = b0 * a1 * a2, b1 * a0 * a2, b2 * a0 * a1
+            perm = dict(zip(frame, (*g, g3)))
+            for j, (c0, c1, c2) in rest:
+                w0, w1, w2 = c0 * nu0, c1 * nu1, c2 * nu2
+                image = index.get(
+                    _primitive(*(w0 * x + w1 * y + w2 * z for x, y, z in cols))
+                )
+                if image is None:
+                    break
+                perm[j] = image
+            else:
+                found.append(tuple(perm[j] for j in range(n)))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------

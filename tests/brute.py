@@ -13,7 +13,7 @@ node and recession rays.
 
 import cmath
 from fractions import Fraction
-from itertools import combinations, compress, product
+from itertools import combinations, compress, permutations, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -589,3 +589,79 @@ def orbit_scan(proj, order, catalog=None, backend="cyclotomic", eps=1e-9):
         ScanHit(point=_scan_point(proj, order, combo), h1=dim, families=names)
         for combo, dim, names in found
     ]
+
+
+def _coordinates(rows, v):
+    """The x with x_0*rows[0] + x_1*rows[1] + x_2*rows[2] = v, by Fraction
+    elimination, or None when the three rows are dependent (as lines,
+    concurrent)."""
+    m = [[Fraction(r[k]) for r in rows] + [Fraction(v[k])] for k in range(3)]
+    for c in range(3):
+        pivot = next((i for i in range(c, 3) if m[i][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(3):
+            if i != c:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[c])]
+    return [row[3] for row in m]
+
+
+def projective_automorphisms(proj):
+    """Reference for ``ProjArrangement.automorphisms``: every permutation
+    sigma of the lines is tried, none pruned by line type, and kept when a
+    projective map takes each line l to line sigma(l).
+
+    The frame is the first four lines in index order of which no three are
+    concurrent; with none, the identity alone, as in the library.  A map is
+    fixed by the images g of the frame lines f: with a and b the
+    coordinates of f_3 and g_3 in the rows of the other three, all nonzero,
+    it takes the line of coordinates x to the row sum_i x_i*(b_i/a_i)*g_i
+    (up to scale), whose ``canonical_triple`` must be line sigma(l) for
+    every l.  The images are worked out once per frame image g."""
+    lines = proj.lines
+    n = len(lines)
+    frame = next(
+        (
+            quad
+            for quad in combinations(range(n), 4)
+            if all(
+                _coordinates([lines[i] for i in tri], (0, 0, 0)) is not None
+                for tri in combinations(quad, 3)
+            )
+        ),
+        None,
+    )
+    if frame is None:
+        return [tuple(range(n))]
+    base = [lines[f] for f in frame[:3]]
+    a = _coordinates(base, lines[frame[3]])
+    coords = [_coordinates(base, line) for line in lines]
+    maps = {}
+    found = []
+    for sigma in permutations(range(n)):
+        g = tuple(sigma[f] for f in frame)
+        if g not in maps:
+            rows = [lines[j] for j in g[:3]]
+            b = None
+            if _coordinates(rows, (0, 0, 0)) is not None:
+                b = _coordinates(rows, lines[g[3]])
+            maps[g] = None
+            if b is not None and all(b):
+                mu = [bi / ai for ai, bi in zip(a, b)]
+                maps[g] = [
+                    canonical_triple(
+                        *(
+                            sum(x * m * row[k] for x, m, row in zip(x_l, mu, rows))
+                            for k in range(3)
+                        )
+                    )
+                    for x_l in coords
+                ]
+        images = maps[g]
+        if images is not None and all(
+            image == lines[s] for image, s in zip(images, sigma)
+        ):
+            found.append(sigma)
+    return found

@@ -1,8 +1,9 @@
 """Shared fixture arrangements and deterministic random generators."""
 
 from fractions import Fraction
+from pathlib import Path
 
-from linecoh import Arrangement, ProjArrangement, deleted_b3
+from linecoh import Arrangement, ProjArrangement, cone, deleted_b3, parse_arrangement
 from linecoh.charvar import ComponentFamily
 from linecoh.geometry import canonical_triple
 
@@ -41,6 +42,13 @@ def b3_relabelled():
         )
         _B3_MOVED = (moved, families)
     return _B3_MOVED
+
+
+def a3():
+    """The cone of the A3 (braid) arrangement of ``golden/a3.txt``: six
+    lines, four triple points and 24 projective automorphisms."""
+    text = (Path(__file__).parent / "golden" / "a3.txt").read_text()
+    return cone(parse_arrangement(text))
 
 
 def figure_five_lines():

@@ -257,6 +257,19 @@ def test_scan_high_orders_are_the_catalog(order, count):
     assert_two_sided(hits, catalog, order)
 
 
+@pytest.mark.parametrize("order", range(2, 7))
+def test_a3_scan_is_five_two_tori(order):
+    # the A3 cone has 24 automorphisms; its jump locus is the local 2-torus
+    # of each of its four triple points and one more, pairwise meeting at
+    # 1 only, with h1 = 1 on all five
+    proj = corpus.a3()
+    assert len(proj.automorphisms()) == 24
+    hits = torsion_scan(proj, order)
+    assert len(hits) == 5 * (order**2 - 1)
+    assert all(h.h1 == 1 for h in hits)
+    assert hits == brute.orbit_scan(proj, order)
+
+
 @pytest.mark.parametrize("cost", [0, 4, 1 << 40])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_candidate_points_are_the_points_not_certified_zero(
@@ -402,7 +415,8 @@ def test_undecided_points_reach_the_band_route(monkeypatch):
     # every line with q != 1 carries at least two resonant multiple points at
     # the two four-family points and at the order-3 point of the braid
     # family C_(14|23|68) where q1 = q2 = zeta_3, so the certificates leave
-    # all three to the band kernel
+    # all three to the band kernel: the point itself or some u*(point o sigma),
+    # u a unit and sigma an automorphism, which shares its h1
     proj, catalog = corpus.b3()
     table = incidence_table(proj)
     banded = []
@@ -418,7 +432,14 @@ def test_undecided_points_reach_the_band_route(monkeypatch):
     for point, dim in cases:
         assert brute.certified_h1(table, point.exponents, point.order) is None
         hits = {h.point: h.h1 for h in torsion_scan(proj, point.order)}
-        assert point in banded and hits[point] == dim
+        n = point.order
+        images = {
+            TorusPoint(tuple(u * point.exponents[s] % n for s in sigma), n)
+            for sigma in proj.automorphisms()
+            for u in range(1, n)
+            if gcd(u, n) == 1
+        }
+        assert images & set(banded) and hits[point] == dim
         system = make_local_system(point.exponents[:7], order=point.order)
         assert cohomology_dims(system, chart.arrangement)[1] == dim
     assert [f.name for f in catalog if f.contains(braid)] == ["C_(14|23|68)"]

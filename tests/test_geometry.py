@@ -311,6 +311,85 @@ def test_charts_share_degree_two_count():
         assert proj.chart(h).arrangement.point_index_sum() == 12
 
 
+def _relabelled(proj, perm):
+    """``proj`` with new line i the old line perm[i]."""
+    return ProjArrangement(
+        [proj.lines[old] for old in perm],
+        infinity_index=perm.index(proj.infinity_index),
+    )
+
+
+def _assert_group(group, n):
+    # the identity first, closed under composition and inverse
+    assert group[0] == tuple(range(n))
+    members = set(group)
+    assert len(members) == len(group)
+    for s in group:
+        assert tuple(sorted(range(n), key=s.__getitem__)) in members
+        for t in group:
+            assert tuple(s[i] for i in t) in members
+
+
+def _assert_keeps_multiple_points(proj, group):
+    # each sigma carries the multiple points onto multiple points
+    points = {p.incident for p in proj.multiple_points()}
+    for sigma in group:
+        assert {frozenset(sigma[i] for i in p) for p in points} == points
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("b3", 8), ("b3_relabelled", 8), ("b3_reversed", 8), ("a3", 24)],
+)
+def test_automorphisms_equal_the_reference(name, size):
+    proj = {
+        "b3": lambda: corpus.b3()[0],
+        "b3_relabelled": lambda: corpus.b3_relabelled()[0],
+        "b3_reversed": lambda: _relabelled(corpus.b3()[0], tuple(range(7, -1, -1))),
+        "a3": corpus.a3,
+    }[name]()
+    group = proj.automorphisms()
+    assert len(group) == size
+    assert group == tuple(brute.projective_automorphisms(proj))
+    _assert_group(group, proj.n)
+    _assert_keeps_multiple_points(proj, group)
+
+
+def test_automorphisms_of_a_generic_cone_are_the_identity():
+    # no multiple point, so every permutation keeps the intersection
+    # lattice and every line has one type; only the projective check
+    # tells them apart
+    rng = random.Random(5)
+    rows = [tuple(rng.randrange(-60, 61) for _ in range(3)) for _ in range(6)]
+    proj = cone(Arrangement(rows))
+    assert proj.n == 7 and not proj.multiple_points()
+    assert proj.automorphisms() == ((0, 1, 2, 3, 4, 5, 6),)
+    assert brute.projective_automorphisms(proj) == [(0, 1, 2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 0, 0), (0, 1, 0)],  # three lines
+        [(1, 0, 0), (1, 0, -1), (1, 0, -2)],  # a pencil of four
+        [(1, 0, 0), (1, 0, -1), (1, 0, -2), (0, 1, 0)],  # a near-pencil
+    ],
+)
+def test_automorphisms_without_a_frame_are_the_identity(rows):
+    proj = cone(Arrangement(rows))
+    assert proj.automorphisms() == (tuple(range(proj.n)),)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(arrangements(max_lines=5, min_lines=3))
+def test_automorphisms_equal_the_reference_on_random_cones(arr):
+    proj = cone(arr)
+    group = proj.automorphisms()
+    assert group == tuple(brute.projective_automorphisms(proj))
+    _assert_group(group, proj.n)
+    _assert_keeps_multiple_points(proj, group)
+
+
 def test_canonical_triple():
     assert canonical_triple(Fraction(2), Fraction(4), Fraction(-2)) == (
         1,

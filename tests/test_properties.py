@@ -1,11 +1,13 @@
 """Property tests of the torus scan and what it relies on: the stratum
 scan equals the reference orbit scan of ``brute``, h^1 at a torsion point
 is unchanged by Galois conjugation e -> u*e mod N (which the scan's band
-route and the reference rely on) and by flipping the square roots of the
-monodromies, every h^1 the certificates decide equals the band kernel's
-and the chamber complex's, every nontrivial point of a local family has
-h^1 = |p| - 2 as the scan lists it, and the bitmask certificates decide
-line by line as the per-line reference rule of ``brute`` does."""
+route and the reference rely on), by the arrangement's projective
+automorphisms e -> e o sigma (which the scan's band route relies on) and
+by flipping the square roots of the monodromies, every h^1 the
+certificates decide equals the band kernel's and the chamber complex's,
+every nontrivial point of a local family has h^1 = |p| - 2 as the scan
+lists it, and the bitmask certificates decide line by line as the
+per-line reference rule of ``brute`` does."""
 
 import random
 from itertools import product
@@ -140,6 +142,56 @@ def test_h1_is_constant_on_galois_orbits(case):
         if gcd(u, n) == 1:
             conj = TorusPoint(tuple(u * e % n for e in point.exponents), n)
             assert h1_at_point(proj, conj) == dim
+
+
+# arrangements with many projective automorphisms: deleted B3 (8), the
+# A3 cone (24) and the cone of the unit square's sides and diagonals (24)
+SYMMETRIC = {
+    "b3": lambda: corpus.b3()[0],
+    "a3": corpus.a3,
+    "square": lambda: cone(
+        Arrangement(
+            [(1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1), (1, -1, 0), (1, 1, -1)]
+        )
+    ),
+}
+
+
+@st.composite
+def symmetric_points(draw):
+    """A nontrivial point of order 2-6 on one of ``SYMMETRIC``: a grid point
+    or, as often, one that ``candidate_points`` lists, where the
+    certificates give h^1 >= 1 or decide nothing."""
+    proj = SYMMETRIC[draw(st.sampled_from(sorted(SYMMETRIC)))]()
+    order = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        listed = sorted(exps for exps, _ in candidate_points(proj, order))
+        return proj, TorusPoint(draw(st.sampled_from(listed)), order)
+    head = draw(
+        st.lists(st.integers(0, order - 1), min_size=proj.n - 1, max_size=proj.n - 1)
+    )
+    exps = [*head, -sum(head) % order]
+    if not any(exps):
+        exps[0], exps[1] = 1, order - 1
+    return proj, TorusPoint(tuple(exps), order)
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_points())
+def test_h1_is_constant_on_automorphism_orbits(case):
+    # the scan hands a band-route h1 to every u*(e o sigma); here the band
+    # kernel and the chamber complex each give h1(e o sigma) = h1(e)
+    proj, point = case
+    chart = proj.chart(proj.infinity_index)
+    dim = h1_at_point(proj, point)
+    group = proj.automorphisms()
+    assert len(group) > 1
+    for sigma in group:
+        moved = TorusPoint(tuple(point.exponents[s] for s in sigma), point.order)
+        assert h1_at_point(proj, moved) == dim
+        exps = [moved.exponents[old] for old in chart.to_old]
+        system = make_local_system(exps, order=point.order)
+        assert cohomology_dims(system, chart.arrangement)[1] == dim
 
 
 @PROPERTY_SETTINGS
