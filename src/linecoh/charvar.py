@@ -26,9 +26,10 @@ Galois units and the arrangement's projective automorphisms
 115 nodes, and the scan lists 504 of the 78,124 nontrivial points.  164
 of them are in 41 Galois orbits, which its 8 automorphisms merge into
 12, so the band route runs 12 times.  A catalog names each hit with one
-lookup in an index of the families' torsion points
-(``ComponentFamily.torsion_exponents``, an odometer), built once per
-scan.  The scans of deleted B3 at orders 2 to 12 give exactly the
+lookup in an index of the families' torsion points, merged on each scan
+from the tuples each family keeps per order (``ComponentFamily._points``;
+the odometer of ``torsion_exponents`` runs once per family and order).
+The scans of deleted B3 at orders 2 to 12 give exactly the
 catalog's nontrivial torsion points of order dividing N, with h^1 = 2 on
 C_5678 and at the two order-2 points on four families, and h^1 = 1 at
 every other hit.
@@ -71,6 +72,12 @@ class ComponentFamily:
     has even weight, so every produced point satisfies the product-one
     constraint.  Every parameter must be pinned by some coordinate equal to
     s_j on the nose; membership testing relies on that.
+
+    A family keeps its torsion points per order scanned (``_points``), so
+    it holds up to m^nparams exponent tuples for each such order, m of
+    ``_modulus``: a deleted-B3 catalog holds 424 tuples after scans at
+    orders 2 to 4, and about 255k after one at N = 60.  The cache is not
+    a field: ``==``, ``hash`` and ``repr`` read only the fields.
     """
 
     name: str
@@ -113,6 +120,8 @@ class ComponentFamily:
             i for i, row in enumerate(self.powers) if not (self.signs[i] or any(row))
         )
         object.__setattr__(self, "_ones", tuple(ones))
+        # order -> tuple(torsion_exponents(order)), filled by ``_points``
+        object.__setattr__(self, "_by_order", {})
 
     @property
     def nparams(self):
@@ -151,6 +160,14 @@ class ComponentFamily:
                     break
             else:
                 return
+
+    def _points(self, order):
+        """``torsion_exponents(order)`` as a tuple, listed on the first call
+        for ``order`` and kept for the family's lifetime."""
+        points = self._by_order.get(order)
+        if points is None:
+            points = self._by_order[order] = tuple(self.torsion_exponents(order))
+        return points
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?  A point
@@ -448,7 +465,11 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     also one per multiple point (its exponent sum).  They are read in that
     form: a field's top bit is set after adding 2^(width-1) - 1 exactly
     when the field is not 0, which gives the lines with q != 1 and the
-    resonant points of a (B) point as masks of top bits."""
+    resonant points of a (B) point as masks of top bits.  The (B) test is
+    then one lookup: a dict, kept for the call, maps each mask of
+    resonant points met so far to the mask of the lines meeting fewer
+    than two of them, and a point is kept when none of its lines with
+    q != 1 is in that mask (and it leaves out no point of ``outside``)."""
     table = incidence_table(proj)
     n = proj.n
     families = []
@@ -472,22 +493,29 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     field = ~(-1 << width)
 
     def exponents(point):
-        return tuple(point >> shift & field for shift in shifts)
+        return tuple([point >> shift & field for shift in shifts])
 
     for cols, depth in zip(families, table.depth):
         for point in _span(cols, [1] * len(cols), order, width):
             yield exponents(point), depth
     on_tops = [spread(on, point_tops) for on in table.on_mask]
+    # resonant points -> top bits of the lines meeting fewer than two of them
+    thin = {}
     for k, inside, outside, steps in nodes:
         outside = spread(outside, point_tops)
         for point in _span(_node(proj, k, inside)[1], steps, order, width):
             nonzero = (point + near) & top
             resonant = points_top & ~nonzero
-            if not resonant & outside and all(
-                (on & resonant).bit_count() >= 2
-                for bit, on in zip(line_tops, on_tops)
-                if nonzero & bit
-            ):
+            if resonant & outside:
+                continue
+            lines = thin.get(resonant)
+            if lines is None:
+                lines = thin[resonant] = sum(
+                    bit
+                    for bit, on in zip(line_tops, on_tops)
+                    if (on & resonant).bit_count() < 2
+                )
+            if not nonzero & lines:
                 yield exponents(point), None
 
 
@@ -520,9 +548,14 @@ def torsion_scan(
     listed; beyond it, ``BudgetExceededError``.  A negative budget is bad
     input, a ``ValueError``.
 
-    The names come from an index built once per scan, from exponent
-    vectors to the names of the families through them, with one lookup
-    per hit.  A family's entries are its ``torsion_exponents``: its
+    The names come from an index from exponent vectors to the names of
+    the families through them, with one lookup per hit.  Each scan merges
+    it anew, once the walk has held the count to the budget, from the
+    tuple of ``torsion_exponents`` each family keeps per order
+    (``ComponentFamily._points``), so the odometer runs once per family
+    and order however often the catalog is scanned; the parameter tuples
+    are charged to the budget on every scan all the same.  A family's
+    entries are its ``torsion_exponents``: its
     parameters run over Z/m, and a point is kept when every exponent is
     a multiple of m/N.  This is exactly the point set ``contains`` tests
     for: every parameter s_j is pinned by a coordinate equal to
@@ -605,7 +638,7 @@ def torsion_scan(
             for sigma in proj.automorphisms():
                 moved = [exps[s] for s in sigma]
                 for u in units:
-                    band[tuple(u * e % order for e in moved)] = dim
+                    band[tuple([u * e % order for e in moved])] = dim
         if dim >= 1:
             found.append((exps, dim))
     if units is None:  # no point came, but the walk held the budget
@@ -613,7 +646,7 @@ def torsion_scan(
     # built once the walk has held the whole count to the budget
     index = {}
     for f in families:
-        for exps in f.torsion_exponents(order):
+        for exps in f._points(order):
             index[exps] = index.get(exps, ()) + (f.name,)
     inf = proj.infinity_index
     found.sort(key=lambda hit: hit[0][:inf] + hit[0][inf + 1 :])

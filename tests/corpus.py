@@ -21,26 +21,30 @@ def b3():
     return _B3
 
 
+def relabel(proj, catalog, perm=B3_PERMUTATION):
+    """``proj`` and ``catalog`` renumbered so that new line i is old line
+    ``perm[i]``; new instances, sharing no cache with the old ones."""
+    moved = ProjArrangement(
+        [proj.lines[old] for old in perm],
+        infinity_index=perm.index(proj.infinity_index),
+    )
+    families = tuple(
+        ComponentFamily(
+            name=fam.name,
+            signs=tuple(fam.signs[old] for old in perm),
+            powers=tuple(fam.powers[old] for old in perm),
+        )
+        for fam in catalog
+    )
+    return moved, families
+
+
 def b3_relabelled():
     """Deleted B3 and its catalog renumbered by ``B3_PERMUTATION``, so the
     line at infinity is not the last one (shared, like ``b3``)."""
     global _B3_MOVED
     if _B3_MOVED is None:
-        proj, catalog = b3()
-        perm = B3_PERMUTATION
-        moved = ProjArrangement(
-            [proj.lines[old] for old in perm],
-            infinity_index=perm.index(proj.infinity_index),
-        )
-        families = tuple(
-            ComponentFamily(
-                name=fam.name,
-                signs=tuple(fam.signs[old] for old in perm),
-                powers=tuple(fam.powers[old] for old in perm),
-            )
-            for fam in catalog
-        )
-        _B3_MOVED = (moved, families)
+        _B3_MOVED = relabel(*b3())
     return _B3_MOVED
 
 
@@ -85,6 +89,16 @@ def sharp_pair_arrangement():
             (3, 4, -960),
         ]
     )
+
+
+# lines x = a, y = b, x - y = c and x + y = c through the points of a small
+# grid: their subsets, coned, have many multiple points and so many strata
+GRID_LINES = [
+    *((1, 0, -a) for a in range(3)),
+    *((0, 1, -b) for b in range(3)),
+    *((1, -1, -c) for c in (-1, 0, 1)),
+    *((1, 1, -c) for c in (1, 2, 3)),
+]
 
 
 def random_arrangement(rng, nmin=3, nmax=6):

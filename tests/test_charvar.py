@@ -281,6 +281,13 @@ def test_candidate_points_are_the_points_not_certified_zero(
     # multiple points (cost 0), the whole grid at once or in between
     monkeypatch.setattr(charvar, "_NODE_COST", cost)
     proj, _ = corpus.b3_relabelled()
+    assert_candidates_are_uncertified(proj, order)
+
+
+def assert_candidates_are_uncertified(proj, order):
+    """``candidate_points`` lists each nontrivial grid point of ``proj``
+    at which the certificates do not give 0, once, with the certified
+    value or None, and no other point."""
     table = incidence_table(proj)
     listed = dict(candidate_points(proj, order))
     assert len(listed) == len(list(candidate_points(proj, order)))
@@ -294,6 +301,24 @@ def test_candidate_points_are_the_points_not_certified_zero(
         if dim != 0:
             expected[tuple(exps)] = dim
     assert listed == expected
+
+
+@pytest.mark.parametrize(
+    "arrangement, order",
+    [
+        (corpus.sharp_pair_arrangement(), 2),
+        (corpus.sharp_pair_arrangement(), 3),
+        # the grid file at order 3 checks 531,441 points, over 10 s
+        (Arrangement(corpus.GRID_LINES), 2),
+    ],
+    ids=["sharp_pair-2", "sharp_pair-3", "grid-2"],
+)
+def test_candidate_points_on_files_with_many_multiple_points(arrangement, order):
+    # the (B) test's table of resonant-point masks meets keys that deleted
+    # B3's seven multiple points never make
+    proj = cone(arrangement)
+    assert len(incidence_table(proj).points) >= 13
+    assert_candidates_are_uncertified(proj, order)
 
 
 def _kernel_mod(rows, ncols, order):
@@ -409,6 +434,31 @@ def test_scan_names_are_the_families_containing_the_hit(order):
     proj, catalog = corpus.b3()
     for hit in torsion_scan(proj, order, catalog=catalog):
         assert hit.families == tuple(f.name for f in catalog if f.contains(hit.point))
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["built_in", "relabelled"])
+def test_kept_catalog_points_change_no_scan_and_no_family(relabelled):
+    # a catalog keeps each family's torsion points per order; scanned at
+    # orders 4, 2 and 4 in turn, it names every hit as a freshly built
+    # catalog does, and afterwards its families still equal, hash and list
+    # their points as fresh ones
+    def fresh():
+        built = charvar.deleted_b3()
+        return corpus.relabel(*built) if relabelled else built
+
+    proj, catalog = fresh()
+    for order in (4, 2, 4):
+        assert torsion_scan(proj, order, catalog=catalog) == torsion_scan(
+            proj, order, catalog=fresh()[1]
+        )
+    for kept, new in zip(catalog, fresh()[1]):
+        assert kept == new and hash(kept) == hash(new)
+        assert repr(kept) == repr(new)
+        assert set(kept._by_order) == {2, 4} and not new._by_order
+        for order in (2, 3, 4):
+            listed = list(kept.torsion_exponents(order))
+            assert listed == list(new.torsion_exponents(order))
+            assert kept._points(order) == tuple(listed)
 
 
 def test_undecided_points_reach_the_band_route(monkeypatch):

@@ -79,20 +79,10 @@ def test_stratum_scan_equals_orbit_scan(proj, order):
     assert torsion_scan(proj, order) == brute.orbit_scan(proj, order)
 
 
-# lines x = a, y = b, x - y = c and x + y = c through the points of a small
-# grid: their subsets, coned, have many multiple points and so many strata
-GRID_LINES = [
-    *((1, 0, -a) for a in range(3)),
-    *((0, 1, -b) for b in range(3)),
-    *((1, -1, -c) for c in (-1, 0, 1)),
-    *((1, 1, -c) for c in (1, 2, 3)),
-]
-
-
 def test_stratum_scan_equals_orbit_scan_on_grid_cones():
     rng = random.Random(13)
     for size in (5, 5, 6, 6, 6, 6, 7, 7):
-        proj = cone(Arrangement(rng.sample(GRID_LINES, size)))
+        proj = cone(Arrangement(rng.sample(corpus.GRID_LINES, size)))
         for order in (2, 3, 4, 5) if proj.n <= 7 else (2, 3, 4):
             assert torsion_scan(proj, order) == brute.orbit_scan(proj, order)
 
