@@ -16,46 +16,56 @@ two resonant multiple points.  The latter are listed from the nodes of a
 depth-first walk that puts each multiple point in the set R of resonant
 points or leaves it out (``_frontier``).  A node's points form a subgroup
 read off a diagonal form of a small integer matrix (``_diagonal_form``),
-cached on the arrangement; a node that cannot hold such a point is
-dropped, and one that is cheaper to list than to walk on is listed.  A
-nontrivial point of the local family of p takes h^1 = |p| - 2, which the
-one resonant point certificate gives there without a mask read, and the
-others go to the band route (``h1_at_point``) once per orbit under the
-Galois units and the arrangement's projective automorphisms
+cached on the arrangement with the order-free data the walk tests (free
+column count, diagonal entries above 1, gcds of the point sums); a node
+that cannot hold such a point is dropped, and one that is cheaper to
+list than to walk on is listed.  Points are listed packed, a byte-aligned
+field per line and per multiple point (8 bits up to N = 127, 16 up to
+1000), and the (B) test reads a table of resonant-point chunks kept on
+the arrangement per field width (``_fields``).  A nontrivial point of
+the local family of p takes h^1 = |p| - 2, which the one resonant point
+certificate gives there without a mask read, and the others go to the
+band route (``h1_at_point``) once per orbit under the Galois units and
+the arrangement's projective automorphisms
 (``ProjArrangement.automorphisms``).  On deleted B3 at N = 5 the walk has
 115 nodes, and the scan lists 504 of the 78,124 nontrivial points.  164
 of them are in 41 Galois orbits, which its 8 automorphisms merge into
 12, so the band route runs 12 times.  A catalog names each hit with one
 lookup in an index of the families' torsion points, merged on each scan
-from the tuples each family keeps per order (``ComponentFamily._points``;
-the odometer of ``torsion_exponents`` runs once per family and order).
-The scans of deleted B3 at orders 2 to 12 give exactly the
-catalog's nontrivial torsion points of order dividing N, with h^1 = 2 on
-C_5678 and at the two order-2 points on four families, and h^1 = 1 at
-every other hit.
+from the tuples each family keeps per order (``ComponentFamily._points``,
+up to ``_KEPT_POINTS`` tuples a family, the oldest orders dropped first).
+The scans of deleted B3 at orders 2 to 12 give exactly the catalog's
+nontrivial torsion points of order dividing N, with h^1 = 2 on C_5678
+and at the two order-2 points on four families, and h^1 = 1 at every
+other hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import itemgetter, mul
+from struct import Struct
 
 from .geometry import ProjArrangement
-from .localsystem import check_torsion_order, make_local_system
+from .localsystem import LocalSystemError, check_torsion_order, make_local_system
 from .resband import h1_on_band_chart, incidence_table
 # bench/selfcheck.py checks that its tracer wraps this import site too
 from .resband import h1_via_bands  # noqa: F401
 from .scalars import DEFAULT_EPS
 
 DEFAULT_BUDGET = 2_000_000
+# torsion points a catalog family keeps over the orders scanned: all of
+# deleted B3's at N <= 16, and about 0.4 MB of tuples per family
+_KEPT_POINTS = 4096
 
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """Exponent vector over all projective lines, mod `order`, summing to 0."""
 
@@ -73,11 +83,12 @@ class ComponentFamily:
     constraint.  Every parameter must be pinned by some coordinate equal to
     s_j on the nose; membership testing relies on that.
 
-    A family keeps its torsion points per order scanned (``_points``), so
-    it holds up to m^nparams exponent tuples for each such order, m of
-    ``_modulus``: a deleted-B3 catalog holds 424 tuples after scans at
-    orders 2 to 4, and about 255k after one at N = 60.  The cache is not
-    a field: ``==``, ``hash`` and ``repr`` read only the fields.
+    A family keeps its torsion points per order scanned (``_points``), up
+    to ``_KEPT_POINTS`` exponent tuples in all: an order's m^nparams
+    parameter tuples (m of ``_modulus``) give at most that many, and the
+    oldest orders go first to make room.  A deleted-B3 catalog keeps all
+    424 tuples of orders 2 to 4.  The cache is not a field: ``==``,
+    ``hash`` and ``repr`` read only the fields.
     """
 
     name: str
@@ -163,10 +174,18 @@ class ComponentFamily:
 
     def _points(self, order):
         """``torsion_exponents(order)`` as a tuple, listed on the first call
-        for ``order`` and kept for the family's lifetime."""
-        points = self._by_order.get(order)
+        for ``order`` and kept while the family's kept tuples stay within
+        ``_KEPT_POINTS``, dropping the oldest orders first; an order with
+        more points than that is listed on every call."""
+        kept = self._by_order
+        points = kept.get(order)
         if points is None:
-            points = self._by_order[order] = tuple(self.torsion_exponents(order))
+            points = tuple(self.torsion_exponents(order))
+            if len(points) <= _KEPT_POINTS:
+                room = _KEPT_POINTS - len(points)
+                while sum(map(len, kept.values())) > room:
+                    del kept[next(iter(kept))]  # dicts keep insertion order
+                kept[order] = points
         return points
 
     def contains(self, point):
@@ -258,7 +277,8 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     exps, order = point.exponents, point.order
     if len(exps) != proj.n or order < 1 or sum(exps) % order:
         raise ValueError(f"{point} is not a torus point of {proj.n} lines")
-    exps = [exps[j] for j in proj.affine_ids()]
+    inf = proj.infinity_index
+    exps = exps[:inf] + exps[inf + 1 :]
     system = make_local_system(exps, order=order, backend=backend, eps=eps)
     found = h1_on_band_chart(system, proj)
     if found is None:
@@ -317,10 +337,11 @@ def _diagonal_form(rows, cols):
 
 
 def _node(proj, k, inside):
-    """``(d, cols)`` for the node of the walk of ``_frontier`` that has put
-    the multiple points of ``inside`` (a bitmask over
-    ``incidence_table(proj)``) in R and left the other points below ``k``
-    out.  Cached on ``proj`` while it holds fewer than ``_CACHED_NODES``.
+    """``(d, cols, free, big, sums)`` for the node of the walk of
+    ``_frontier`` that has put the multiple points of ``inside`` (a
+    bitmask over ``incidence_table(proj)``) in R and left the other points
+    below ``k`` out.  Cached on ``proj`` while it holds fewer than
+    ``_CACHED_NODES``.
 
     The node's subgroup W holds V2(R) for every R it can still reach, from
     ``inside`` to ``inside`` plus the points from ``k`` on: exponents 0 on
@@ -331,7 +352,16 @@ def _node(proj, k, inside):
     operations start from each live line's unit vector over all lines
     followed by its incidence with each multiple point of the table, so a
     column carries its exponent sums over the points, which say which
-    points are resonant."""
+    points are resonant.
+
+    The rest is what the walk tests at any order N, read off once:
+    ``free`` is the number of columns past ``d`` (y_i over all of Z/N),
+    ``big`` holds ``(d_i, its column's point sums)`` for each d_i > 1 (y_i
+    over the multiples of N/gcd(d_i, N); d_i = 1 pins y_i to 0), and
+    ``sums`` holds per multiple point the gcd of its sums over the free
+    columns.  So W mod N has N^free * prod gcd(d_i, N) points, and a point
+    is resonant at all of them exactly when N divides its ``sums`` entry
+    and gcd(d_i, N) divides its sum on each column of ``big``."""
     node = proj._scan_nodes.get((k, inside))
     if node is not None:
         return node
@@ -347,15 +377,28 @@ def _node(proj, k, inside):
         [int(i == j) for i in range(proj.n)] + [int(j in p) for p in table.points]
         for j in live
     ]
-    node = _diagonal_form(rows + [[1] * len(live)], start)
+    d, cols = _diagonal_form(rows + [[1] * len(live)], start)
+    n = proj.n
+    free = cols[len(d) :]
+    node = (
+        d,
+        cols,
+        len(free),
+        tuple((v, col[n:]) for v, col in zip(d, cols) if v > 1),
+        tuple(gcd(*[col[n + q] for col in free]) for q in range(len(table.points))),
+    )
     if len(proj._scan_nodes) < _CACHED_NODES:
         proj._scan_nodes[k, inside] = node
     return node
 
 
-# A walk node costs about as much as listing this many points; 4 is the
-# fastest of 4, 8, 16 and 32 on scans of deleted B3 at orders 2 to 5 with
-# the nodes cached
+# A node is listed when it holds at most this many points per set of the
+# points still undecided.  4 was the fastest of 4, 8, 16 and 32 on scans
+# of deleted B3 at orders 2 to 5 with the nodes cached, when a walked node
+# cost about two listed points (6.2 and 3.1 us).  Now both cost about
+# 2 us (294 nodes walked; 1,326 points listed, span set-up included; min
+# of 200 runs, 2 vCPUs, Python 3.11), so 4 walks a little too far; it is
+# kept so that the walk and the ``--budget`` counts do not move.
 _NODE_COST = 4
 # nodes kept per arrangement; deleted B3 has 255
 _CACHED_NODES = 4096
@@ -363,17 +406,18 @@ _CACHED_NODES = 4096
 
 def _frontier(proj, order, budget, spent):
     """The (B) sources of ``candidate_points`` at order N, ``(k, inside,
-    outside, steps)`` per node of a depth-first walk that puts each
-    multiple point in R or leaves it out in turn (``_node(proj, k,
-    inside)``): the points Q*y of the node's W mod N, y_i over the
-    multiples of ``steps[i]`` in Z/N, of which those with no resonant
+    outside)`` per node of a depth-first walk that puts each multiple
+    point in R or leaves it out in turn (``_node(proj, k, inside)``): the
+    points Q*y of the node's W mod N, of which those with no resonant
     point in ``outside`` are the node's.  The columns are not kept, so a
     long walk holds no more than the node cache; ``_node`` builds them
-    from ``(k, inside)`` alone, so fetched again they match ``steps``.
+    from ``(k, inside)`` alone, so fetched again they are the same.
 
     A node is dropped when its W mod N is 0, or when a point it left out
     is resonant at every point of it: no R(e) there lies between the
-    node's bounds.  A node is listed when its W mod N has at most
+    node's bounds.  Both tests read the node's order-free data (its free
+    column count, its d_i > 1 and the gcds of its point sums), a gcd or
+    two per node and N.  A node is listed when its W mod N has at most
     ``_NODE_COST`` * 2^(points undecided) points, about the cost of
     walking all its descendants, and always once every point is decided
     (R is ``inside``).  So the walk and the listing cost at most about
@@ -384,22 +428,24 @@ def _frontier(proj, order, budget, spent):
     ``budget``; beyond it, ``BudgetExceededError``, before any point is
     listed."""
     npoints = len(incidence_table(proj).points)
-    n = proj.n
     sources = []
     stack = [(0, 0, 0)]
     while stack:
         k, inside, outside = stack.pop()
-        d, cols = _node(proj, k, inside)
-        steps = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
-        size = prod(order // step for step in steps)
+        _, _, free, big, sums = _node(proj, k, inside)
+        size = order**free
+        if big:
+            big = [(gcd(v, order), col) for v, col in big]
+            for g, _ in big:
+                size *= g
         spent += 1
         if size > 1 and not any(
-            all(col[n + q] * step % order == 0 for col, step in zip(cols, steps))
+            sums[q] % order == 0 and all(col[q] % g == 0 for g, col in big)
             for q in range(k)
             if outside >> q & 1
         ):
             if k == npoints or size <= _NODE_COST << (npoints - k):
-                sources.append((k, inside, outside, steps))
+                sources.append((k, inside, outside))
                 spent += size - 1
             else:
                 stack.append((k + 1, inside, outside | 1 << k))
@@ -412,39 +458,166 @@ def _frontier(proj, order, budget, spent):
     return sources
 
 
-def _span(cols, steps, order, width):
+def _field_width(order):
+    """The bits of a packed field at order N: the fewest of 8, 16, 32 and
+    64 with N < 2^(width-1), one byte up to N = 127 and two up to
+    ``MAX_TORSION_ORDER``, so ``_span``'s fix-up holds.  No backend takes
+    N >= 2^63 (``check_torsion_order``), and no field is made for it."""
+    for width in (8, 16, 32, 64):
+        if not order >> width - 1:
+            return width
+    raise LocalSystemError(f"torsion order {order} exceeds the bound of every backend")
+
+
+def _pack(fields, width):
+    """The fields as one integer, ``width`` bits each, the first lowest."""
+    return sum(v << width * f for f, v in enumerate(fields))
+
+
+# most points ``_span`` lists at once
+_LISTED = 256
+
+
+def _span(cols, steps, order, width, top=None):
     """The nonzero points sum_i y_i*cols[i] mod N, y_i over the multiples
     of ``steps[i]`` in Z/N, each once (the columns are independent mod
-    N), packed in integers with one ``width``-bit field per entry.
+    N), packed in integers with one ``width``-bit field per entry, in the
+    order of an odometer over y with the last digit fastest.  ``top`` is
+    the integer of the fields' top bits (with any more fields above,
+    which stay 0); a caller that spans many nodes passes it.
 
-    An odometer over y: digit i steps up while the digits after it wrap
-    to 0, and a wrap adds its step times its column once more (count *
-    step = N), so each point is one packed sum.  Its fields are below 2N
-    < 2^width, and adding 2^(width-1) - N sets a field's top bit exactly
-    when it is at least N, so one subtraction reduces them all mod N."""
+    The generators are the y_i with a step below N.  The innermost ones,
+    as many as keep their points to at most ``_LISTED``, are listed at
+    once as a list I of packed sums (I = [0] when the last alone has
+    more).  An odometer runs over the others: digit i steps up while the
+    digits after it wrap to 0, and a wrap adds its step times its column
+    once more (count * step = N), so each of its points P is one packed
+    sum, and each gives the list P + I in one comprehension.  So the
+    iterator resumes the odometer once per list and holds I and one list,
+    each of at most ``_LISTED`` points, whatever N and the node's size.
+    Every sum's fields are below 2N <= 2^width, and adding 2^(width-1) - N
+    sets a field's top bit exactly when it is at least N, so one
+    subtraction reduces them all mod N."""
     gens = [(col, step) for col, step in zip(cols, steps) if step < order]
+    if not gens:
+        return iter(())
+    if top is None:
+        top = _pack([1 << width - 1] * len(cols[0]), width)
+    shift = width - 1
+    fix = top - order * (top >> shift)
+    inner = [0]
+    while gens:
+        col, step = gens[-1]
+        count = order // step
+        if len(inner) * count > _LISTED:
+            break
+        gens.pop()
+        inc = _pack([step * c % order for c in col], width)
+        multiples = [0]
+        for _ in range(count - 1):
+            point = multiples[-1] + inc
+            multiples.append(point - ((point + fix & top) >> shift) * order)
+        inner = [
+            (point := m + p) - ((point + fix & top) >> shift) * order
+            for m in multiples
+            for p in inner
+        ]
     incs = []
     acc = [0] * len(cols[0])
     for col, step in reversed(gens):
         acc = [(a + step * c) % order for a, c in zip(acc, col)]
-        incs.append(sum(v << width * f for f, v in enumerate(acc)))
+        incs.append(_pack(acc, width))
     incs.reverse()
-    top = sum(1 << width * f + width - 1 for f in range(len(acc)))
-    fix = top - order * (top >> width - 1)
     ends = [order // step - 1 for _, step in gens]
-    digits = [0] * len(gens)
-    point = 0
-    while True:
-        i = len(digits) - 1
-        while i >= 0 and digits[i] == ends[i]:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
-        point += incs[i]
-        point -= ((point + fix & top) >> width - 1) * order
-        yield point
+
+    def lists():
+        yield inner[1:]
+        digits = [0] * len(gens)
+        base = 0
+        while True:
+            i = len(digits) - 1
+            while i >= 0 and digits[i] == ends[i]:
+                digits[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            digits[i] += 1
+            base += incs[i]
+            base -= ((base + fix & top) >> shift) * order
+            yield [
+                (point := base + m) - ((point + fix & top) >> shift) * order
+                for m in inner
+            ]
+
+    return chain.from_iterable(lists())
+
+
+# multiple points per chunk of the (B) table of ``_fields``
+_CHUNK = 7
+
+
+def _fields(proj, width):
+    """The packed-field layout of ``candidate_points`` on ``proj`` at
+    ``width``-bit fields, kept on ``proj`` per width: ``(top, near,
+    points_top, point_tops, nbytes, unpack, thin)``.
+
+    A point has a field per line, then one per multiple point.  ``top``
+    holds every field's top bit, ``points_top`` and ``point_tops`` those
+    of the point fields; adding ``near`` (2^(width-1) - 1 in every field)
+    sets a field's top bit exactly when the field is not 0.
+    ``unpack(point.to_bytes(nbytes, "little"))`` is the tuple of the line
+    fields.  ``thin(resonant)``, for the top bits of a set of resonant
+    points, is the top bits of the lines meeting fewer than two of them.
+
+    It reads a table that splits the points into chunks of ``_CHUNK``:
+    per chunk, each value of its top bits maps to a count in each line
+    field, 1 on the lines meeting one of its points and 2 on those
+    meeting two or more.  So a lookup per chunk and a sum give each line
+    its count of resonant points, cut off at 2 per chunk; the width
+    ``candidate_points`` picks keeps twice the number of chunks below
+    2^(width-1), so no count overflows its field, and adding
+    2^(width-1) - 2 to every line field sets its top bit exactly when the
+    count is at least 2.  Deleted B3 has one chunk of 128 entries, and a
+    file with 21 multiple points has three."""
+    fields = proj._scan_fields.get(width)
+    if fields is not None:
+        return fields
+    table = incidence_table(proj)
+    n, npoints = proj.n, len(table.points)
+    tops = [1 << width * f + width - 1 for f in range(n + npoints)]
+    line_tops, point_tops = tops[:n], tops[n:]
+    lines_top, points_top = sum(line_tops), sum(point_tops)
+    top = lines_top | points_top
+    twice = lines_top - 2 * (lines_top >> width - 1)  # 2^(width-1) - 2 per line
+    chunks = []
+    for first in range(0, npoints, _CHUNK):
+        bits = point_tops[first : first + _CHUNK]
+        entries = {}
+        for value in range(1 << len(bits)):
+            key = sum(bit for i, bit in enumerate(bits) if value >> i & 1)
+            entries[key] = sum(
+                min((on >> first & value).bit_count(), 2) << width * j
+                for j, on in enumerate(table.on_mask)
+            )
+        chunks.append((sum(bits), entries))
+
+    def thin(resonant):
+        counts = twice
+        for mask, entries in chunks:
+            counts += entries[resonant & mask]
+        return lines_top & ~counts
+
+    code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
+    fields = proj._scan_fields[width] = (
+        top,
+        top - (top >> width - 1),
+        points_top,
+        point_tops,
+        (n + npoints) * width // 8,
+        Struct(f"<{n}{code}").unpack_from,
+        thin,
+    )
+    return fields
 
 
 def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
@@ -461,15 +634,17 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     ``torsion_scan``'s catalog parameter tuples) plus the points listed
     and the nodes walked.
 
-    Points come packed from ``_span``, a field per line, and a (B) point
-    also one per multiple point (its exponent sum).  They are read in that
-    form: a field's top bit is set after adding 2^(width-1) - 1 exactly
-    when the field is not 0, which gives the lines with q != 1 and the
-    resonant points of a (B) point as masks of top bits.  The (B) test is
-    then one lookup: a dict, kept for the call, maps each mask of
-    resonant points met so far to the mask of the lines meeting fewer
-    than two of them, and a point is kept when none of its lines with
-    q != 1 is in that mask (and it leaves out no point of ``outside``)."""
+    Points come packed from ``_span`` in byte-aligned fields
+    (``_field_width``: 8 bits up to N = 127, 16 up to
+    ``MAX_TORSION_ORDER``), a field per line, and a (B) point also one
+    per multiple point (its exponent sum), laid out by ``_fields``, which
+    is kept on ``proj`` per width.  They are read in that form: adding
+    ``near`` gives the lines with q != 1 and the resonant points of a (B)
+    point as masks of top bits.  The (B) test is then a lookup in the
+    chunked table of ``_fields``: a point is kept when none of its lines
+    with q != 1 meets fewer than two of its resonant points (and it
+    leaves out no point of ``outside``).  A kept point's exponents are
+    its line fields, unpacked from its bytes with ``struct``."""
     table = incidence_table(proj)
     n = proj.n
     families = []
@@ -480,46 +655,24 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
         families.append(cols)
     spent += sum(order ** len(cols) - 1 for cols in families)
     nodes = _frontier(proj, order, budget, spent)
-    width = order.bit_length() + 1
-    tops = [1 << width * f + width - 1 for f in range(n + len(table.points))]
-    line_tops, point_tops = tops[:n], tops[n:]
-    top, points_top = sum(tops), sum(point_tops)
-    near = top - (top >> width - 1)  # 2^(width-1) - 1 in every field
-
-    def spread(compact, bits):
-        return sum(bit for k, bit in enumerate(bits) if compact >> k & 1)
-
-    shifts = [width * j for j in range(n)]
-    field = ~(-1 << width)
-
-    def exponents(point):
-        return tuple([point >> shift & field for shift in shifts])
-
+    # a field holds a residue mod N or a line's count in the (B) table
+    width = _field_width(max(order, 2 * -(-len(table.points) // _CHUNK)))
+    top, near, points_top, point_tops, nbytes, unpack, thin = _fields(proj, width)
     for cols, depth in zip(families, table.depth):
-        for point in _span(cols, [1] * len(cols), order, width):
-            yield exponents(point), depth
-    on_tops = [spread(on, point_tops) for on in table.on_mask]
-    # resonant points -> top bits of the lines meeting fewer than two of them
-    thin = {}
-    for k, inside, outside, steps in nodes:
-        outside = spread(outside, point_tops)
-        for point in _span(_node(proj, k, inside)[1], steps, order, width):
-            nonzero = (point + near) & top
+        for point in _span(cols, [1] * len(cols), order, width, top):
+            yield unpack(point.to_bytes(nbytes, "little")), depth
+    for k, inside, outside in nodes:
+        d, cols = _node(proj, k, inside)[:2]
+        steps = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
+        outside = sum(bit for q, bit in enumerate(point_tops) if outside >> q & 1)
+        for point in _span(cols, steps, order, width, top):
+            nonzero = point + near & top
             resonant = points_top & ~nonzero
-            if resonant & outside:
-                continue
-            lines = thin.get(resonant)
-            if lines is None:
-                lines = thin[resonant] = sum(
-                    bit
-                    for bit, on in zip(line_tops, on_tops)
-                    if (on & resonant).bit_count() < 2
-                )
-            if not nonzero & lines:
-                yield exponents(point), None
+            if not resonant & outside and not nonzero & thin(resonant):
+                yield unpack(point.to_bytes(nbytes, "little")), None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanHit:
     point: TorusPoint
     h1: int
@@ -552,15 +705,15 @@ def torsion_scan(
     the families through them, with one lookup per hit.  Each scan merges
     it anew, once the walk has held the count to the budget, from the
     tuple of ``torsion_exponents`` each family keeps per order
-    (``ComponentFamily._points``), so the odometer runs once per family
-    and order however often the catalog is scanned; the parameter tuples
-    are charged to the budget on every scan all the same.  A family's
-    entries are its ``torsion_exponents``: its
-    parameters run over Z/m, and a point is kept when every exponent is
-    a multiple of m/N.  This is exactly the point set ``contains`` tests
-    for: every parameter s_j is pinned by a coordinate equal to
-    +-s_j^(+-1), so at a point of order dividing N it is an m-th root of
-    unity (the sign needs m even).  A family whose line count is not
+    (``ComponentFamily._points``, up to ``_KEPT_POINTS`` tuples a family),
+    so the odometer runs once per family and kept order however often the
+    catalog is scanned; the parameter tuples are charged to the budget on
+    every scan all the same.  A family's entries are its
+    ``torsion_exponents``: its parameters run over Z/m, and a point is
+    kept when every exponent is a multiple of m/N.  This is exactly the
+    point set ``contains`` tests for: every parameter s_j is pinned by a
+    coordinate equal to +-s_j^(+-1), so at a point of order dividing N it
+    is an m-th root of unity (the sign needs m even).  A family whose line count is not
     ``proj.n`` holds no point of the scan, as in ``contains``.
 
     Only the points of ``candidate_points`` are visited; at every other
@@ -622,25 +775,29 @@ def torsion_scan(
         return []
     families = [f for f in catalog or () if f.nlines == proj.n]
     parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
-    units = None
-    # h^1 of the band route, set at once for every u*(e o sigma) of a
+    units = None  # the units of Z/N other than 1, listed at the first point
+    moves = None  # e -> e o sigma per automorphism, made at the first band call
+    # h^1 of the band route, set at once for every (u*e) o sigma of a
     # decided e, u a unit and sigma an automorphism
     band = {}
-    found = []
+    found = {}  # exponents -> h^1 >= 1
     for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
         if units is None:
             check_torsion_order(order, backend, eps)
-            units = [u for u in range(1, order) if gcd(u, order) == 1]
+            units = [u for u in range(2, order) if gcd(u, order) == 1]
         if dim is None:
             dim = band.get(exps)
-        if dim is None:
-            dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
-            for sigma in proj.automorphisms():
-                moved = [exps[s] for s in sigma]
-                for u in units:
-                    band[tuple([u * e % order for e in moved])] = dim
+            if dim is None:
+                point = TorusPoint(exps, order)
+                dim = h1_at_point(proj, point, backend=backend, eps=eps)
+                if moves is None:
+                    moves = [itemgetter(*sigma) for sigma in proj.automorphisms()]
+                scaled = [tuple([u * e % order for e in exps]) for u in units]
+                for multiple in [exps, *scaled]:
+                    for move in moves:
+                        band[move(multiple)] = dim
         if dim >= 1:
-            found.append((exps, dim))
+            found[exps] = dim
     if units is None:  # no point came, but the walk held the budget
         check_torsion_order(order, backend, eps)
     # built once the walk has held the whole count to the budget
@@ -648,9 +805,9 @@ def torsion_scan(
     for f in families:
         for exps in f._points(order):
             index[exps] = index.get(exps, ()) + (f.name,)
-    inf = proj.infinity_index
-    found.sort(key=lambda hit: hit[0][:inf] + hit[0][inf + 1 :])
+    if not found:  # a hit has a multiple point, so itemgetter gets two ids
+        return []
     return [
-        ScanHit(point=TorusPoint(exps, order), h1=dim, families=index.get(exps, ()))
-        for exps, dim in found
+        ScanHit(TorusPoint(exps, order), found[exps], index.get(exps, ()))
+        for exps in sorted(found, key=itemgetter(*proj.affine_ids()))
     ]

@@ -1,7 +1,9 @@
+import pickle
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -11,6 +13,7 @@ import corpus
 from linecoh import (
     Arrangement,
     BudgetExceededError,
+    LocalSystemError,
     charvar,
     cone,
     h1_at_point,
@@ -19,8 +22,11 @@ from linecoh import (
 )
 from linecoh.charvar import (
     ComponentFamily,
+    ScanHit,
     TorusPoint,
     _diagonal_form,
+    _field_width,
+    _pack,
     _span,
     candidate_points,
 )
@@ -361,6 +367,54 @@ def test_diagonal_form_and_span_list_the_kernel_mod_n():
             assert set(spanned) == listed - {(0,) * ncols}
 
 
+def test_field_widths_stop_where_every_backend_does():
+    assert [_field_width(n) for n in (1, 127, 128, 2**15 - 1, 2**15)] == [
+        8, 8, 16, 16, 32
+    ]
+    assert _field_width(2**63 - 1) == 64
+    with pytest.raises(LocalSystemError, match="every backend"):
+        _field_width(2**63)
+
+
+@pytest.mark.parametrize("order", [127, 128, 255, 257, 1000])
+def test_span_lists_the_kernel_mod_n_at_the_byte_widths(order):
+    # the byte-aligned fields of the scan (8 bits up to 127, then 16) over
+    # random kernels of 2 to 20,000 points (one or two generators, counts
+    # past ``_LISTED``, whose points are listed one at a time), against
+    # the ``product`` listing of y; alone and under a top mask with two
+    # more fields, as ``candidate_points`` passes
+    width = _field_width(order)
+    assert width == (8 if order <= 127 else 16)
+    rng = random.Random(order)
+    checked = 0
+    while checked < 12:
+        ncols = rng.randrange(2, 5)
+        rows = [
+            [rng.randrange(-8, 9) * rng.choice((1, 2, 5)) for _ in range(ncols)]
+            for _ in range(rng.randrange(1, ncols + 1))
+        ]
+        identity = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+        d, cols = _diagonal_form(rows, identity)
+        steps = [order // gcd(v, order) for v in d] + [1] * (ncols - len(d))
+        if not 1 < prod(order // step for step in steps) <= 20_000:
+            continue
+        checked += 1
+        ys = list(product(*(range(0, order, step) for step in steps)))
+        listed = {
+            tuple(sum(map(mul, y, row)) % order for row in zip(*cols)) for y in ys
+        }
+        assert len(listed) == len(ys)
+        wider = _pack([1 << width - 1] * (ncols + 2), width)
+        for top in (None, wider):
+            spanned = [
+                tuple(point >> width * j & ~(-1 << width) for j in range(ncols + 2))
+                for point in _span(cols, steps, order, width, top)
+            ]
+            assert len(spanned) == len(set(spanned)) == len(ys) - 1
+            assert {point[:ncols] for point in spanned} == listed - {(0,) * ncols}
+            assert all(point[ncols:] == (0, 0) for point in spanned)
+
+
 @pytest.mark.parametrize("order", range(2, 13))
 def test_orbit_representatives_are_the_orbit_minima(order):
     # the generator of the reference orbit scan in ``brute``
@@ -461,6 +515,78 @@ def test_kept_catalog_points_change_no_scan_and_no_family(relabelled):
             assert kept._points(order) == tuple(listed)
 
 
+def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
+    # orders 2 to 4 (424 tuples over deleted B3's catalog) all stay under
+    # the library's bound
+    proj, catalog = charvar.deleted_b3()
+    for order in (2, 3, 4):
+        torsion_scan(proj, order, catalog=catalog)
+    assert all(list(fam._by_order) == [2, 3, 4] for fam in catalog)
+    assert sum(len(points) for f in catalog for points in f._by_order.values()) == 424
+    # under a bound of 64, one catalog scanned at orders 2 to 6 keeps at
+    # most 64 tuples per family, the oldest orders dropped first, and names
+    # every hit as a fresh catalog does
+    monkeypatch.setattr(charvar, "_KEPT_POINTS", 64)
+    catalog = charvar.deleted_b3()[1]
+    fitting = {fam.name: [] for fam in catalog}  # orders whose points fit
+    for order in range(2, 7):
+        assert torsion_scan(proj, order, catalog=catalog) == torsion_scan(
+            proj, order, catalog=charvar.deleted_b3()[1]
+        )
+        for fam in catalog:
+            history = fitting[fam.name]
+            if len(fam._points(order)) <= 64:
+                history.append(order)
+            kept = fam._by_order
+            total = sum(map(len, kept.values()))
+            assert total <= 64
+            # the newest fitting orders, no more dropped than needed
+            older = history[: len(history) - len(kept)]
+            assert list(kept) == history[len(older) :]
+            if older:
+                more = len(list(fam.torsion_exponents(older[-1])))
+                assert total + more > 64
+    # the quadruple point's N^3 points fit up to N = 4 only, and fill the
+    # bound alone; the pair families keep N = 5 and 6 (25 + 36 tuples)
+    kept = {f.name: list(f._by_order) for f in catalog}
+    assert kept.pop("C_5678") == [4]
+    assert kept.pop("Omega") == [2, 3, 4, 5, 6]
+    assert all(orders == [5, 6] for orders in kept.values())
+
+
+def test_a3_scans_at_two_field_widths_in_turn():
+    # orders 3, 130 and 3 pack one byte, two bytes and one byte per field;
+    # each scan equals a fresh arrangement's, so the layout and (B) table
+    # kept per width on the arrangement are read at their own width
+    proj = corpus.a3()
+    for order in (3, 130, 3):
+        hits = torsion_scan(proj, order)
+        assert hits == torsion_scan(corpus.a3(), order)
+        assert len(hits) == 5 * (order**2 - 1)
+    assert set(proj._scan_fields) == {8, 16}
+
+
+def test_hit_records_are_frozen_and_pickle():
+    point = TorusPoint((1, 0, 0, 1, 0, 1, 0, 1), 2)
+    hit = ScanHit(point=point, h1=2, families=("C_(14|23|68)", "Omega"))
+    twin = ScanHit(TorusPoint((1, 0, 0, 1, 0, 1, 0, 1), 2), 2, hit.families)
+    assert hit == twin and hash(hit) == hash(twin)
+    assert hit != ScanHit(point, 1, hit.families)
+    assert repr(point) == "TorusPoint(exponents=(1, 0, 0, 1, 0, 1, 0, 1), order=2)"
+    assert repr(hit) == (
+        f"ScanHit(point={point!r}, h1=2, families=('C_(14|23|68)', 'Omega'))"
+    )
+    with pytest.raises(FrozenInstanceError):
+        point.order = 4
+    with pytest.raises(FrozenInstanceError):
+        hit.h1 = 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for record in (point, hit):
+            copy = pickle.loads(pickle.dumps(record, protocol))
+            assert copy == record and hash(copy) == hash(record)
+            assert repr(copy) == repr(record) and copy is not record
+
+
 def test_undecided_points_reach_the_band_route(monkeypatch):
     # every line with q != 1 carries at least two resonant multiple points at
     # the two four-family points and at the order-3 point of the braid
@@ -535,6 +661,21 @@ def test_over_budget_scan_at_a_large_order_stops_early():
     try:
         with pytest.raises(BudgetExceededError, match="budget 10 "):
             torsion_scan(proj, 10**7, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_scan_past_the_backend_bound_stops_at_its_first_point():
+    # a budget that holds at N = 10^7 lets the walk through; the first
+    # listed point then meets the cyclotomic bound, and no list of the
+    # local families' N points was built before it
+    proj, _ = corpus.b3()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LocalSystemError, match="exceeds the bound 1000"):
+            torsion_scan(proj, 10**7, budget=10**30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
