@@ -6,7 +6,9 @@ A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; a point of order dividing N is an exponent
 vector mod N summing to 0.  h^1 at a nontrivial point is the band kernel
 on the chart of ``resband.h1_on_band_chart`` (infinity when its q is not
-1, else the first line with q != 1), read off that chart's band table.
+1, else the first line with q != 1), read off that chart's band table
+(``resband.chart_kernel``) from the point's halves by projective index
+(``localsystem.projective_torsion_halves``), with no system built.
 
 The zero/one resonant point certificates (``resband.certify_masks``) give
 h^1 = 0 at almost every point, so ``torsion_scan`` lists only the points
@@ -17,12 +19,15 @@ depth-first walk that puts each multiple point in the set R of resonant
 points or leaves it out (``_frontier``).  A node's points form a subgroup
 read off a diagonal form of a small integer matrix (``_diagonal_form``),
 cached on the arrangement with the order-free data the walk tests (free
-column count, diagonal entries above 1, gcds of the point sums); a node
+column count, diagonal entries above 1, gcds of the point sums) and the
+columns it lists along, each kept sparse as its nonzero entries; a node
 that cannot hold such a point is dropped, and one that is cheaper to
 list than to walk on is listed.  Points are listed packed, a byte-aligned
 field per line and per multiple point (8 bits up to N = 127, 16 up to
-1000), and the (B) test reads a table of resonant-point chunks kept on
-the arrangement per field width (``_fields``).  A nontrivial point of
+1000), a generator packed from its nonzero entries alone (``_span``),
+and the (B) test reads a table of resonant-point chunks kept on the
+arrangement per field width (``_fields``), with the local families'
+sparse columns.  A nontrivial point of
 the local family of p takes h^1 = |p| - 2, which the one resonant point
 certificate gives there without a mask read, and the others go to the
 band route (``h1_at_point``) once per orbit under the Galois units and
@@ -34,23 +39,29 @@ of them are in 41 Galois orbits, which its 8 automorphisms merge into
 lookup in an index of the families' torsion points, merged on each scan
 from the tuples each family keeps per order (``ComponentFamily._points``,
 up to ``_KEPT_POINTS`` tuples a family, the oldest orders dropped first).
-The scans of deleted B3 at orders 2 to 12 give exactly the catalog's
-nontrivial torsion points of order dividing N, with h^1 = 2 on C_5678
-and at the two order-2 points on four families, and h^1 = 1 at every
-other hit.
+Hit records are built slot by slot, without the frozen dataclass's
+per-field ``__setattr__``.  The scans of deleted B3 at orders 2 to 12
+give exactly the catalog's nontrivial torsion points of order dividing
+N, with h^1 = 2 on C_5678 and at the two order-2 points on four
+families, and h^1 = 1 at every other hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, zip_longest
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 from struct import Struct
 
 from .geometry import ProjArrangement
-from .localsystem import LocalSystemError, check_torsion_order, make_local_system
-from .resband import h1_on_band_chart, incidence_table
+from .localsystem import (
+    LocalSystemError,
+    check_torsion_order,
+    projective_torsion_halves,
+    torsion_integers,
+)
+from .resband import chart_kernel, incidence_table
 # bench/selfcheck.py checks that its tracer wraps this import site too
 from .resband import h1_via_bands  # noqa: F401
 from .scalars import DEFAULT_EPS
@@ -269,18 +280,21 @@ def deleted_b3():
 
 def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     """h^1 at a nontrivial torus point by the band kernel on the chart of
-    ``h1_on_band_chart``: the line at infinity when its q is not 1,
-    otherwise the first line with q != 1.  The system holds the exponents
-    of the affine lines; the infinity monodromy follows from them.  A
-    point off the torus of ``proj`` (one exponent per line, summing to 0
-    mod an order >= 1) is a ``ValueError``."""
-    exps, order = point.exponents, point.order
+    ``resband.h1_on_band_chart``: the line at infinity when its q is not
+    1, otherwise the first line with q != 1.  The system is that of the
+    exponents of the affine lines, the infinity monodromy following from
+    them; its halves by projective index come from
+    ``projective_torsion_halves`` and go to ``resband.chart_kernel``, so
+    no ``LocalSystem`` is built.  A point off the torus of ``proj`` (one
+    exponent per line, summing to 0 mod an order >= 1) is a
+    ``ValueError``, and so is an exponent or order that is not an integer
+    (``torsion_integers``): 1.5 is not truncated to 1."""
+    exps, order = torsion_integers(point.exponents, point.order)
     if len(exps) != proj.n or order < 1 or sum(exps) % order:
         raise ValueError(f"{point} is not a torus point of {proj.n} lines")
     inf = proj.infinity_index
-    exps = exps[:inf] + exps[inf + 1 :]
-    system = make_local_system(exps, order=order, backend=backend, eps=eps)
-    found = h1_on_band_chart(system, proj)
+    bk, halves = projective_torsion_halves(exps, order, inf, backend=backend, eps=eps)
+    found = chart_kernel(bk, halves, proj)
     if found is None:
         raise ValueError("trivial point: every monodromy equals 1")
     return found[1].dim
@@ -337,7 +351,7 @@ def _diagonal_form(rows, cols):
 
 
 def _node(proj, k, inside):
-    """``(d, cols, free, big, sums)`` for the node of the walk of
+    """``(free, big, sums, divisors, gens)`` for the node of the walk of
     ``_frontier`` that has put the multiple points of ``inside`` (a
     bitmask over ``incidence_table(proj)``) in R and left the other points
     below ``k`` out.  Cached on ``proj`` while it holds fewer than
@@ -352,16 +366,27 @@ def _node(proj, k, inside):
     operations start from each live line's unit vector over all lines
     followed by its incidence with each multiple point of the table, so a
     column carries its exponent sums over the points, which say which
-    points are resonant.
+    points are resonant.  Neither d nor the columns are kept as such: the
+    node keeps what the walk and the listing read of them, at any order N.
 
-    The rest is what the walk tests at any order N, read off once:
+    The walk's tests are read off once:
     ``free`` is the number of columns past ``d`` (y_i over all of Z/N),
     ``big`` holds ``(d_i, its column's point sums)`` for each d_i > 1 (y_i
     over the multiples of N/gcd(d_i, N); d_i = 1 pins y_i to 0), and
     ``sums`` holds per multiple point the gcd of its sums over the free
     columns.  So W mod N has N^free * prod gcd(d_i, N) points, and a point
     is resonant at all of them exactly when N divides its ``sums`` entry
-    and gcd(d_i, N) divides its sum on each column of ``big``."""
+    and gcd(d_i, N) divides its sum on each column of ``big``.
+
+    The listing's generators are the columns ``_span`` can step along,
+    those past ``d`` and those with d_i > 1 (one with d_i = 1 would step
+    by N), kept as ``gens`` in its sparse form: a ``(field, entry)`` pair
+    per nonzero entry (5 to 9 of the 15 fields on deleted B3), the fields
+    laid out as in ``_fields`` (a line's unit vector is its field, a
+    point's incidence the fields past ``proj.n``).  ``divisors`` holds
+    their d_i, 0 past ``d``, so a column steps by N / gcd(d_i, N): 1 past
+    ``d``.  So a scan at any order packs each generator from its nonzero
+    entries, and no column is rebuilt per span."""
     node = proj._scan_nodes.get((k, inside))
     if node is not None:
         return node
@@ -381,11 +406,11 @@ def _node(proj, k, inside):
     n = proj.n
     free = cols[len(d) :]
     node = (
-        d,
-        cols,
         len(free),
         tuple((v, col[n:]) for v, col in zip(d, cols) if v > 1),
         tuple(gcd(*[col[n + q] for col in free]) for q in range(len(table.points))),
+        tuple(v for v in d if v > 1) + (0,) * len(free),
+        tuple(_sparse(col) for v, col in zip_longest(d, cols) if v != 1),
     )
     if len(proj._scan_nodes) < _CACHED_NODES:
         proj._scan_nodes[k, inside] = node
@@ -409,9 +434,9 @@ def _frontier(proj, order, budget, spent):
     outside)`` per node of a depth-first walk that puts each multiple
     point in R or leaves it out in turn (``_node(proj, k, inside)``): the
     points Q*y of the node's W mod N, of which those with no resonant
-    point in ``outside`` are the node's.  The columns are not kept, so a
-    long walk holds no more than the node cache; ``_node`` builds them
-    from ``(k, inside)`` alone, so fetched again they are the same.
+    point in ``outside`` are the node's.  The nodes' data is not kept
+    here, so a long walk holds no more than the node cache; ``_node``
+    builds it from ``(k, inside)`` alone, so fetched again it is the same.
 
     A node is dropped when its W mod N is 0, or when a point it left out
     is resonant at every point of it: no R(e) there lies between the
@@ -432,7 +457,7 @@ def _frontier(proj, order, budget, spent):
     stack = [(0, 0, 0)]
     while stack:
         k, inside, outside = stack.pop()
-        _, _, free, big, sums = _node(proj, k, inside)
+        free, big, sums, _, _ = _node(proj, k, inside)
         size = order**free
         if big:
             big = [(gcd(v, order), col) for v, col in big]
@@ -469,22 +494,28 @@ def _field_width(order):
     raise LocalSystemError(f"torsion order {order} exceeds the bound of every backend")
 
 
-def _pack(fields, width):
-    """The fields as one integer, ``width`` bits each, the first lowest."""
-    return sum(v << width * f for f, v in enumerate(fields))
+def _sparse(col):
+    """A column in the sparse form of ``_span``: ``(field, entry)`` per
+    nonzero entry, in field order."""
+    return tuple(compress(enumerate(col), col))
 
 
 # most points ``_span`` lists at once
 _LISTED = 256
 
 
-def _span(cols, steps, order, width, top=None):
+def _span(cols, steps, order, width, top):
     """The nonzero points sum_i y_i*cols[i] mod N, y_i over the multiples
     of ``steps[i]`` in Z/N, each once (the columns are independent mod
     N), packed in integers with one ``width``-bit field per entry, in the
-    order of an odometer over y with the last digit fastest.  ``top`` is
-    the integer of the fields' top bits (with any more fields above,
-    which stay 0); a caller that spans many nodes passes it.
+    order of an odometer over y with the last digit fastest.  A column
+    comes in the sparse form of ``_sparse``, a ``(field, entry)`` pair per
+    nonzero integer entry, so a generator is the sum of its entries, each
+    reduced mod N and shifted to its field: 2 terms for a local family's
+    e_j - e_last, not one per field.  ``top`` is the integer of the fields'
+    top bits (with any more fields above, which stay 0).  When every
+    generator is innermost the points come as one list, else as an
+    iterator.
 
     The generators are the y_i with a step below N.  The innermost ones,
     as many as keep their points to at most ``_LISTED``, are listed at
@@ -501,8 +532,6 @@ def _span(cols, steps, order, width, top=None):
     gens = [(col, step) for col, step in zip(cols, steps) if step < order]
     if not gens:
         return iter(())
-    if top is None:
-        top = _pack([1 << width - 1] * len(cols[0]), width)
     shift = width - 1
     fix = top - order * (top >> shift)
     inner = [0]
@@ -512,7 +541,7 @@ def _span(cols, steps, order, width, top=None):
         if len(inner) * count > _LISTED:
             break
         gens.pop()
-        inc = _pack([step * c % order for c in col], width)
+        inc = sum([step * c % order << width * f for f, c in col])
         multiples = [0]
         for _ in range(count - 1):
             point = multiples[-1] + inc
@@ -522,11 +551,14 @@ def _span(cols, steps, order, width, top=None):
             for m in multiples
             for p in inner
         ]
+    if not gens:  # every generator is inner: one list, no odometer
+        return inner[1:]
     incs = []
-    acc = [0] * len(cols[0])
+    acc = {}  # field -> the sum of step * entry over the later generators
     for col, step in reversed(gens):
-        acc = [(a + step * c) % order for a, c in zip(acc, col)]
-        incs.append(_pack(acc, width))
+        for f, c in col:
+            acc[f] = acc.get(f, 0) + step * c
+        incs.append(sum([v % order << width * f for f, v in acc.items()]))
     incs.reverse()
     ends = [order // step - 1 for _, step in gens]
 
@@ -559,7 +591,7 @@ _CHUNK = 7
 def _fields(proj, width):
     """The packed-field layout of ``candidate_points`` on ``proj`` at
     ``width``-bit fields, kept on ``proj`` per width: ``(top, near,
-    points_top, point_tops, nbytes, unpack, thin)``.
+    points_top, point_tops, nbytes, unpack, thin, families)``.
 
     A point has a field per line, then one per multiple point.  ``top``
     holds every field's top bit, ``points_top`` and ``point_tops`` those
@@ -568,6 +600,10 @@ def _fields(proj, width):
     ``unpack(point.to_bytes(nbytes, "little"))`` is the tuple of the line
     fields.  ``thin(resonant)``, for the top bits of a set of resonant
     points, is the top bits of the lines meeting fewer than two of them.
+    ``families`` holds per multiple point p ``(gens, depth)``: the columns
+    e_j - e_last of its local family (j over the lines of p but the last),
+    in the sparse form of ``_span``, and |p| - 2; they do not depend on
+    the width, and are kept here so no scan rebuilds them.
 
     It reads a table that splits the points into chunks of ``_CHUNK``:
     per chunk, each value of its top bits maps to a count in each line
@@ -616,6 +652,10 @@ def _fields(proj, width):
         (n + npoints) * width // 8,
         Struct(f"<{n}{code}").unpack_from,
         thin,
+        tuple(
+            (tuple(((j, 1), (p[-1], -1)) for j in p[:-1]), depth)
+            for p, depth in zip(table.points, table.depth)
+        ),
     )
     return fields
 
@@ -644,28 +684,25 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     chunked table of ``_fields``: a point is kept when none of its lines
     with q != 1 meets fewer than two of its resonant points (and it
     leaves out no point of ``outside``).  A kept point's exponents are
-    its line fields, unpacked from its bytes with ``struct``."""
+    its line fields, unpacked from its bytes with ``struct``.  A span's
+    generators are the sparse columns kept with its node (``_node``) or,
+    for a local family, in ``_fields``; only their steps depend on N."""
     table = incidence_table(proj)
-    n = proj.n
-    families = []
-    for p in table.points:
-        cols = [[0] * n for _ in p[1:]]
-        for col, j in zip(cols, p):
-            col[j], col[p[-1]] = 1, -1
-        families.append(cols)
-    spent += sum(order ** len(cols) - 1 for cols in families)
+    # a family has N^(|p| - 1) points, zero included
+    spent += sum(order ** (depth + 1) - 1 for depth in table.depth)
     nodes = _frontier(proj, order, budget, spent)
     # a field holds a residue mod N or a line's count in the (B) table
     width = _field_width(max(order, 2 * -(-len(table.points) // _CHUNK)))
-    top, near, points_top, point_tops, nbytes, unpack, thin = _fields(proj, width)
-    for cols, depth in zip(families, table.depth):
-        for point in _span(cols, [1] * len(cols), order, width, top):
+    fields = _fields(proj, width)
+    top, near, points_top, point_tops, nbytes, unpack, thin, families = fields
+    for gens, depth in families:
+        for point in _span(gens, [1] * len(gens), order, width, top):
             yield unpack(point.to_bytes(nbytes, "little")), depth
     for k, inside, outside in nodes:
-        d, cols = _node(proj, k, inside)[:2]
-        steps = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
+        _, _, _, divisors, gens = _node(proj, k, inside)
+        steps = [order // gcd(v, order) for v in divisors]
         outside = sum(bit for q, bit in enumerate(point_tops) if outside >> q & 1)
-        for point in _span(cols, steps, order, width, top):
+        for point in _span(gens, steps, order, width, top):
             nonzero = point + near & top
             resonant = points_top & ~nonzero
             if not resonant & outside and not nonzero & thin(resonant):
@@ -677,6 +714,22 @@ class ScanHit:
     point: TorusPoint
     h1: int
     families: tuple
+
+
+# scan records built slot by slot: a slot's descriptor sets it without the
+# frozen ``__setattr__`` that ``__init__`` goes through per field, and the
+# record is the one ``__init__`` makes (``==``, ``hash``, ``repr``, pickle)
+_new = object.__new__
+_set_exponents, _set_order = TorusPoint.exponents.__set__, TorusPoint.order.__set__
+_set_point, _set_h1 = ScanHit.point.__set__, ScanHit.h1.__set__
+_set_families = ScanHit.families.__set__
+
+
+def _torus_point(exps, order):
+    point = _new(TorusPoint)
+    _set_exponents(point, exps)
+    _set_order(point, order)
+    return point
 
 
 def torsion_scan(
@@ -699,7 +752,10 @@ def torsion_scan(
     parameter tuples (the sum of m^nparams over its families, m of
     ``ComponentFamily._modulus``), all counted before any point is
     listed; beyond it, ``BudgetExceededError``.  A negative budget is bad
-    input, a ``ValueError``.
+    input, a ``ValueError``, and so is an order that is not an integer
+    (``operator.index`` refuses 2.0 as well as 1.5).  Hits are built slot
+    by slot, not through the frozen ``__init__``; they equal, hash and
+    print as records built by the constructors.
 
     The names come from an index from exponent vectors to the names of
     the families through them, with one lookup per hit.  Each scan merges
@@ -768,6 +824,10 @@ def torsion_scan(
     """
     if budget < 0:
         raise ValueError(f"scan budget must be >= 0, not {budget}")
+    try:
+        order = index(order)
+    except TypeError:
+        raise ValueError(f"torsion order must be an integer, not {order!r}") from None
     if order < 1:
         raise ValueError("torsion order must be >= 1")
     if order == 1:
@@ -788,7 +848,7 @@ def torsion_scan(
         if dim is None:
             dim = band.get(exps)
             if dim is None:
-                point = TorusPoint(exps, order)
+                point = _torus_point(exps, order)
                 dim = h1_at_point(proj, point, backend=backend, eps=eps)
                 if moves is None:
                     moves = [itemgetter(*sigma) for sigma in proj.automorphisms()]
@@ -801,13 +861,17 @@ def torsion_scan(
     if units is None:  # no point came, but the walk held the budget
         check_torsion_order(order, backend, eps)
     # built once the walk has held the whole count to the budget
-    index = {}
+    names = {}
     for f in families:
         for exps in f._points(order):
-            index[exps] = index.get(exps, ()) + (f.name,)
+            names[exps] = names.get(exps, ()) + (f.name,)
     if not found:  # a hit has a multiple point, so itemgetter gets two ids
         return []
-    return [
-        ScanHit(TorusPoint(exps, order), found[exps], index.get(exps, ()))
-        for exps in sorted(found, key=itemgetter(*proj.affine_ids()))
-    ]
+    hits = []
+    for exps in sorted(found, key=itemgetter(*proj.affine_ids())):
+        hit = _new(ScanHit)
+        _set_point(hit, _torus_point(exps, order))
+        _set_h1(hit, found[exps])
+        _set_families(hit, names.get(exps, ()))
+        hits.append(hit)
+    return hits

@@ -15,7 +15,8 @@ Only ``projective_halves`` knows which half belongs to which line of a
 projective arrangement, infinity included; the band chart rule, the band
 kernel on that chart (through its own band tables, not ``delta_ids``)
 and the certificate masks of ``resband`` all read it, so no system is
-rebuilt on another chart.
+rebuilt on another chart.  ``projective_torsion_halves`` gives the same
+halves for the exponents of a torus point without building the system.
 
 Computed cohomology dimensions are independent of the square root choices;
 the tests exercise that independence with ``brute.flipped``.
@@ -27,6 +28,7 @@ import cmath
 import math
 import sys
 from functools import lru_cache
+from operator import index
 
 from .scalars import DEFAULT_EPS, MAX_TORSION_ORDER, ComplexBackend, CyclotomicBackend
 
@@ -83,7 +85,8 @@ def make_local_system(
 ):
     """Build a local system.
 
-    Torsion mode: ``exponents`` (integers) and ``order`` N give
+    Torsion mode: ``exponents`` and ``order`` N, integers (a float such as
+    2.0 is refused, see ``torsion_integers``), give
     q_i = zeta_N^{e_i} with the canonical square root zeta_{2N}^{e_i};
     ``backend`` selects exact cyclotomic arithmetic, for N up to
     ``MAX_TORSION_ORDER``, or floating complex, for N with
@@ -114,15 +117,43 @@ def make_local_system(
         return LocalSystem(field, map(cmath.sqrt, vals))
     if order is None or exponents is None:
         raise LocalSystemError("torsion mode needs exponents and an order")
+    exps, order = torsion_integers(exponents, order)
+    return LocalSystem(*torsion_halves(exps, order, backend, eps))
+
+
+def torsion_integers(exponents, order):
+    """The exponents as a list of ints and the order as an int, each read
+    by ``operator.index``: a float or a string, 2.0 included, is a
+    ``LocalSystemError``, never truncated to another point."""
+    try:
+        return list(map(index, exponents)), index(order)
+    except TypeError:
+        raise LocalSystemError("torsion exponents and order must be integers") from None
+
+
+def torsion_halves(exps, order, backend="cyclotomic", eps=DEFAULT_EPS):
+    """``(field, halves)`` of the torsion system of ``make_local_system``:
+    the backend and the list of canonical half monodromies zeta_2N^(e_i)
+    of the integer exponents ``exps`` at the integer order N, which is
+    refused when below 1 or when ``backend`` cannot take it."""
     if order < 1:
         raise LocalSystemError("torsion order must be >= 1")
-    two_n = 2 * order
-    exps = [int(e) for e in exponents]
     check_torsion_order(order, backend, eps)
+    two_n = 2 * order
     if backend == "cyclotomic":
-        return LocalSystem(_cyclotomic_backend(two_n), (e % two_n for e in exps))
-    halves = (cmath.exp(2j * cmath.pi * e / two_n) for e in exps)
-    return LocalSystem(ComplexBackend(eps), halves)
+        return _cyclotomic_backend(two_n), [e % two_n for e in exps]
+    return ComplexBackend(eps), [cmath.exp(2j * cmath.pi * e / two_n) for e in exps]
+
+
+def projective_torsion_halves(exps, order, inf, backend="cyclotomic", eps=DEFAULT_EPS):
+    """``(field, halves)``: ``torsion_halves`` of the integer exponents of
+    every projective line, the line at infinity at index ``inf``, whose
+    half at ``inf`` is then (the product of the others)^(-1).  These are
+    the ``projective_halves`` of the torsion system of the affine
+    exponents, read without building it or splicing its halves."""
+    bk, halves = torsion_halves(exps, order, backend, eps)
+    halves[inf] = bk.half_inv(bk.half_prod(halves[:inf] + halves[inf + 1 :]))
+    return bk, halves
 
 
 def check_torsion_order(order, backend="cyclotomic", eps=DEFAULT_EPS):

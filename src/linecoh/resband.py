@@ -9,12 +9,16 @@ Each band is one ``Band`` record, cached per arrangement by ``bands``:
 its chambers, its parallel class and the separating sets of its wave.
 The lines separating a band's two ends are exactly those not parallel to
 it, so ``resonant_bands`` is the one resonance rule.  One core,
-``_band_kernel``, reads a band table: per record its resonance and wave
-ids, all indexing one tuple of half monodromies.  ``h1_via_bands`` reads
-an arrangement's table under its own ids; ``h1_on_band_chart``, the one
+``_band_kernel``, reads a ``BandTable``: per band its resonance and wave
+ids, all indexing one sequence of half monodromies, and per set of
+resonant bands it has met the layout of their wave matrix (its rows and
+each column's ids), made once and kept.  ``h1_via_bands`` reads an
+arrangement's table under its own ids; ``h1_on_band_chart``, the one
 chart rule (infinity when its q is not 1, else the first line with
 q != 1), reads the chart's table under projective ids off
-``LocalSystem.projective_halves``, so it builds no chart system.
+``LocalSystem.projective_halves``, so it builds no chart system, and
+``chart_kernel`` is that rule on halves given by projective index, as
+``charvar.h1_at_point`` reads them off a torus point.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -117,37 +121,77 @@ def bands(arrangement):
     return arrangement._bands
 
 
-def _band_table(arrangement, ids):
-    """Per ``bands(arrangement)`` record ``(band, resonance ids, waves)``,
-    line position k renamed ``ids[k]`` and infinity ``ids[n]``: the
-    resonance ids are the parallel class and infinity, and the waves pair
-    each chamber of the band with its renamed separating ids."""
-    rename = ids.__getitem__
-    return tuple(
-        (
-            band,
-            (*map(rename, band.parallel_ids), ids[arrangement.n]),
-            tuple((ci, tuple(map(rename, sep))) for ci, sep in band.waves),
+# resonant-band layouts one band table keeps; a deleted-B3 chart has at
+# most 16 (four bands)
+_KEPT_LAYOUTS = 1024
+
+
+class BandTable:
+    """``bands(arrangement)`` as the band route reads them, line position k
+    renamed ``ids[k]`` and infinity ``ids[n]``: ``entries`` holds per band
+    ``(band, resonance ids, waves)``, the resonance ids being the parallel
+    class and infinity and the waves pairing each chamber of the band
+    with its renamed separating ids; ``resonance`` holds the resonance
+    ids alone.
+
+    ``layout(key)``, for a tuple of one flag per band (is it resonant?),
+    is ``(bands, templates)``: the resonant bands and, per band, its
+    column of the wave matrix as ids, a row per chamber the resonant
+    bands meet (in index order) holding that chamber's wave ids, or ()
+    where the band does not meet it.  A layout is made on first use and
+    kept, up to ``_KEPT_LAYOUTS`` a table, so a call reads its rows and
+    positions instead of building them."""
+
+    __slots__ = ("entries", "resonance", "_layouts")
+
+    def __init__(self, arrangement, ids):
+        rename = ids.__getitem__
+        self.entries = tuple(
+            (
+                band,
+                (*map(rename, band.parallel_ids), ids[arrangement.n]),
+                tuple((ci, tuple(map(rename, sep))) for ci, sep in band.waves),
+            )
+            for band in bands(arrangement)
         )
-        for band in bands(arrangement)
-    )
+        self.resonance = tuple(ids for _, ids, _ in self.entries)
+        self._layouts = {}
+
+    def layout(self, key):
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        res = [entry for entry, on in zip(self.entries, key) if on]
+        rows = sorted(set().union(*[band.inner for band, _, _ in res]))
+        pos = {ci: r for r, ci in enumerate(rows)}
+        templates = []
+        for _, _, waves in res:
+            template = [()] * len(rows)
+            for ci, ids in waves:
+                template[pos[ci]] = ids
+            templates.append(template)
+        layout = tuple(band for band, _, _ in res), templates
+        if len(self._layouts) < _KEPT_LAYOUTS:
+            self._layouts[key] = layout
+        return layout
 
 
 def _affine_table(system, arrangement):
     """``(halves, table)``: the system's halves, infinity last, and the
-    arrangement's ``_band_table`` under its own ids, cached on it."""
+    arrangement's ``BandTable`` under its own ids, cached on it."""
     system.check_size(arrangement.n)
     bands(arrangement)  # refuses a flagged arrangement
     if arrangement._band_table is None:
-        arrangement._band_table = _band_table(arrangement, range(arrangement.n + 1))
+        arrangement._band_table = BandTable(arrangement, range(arrangement.n + 1))
     return (*system.halves, system.half_inf), arrangement._band_table
 
 
 def _resonant(bk, halves, table):
-    """The entries of a band table whose resonance ids have product of q
-    equal to 1, ``halves`` the half monodromies by id."""
-    prod, half = bk.half_prod, halves.__getitem__
-    return [entry for entry in table if bk.square_is_one(prod(map(half, entry[1])))]
+    """The ``BandTable.layout`` of the bands of ``table`` whose resonance
+    ids have product of q equal to 1, ``halves`` the half monodromies by
+    id."""
+    prods = bk.half_prods(halves, table.resonance)
+    return table.layout(tuple(map(bk.square_is_one, prods)))
 
 
 def resonant_bands(system, arrangement):
@@ -157,11 +201,10 @@ def resonant_bands(system, arrangement):
     equals the vanishing of the weight between the band's two ends, as
     Sep(U_1, U_2) is the lines not in ``parallel_ids``.  The system must
     have one monodromy per line."""
-    res = _resonant(system.backend, *_affine_table(system, arrangement))
-    return tuple(band for band, _, _ in res)
+    return _resonant(system.backend, *_affine_table(system, arrangement))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BandKernel:
     """h^1 by the band route: the dimension of the kernel of the standing
     wave matrix, whose columns are the resonant ``bands``."""
@@ -170,44 +213,53 @@ class BandKernel:
     bands: tuple  # the resonant bands, in matrix column order
 
 
+# a kernel record built slot by slot: a slot's descriptor sets it without
+# the frozen ``__setattr__`` that ``__init__`` goes through per field
+_new = object.__new__
+_set_dim, _set_bands = BandKernel.dim.__set__, BandKernel.bands.__set__
+
+
 def _band_kernel(bk, halves, table):
-    """The ``BandKernel`` of a band table under ``halves``, by id, with
+    """The ``BandKernel`` of a ``BandTable`` under ``halves``, by id, with
     q != 1 at infinity: the resonant bands minus the rank of their wave
     matrix (a column per band, a row per chamber they meet, in index order;
     an entry is the half monodromy of its wave ids), which
-    ``scalars.weight_rank`` ranks over F_p on the exact backend."""
-    res = _resonant(bk, halves, table)
-    if not res:
-        return BandKernel(dim=0, bands=())
-    rows = sorted(set().union(*[band.inner for band, _, _ in res]))
-    pos = {ci: r for r, ci in enumerate(rows)}
-    prod, half = bk.half_prod, halves.__getitem__
-    one = prod(())  # the half monodromy 1, of weight 0
-    columns = []
-    for _, _, waves in res:
-        col = [one] * len(rows)
-        for ci, ids in waves:
-            col[pos[ci]] = prod(map(half, ids))
-        columns.append(col)
-    return BandKernel(len(res) - weight_rank(bk, columns), tuple(b for b, _, _ in res))
+    ``scalars.weight_rank`` ranks over F_p on the exact backend.  The
+    resonant bands' rows and each column's ids come from the table's kept
+    ``layout``, so a call reads one ``half_prods`` per band and column."""
+    resonant, templates = _resonant(bk, halves, table)
+    dim = 0
+    if templates:
+        columns = [bk.half_prods(halves, template) for template in templates]
+        dim = len(columns) - weight_rank(bk, columns)
+    kernel = _new(BandKernel)
+    _set_dim(kernel, dim)
+    _set_bands(kernel, resonant)
+    return kernel
 
 
 def h1_on_band_chart(system, proj):
     """``(h, kernel)`` by the band route's one chart rule, or None when
     every q is 1: h is the line at infinity when its q is not 1, otherwise
     the first line with q != 1, and kernel the ``BandKernel`` of
-    ``system`` (on ``proj``'s infinity chart) on ``proj.chart(h)``, from
-    that chart's band table under projective ids, kept on ``proj``.
-    """
-    halves = system.projective_halves(proj)
+    ``system`` (on ``proj``'s infinity chart) on ``proj.chart(h)``: the
+    ``chart_kernel`` of its ``projective_halves``."""
+    return chart_kernel(system.backend, system.projective_halves(proj), proj)
+
+
+def chart_kernel(bk, halves, proj):
+    """``h1_on_band_chart`` on the half monodromies of every line of
+    ``proj`` by projective index, over backend ``bk``: the chart's
+    ``BandTable`` under projective ids is kept on ``proj``."""
     lines = (proj.infinity_index, *range(proj.n))
-    h = next((j for j in lines if not system.backend.square_is_one(halves[j])), None)
+    h = next((j for j in lines if not bk.square_is_one(halves[j])), None)
     if h is None:
         return None
-    if h not in proj._band_tables:
+    table = proj._band_tables.get(h)
+    if table is None:
         chart = proj.chart(h)
-        proj._band_tables[h] = _band_table(chart.arrangement, (*chart.to_old, h))
-    return h, _band_kernel(system.backend, halves, proj._band_tables[h])
+        table = proj._band_tables[h] = BandTable(chart.arrangement, (*chart.to_old, h))
+    return h, _band_kernel(bk, halves, table)
 
 
 def h1_via_bands(system, arrangement):
@@ -316,8 +368,8 @@ def vanishing_certificates(system, proj):
     nontrivial = sum(1 << j for j, h in enumerate(halves) if not bk.square_is_one(h))
     resonant = sum(
         1 << k
-        for k, p in enumerate(table.points)
-        if bk.square_is_one(bk.half_prod(halves[j] for j in p))
+        for k, s in enumerate(bk.half_prods(halves, table.points))
+        if bk.square_is_one(s)
     )
     rows, dim = certify_masks(table, nontrivial, resonant)
     return CertificateReport(nontrivial, resonant, tuple(rows), dim)

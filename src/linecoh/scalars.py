@@ -27,7 +27,8 @@ Both backends offer the field operations ``add``, ``sub``, ``neg``,
 own the representation of a half monodromy, a square root h of a
 monodromy q = h^2, through the same four operations: ``half_prod``
 (product of an iterable), ``half_inv``, ``square_is_one`` (is h^2 = 1?)
-and ``weight`` (h - h^(-1)).
+and ``weight`` (h - h^(-1)); ``half_prods`` is ``half_prod`` over many
+lists of ids into one tuple of halves, in one call.
 
 * Over ``CyclotomicBackend(M)``, M even, h = zeta_M^s is the exponent s
   mod M: products add exponents, the inverse is -s, and h^2 = 1 exactly
@@ -132,6 +133,11 @@ class CyclotomicBackend:
 
     def half_prod(self, halves):
         return sum(halves) % self.order
+
+    def half_prods(self, halves, id_lists):
+        """``half_prod`` of ``halves[i]`` over each list of ids, in one call."""
+        half, order = halves.__getitem__, self.order
+        return [sum(map(half, ids)) % order for ids in id_lists]
 
     def half_inv(self, s):
         return -s % self.order
@@ -293,6 +299,10 @@ class ComplexBackend:
         for v in halves:
             prod *= v
         return prod
+
+    def half_prods(self, halves, id_lists):
+        half, prod = halves.__getitem__, self.half_prod
+        return [prod(map(half, ids)) for ids in id_lists]
 
     def half_inv(self, v):
         return 1 / v

@@ -13,11 +13,11 @@ node and recession rays.
 
 import cmath
 from fractions import Fraction
-from itertools import combinations, compress, permutations, product
+from itertools import chain, combinations, compress, permutations, product
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from linecoh.charvar import ScanHit, TorusPoint, h1_at_point
+from linecoh.charvar import _LISTED, ScanHit, TorusPoint, _diagonal_form, h1_at_point
 from linecoh.geometry import IntersectionPoint, canonical_triple
 from linecoh.localsystem import LocalSystem
 from linecoh.resband import SharpPair, certify_masks, incidence_table, resonant_bands
@@ -665,3 +665,86 @@ def projective_automorphisms(proj):
         ):
             found.append(sigma)
     return found
+
+
+def node_columns(proj, k, inside):
+    """``(d, cols)``, the dense ``_diagonal_form`` of the walk node
+    ``charvar._node(proj, k, inside)`` reads its data off: each live
+    line's unit vector over all lines followed by its incidence with each
+    multiple point, under the rows of the points of ``inside`` and the
+    all-ones row."""
+    table = incidence_table(proj)
+    reach = inside | (1 << len(table.points)) - (1 << k)
+    live = [j for j, on in enumerate(table.on_mask) if (on & reach).bit_count() >= 2]
+    rows = [
+        [int(j in p) for j in live]
+        for q, p in enumerate(table.points)
+        if inside >> q & 1
+    ]
+    start = [
+        [int(i == j) for i in range(proj.n)] + [int(j in p) for p in table.points]
+        for j in live
+    ]
+    return _diagonal_form(rows + [[1] * len(live)], start)
+
+
+def pack(fields, width):
+    """The fields as one integer, ``width`` bits each, the first lowest."""
+    return sum(v << width * f for f, v in enumerate(fields))
+
+
+def span(cols, steps, order, width, top=None):
+    """Reference for ``charvar._span``: the same odometer over dense
+    columns, each generator packed from all of its fields by ``pack``."""
+    gens = [(col, step) for col, step in zip(cols, steps) if step < order]
+    if not gens:
+        return iter(())
+    if top is None:
+        top = pack([1 << width - 1] * len(cols[0]), width)
+    shift = width - 1
+    fix = top - order * (top >> shift)
+    inner = [0]
+    while gens:
+        col, step = gens[-1]
+        count = order // step
+        if len(inner) * count > _LISTED:
+            break
+        gens.pop()
+        inc = pack([step * c % order for c in col], width)
+        multiples = [0]
+        for _ in range(count - 1):
+            point = multiples[-1] + inc
+            multiples.append(point - ((point + fix & top) >> shift) * order)
+        inner = [
+            (point := m + p) - ((point + fix & top) >> shift) * order
+            for m in multiples
+            for p in inner
+        ]
+    incs = []
+    acc = [0] * len(cols[0])
+    for col, step in reversed(gens):
+        acc = [(a + step * c) % order for a, c in zip(acc, col)]
+        incs.append(pack(acc, width))
+    incs.reverse()
+    ends = [order // step - 1 for _, step in gens]
+
+    def lists():
+        yield inner[1:]
+        digits = [0] * len(gens)
+        base = 0
+        while True:
+            i = len(digits) - 1
+            while i >= 0 and digits[i] == ends[i]:
+                digits[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            digits[i] += 1
+            base += incs[i]
+            base -= ((base + fix & top) >> shift) * order
+            yield [
+                (point := base + m) - ((point + fix & top) >> shift) * order
+                for m in inner
+            ]
+
+    return chain.from_iterable(lists())

@@ -2,7 +2,7 @@ import pickle
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import islice, product
 from math import gcd, prod
 from operator import mul
 
@@ -26,8 +26,8 @@ from linecoh.charvar import (
     TorusPoint,
     _diagonal_form,
     _field_width,
-    _pack,
     _span,
+    _sparse,
     candidate_points,
 )
 from linecoh.mincomplex import cohomology_dims
@@ -170,6 +170,143 @@ def test_h1_at_point_refuses_points_off_the_torus(exponents):
     assert h1_at_point(proj, TorusPoint((0, 0, 0, 0, 1, 1, 1, 0), 3)) == 2
     with pytest.raises(ValueError, match="not a torus point of 8 lines"):
         h1_at_point(proj, TorusPoint(exponents, 3))
+
+
+@pytest.mark.parametrize(
+    "exponents, order",
+    [
+        ((0, 0, 0, 0, 1.5, 1, 0.5, 0), 3),  # truncated, (0, 0, 0, 0, 1, 1, 0, 0)
+        ((0, 0, 0, 0, 1, 1, 1, 0), 3.0),
+        ((0, 0, 0, 0, 1.0, 1, 1, 0), 3),
+    ],
+    ids=["fractional", "float_order", "integral_float"],
+)
+def test_h1_at_point_refuses_non_integers(exponents, order):
+    # the fractional point was answered with h1 = 2, though its truncation
+    # is not even a torus point; h1_at_point reads integers only
+    proj, _ = corpus.b3()
+    with pytest.raises(ValueError, match="must be integers"):
+        h1_at_point(proj, TorusPoint(exponents, order))
+
+
+@pytest.mark.parametrize("order", [2.0, 2.5, "2"])
+def test_scan_refuses_a_non_integer_order(order):
+    # 2.0 met a TypeError from the field width; every non-integer order is
+    # bad input, a ValueError, before any point is listed
+    proj, _ = corpus.b3()
+    with pytest.raises(ValueError, match="torsion order must be an integer"):
+        torsion_scan(proj, order)
+
+
+@pytest.mark.parametrize("arrangement", ["built_in", "relabelled", "seed_1", "seed_7"])
+def test_band_route_runs_once_per_automorphism_orbit(arrangement, monkeypatch):
+    # the band route runs 4, 9, 17 and 12 times at N = 2, 3, 4 and 5, once
+    # per orbit under the units and the 8 automorphisms (the module
+    # docstring's count at N = 5), whatever the line numbering: built in,
+    # ``corpus.relabel`` (infinity moved to line 2), and two shuffles that
+    # keep line 0 and move the others, as the benchmark's seeds do
+    proj, _ = corpus.b3()
+    if arrangement == "relabelled":
+        proj, _ = corpus.relabel(*corpus.b3())
+    elif arrangement != "built_in":
+        rest = list(range(1, 8))
+        random.Random(int(arrangement[5:])).shuffle(rest)
+        proj, _ = corpus.relabel(*corpus.b3(), perm=(0, *rest))
+    real = charvar.h1_at_point
+    calls = []
+
+    def spy(proj, point, **kwargs):
+        calls.append(point)
+        return real(proj, point, **kwargs)
+
+    monkeypatch.setattr(charvar, "h1_at_point", spy)
+    counts = []
+    for order in (2, 3, 4, 5):
+        calls.clear()
+        torsion_scan(proj, order)
+        counts.append(len(calls))
+    assert counts == [4, 9, 17, 12]
+
+
+def _listed_spans(proj, order):
+    """Per span ``candidate_points`` lists at ``order``, ``(gens, steps,
+    cols, dense_steps)``: each local family, ``cols`` the dense columns
+    e_j - e_last over the lines, and each node ``_frontier`` lists, ``cols``
+    all the dense columns ``brute.node_columns`` gives and ``dense_steps``
+    theirs, d_i = 1 included; then the field width and the top bits it
+    passes."""
+    table = incidence_table(proj)
+    width = _field_width(max(order, 2 * -(-len(table.points) // charvar._CHUNK)))
+    fields = charvar._fields(proj, width)
+    spans = []
+    for p, (gens, _) in zip(table.points, fields[-1]):
+        cols = [[int(i == j) - int(i == p[-1]) for i in range(proj.n)] for j in p[:-1]]
+        spans.append((gens, [1] * len(cols), cols, [1] * len(cols)))
+    for k, inside, _ in charvar._frontier(proj, order, 10**12, 0):
+        _, _, _, divisors, gens = charvar._node(proj, k, inside)
+        d, cols = brute.node_columns(proj, k, inside)
+        steps = [order // gcd(v, order) for v in divisors]
+        dense = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
+        spans.append((gens, steps, cols, dense))
+    return spans, width, fields[0]
+
+
+@pytest.mark.parametrize("name", ["b3", "sharp_pair_cone"])
+def test_sparse_spans_equal_the_dense_reference(name, monkeypatch):
+    # each generator packed from its nonzero entries lists the same points,
+    # in the same order, as the dense packing of every field of every
+    # column (``brute.span``), on every local family and listed node at
+    # N = 2 to 12.  On deleted B3 also at N = 128, 16-bit fields: the first
+    # 20,000 points of each span (the quadruple point's family has
+    # 2,097,151), past the odometer's first carry of every digit but the
+    # last of that family.  The coned file walks up to 17,000 nodes an
+    # order, past the node cache, so the test keeps them all on a fresh
+    # arrangement (75 MB): nodes do not depend on N, so each is made once
+    monkeypatch.setattr(charvar, "_CACHED_NODES", 10**5)
+    if name == "b3":
+        proj, orders = corpus.b3()[0], [*range(2, 13), 128]
+    else:
+        proj, orders = cone(corpus.sharp_pair_arrangement()), range(2, 13)
+    for order in orders:
+        spans, width, top = _listed_spans(proj, order)
+        assert width == (8 if order < 128 else 16)
+        for gens, steps, cols, dense_steps in spans:
+            stepping = [col for col, step in zip(cols, dense_steps) if step < order]
+            assert [g for g, step in zip(gens, steps) if step < order] == [
+                _sparse(col) for col in stepping
+            ]
+            sparse = islice(_span(gens, steps, order, width, top), 20_000)
+            dense = islice(brute.span(cols, dense_steps, order, width, top), 20_000)
+            assert list(sparse) == list(dense)
+
+
+def test_scan_records_equal_constructed_records(monkeypatch):
+    # hits and band-route points are built slot by slot; they compare,
+    # hash, print and refuse assignment like records the constructors make
+    proj, catalog = corpus.b3()
+    sent = []
+    real = charvar.h1_at_point
+
+    def spy(proj, point, **kwargs):
+        sent.append(point)
+        return real(proj, point, **kwargs)
+
+    monkeypatch.setattr(charvar, "h1_at_point", spy)
+    hits = torsion_scan(proj, 3, catalog=catalog)
+    assert len(hits) == 114 and len(sent) == 9
+    for point in sent + [hit.point for hit in hits]:
+        built = TorusPoint(tuple(point.exponents), point.order)
+        assert type(point) is TorusPoint
+        assert point == built and hash(point) == hash(built)
+        assert repr(point) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            point.order = 4
+    for hit in hits:
+        built = ScanHit(TorusPoint(hit.point.exponents, 3), hit.h1, hit.families)
+        assert type(hit) is ScanHit
+        assert hit == built and hash(hit) == hash(built) and repr(hit) == repr(built)
+        with pytest.raises(FrozenInstanceError):
+            hit.families = ()
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -359,9 +496,10 @@ def test_diagonal_form_and_span_list_the_kernel_mod_n():
             assert len(listed) == len(ys)
             assert listed == _kernel_mod(rows, ncols, order)
             width = order.bit_length() + 1
+            top = brute.pack([1 << width - 1] * ncols, width)
             spanned = [
                 tuple(point >> width * j & ~(-1 << width) for j in range(ncols))
-                for point in _span(cols, steps, order, width)
+                for point in _span(list(map(_sparse, cols)), steps, order, width, top)
             ]
             assert len(spanned) == len(set(spanned)) == len(ys) - 1
             assert set(spanned) == listed - {(0,) * ncols}
@@ -404,11 +542,12 @@ def test_span_lists_the_kernel_mod_n_at_the_byte_widths(order):
             tuple(sum(map(mul, y, row)) % order for row in zip(*cols)) for y in ys
         }
         assert len(listed) == len(ys)
-        wider = _pack([1 << width - 1] * (ncols + 2), width)
-        for top in (None, wider):
+        gens = list(map(_sparse, cols))
+        for extra in (0, 2):
+            top = brute.pack([1 << width - 1] * (ncols + extra), width)
             spanned = [
                 tuple(point >> width * j & ~(-1 << width) for j in range(ncols + 2))
-                for point in _span(cols, steps, order, width, top)
+                for point in _span(gens, steps, order, width, top)
             ]
             assert len(spanned) == len(set(spanned)) == len(ys) - 1
             assert {point[:ncols] for point in spanned} == listed - {(0,) * ncols}

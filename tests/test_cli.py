@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from linecoh import charvar, geometry, mincomplex, resband
 from linecoh.cli import main
-from linecoh.localsystem import LocalSystem, make_local_system
+from linecoh.localsystem import LocalSystem
 
 FIG1 = "1 -4 -1\n1 0 -2\n1 0 -3\n1 0 -4\n1 4 -5\n"
 GOLDEN = Path(__file__).parent / "golden"
@@ -149,14 +149,15 @@ def test_scan_command_deterministic(fig1_file, capsys):
 
 def test_scan_eps_reaches_local_systems(monkeypatch, capsys):
     # the two order-2 deleted-B3 points with h1 = 2 are left to the band
-    # kernel, so the scan builds local systems, with the given eps
+    # kernel, so the scan builds their half monodromies with the given eps
     seen = []
+    real = charvar.projective_torsion_halves
 
     def spy(*args, **kwargs):
         seen.append(kwargs.get("eps"))
-        return make_local_system(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(charvar, "make_local_system", spy)
+    monkeypatch.setattr(charvar, "projective_torsion_halves", spy)
     argv = [
         "scan", "--arrangement", str(GOLDEN / "b3del.txt"), "--order", "2",
         "--backend", "complex", "--eps", "1e-6",
@@ -741,6 +742,8 @@ GOLDEN_CASES = {
     "scan_fig1": ["scan", "--arrangement", "fig1.txt", "--order", "2"],
     "scan_b3": ["scan", "--arrangement", "b3del.txt", "--order", "2"],
     "b3": ["b3", "--order", "2"],
+    # a full scan report: 226 hits, each with its h1 and family names
+    "b3_4": ["b3", "--order", "4"],
 }
 
 

@@ -178,3 +178,17 @@ def test_floating_modulus_rule():
     make_local_system(values=[1e-4, 1, 1])
     with pytest.raises(LocalSystemError, match="too far from 1"):
         make_local_system(values=[1e-4, 1, 1], eps=EPS_FLOOR)
+
+
+@pytest.mark.parametrize(
+    "exponents, order",
+    [((0.5, 1.7, 2), 3), ((0, 1, 2), 3.0), ((0, 1.0, 2), 3), (("1", 0, 2), 3)],
+    ids=["fractional", "float_order", "integral_float", "string"],
+)
+@pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
+def test_torsion_systems_refuse_non_integers(exponents, order, backend):
+    # (0.5, 1.7, 2) was truncated into the system of (0, 1, 2); an exponent
+    # or order that ``operator.index`` refuses is refused, 2.0 included
+    with pytest.raises(LocalSystemError, match="must be integers"):
+        make_local_system(exponents, order=order, backend=backend)
+    assert make_local_system((True, 1, 2), order=3).halves == (1, 1, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -337,18 +338,53 @@ def test_chart_tables_equal_the_chart_systems(backend):
             if system.backend.square_is_one(halves[h]):
                 continue
             chart = proj.chart(h)
-            tables[h] = resband._band_table(chart.arrangement, (*chart.to_old, h))
+            tables[h] = resband.BandTable(chart.arrangement, (*chart.to_old, h))
             kernel = resband._band_kernel(system.backend, halves, tables[h])
             chart_system = brute.on_chart(system, proj, h)
             assert kernel == h1_via_bands(chart_system, chart.arrangement)
             assert oracle is None or kernel.dim == oracle
             dims.add(kernel.dim)
         h, kernel = h1_on_band_chart(system, proj)
-        assert proj._band_tables[h] == tables[h]
+        assert proj._band_tables[h].entries == tables[h].entries
         assert kernel == resband._band_kernel(system.backend, halves, tables[h])
 
     check()
     assert {0, 1, 2} <= dims
+
+
+@pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
+def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
+    # a table keeps the layout of each set of resonant bands it meets, up
+    # to ``_KEPT_LAYOUTS``; past the bound a layout is made per call, and
+    # the kernel is the same either way.  Each kernel record is built slot
+    # by slot, and equals, hashes and prints as ``BandKernel(dim, bands)``
+    proj, _ = corpus.b3()
+    rng = random.Random(11)
+    kernels = []
+    for _ in range(300):
+        order = rng.randrange(2, 7)
+        exps = [rng.randrange(order) for _ in range(7)]
+        system = make_local_system(exps, order=order, backend=backend)
+        found = h1_on_band_chart(system, proj)
+        if found is not None:
+            kernels.append((system, *found))
+    monkeypatch.setattr(resband, "_KEPT_LAYOUTS", 1)
+    fresh = {}
+    for system, h, kernel in kernels:
+        if h not in fresh:
+            chart = proj.chart(h)
+            fresh[h] = resband.BandTable(chart.arrangement, (*chart.to_old, h))
+        halves = system.projective_halves(proj)
+        assert resband._band_kernel(system.backend, halves, fresh[h]) == kernel
+        built = resband.BandKernel(kernel.dim, kernel.bands)
+        assert type(kernel) is resband.BandKernel
+        assert kernel == built and hash(kernel) == hash(built)
+        assert repr(kernel) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.dim = 0
+    assert all(len(table._layouts) == 1 for table in fresh.values())
+    assert {kernel.dim for _, _, kernel in kernels} >= {0, 1, 2}
+    assert len({len(kernel.bands) for _, _, kernel in kernels}) >= 3
 
 
 # the primes = 1 (mod 12) below 110, for order 6: one of them divides the
