@@ -11,45 +11,56 @@ on the chart of ``resband.h1_on_band_chart`` (infinity when its q is not
 (``localsystem.projective_torsion_halves``), with no system built.
 
 The zero/one resonant point certificates (``resband.certify_masks``) give
-h^1 = 0 at almost every point, so ``torsion_scan`` lists only the points
-where they cannot (``candidate_points``): the local family of each
-multiple point, and the points at which every line with q != 1 carries
-two resonant multiple points.  The latter are listed from the nodes of a
-depth-first walk that puts each multiple point in the set R of resonant
-points or leaves it out (``_frontier``).  A node's points form a subgroup
-read off a diagonal form of a small integer matrix (``_diagonal_form``),
-cached on the arrangement with the order-free data the walk tests (free
-column count, diagonal entries above 1, gcds of the point sums) and the
-columns it lists along, each kept sparse as its nonzero entries; a node
-that cannot hold such a point is dropped, and one that is cheaper to
-list than to walk on is listed.  Points are listed packed, a byte-aligned
-field per line and per multiple point (8 bits up to N = 127, 16 up to
-1000), a generator packed from its nonzero entries alone (``_span``),
-and the (B) test reads a table of resonant-point chunks kept on the
-arrangement per field width (``_fields``), with the local families'
-sparse columns.  A nontrivial point of
-the local family of p takes h^1 = |p| - 2, which the one resonant point
-certificate gives there without a mask read, and the others go to the
-band route (``h1_at_point``) once per orbit under the Galois units and
-the arrangement's projective automorphisms
-(``ProjArrangement.automorphisms``).  On deleted B3 at N = 5 the walk has
-115 nodes, and the scan lists 504 of the 78,124 nontrivial points.  164
-of them are in 41 Galois orbits, which its 8 automorphisms merge into
-12, so the band route runs 12 times.  A catalog names each hit with one
-lookup in an index of the families' torsion points, merged on each scan
-from the tuples each family keeps per order (``ComponentFamily._points``,
-up to ``_KEPT_POINTS`` tuples a family, the oldest orders dropped first).
-Hit records are built slot by slot, without the frozen dataclass's
-per-field ``__setattr__``.  The scans of deleted B3 at orders 2 to 12
-give exactly the catalog's nontrivial torsion points of order dividing
-N, with h^1 = 2 on C_5678 and at the two order-2 points on four
-families, and h^1 = 1 at every other hit.
+h^1 = 0 at almost every point, so ``torsion_scan`` visits only the points
+where they cannot: the local family of each multiple point, and the
+points at which every line with q != 1 carries two resonant multiple
+points.  Both are invariant under the Galois units and the arrangement's
+projective automorphisms (``ProjArrangement.automorphisms``), and
+``candidate_points`` lists one point set per class under them.  The
+(B) points are listed from the nodes of a depth-first walk that puts
+each multiple point in the set R of resonant points or leaves it out
+(``_frontier``), pruned to the least R of each class under the
+automorphisms (orderly generation: ``_pruned`` reads the permutations
+of the multiple points kept in ``_symmetry``).  A node's points form a
+subgroup read off a diagonal form of a small integer matrix
+(``_diagonal_form``), cached on the arrangement with the order-free data
+the walk tests (free column count, diagonal entries above 1, gcds of the
+point sums) and the columns it lists along, each kept sparse as its
+nonzero entries; a pruned node builds no form, a node that cannot hold
+such a point is dropped, and one that is cheaper to list than to walk on
+is listed.  Points are listed packed, a byte-aligned field per line and
+per multiple point (8 bits up to N = 127, 16 up to 1000), a generator
+packed from its nonzero entries alone (``_span``), and the (B) test
+reads a table of resonant-point chunks kept on the arrangement per field
+width (``_fields``).  The local family of one multiple point per class
+is listed, and each other family of the class is entered as its image
+under one automorphism; a nontrivial point of the local family of p
+takes h^1 = |p| - 2, which the one resonant point certificate gives
+there without a mask read.  The (B) points go to the band route
+(``h1_at_point``) once per orbit under the units and the automorphisms,
+and the answer fills the whole orbit, so the fill ends up holding every
+(B) point.  On deleted B3 at N = 5 the walk has 54 nodes (115 without
+the pruning) and lists 10 of them; the scan lists 272 of the 78,124
+nontrivial points (the 172 of three local families and 100 from the
+walk), keeps 240 and enters 96 more as family images.  The band route
+runs 12 times, once per orbit of the 164 (B) points under the units and
+the 8 automorphisms (41 Galois orbits), and the fill holds all 164.  A
+catalog names each hit with one lookup in an index of the families'
+torsion points, kept on the arrangement per catalog and order
+(``_catalog_index``, up to ``_KEPT_POINTS`` points over the kept
+indexes).  Hit records are built
+by one ``map`` pass per slot, without the frozen dataclass's per-field
+``__setattr__``.  The scans of deleted B3 at orders 2 to 12 give exactly
+the catalog's nontrivial torsion points of order dividing N, with h^1 =
+2 on C_5678 and at the two order-2 points on four families, and h^1 = 1
+at every other hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, zip_longest
+from collections import deque
+from itertools import chain, compress, islice, repeat, zip_longest
 from math import gcd, lcm
 from operator import index, itemgetter, mul
 from struct import Struct
@@ -67,8 +78,8 @@ from .resband import h1_via_bands  # noqa: F401
 from .scalars import DEFAULT_EPS
 
 DEFAULT_BUDGET = 2_000_000
-# torsion points a catalog family keeps over the orders scanned: all of
-# deleted B3's at N <= 16, and about 0.4 MB of tuples per family
+# exponent vectors the catalog indexes kept on an arrangement hold together
+# (``_catalog_index``): deleted B3's at orders 2 to 8 (3,447, about 0.65 MB)
 _KEPT_POINTS = 4096
 
 
@@ -93,13 +104,6 @@ class ComponentFamily:
     has even weight, so every produced point satisfies the product-one
     constraint.  Every parameter must be pinned by some coordinate equal to
     s_j on the nose; membership testing relies on that.
-
-    A family keeps its torsion points per order scanned (``_points``), up
-    to ``_KEPT_POINTS`` exponent tuples in all: an order's m^nparams
-    parameter tuples (m of ``_modulus``) give at most that many, and the
-    oldest orders go first to make room.  A deleted-B3 catalog keeps all
-    424 tuples of orders 2 to 4.  The cache is not a field: ``==``,
-    ``hash`` and ``repr`` read only the fields.
     """
 
     name: str
@@ -142,8 +146,6 @@ class ComponentFamily:
             i for i, row in enumerate(self.powers) if not (self.signs[i] or any(row))
         )
         object.__setattr__(self, "_ones", tuple(ones))
-        # order -> tuple(torsion_exponents(order)), filled by ``_points``
-        object.__setattr__(self, "_by_order", {})
 
     @property
     def nparams(self):
@@ -182,22 +184,6 @@ class ComponentFamily:
                     break
             else:
                 return
-
-    def _points(self, order):
-        """``torsion_exponents(order)`` as a tuple, listed on the first call
-        for ``order`` and kept while the family's kept tuples stay within
-        ``_KEPT_POINTS``, dropping the oldest orders first; an order with
-        more points than that is listed on every call."""
-        kept = self._by_order
-        points = kept.get(order)
-        if points is None:
-            points = tuple(self.torsion_exponents(order))
-            if len(points) <= _KEPT_POINTS:
-                room = _KEPT_POINTS - len(points)
-                while sum(map(len, kept.values())) > room:
-                    del kept[next(iter(kept))]  # dicts keep insertion order
-                kept[order] = points
-        return points
 
     def contains(self, point):
         """Exponent-linear solve: is the torus point in the family?  A point
@@ -386,10 +372,18 @@ def _node(proj, k, inside):
     point's incidence the fields past ``proj.n``).  ``divisors`` holds
     their d_i, 0 past ``d``, so a column steps by N / gcd(d_i, N): 1 past
     ``d``.  So a scan at any order packs each generator from its nonzero
-    entries, and no column is rebuilt per span."""
-    node = proj._scan_nodes.get((k, inside))
-    if node is not None:
+    entries, and no column is rebuilt per span.
+
+    A node the walk prunes (``_pruned``) is None, decided before any form
+    is built and cached the same way."""
+    nodes = proj._scan_nodes
+    node = nodes.get((k, inside), False)
+    if node is not False:
         return node
+    if _pruned(proj, k, inside):
+        if len(nodes) < _CACHED_NODES:
+            nodes[k, inside] = None
+        return None
     table = incidence_table(proj)
     reach = inside | (1 << len(table.points)) - (1 << k)
     live = [j for j, on in enumerate(table.on_mask) if (on & reach).bit_count() >= 2]
@@ -412,8 +406,8 @@ def _node(proj, k, inside):
         tuple(v for v in d if v > 1) + (0,) * len(free),
         tuple(_sparse(col) for v, col in zip_longest(d, cols) if v != 1),
     )
-    if len(proj._scan_nodes) < _CACHED_NODES:
-        proj._scan_nodes[k, inside] = node
+    if len(nodes) < _CACHED_NODES:
+        nodes[k, inside] = node
     return node
 
 
@@ -429,6 +423,86 @@ _NODE_COST = 4
 _CACHED_NODES = 4096
 
 
+def _symmetry(proj):
+    """``(prune, classes, moves)``, the scans' view of
+    ``proj.automorphisms()``, kept on ``proj``.
+
+    An automorphism sigma takes the multiple point q of
+    ``incidence_table(proj)`` to the point on the lines sigma(i), i on q,
+    so the automorphisms, a group, act on the points as a group too.
+    ``prune[k]`` holds, for the walk's nodes that have decided the points
+    below k, each distinct map of those points that some sigma induces
+    when it takes them onto themselves, as a tuple (point q to its image),
+    the identity left out (``_pruned``): every entry is empty on an
+    arrangement whose only automorphism is the identity.
+
+    ``classes`` holds, per class of multiple points under the group, by
+    its first point p, ``(gens, depth, images)``: the columns e_j - e_last
+    of the local family of p (j over the lines of p but the last) in the
+    sparse form of ``_span``, |p| - 2, and one ``itemgetter`` per other
+    point p' of the class, e -> e o sigma for one sigma taking the lines
+    of p' onto those of p, so it takes the family of p onto that of p'.
+    ``moves`` holds e -> e o sigma for every automorphism, the identity
+    first, for the band route's orbit fill."""
+    if proj._scan_symmetry is not None:
+        return proj._scan_symmetry
+    table = incidence_table(proj)
+    group = proj.automorphisms()
+    index = {p: q for q, p in enumerate(table.points)}
+    perms = [
+        tuple(index[tuple(sorted(sigma[j] for j in p))] for p in table.points)
+        for sigma in group
+    ]
+    prune = tuple(
+        tuple(
+            sorted(
+                {
+                    pi[:k]
+                    for pi in perms
+                    if max(pi[:k], default=0) < k and pi[:k] != tuple(range(k))
+                }
+            )
+        )
+        for k in range(len(table.points) + 1)
+    )
+    classes, seen = [], set()
+    for q, (p, depth) in enumerate(zip(table.points, table.depth)):
+        if q in seen:
+            continue
+        images = {}  # the point whose family e -> e o sigma reaches -> sigma
+        for sigma in group:
+            lines = tuple(i for i, image in enumerate(sigma) if image in p)
+            images.setdefault(index[lines], sigma)
+        seen.update(images)
+        gens = tuple(((j, 1), (p[-1], -1)) for j in p[:-1])
+        moves = tuple(itemgetter(*sigma) for r, sigma in images.items() if r != q)
+        classes.append((gens, depth, moves))
+    proj._scan_symmetry = (
+        prune,
+        tuple(classes),
+        tuple(itemgetter(*sigma) for sigma in group),
+    )
+    return proj._scan_symmetry
+
+
+def _pruned(proj, k, inside):
+    """Whether the walk prunes its node ``(k, inside)``: some map of
+    ``_symmetry(proj)``'s ``prune[k]``, a sigma taking the points below k
+    onto themselves, moves ``inside`` to a set that first differs from it
+    at a point of ``inside`` (the lowest set bit of the difference is in
+    ``inside``).  See ``_frontier`` for why no class of sets R loses its
+    least member."""
+    for pi in _symmetry(proj)[0][k]:
+        image = 0
+        for q, r in enumerate(pi):
+            if inside >> q & 1:
+                image |= 1 << r
+        diff = inside ^ image
+        if inside & diff & -diff:
+            return True
+    return False
+
+
 def _frontier(proj, order, budget, spent):
     """The (B) sources of ``candidate_points`` at order N, ``(k, inside,
     outside)`` per node of a depth-first walk that puts each multiple
@@ -437,6 +511,22 @@ def _frontier(proj, order, budget, spent):
     point in ``outside`` are the node's.  The nodes' data is not kept
     here, so a long walk holds no more than the node cache; ``_node``
     builds it from ``(k, inside)`` alone, so fetched again it is the same.
+
+    The walk skips sets R that an automorphism maps to a smaller one
+    (orderly generation).  Order the sets of multiple points as words of
+    bits over the points in table order, a set that lacks the first point
+    where two differ being the smaller.  A node is pruned (``_pruned``)
+    when some automorphism sigma takes the points below k onto themselves
+    and sigma(inside) first differs from ``inside`` at a point of
+    ``inside``.  Then every R below the node (R meets the points below k
+    in ``inside``) has sigma(R) meeting them in sigma(inside), so sigma(R)
+    and R first differ at that point, and sigma(R) is the smaller: R is
+    not the least set of its class, and the least set of every class lies
+    under no pruned node.  That needs the automorphisms to be a group, so
+    that sigma(R) is in the class of R; ``proj.automorphisms()`` is every
+    realised permutation once a frame exists and the identity alone
+    otherwise, so it is one.  A pruned node builds no form, and is not
+    counted.
 
     A node is dropped when its W mod N is 0, or when a point it left out
     is resonant at every point of it: no R(e) there lies between the
@@ -457,7 +547,10 @@ def _frontier(proj, order, budget, spent):
     stack = [(0, 0, 0)]
     while stack:
         k, inside, outside = stack.pop()
-        free, big, sums, _, _ = _node(proj, k, inside)
+        node = _node(proj, k, inside)
+        if node is None:
+            continue
+        free, big, sums, _, _ = node
         size = order**free
         if big:
             big = [(gcd(v, order), col) for v, col in big]
@@ -591,7 +684,7 @@ _CHUNK = 7
 def _fields(proj, width):
     """The packed-field layout of ``candidate_points`` on ``proj`` at
     ``width``-bit fields, kept on ``proj`` per width: ``(top, near,
-    points_top, point_tops, nbytes, unpack, thin, families)``.
+    points_top, point_tops, nbytes, unpack, thin)``.
 
     A point has a field per line, then one per multiple point.  ``top``
     holds every field's top bit, ``points_top`` and ``point_tops`` those
@@ -600,10 +693,6 @@ def _fields(proj, width):
     ``unpack(point.to_bytes(nbytes, "little"))`` is the tuple of the line
     fields.  ``thin(resonant)``, for the top bits of a set of resonant
     points, is the top bits of the lines meeting fewer than two of them.
-    ``families`` holds per multiple point p ``(gens, depth)``: the columns
-    e_j - e_last of its local family (j over the lines of p but the last),
-    in the sparse form of ``_span``, and |p| - 2; they do not depend on
-    the width, and are kept here so no scan rebuilds them.
 
     It reads a table that splits the points into chunks of ``_CHUNK``:
     per chunk, each value of its top bits maps to a count in each line
@@ -652,27 +741,34 @@ def _fields(proj, width):
         (n + npoints) * width // 8,
         Struct(f"<{n}{code}").unpack_from,
         thin,
-        tuple(
-            (tuple(((j, 1), (p[-1], -1)) for j in p[:-1]), depth)
-            for p, depth in zip(table.points, table.depth)
-        ),
     )
     return fields
 
 
 def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
-    """``(exponents, h1)`` for every nontrivial torus point of order
-    dividing ``order`` at which the certificates do not give h^1 = 0, each
-    once (see ``torsion_scan`` for why these are all of them).
+    """``(exponents, h1)`` for nontrivial torus points of order dividing
+    ``order`` at which the certificates do not give h^1 = 0, each once:
+    one point set per class under the Galois units and the automorphisms
+    of ``proj``.  Every such point is u*(e o sigma) for a listed e, a unit
+    u of Z/N and a sigma in ``proj.automorphisms()``, with the same h^1
+    (see ``torsion_scan`` for why these are all of them and why h^1 is
+    the same on the orbit).
 
     ``h1`` is |p| - 2 for the points of the local family of a multiple
-    point p (A), listed family by family, and None for the points at which
-    every line with q != 1 carries at least two resonant multiple points
-    (B), listed from the nodes of ``_frontier``.  No family point is in
-    (B) and no two families share a point, so each is listed once.
-    ``budget`` bounds ``spent`` (work the caller counts first, such as
-    ``torsion_scan``'s catalog parameter tuples) plus the points listed
-    and the nodes walked.
+    point p (A), and None for the points at which every line with q != 1
+    carries at least two resonant multiple points (B), listed from the
+    nodes of ``_frontier``.  The (A) points come first: the whole family
+    of the first point p of each class of multiple points
+    (``_symmetry``'s ``classes``, in that order), its N^(|p| - 1) - 1
+    nontrivial points one after the other; every other family is the
+    image of one of these.  The (B) points come from a walk that visits
+    the least set R of resonant points of every class and may visit
+    others, so some (B) points of a class may be listed and others not.
+    No family point is in (B) and no two families share a point, so each
+    is listed once.  ``budget`` bounds ``spent`` (work the caller counts
+    first, such as ``torsion_scan``'s catalog parameter tuples) plus the
+    points of every local family, the points listed from the walk and
+    the nodes walked.
 
     Points come packed from ``_span`` in byte-aligned fields
     (``_field_width``: 8 bits up to N = 127, 16 up to
@@ -686,18 +782,18 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     leaves out no point of ``outside``).  A kept point's exponents are
     its line fields, unpacked from its bytes with ``struct``.  A span's
     generators are the sparse columns kept with its node (``_node``) or,
-    for a local family, in ``_fields``; only their steps depend on N."""
+    for a local family, in ``_symmetry``; only their steps depend on N."""
     table = incidence_table(proj)
     # a family has N^(|p| - 1) points, zero included
     spent += sum(order ** (depth + 1) - 1 for depth in table.depth)
     nodes = _frontier(proj, order, budget, spent)
     # a field holds a residue mod N or a line's count in the (B) table
     width = _field_width(max(order, 2 * -(-len(table.points) // _CHUNK)))
-    fields = _fields(proj, width)
-    top, near, points_top, point_tops, nbytes, unpack, thin, families = fields
-    for gens, depth in families:
-        for point in _span(gens, [1] * len(gens), order, width, top):
-            yield unpack(point.to_bytes(nbytes, "little")), depth
+    top, near, points_top, point_tops, nbytes, unpack, thin = _fields(proj, width)
+    for gens, depth, _ in _symmetry(proj)[1]:
+        points = _span(gens, [1] * len(gens), order, width, top)
+        packed = map(int.to_bytes, points, repeat(nbytes), repeat("little"))
+        yield from zip(map(unpack, packed), repeat(depth))
     for k, inside, outside in nodes:
         _, _, _, divisors, gens = _node(proj, k, inside)
         steps = [order // gcd(v, order) for v in divisors]
@@ -732,6 +828,41 @@ def _torus_point(exps, order):
     return point
 
 
+def _records(cls, count, *slots):
+    """``count`` new records of the slotted class ``cls``, each slot set by
+    a ``(setter, values)`` pair, one ``map`` pass per slot."""
+    records = list(map(_new, repeat(cls, count)))
+    for setter, values in slots:
+        deque(map(setter, records, values), maxlen=0)
+    return records
+
+
+def _catalog_index(proj, families, order):
+    """The index from exponent vectors to the names of the ``families``
+    (a tuple) through them, in family order, over their
+    ``torsion_exponents(order)``.  Kept on ``proj`` per tuple of families
+    and order, under ``(order, *ids)`` with the families beside it, while
+    the indexes kept there hold at most ``_KEPT_POINTS`` vectors together,
+    the oldest dropped first; an index with more is built on every call.
+    A kept index holds its families, so the ids in its key stay theirs;
+    the families are frozen, so the index stays true to them."""
+    kept = proj._scan_catalogs
+    key = (order, *map(id, families))
+    entry = kept.get(key)
+    if entry is not None:
+        return entry[1]
+    names = {}
+    for f in families:
+        for exps in f.torsion_exponents(order):
+            names[exps] = names.get(exps, ()) + (f.name,)
+    if len(names) <= _KEPT_POINTS:
+        room = _KEPT_POINTS - len(names)
+        while sum(len(index) for _, index in kept.values()) > room:
+            del kept[next(iter(kept))]  # dicts keep insertion order
+        kept[key] = (families, names)
+    return names
+
+
 def torsion_scan(
     proj,
     order,
@@ -747,80 +878,92 @@ def torsion_scan(
     ``catalog`` attaches the names of the families holding each hit, in
     catalog order.  ``backend`` and ``eps`` go to ``h1_at_point``.  An
     order below 1 raises ``ValueError``; order 1 has only the trivial
-    character.  ``budget`` bounds the points listed, the nodes of the
-    walk over the multiple points (``_frontier``) and the catalog's
-    parameter tuples (the sum of m^nparams over its families, m of
-    ``ComponentFamily._modulus``), all counted before any point is
-    listed; beyond it, ``BudgetExceededError``.  A negative budget is bad
-    input, a ``ValueError``, and so is an order that is not an integer
+    character.  ``budget`` bounds the points of the local families, the
+    points listed from the walk over the multiple points and its nodes
+    (``_frontier``), and the catalog's parameter tuples (the sum of
+    m^nparams over its families, m of ``ComponentFamily._modulus``), all
+    counted before any point is listed; beyond it,
+    ``BudgetExceededError``.  A negative budget is bad input, a
+    ``ValueError``, and so is an order that is not an integer
     (``operator.index`` refuses 2.0 as well as 1.5).  Hits are built slot
-    by slot, not through the frozen ``__init__``; they equal, hash and
-    print as records built by the constructors.
+    by slot, one ``map`` pass per slot, not through the frozen
+    ``__init__``; they equal, hash, print and pickle as records built by
+    the constructors.
 
     The names come from an index from exponent vectors to the names of
-    the families through them, with one lookup per hit.  Each scan merges
-    it anew, once the walk has held the count to the budget, from the
-    tuple of ``torsion_exponents`` each family keeps per order
-    (``ComponentFamily._points``, up to ``_KEPT_POINTS`` tuples a family),
-    so the odometer runs once per family and kept order however often the
-    catalog is scanned; the parameter tuples are charged to the budget on
-    every scan all the same.  A family's entries are its
-    ``torsion_exponents``: its parameters run over Z/m, and a point is
-    kept when every exponent is a multiple of m/N.  This is exactly the
-    point set ``contains`` tests for: every parameter s_j is pinned by a
-    coordinate equal to +-s_j^(+-1), so at a point of order dividing N it
-    is an m-th root of unity (the sign needs m even).  A family whose line count is not
+    the families through them, with one lookup per hit, built once the
+    walk has held the count to the budget and kept on ``proj`` per
+    catalog and order (``_catalog_index``, up to ``_KEPT_POINTS`` vectors
+    over the kept indexes), so a catalog scanned again at an order reads
+    it as it is;
+    the parameter tuples are charged to the budget on every scan all the
+    same.  A family's entries are its ``torsion_exponents``: its
+    parameters run over Z/m, and a point is kept when every exponent is a
+    multiple of m/N.  This is exactly the point set ``contains`` tests
+    for: every parameter s_j is pinned by a coordinate equal to
+    +-s_j^(+-1), so at a point of order dividing N it is an m-th root of
+    unity (the sign needs m even).  A family whose line count is not
     ``proj.n`` holds no point of the scan, as in ``contains``.
 
-    Only the points of ``candidate_points`` are visited; at every other
-    nontrivial point the certificates give h^1 = 0, so skipping it is
-    exact.  Why: let R(e) be the resonant multiple points of a nontrivial
-    point e.  A line with q != 1 through no point of R(e) certifies 0.  A
-    line with q != 1 through exactly one, p, certifies 0 unless every line
-    with q != 1 passes through p; then e is supported on the lines of p,
-    whose exponents sum to 0 by the torus constraint, so e lies in the
-    local family of p (A).  Otherwise every line with q != 1 meets at
-    least two points of R(e) (B), and e lies in V2(R(e)): exponents 0 on
-    the lines meeting fewer than two points of R(e), the lines of each
-    point of R(e) summing to 0, and all lines summing to 0.  So every
-    point the certificates do not set to 0 is in (A), where they give
-    |p| - 2, or in (B), where they decide nothing; the two are disjoint.
-    The certificate gives |p| - 2 at every nontrivial point e of the
-    local family of p, so (A) is the whole family and needs no mask read:
-    a line h with q != 1 lies on p; p is resonant, as its lines hold all
-    of e; any other multiple point on h meets p only in h, so its exponent
-    sum is e_h != 0; and every line off p is trivial.  So no such point is
-    in (B), and no two families share a nontrivial point, as two multiple
-    points share at most one line and a nontrivial point supported on one
-    line breaks the torus constraint.  A (B) point e is kept only from the
-    node of the walk over the multiple points whose choices agree with
-    R(e): each node holds V2(R) for every R it can still reach, so the
-    nodes it drops hold no such e, and the nodes it lists split the sets R
-    between them.  So every point is visited once.
+    Only the points of ``candidate_points`` and their images are visited;
+    at every other nontrivial point the certificates give h^1 = 0, so
+    skipping it is exact.  Why: let R(e) be the resonant multiple points
+    of a nontrivial point e.  A line with q != 1 through no point of R(e)
+    certifies 0.  A line with q != 1 through exactly one, p, certifies 0
+    unless every line with q != 1 passes through p; then e is supported
+    on the lines of p, whose exponents sum to 0 by the torus constraint,
+    so e lies in the local family of p (A).  Otherwise every line with
+    q != 1 meets at least two points of R(e) (B), and e lies in V2(R(e)):
+    exponents 0 on the lines meeting fewer than two points of R(e), the
+    lines of each point of R(e) summing to 0, and all lines summing to 0.
+    So every point the certificates do not set to 0 is in (A), where they
+    give |p| - 2, or in (B), where they decide nothing; the two are
+    disjoint.  The certificate gives |p| - 2 at every nontrivial point e
+    of the local family of p, so (A) is the whole family and needs no
+    mask read: a line h with q != 1 lies on p; p is resonant, as its
+    lines hold all of e; any other multiple point on h meets p only in h,
+    so its exponent sum is e_h != 0; and every line off p is trivial.  So
+    no such point is in (B), and no two families share a nontrivial
+    point, as two multiple points share at most one line and a
+    nontrivial point supported on one line breaks the torus constraint.
+    A (B) point e is listed only from the node of the walk over the
+    multiple points whose choices agree with R(e): each node holds V2(R)
+    for every R it can still reach, so the nodes it drops hold no such e,
+    and the nodes it lists split the sets R between them.  So every
+    point is listed at most once.
 
     Both certificates (a line with q != 1 and no resonant multiple point
     gives h^1 = 0; one with exactly one resonant point p gives |p| - 2
     when every line off p is trivial, and 0 otherwise) are theorems of the
     paper, and their tests are integer congruences mod N, so the skipped
-    points and the family values are exact under either backend.  The (B)
-    points go to ``h1_at_point`` (the band kernel), once per orbit
-    {u*(e o sigma) mod N : u a unit of Z/N, sigma in
-    ``proj.automorphisms()``}, (e o sigma)_i = e_sigma(i).  h^1 is the same
-    on the whole orbit.  Conjugation is a field automorphism of
-    Q(zeta_N), so h^1(u*e) = h^1(e).  A real projective map phi with
-    phi(H_i) = H_sigma(i) is a biholomorphism of the complement; it takes
-    the positive meridian of H_i to that of H_sigma(i), so the local system
-    of e pulls back to that of e o sigma, and h^1(e o sigma) = h^1(e) (the
-    property tests check both).  e o sigma still sums to 0.  The orbit
-    lies in (B), which is read off the lines and multiple points whose
-    exponent sums are 0 mod N: a unit keeps those sets, and sigma permutes
-    the lines and the multiple points.  So the ``band`` dict holds only
-    (B) points, no more entries than the scan lists.  The first point
-    comes once the walk has held the count to the budget; only then are
-    the order checked against the backend (``check_torsion_order``) and
-    the units listed, so a scan the budget stops does no O(N) work, and
-    one the backend cannot take lists no point.
-    A scan that lists none, order 1 included, checks the order all the same.
+    points and the family values are exact under either backend.  h^1 is
+    the same on the orbit {u*(e o sigma) mod N : u a unit of Z/N, sigma in
+    ``proj.automorphisms()``}, (e o sigma)_i = e_sigma(i).  Conjugation is
+    a field automorphism of Q(zeta_N), so h^1(u*e) = h^1(e).  A real
+    projective map phi with phi(H_i) = H_sigma(i) is a biholomorphism of
+    the complement; it takes the positive meridian of H_i to that of
+    H_sigma(i), so the local system of e pulls back to that of e o sigma,
+    and h^1(e o sigma) = h^1(e) (the property tests check both).  e o
+    sigma still sums to 0.  The orbit keeps (A) and (B), which are read
+    off the lines and multiple points whose exponent sums are 0 mod N: a
+    unit keeps those sets, and sigma permutes the lines and the multiple
+    points, R(e o sigma) being the preimage of R(e).
+
+    So the scan lists one family per class of multiple points and enters
+    each other family of the class as its image, at |p| - 2.  The (B)
+    points go to ``h1_at_point`` (the band kernel), once per orbit: the
+    first listed point of an orbit is decided, and its h^1 set at once on
+    every u*(e o sigma) in the ``band`` dict.  The walk lists a point of
+    every (B) orbit: R(e) runs over the whole class of R(e) on the orbit
+    of e, and the least set of the class lies under no pruned node
+    (``_frontier``).  So the ``band`` dict ends up holding every (B)
+    point, and only those, and the (B) hits are its entries with h^1 >=
+    1; a (B) point the walk does not list is never looked up.  The first
+    point comes once the walk has held the count to the budget; only then
+    are the order checked against the backend (``check_torsion_order``)
+    and the units listed, so a scan the budget stops does no O(N) work,
+    and one the backend cannot take lists no more than that point.  A
+    scan that lists none, order 1 included, checks the order all the same.
     """
     if budget < 0:
         raise ValueError(f"scan budget must be >= 0, not {budget}")
@@ -833,45 +976,43 @@ def torsion_scan(
     if order == 1:
         check_torsion_order(order, backend, eps)
         return []
-    families = [f for f in catalog or () if f.nlines == proj.n]
+    families = tuple(f for f in catalog or () if f.nlines == proj.n)
     parameter_tuples = sum(f._modulus(order) ** f.nparams for f in families)
-    units = None  # the units of Z/N other than 1, listed at the first point
-    moves = None  # e -> e o sigma per automorphism, made at the first band call
+    listed = candidate_points(proj, order, budget, spent=parameter_tuples)
+    first = next(listed, None)  # the walk has held the count to the budget
+    check_torsion_order(order, backend, eps)
+    if first is None:  # no multiple point, so no hit
+        return []
+    listed = chain((first,), listed)
+    _, classes, moves = _symmetry(proj)
+    found = {}  # exponents -> h^1 >= 1
+    for _, depth, images in classes:
+        family = list(map(itemgetter(0), islice(listed, order ** (depth + 1) - 1)))
+        found.update(zip(family, repeat(depth)))
+        for move in images:
+            found.update(zip(map(move, family), repeat(depth)))
+    units = [u for u in range(2, order) if gcd(u, order) == 1]
     # h^1 of the band route, set at once for every (u*e) o sigma of a
     # decided e, u a unit and sigma an automorphism
     band = {}
-    found = {}  # exponents -> h^1 >= 1
-    for exps, dim in candidate_points(proj, order, budget, spent=parameter_tuples):
-        if units is None:
-            check_torsion_order(order, backend, eps)
-            units = [u for u in range(2, order) if gcd(u, order) == 1]
-        if dim is None:
-            dim = band.get(exps)
-            if dim is None:
-                point = _torus_point(exps, order)
-                dim = h1_at_point(proj, point, backend=backend, eps=eps)
-                if moves is None:
-                    moves = [itemgetter(*sigma) for sigma in proj.automorphisms()]
-                scaled = [tuple([u * e % order for e in exps]) for u in units]
-                for multiple in [exps, *scaled]:
-                    for move in moves:
-                        band[move(multiple)] = dim
-        if dim >= 1:
-            found[exps] = dim
-    if units is None:  # no point came, but the walk held the budget
-        check_torsion_order(order, backend, eps)
-    # built once the walk has held the whole count to the budget
-    names = {}
-    for f in families:
-        for exps in f._points(order):
-            names[exps] = names.get(exps, ()) + (f.name,)
-    if not found:  # a hit has a multiple point, so itemgetter gets two ids
-        return []
-    hits = []
-    for exps in sorted(found, key=itemgetter(*proj.affine_ids())):
-        hit = _new(ScanHit)
-        _set_point(hit, _torus_point(exps, order))
-        _set_h1(hit, found[exps])
-        _set_families(hit, names.get(exps, ()))
-        hits.append(hit)
-    return hits
+    for exps, _ in listed:
+        if exps in band:
+            continue
+        dim = h1_at_point(proj, _torus_point(exps, order), backend=backend, eps=eps)
+        multiples = [exps, *[tuple([u * e % order for e in exps]) for u in units]]
+        band.update(zip([move(m) for m in multiples for move in moves], repeat(dim)))
+    found.update(compress(band.items(), band.values()))
+    names = _catalog_index(proj, families, order)
+    # a multiple point has three lines or more, so itemgetter gets two ids
+    keys = sorted(found, key=itemgetter(*proj.affine_ids()))
+    count = len(keys)
+    points = _records(
+        TorusPoint, count, (_set_exponents, keys), (_set_order, repeat(order))
+    )
+    return _records(
+        ScanHit,
+        count,
+        (_set_point, points),
+        (_set_h1, map(found.__getitem__, keys)),
+        (_set_families, map(names.get, keys, repeat(()))),
+    )

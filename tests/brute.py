@@ -591,6 +591,51 @@ def orbit_scan(proj, order, catalog=None, backend="cyclotomic", eps=1e-9):
     ]
 
 
+def orbit_closure(proj, order, listing):
+    """The closure of a ``candidate_points`` listing under the units and
+    the automorphisms: exponents -> h1 for every u*(e o sigma) mod N, u a
+    unit of Z/N and sigma in ``proj.automorphisms()``, of every listed
+    ``(e, h1)``, (e o sigma)_i = e_sigma(i).  A point that two listed
+    points reach with different values is an ``AssertionError``: the
+    values of a listing are constant on its orbits."""
+    units = [u for u in range(1, order) if gcd(u, order) == 1]
+    closure = {}
+    for exps, dim in listing:
+        for sigma in proj.automorphisms():
+            moved = [exps[s] for s in sigma]
+            for u in units:
+                image = tuple(u * e % order for e in moved)
+                assert closure.setdefault(image, dim) == dim, image
+    return closure
+
+
+def point_permutations(proj):
+    """Per automorphism sigma, the permutation of the multiple points of
+    ``incidence_table(proj)`` it induces: point q to the point on the
+    lines sigma(i), i on q."""
+    points = incidence_table(proj).points
+    index = {p: q for q, p in enumerate(points)}
+    return [
+        tuple(index[tuple(sorted(sigma[j] for j in p))] for p in points)
+        for sigma in proj.automorphisms()
+    ]
+
+
+def is_class_least(perms, resonant, npoints):
+    """Whether the set of multiple points ``resonant`` (a bitmask) is the
+    least of its class under the point permutations ``perms``, sets read
+    as words of bits over the points in table order, 0 before 1."""
+    word = [resonant >> q & 1 for q in range(npoints)]
+    for pi in perms:
+        image = [0] * npoints
+        for q in range(npoints):
+            if word[q]:
+                image[pi[q]] = 1
+        if image < word:
+            return False
+    return True
+
+
 def _coordinates(rows, v):
     """The x with x_0*rows[0] + x_1*rows[1] + x_2*rows[2] = v, by Fraction
     elimination, or None when the three rows are dependent (as lines,

@@ -282,12 +282,15 @@ def test_criterion_9_sharp_pair_bound():
     inf = proj.infinity_index
     # the systems at which every line with q != 1 carries at least two
     # resonant points and the pair (line 0, infinity) has q != 1: the
-    # scan's (B) points with those two lines nontrivial; order-2 systems
-    # sit inside the order-4 grid
+    # scan's (B) points with those two lines nontrivial, the orbit closure
+    # of its listing under the units and the automorphisms; order-2
+    # systems sit inside the order-4 grid
     survivors = [
         (order, exps[:inf] + exps[inf + 1 :])
         for order in (3, 4)
-        for exps, certified in candidate_points(proj, order)
+        for exps, certified in brute.orbit_closure(
+            proj, order, candidate_points(proj, order)
+        ).items()
         if certified is None and exps[0] and exps[inf]
     ]
     assert len(survivors) == 4354

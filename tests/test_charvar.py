@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 from itertools import islice, product
 from math import gcd, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from linecoh import (
     cone,
     h1_at_point,
     make_local_system,
+    parse_arrangement,
     torsion_scan,
 )
 from linecoh.charvar import (
@@ -228,10 +230,87 @@ def test_band_route_runs_once_per_automorphism_orbit(arrangement, monkeypatch):
     assert counts == [4, 9, 17, 12]
 
 
+SYMMETRIC_FILES = {
+    "b3": lambda: corpus.b3()[0],
+    "a3": corpus.a3,
+    "grid12": lambda: cone(Arrangement(corpus.GRID_LINES)),
+}
+
+
+@pytest.mark.parametrize("name, size", [("b3", 8), ("a3", 24), ("grid12", 24)])
+def test_automorphisms_form_a_group(name, size):
+    # the walk's pruning needs a group: closed under composition and
+    # inverse, the identity first
+    group = SYMMETRIC_FILES[name]().automorphisms()
+    members = set(group)
+    assert len(members) == len(group) == size
+    assert group[0] == tuple(range(len(group[0])))
+    for sigma in group:
+        inverse = [0] * len(sigma)
+        for i, s in enumerate(sigma):
+            inverse[s] = i
+        assert tuple(inverse) in members
+        assert all(tuple(sigma[t] for t in tau) in members for tau in group)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_FILES))
+def test_no_class_least_set_lies_under_a_pruned_node(name):
+    # over every set R of multiple points, the least set of each class
+    # under the automorphisms has no pruned node on its path from the root
+    # (the nodes that decide the points below k as R does); on these three
+    # files the walk prunes some node on the path of every other set
+    proj = SYMMETRIC_FILES[name]()
+    npoints = len(incidence_table(proj).points)
+    perms = brute.point_permutations(proj)
+    least = 0
+    for resonant in range(1 << npoints):
+        path = [
+            charvar._pruned(proj, k, resonant & (1 << k) - 1)
+            for k in range(npoints + 1)
+        ]
+        if brute.is_class_least(perms, resonant, npoints):
+            least += 1
+            assert not any(path), (resonant, path)
+        else:
+            assert any(path), resonant
+    # one least set per class: Burnside's count of the classes, the sets
+    # each permutation fixes (2^cycles) averaged over the group
+    fixed = sum(
+        2 ** len({frozenset(_cycle(pi, q)) for q in range(npoints)}) for pi in perms
+    )
+    assert least * len(perms) == fixed
+
+
+def _cycle(pi, q):
+    """The cycle of the permutation ``pi`` through ``q``."""
+    cycle, r = [q], pi[q]
+    while r != q:
+        cycle.append(r)
+        r = pi[r]
+    return cycle
+
+
+def test_cold_grid_scan_builds_fewer_node_forms(monkeypatch):
+    # a cold scan of the grid12 cone at N = 3 builds 1,701 node forms where
+    # a walk without pruning built 7,178: a pruned node builds none
+    calls = []
+    real = charvar._diagonal_form
+
+    def counting(rows, cols):
+        calls.append(len(rows))
+        return real(rows, cols)
+
+    monkeypatch.setattr(charvar, "_diagonal_form", counting)
+    hits = torsion_scan(SYMMETRIC_FILES["grid12"](), 3)
+    assert len(hits) == 906
+    assert len(calls) == 1701 < 7178
+
+
 def _listed_spans(proj, order):
     """Per span ``candidate_points`` lists at ``order``, ``(gens, steps,
-    cols, dense_steps)``: each local family, ``cols`` the dense columns
-    e_j - e_last over the lines, and each node ``_frontier`` lists, ``cols``
+    cols, dense_steps)``: the local family of the first point of each
+    class of multiple points, ``cols`` the dense columns e_j - e_last over
+    the lines, and each node ``_frontier`` lists, ``cols``
     all the dense columns ``brute.node_columns`` gives and ``dense_steps``
     theirs, d_i = 1 included; then the field width and the top bits it
     passes."""
@@ -239,7 +318,13 @@ def _listed_spans(proj, order):
     width = _field_width(max(order, 2 * -(-len(table.points) // charvar._CHUNK)))
     fields = charvar._fields(proj, width)
     spans = []
-    for p, (gens, _) in zip(table.points, fields[-1]):
+    # the first point of each class of multiple points lists its family
+    perms = brute.point_permutations(proj)
+    firsts = [q for q in range(len(table.points)) if min(pi[q] for pi in perms) == q]
+    classes = charvar._symmetry(proj)[1]
+    assert len(classes) == len(firsts)
+    for q, (gens, _, _) in zip(firsts, classes):
+        p = table.points[q]
         cols = [[int(i == j) - int(i == p[-1]) for i in range(proj.n)] for j in p[:-1]]
         spans.append((gens, [1] * len(cols), cols, [1] * len(cols)))
     for k, inside, _ in charvar._frontier(proj, order, 10**12, 0):
@@ -307,6 +392,8 @@ def test_scan_records_equal_constructed_records(monkeypatch):
         assert hit == built and hash(hit) == hash(built) and repr(hit) == repr(built)
         with pytest.raises(FrozenInstanceError):
             hit.families = ()
+        copy = pickle.loads(pickle.dumps(hit))
+        assert copy == built and hash(copy) == hash(built) and repr(copy) == repr(built)
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -413,6 +500,22 @@ def test_a3_scan_is_five_two_tori(order):
     assert hits == brute.orbit_scan(proj, order)
 
 
+@pytest.mark.parametrize("order", range(2, 7))
+def test_pappus_scan_is_ten_two_tori(order):
+    # the nine lines dual to a Pappus configuration, coned: nine triple
+    # points and 3 automorphisms; 10 (N^2 - 1) hits, all with h1 = 1, as
+    # the reference scan over the whole grid finds
+    text = (Path(__file__).parent / "golden" / "pappus.txt").read_text()
+    proj = cone(parse_arrangement(text))
+    assert len(proj.automorphisms()) == 3
+    assert sorted(len(p) for p in incidence_table(proj).points) == [3] * 9
+    hits = torsion_scan(proj, order)
+    assert len(hits) == 10 * (order**2 - 1)
+    assert all(h.h1 == 1 for h in hits)
+    if order <= 3:
+        assert hits == brute.orbit_scan(proj, order)
+
+
 @pytest.mark.parametrize("cost", [0, 4, 1 << 40])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_candidate_points_are_the_points_not_certified_zero(
@@ -428,12 +531,14 @@ def test_candidate_points_are_the_points_not_certified_zero(
 
 
 def assert_candidates_are_uncertified(proj, order):
-    """``candidate_points`` lists each nontrivial grid point of ``proj``
-    at which the certificates do not give 0, once, with the certified
-    value or None, and no other point."""
+    """``candidate_points`` lists each point at most once, and the orbit
+    closure of its listing under the units and the automorphisms is each
+    nontrivial grid point of ``proj`` at which the certificates do not
+    give 0, with the certified value or None, and no other point."""
     table = incidence_table(proj)
-    listed = dict(candidate_points(proj, order))
-    assert len(listed) == len(list(candidate_points(proj, order)))
+    listing = list(candidate_points(proj, order))
+    listed = brute.orbit_closure(proj, order, listing)
+    assert len(dict(listing)) == len(listing)
     expected = {}
     for affine in product(range(order), repeat=proj.n - 1):
         if not any(affine):
@@ -629,12 +734,21 @@ def test_scan_names_are_the_families_containing_the_hit(order):
         assert hit.families == tuple(f.name for f in catalog if f.contains(hit.point))
 
 
+def _merged_index(catalog, order):
+    """exponents -> the names of the catalog's families through them."""
+    names = {}
+    for fam in catalog:
+        for exps in fam.torsion_exponents(order):
+            names[exps] = names.get(exps, ()) + (fam.name,)
+    return names
+
+
 @pytest.mark.parametrize("relabelled", [False, True], ids=["built_in", "relabelled"])
 def test_kept_catalog_points_change_no_scan_and_no_family(relabelled):
-    # a catalog keeps each family's torsion points per order; scanned at
+    # a catalog's index is kept on the arrangement per order; scanned at
     # orders 4, 2 and 4 in turn, it names every hit as a freshly built
     # catalog does, and afterwards its families still equal, hash and list
-    # their points as fresh ones
+    # their points as fresh ones, and hold nothing more than they do
     def fresh():
         built = charvar.deleted_b3()
         return corpus.relabel(*built) if relabelled else built
@@ -647,50 +761,61 @@ def test_kept_catalog_points_change_no_scan_and_no_family(relabelled):
     for kept, new in zip(catalog, fresh()[1]):
         assert kept == new and hash(kept) == hash(new)
         assert repr(kept) == repr(new)
-        assert set(kept._by_order) == {2, 4} and not new._by_order
+        assert vars(kept) == vars(new)
         for order in (2, 3, 4):
-            listed = list(kept.torsion_exponents(order))
-            assert listed == list(new.torsion_exponents(order))
-            assert kept._points(order) == tuple(listed)
+            assert list(kept.torsion_exponents(order)) == list(
+                new.torsion_exponents(order)
+            )
+    # one index per order scanned, each the merge of the families' points,
+    # read again as it is
+    ours = {
+        key[0]: entry
+        for key, entry in proj._scan_catalogs.items()
+        if key[1:] == tuple(map(id, catalog))
+    }
+    assert sorted(ours) == [2, 4]
+    for order, (families, index) in ours.items():
+        assert families == catalog
+        assert index == _merged_index(fresh()[1], order)
+        assert charvar._catalog_index(proj, families, order) is index
 
 
 def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
-    # orders 2 to 4 (424 tuples over deleted B3's catalog) all stay under
-    # the library's bound
+    # orders 2 to 4 (379 vectors) all stay under the library's bound
     proj, catalog = charvar.deleted_b3()
     for order in (2, 3, 4):
         torsion_scan(proj, order, catalog=catalog)
-    assert all(list(fam._by_order) == [2, 3, 4] for fam in catalog)
-    assert sum(len(points) for f in catalog for points in f._by_order.values()) == 424
-    # under a bound of 64, one catalog scanned at orders 2 to 6 keeps at
-    # most 64 tuples per family, the oldest orders dropped first, and names
-    # every hit as a fresh catalog does
-    monkeypatch.setattr(charvar, "_KEPT_POINTS", 64)
-    catalog = charvar.deleted_b3()[1]
-    fitting = {fam.name: [] for fam in catalog}  # orders whose points fit
+    kept = proj._scan_catalogs
+    assert [key[0] for key in kept] == [2, 3, 4]
+    assert [len(index) for _, index in kept.values()] == [37, 115, 227]
+    # under a bound of 128, two catalogs scanned in turn at orders 2 to 6
+    # keep at most 128 vectors, the oldest indexes dropped first, and name
+    # every hit alike
+    monkeypatch.setattr(charvar, "_KEPT_POINTS", 128)
+    proj, other = charvar.deleted_b3()
+    history = []  # (key, size) of each index that fits, oldest first
     for order in range(2, 7):
+        for built in (catalog, other):
+            size = len(_merged_index(built, order))
+            if size <= 128:
+                history.append(((order, *map(id, built)), size))
         assert torsion_scan(proj, order, catalog=catalog) == torsion_scan(
-            proj, order, catalog=charvar.deleted_b3()[1]
+            proj, order, catalog=other
         )
-        for fam in catalog:
-            history = fitting[fam.name]
-            if len(fam._points(order)) <= 64:
-                history.append(order)
-            kept = fam._by_order
-            total = sum(map(len, kept.values()))
-            assert total <= 64
-            # the newest fitting orders, no more dropped than needed
-            older = history[: len(history) - len(kept)]
-            assert list(kept) == history[len(older) :]
-            if older:
-                more = len(list(fam.torsion_exponents(older[-1])))
-                assert total + more > 64
-    # the quadruple point's N^3 points fit up to N = 4 only, and fill the
-    # bound alone; the pair families keep N = 5 and 6 (25 + 36 tuples)
-    kept = {f.name: list(f._by_order) for f in catalog}
-    assert kept.pop("C_5678") == [4]
-    assert kept.pop("Omega") == [2, 3, 4, 5, 6]
-    assert all(orders == [5, 6] for orders in kept.values())
+        kept = proj._scan_catalogs
+        total = sum(len(index) for _, index in kept.values())
+        assert total <= 128
+        # the newest fitting indexes, no more dropped than needed
+        newest = list(kept)
+        assert newest == [key for key, _ in history[len(history) - len(newest) :]]
+        if len(newest) < len(history):
+            assert total + history[-len(newest) - 1][1] > 128
+    # only order 2 (37 vectors) and order 3 (115) fit; the last order-3
+    # index fills the bound alone
+    assert [key[0] for key in kept] == [3]
+    assert [key for key, _ in history] == [
+        (order, *map(id, built)) for order in (2, 3) for built in (catalog, other)
+    ]
 
 
 def test_a3_scans_at_two_field_widths_in_turn():
@@ -771,23 +896,24 @@ def test_certificates_decide_every_point_of_a_pencil():
 
 def test_scan_budget():
     # at order 5 the budget counts 268 points of the seven local families,
-    # 236 points listed from the walk and its 115 nodes
+    # 100 points listed from the walk and its 54 nodes; the nodes the walk
+    # prunes by the automorphisms are not walked and not counted
     proj, _ = corpus.b3()
     with pytest.raises(BudgetExceededError, match="order-5 scan exceeds the budget"):
         torsion_scan(proj, 5, budget=100)
-    with pytest.raises(BudgetExceededError, match="budget 618"):
-        torsion_scan(proj, 5, budget=618)
-    assert len(torsion_scan(proj, 5, budget=619)) == 388
+    with pytest.raises(BudgetExceededError, match="budget 421"):
+        torsion_scan(proj, 5, budget=421)
+    assert len(torsion_scan(proj, 5, budget=422)) == 388
     # the catalog adds its parameter tuples: 6 * 5^2 local, 5^3 quadruple,
     # 5 * 5^2 braid and 10 of Omega (its parameter runs over Z/10)
     _, catalog = corpus.b3()
-    with pytest.raises(BudgetExceededError, match="budget 1028"):
-        torsion_scan(proj, 5, budget=1028, catalog=catalog)
-    assert len(torsion_scan(proj, 5, budget=1029, catalog=catalog)) == 388
+    with pytest.raises(BudgetExceededError, match="budget 831"):
+        torsion_scan(proj, 5, budget=831, catalog=catalog)
+    assert len(torsion_scan(proj, 5, budget=832, catalog=catalog)) == 388
     # the three-line lone-point family holds no point of an eight-line
     # scan and is not counted
     other = catalog + SIGNED_FAMILIES[2:]
-    assert torsion_scan(proj, 5, budget=1029, catalog=other) == torsion_scan(
+    assert torsion_scan(proj, 5, budget=832, catalog=other) == torsion_scan(
         proj, 5, catalog=catalog
     )
 

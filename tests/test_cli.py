@@ -741,6 +741,8 @@ GOLDEN_CASES = {
     ],
     "scan_fig1": ["scan", "--arrangement", "fig1.txt", "--order", "2"],
     "scan_b3": ["scan", "--arrangement", "b3del.txt", "--order", "2"],
+    # the coned grid file: 13 multiple points and 24 automorphisms
+    "scan_grid12_3": ["scan", "--arrangement", "grid12.txt", "--order", "3"],
     "b3": ["b3", "--order", "2"],
     # a full scan report: 226 hits, each with its h1 and family names
     "b3_4": ["b3", "--order", "4"],

@@ -150,12 +150,14 @@ SYMMETRIC = {
 @st.composite
 def symmetric_points(draw):
     """A nontrivial point of order 2-6 on one of ``SYMMETRIC``: a grid point
-    or, as often, one that ``candidate_points`` lists, where the
-    certificates give h^1 >= 1 or decide nothing."""
+    or, as often, one of the orbit closure of what ``candidate_points``
+    lists, where the certificates give h^1 >= 1 or decide nothing."""
     proj = SYMMETRIC[draw(st.sampled_from(sorted(SYMMETRIC)))]()
     order = draw(st.integers(2, 6))
     if draw(st.booleans()):
-        listed = sorted(exps for exps, _ in candidate_points(proj, order))
+        listed = sorted(
+            brute.orbit_closure(proj, order, candidate_points(proj, order))
+        )
         return proj, TorusPoint(draw(st.sampled_from(listed)), order)
     head = draw(
         st.lists(st.integers(0, order - 1), min_size=proj.n - 1, max_size=proj.n - 1)
@@ -219,8 +221,9 @@ def test_certified_h1_equals_band_and_oracle_h1(case, with_oracle):
 def test_local_family_points_have_h1_depth(proj, order):
     # every nontrivial point of the local family of a multiple point p has
     # certified h1 = |p| - 2 = the band kernel's, the value the scan lists
+    # (on the orbit closure of its listing)
     table = incidence_table(proj)
-    listed = dict(candidate_points(proj, order))
+    listed = brute.orbit_closure(proj, order, candidate_points(proj, order))
     for p in table.points:
         for head in product(range(order), repeat=len(p) - 1):
             if not any(head):

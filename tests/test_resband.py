@@ -244,11 +244,12 @@ def test_h1_matches_oracle_randomly():
 def _b3_band_points(order):
     """The affine exponents of the nontrivial points of deleted B3 of
     order dividing ``order`` that the certificates leave to the band
-    route."""
+    route: the orbit closure of the scan's listing."""
     proj, _ = corpus.b3()
+    listed = brute.orbit_closure(proj, order, candidate_points(proj, order))
     return [
         tuple(exps[j] for j in proj.affine_ids())
-        for exps, dim in candidate_points(proj, order)
+        for exps, dim in listed.items()
         if dim is None
     ]
 
