@@ -48,8 +48,8 @@ the 8 automorphisms (41 Galois orbits), and the fill holds all 164.  A
 catalog names each hit with one lookup in an index of the families'
 torsion points, kept on the arrangement per catalog and order
 (``_catalog_index``, up to ``_KEPT_POINTS`` points over the kept
-indexes).  Hit records are built
-by one ``map`` pass per slot, without the frozen dataclass's per-field
+indexes).  The ``TorusPoint`` and ``ScanHit`` constructors set each slot
+through its descriptor, without the frozen dataclass's per-field
 ``__setattr__``.  The scans of deleted B3 at orders 2 to 12 give exactly
 the catalog's nontrivial torsion points of order dividing N, with h^1 =
 2 on C_5678 and at the two order-2 points on four families, and h^1 = 1
@@ -59,7 +59,6 @@ at every other hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from itertools import chain, compress, islice, repeat, zip_longest
 from math import gcd, lcm
 from operator import index, itemgetter, mul
@@ -93,6 +92,16 @@ class TorusPoint:
 
     exponents: tuple
     order: int
+
+    # a scan builds a point and a hit per hit: a slot's descriptor sets it
+    # in one call, where the frozen dataclass ``__init__`` goes through
+    # ``object.__setattr__`` per field, 1.5 times as long on CPython 3.11
+    def __init__(self, exponents, order):
+        _set_exponents(self, exponents)
+        _set_order(self, order)
+
+
+_set_exponents, _set_order = TorusPoint.exponents.__set__, TorusPoint.order.__set__
 
 
 @dataclass(frozen=True)
@@ -413,11 +422,9 @@ def _node(proj, k, inside):
 
 # A node is listed when it holds at most this many points per set of the
 # points still undecided.  4 was the fastest of 4, 8, 16 and 32 on scans
-# of deleted B3 at orders 2 to 5 with the nodes cached, when a walked node
-# cost about two listed points (6.2 and 3.1 us).  Now both cost about
-# 2 us (294 nodes walked; 1,326 points listed, span set-up included; min
-# of 200 runs, 2 vCPUs, Python 3.11), so 4 walks a little too far; it is
-# kept so that the walk and the ``--budget`` counts do not move.
+# of deleted B3 at orders 2 to 5 with every node cached, timed before the
+# walk was pruned to one set per automorphism class; it is kept so that
+# the walk and the ``--budget`` counts do not move.
 _NODE_COST = 4
 # nodes kept per arrangement; deleted B3 has 255
 _CACHED_NODES = 4096
@@ -811,30 +818,14 @@ class ScanHit:
     h1: int
     families: tuple
 
+    def __init__(self, point, h1, families):  # slot by slot, as ``TorusPoint``
+        _set_point(self, point)
+        _set_h1(self, h1)
+        _set_families(self, families)
 
-# scan records built slot by slot: a slot's descriptor sets it without the
-# frozen ``__setattr__`` that ``__init__`` goes through per field, and the
-# record is the one ``__init__`` makes (``==``, ``hash``, ``repr``, pickle)
-_new = object.__new__
-_set_exponents, _set_order = TorusPoint.exponents.__set__, TorusPoint.order.__set__
+
 _set_point, _set_h1 = ScanHit.point.__set__, ScanHit.h1.__set__
 _set_families = ScanHit.families.__set__
-
-
-def _torus_point(exps, order):
-    point = _new(TorusPoint)
-    _set_exponents(point, exps)
-    _set_order(point, order)
-    return point
-
-
-def _records(cls, count, *slots):
-    """``count`` new records of the slotted class ``cls``, each slot set by
-    a ``(setter, values)`` pair, one ``map`` pass per slot."""
-    records = list(map(_new, repeat(cls, count)))
-    for setter, values in slots:
-        deque(map(setter, records, values), maxlen=0)
-    return records
 
 
 def _catalog_index(proj, families, order):
@@ -885,10 +876,7 @@ def torsion_scan(
     counted before any point is listed; beyond it,
     ``BudgetExceededError``.  A negative budget is bad input, a
     ``ValueError``, and so is an order that is not an integer
-    (``operator.index`` refuses 2.0 as well as 1.5).  Hits are built slot
-    by slot, one ``map`` pass per slot, not through the frozen
-    ``__init__``; they equal, hash, print and pickle as records built by
-    the constructors.
+    (``operator.index`` refuses 2.0 as well as 1.5).
 
     The names come from an index from exponent vectors to the names of
     the families through them, with one lookup per hit, built once the
@@ -998,21 +986,18 @@ def torsion_scan(
     for exps, _ in listed:
         if exps in band:
             continue
-        dim = h1_at_point(proj, _torus_point(exps, order), backend=backend, eps=eps)
+        dim = h1_at_point(proj, TorusPoint(exps, order), backend=backend, eps=eps)
         multiples = [exps, *[tuple([u * e % order for e in exps]) for u in units]]
         band.update(zip([move(m) for m in multiples for move in moves], repeat(dim)))
     found.update(compress(band.items(), band.values()))
     names = _catalog_index(proj, families, order)
     # a multiple point has three lines or more, so itemgetter gets two ids
     keys = sorted(found, key=itemgetter(*proj.affine_ids()))
-    count = len(keys)
-    points = _records(
-        TorusPoint, count, (_set_exponents, keys), (_set_order, repeat(order))
-    )
-    return _records(
-        ScanHit,
-        count,
-        (_set_point, points),
-        (_set_h1, map(found.__getitem__, keys)),
-        (_set_families, map(names.get, keys, repeat(()))),
+    return list(
+        map(
+            ScanHit,
+            map(TorusPoint, keys, repeat(order)),
+            map(found.__getitem__, keys),
+            map(names.get, keys, repeat(())),
+        )
     )

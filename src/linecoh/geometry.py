@@ -327,8 +327,7 @@ class Arrangement:
         self._chambers = None
         self._points = None
         self._flags = {}
-        self._bands = None  # resband.bands: one Band per band, built on first use
-        self._band_table = None  # resband's affine band table, built on first use
+        self._band_table = None  # resband.BandTable: its bands, built on first use
 
     @property
     def n(self):
@@ -563,7 +562,6 @@ class ProjArrangement:
         self._automorphisms = None  # shared by charvar's scans, found on first use
         self._scan_symmetry = None  # charvar's point permutations, built on first use
         self._scan_catalogs = {}  # charvar's catalog indexes per catalog and order
-        self._band_tables = {}  # resband's band table per chart, built on first use
 
     @property
     def n(self):

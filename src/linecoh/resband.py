@@ -5,20 +5,22 @@ certificates that decide or bound h^1 without any linear algebra.
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
 standing waves of the resonant bands; that number is computed here.
-Each band is one ``Band`` record, cached per arrangement by ``bands``:
-its chambers, its parallel class and the separating sets of its wave.
-The lines separating a band's two ends are exactly those not parallel to
-it, so ``resonant_bands`` is the one resonance rule.  One core,
-``_band_kernel``, reads a ``BandTable``: per band its resonance and wave
-ids, all indexing one sequence of half monodromies, and per set of
-resonant bands it has met the layout of their wave matrix (its rows and
-each column's ids), made once and kept.  ``h1_via_bands`` reads an
-arrangement's table under its own ids; ``h1_on_band_chart``, the one
-chart rule (infinity when its q is not 1, else the first line with
-q != 1), reads the chart's table under projective ids off
-``LocalSystem.projective_halves``, so it builds no chart system, and
-``chart_kernel`` is that rule on halves given by projective index, as
-``charvar.h1_at_point`` reads them off a torus point.
+Each band is one ``Band`` record: its chambers, its parallel class and
+the separating sets of its wave.  The lines separating a band's two ends
+are exactly those not parallel to it, so ``resonant_bands`` is the one
+resonance rule.  An arrangement keeps one ``BandTable``, the one store of
+band structure, under its own ids (line k is k, infinity n): its bands,
+per band its resonance ids, and per set of resonant bands it has met the
+layout of their wave matrix (its rows and each column's ids), made once
+and kept.  One core, ``_band_kernel``, reads a table under half
+monodromies in that order.  ``h1_via_bands`` reads an arrangement's
+table; ``h1_on_band_chart``, the one chart rule (infinity when its q is
+not 1, else the first line with q != 1), reads the table of
+``proj.chart(h).arrangement`` under ``LocalSystem.projective_halves`` put
+in chart order, so it builds no chart system.  The infinity chart of
+``cone(arrangement)`` is the arrangement itself, so the two read one
+table.  ``chart_kernel`` is that rule on halves given by projective
+index, as ``charvar.h1_at_point`` reads them off a torus point.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -42,7 +44,7 @@ sums and lists only the points where that rule cannot give 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .geometry import Arrangement, InvariantError, monic, separating_ids
 from .scalars import weight_rank
@@ -82,12 +84,13 @@ class Band:
 
 def bands(arrangement):
     """All bands of a (position-indexed) arrangement, sorted by direction
-    and position along the normal; built once and kept on the arrangement.
-    """
-    if not isinstance(arrangement, Arrangement):
-        raise ValueError("bands need a position-indexed arrangement, not a flagged one")
-    if arrangement._bands is not None:
-        return arrangement._bands
+    and position along the normal: those of its ``BandTable``, built once
+    and kept on the arrangement."""
+    return _table(arrangement).bands
+
+
+def _bands(arrangement):
+    """The ``Band`` records of ``bands``, built afresh."""
     chs = arrangement.chambers()
     sep = separating_ids(chs, range(arrangement.n))
     groups = {}  # monic direction -> [(monic offset, line position)]
@@ -117,8 +120,7 @@ def bands(arrangement):
                 raise InvariantError("band ends are not opposite chambers")
             waves = tuple((ci, sep(u1, ci)) for ci in inner)
             out.append(Band(low, up, u1, u2, inner, class_ids, waves))
-    arrangement._bands = tuple(out)
-    return arrangement._bands
+    return tuple(out)
 
 
 # resonant-band layouts one band table keeps; a deleted-B3 chart has at
@@ -127,12 +129,10 @@ _KEPT_LAYOUTS = 1024
 
 
 class BandTable:
-    """``bands(arrangement)`` as the band route reads them, line position k
-    renamed ``ids[k]`` and infinity ``ids[n]``: ``entries`` holds per band
-    ``(band, resonance ids, waves)``, the resonance ids being the parallel
-    class and infinity and the waves pairing each chamber of the band
-    with its renamed separating ids; ``resonance`` holds the resonance
-    ids alone.
+    """The bands of an ``Arrangement`` as the band route reads them, under
+    its own ids (line k is k, infinity is n): ``bands`` in ``bands``
+    order, and per band its ``resonance`` ids, the parallel class and
+    infinity.
 
     ``layout(key)``, for a tuple of one flag per band (is it resonant?),
     is ``(bands, templates)``: the resonant bands and, per band, its
@@ -142,48 +142,52 @@ class BandTable:
     kept, up to ``_KEPT_LAYOUTS`` a table, so a call reads its rows and
     positions instead of building them."""
 
-    __slots__ = ("entries", "resonance", "_layouts")
+    __slots__ = ("bands", "resonance", "_layouts")
 
-    def __init__(self, arrangement, ids):
-        rename = ids.__getitem__
-        self.entries = tuple(
-            (
-                band,
-                (*map(rename, band.parallel_ids), ids[arrangement.n]),
-                tuple((ci, tuple(map(rename, sep))) for ci, sep in band.waves),
-            )
-            for band in bands(arrangement)
-        )
-        self.resonance = tuple(ids for _, ids, _ in self.entries)
+    def __init__(self, arrangement):
+        self.bands = _bands(arrangement)
+        infinity = arrangement.n
+        self.resonance = tuple((*band.parallel_ids, infinity) for band in self.bands)
         self._layouts = {}
 
     def layout(self, key):
         layout = self._layouts.get(key)
         if layout is not None:
             return layout
-        res = [entry for entry, on in zip(self.entries, key) if on]
-        rows = sorted(set().union(*[band.inner for band, _, _ in res]))
+        res = tuple(compress(self.bands, key))
+        rows = sorted(set().union(*[band.inner for band in res]))
         pos = {ci: r for r, ci in enumerate(rows)}
         templates = []
-        for _, _, waves in res:
+        for band in res:
             template = [()] * len(rows)
-            for ci, ids in waves:
+            for ci, ids in band.waves:
                 template[pos[ci]] = ids
             templates.append(template)
-        layout = tuple(band for band, _, _ in res), templates
+        layout = res, templates
         if len(self._layouts) < _KEPT_LAYOUTS:
             self._layouts[key] = layout
         return layout
 
 
+def _table(arrangement):
+    """The ``BandTable`` of ``arrangement``, the one band-structure store,
+    built on first use and kept on it; a flagged or projective arrangement
+    is refused."""
+    if not isinstance(arrangement, Arrangement):
+        raise ValueError(
+            "bands need a position-indexed Arrangement, "
+            f"not a {type(arrangement).__name__}"
+        )
+    if arrangement._band_table is None:
+        arrangement._band_table = BandTable(arrangement)
+    return arrangement._band_table
+
+
 def _affine_table(system, arrangement):
     """``(halves, table)``: the system's halves, infinity last, and the
-    arrangement's ``BandTable`` under its own ids, cached on it."""
+    arrangement's ``BandTable``."""
     system.check_size(arrangement.n)
-    bands(arrangement)  # refuses a flagged arrangement
-    if arrangement._band_table is None:
-        arrangement._band_table = BandTable(arrangement, range(arrangement.n + 1))
-    return (*system.halves, system.half_inf), arrangement._band_table
+    return (*system.halves, system.half_inf), _table(arrangement)
 
 
 def _resonant(bk, halves, table):
@@ -213,12 +217,6 @@ class BandKernel:
     bands: tuple  # the resonant bands, in matrix column order
 
 
-# a kernel record built slot by slot: a slot's descriptor sets it without
-# the frozen ``__setattr__`` that ``__init__`` goes through per field
-_new = object.__new__
-_set_dim, _set_bands = BandKernel.dim.__set__, BandKernel.bands.__set__
-
-
 def _band_kernel(bk, halves, table):
     """The ``BandKernel`` of a ``BandTable`` under ``halves``, by id, with
     q != 1 at infinity: the resonant bands minus the rank of their wave
@@ -232,10 +230,7 @@ def _band_kernel(bk, halves, table):
     if templates:
         columns = [bk.half_prods(halves, template) for template in templates]
         dim = len(columns) - weight_rank(bk, columns)
-    kernel = _new(BandKernel)
-    _set_dim(kernel, dim)
-    _set_bands(kernel, resonant)
-    return kernel
+    return BandKernel(dim, resonant)
 
 
 def h1_on_band_chart(system, proj):
@@ -249,17 +244,17 @@ def h1_on_band_chart(system, proj):
 
 def chart_kernel(bk, halves, proj):
     """``h1_on_band_chart`` on the half monodromies of every line of
-    ``proj`` by projective index, over backend ``bk``: the chart's
-    ``BandTable`` under projective ids is kept on ``proj``."""
+    ``proj`` by projective index, over backend ``bk``: the chart's own
+    ``BandTable`` read under the halves in chart order, its lines
+    (``Chart.to_old``) then h at infinity."""
     lines = (proj.infinity_index, *range(proj.n))
     h = next((j for j in lines if not bk.square_is_one(halves[j])), None)
     if h is None:
         return None
-    table = proj._band_tables.get(h)
-    if table is None:
-        chart = proj.chart(h)
-        table = proj._band_tables[h] = BandTable(chart.arrangement, (*chart.to_old, h))
-    return h, _band_kernel(bk, halves, table)
+    chart = proj.chart(h)
+    # a list: ``half_prods`` indexes a list faster than a tuple
+    halves = [*map(halves.__getitem__, chart.to_old), halves[h]]
+    return h, _band_kernel(bk, halves, _table(chart.arrangement))
 
 
 def h1_via_bands(system, arrangement):

@@ -1,7 +1,7 @@
 import pickle
 import random
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import islice, product
 from math import gcd, prod
 from operator import mul
@@ -366,8 +366,10 @@ def test_sparse_spans_equal_the_dense_reference(name, monkeypatch):
 
 
 def test_scan_records_equal_constructed_records(monkeypatch):
-    # hits and band-route points are built slot by slot; they compare,
-    # hash, print and refuse assignment like records the constructors make
+    # hits and band-route points come from the constructors, whose
+    # ``__init__`` sets each slot through its descriptor; they compare,
+    # hash, print, pickle and refuse assignment like records built by
+    # keyword, and ``dataclasses.replace`` and ``fields`` read them
     proj, catalog = corpus.b3()
     sent = []
     real = charvar.h1_at_point
@@ -387,13 +389,20 @@ def test_scan_records_equal_constructed_records(monkeypatch):
         with pytest.raises(FrozenInstanceError):
             point.order = 4
     for hit in hits:
-        built = ScanHit(TorusPoint(hit.point.exponents, 3), hit.h1, hit.families)
+        point = TorusPoint(exponents=hit.point.exponents, order=3)
+        built = ScanHit(point=point, h1=hit.h1, families=hit.families)
         assert type(hit) is ScanHit
         assert hit == built and hash(hit) == hash(built) and repr(hit) == repr(built)
         with pytest.raises(FrozenInstanceError):
             hit.families = ()
         copy = pickle.loads(pickle.dumps(hit))
         assert copy == built and hash(copy) == hash(built) and repr(copy) == repr(built)
+        moved = replace(hit, h1=2)
+        assert type(moved) is ScanHit and moved.h1 == 2
+        assert (moved.point, moved.families) == (hit.point, hit.families)
+        assert replace(hit.point, order=6) == TorusPoint(hit.point.exponents, 6)
+    assert [f.name for f in fields(ScanHit)] == ["point", "h1", "families"]
+    assert [f.name for f in fields(TorusPoint)] == ["exponents", "order"]
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -831,7 +840,16 @@ def test_a3_scans_at_two_field_widths_in_turn():
 
 
 def test_hit_records_are_frozen_and_pickle():
+    # the records' own ``__init__`` takes exactly their fields, positional
+    # or by keyword, and refuses a missing or unknown one
     point = TorusPoint((1, 0, 0, 1, 0, 1, 0, 1), 2)
+    with pytest.raises(TypeError):
+        TorusPoint((1, 0, 0, 1, 0, 1, 0, 1))
+    with pytest.raises(TypeError):
+        ScanHit(point=point, h1=2)
+    with pytest.raises(TypeError):
+        ScanHit(point, 2, (), dim=2)
+    assert TorusPoint(order=2, exponents=point.exponents) == point
     hit = ScanHit(point=point, h1=2, families=("C_(14|23|68)", "Omega"))
     twin = ScanHit(TorusPoint((1, 0, 0, 1, 0, 1, 0, 1), 2), 2, hit.families)
     assert hit == twin and hash(hit) == hash(twin)

@@ -58,6 +58,18 @@ def test_no_bands_without_parallels():
     assert bands(corpus.triangle()) == ()
 
 
+def test_bands_refuse_a_flagged_arrangement():
+    arr = corpus.figure_five_lines()
+    with pytest.raises(ValueError, match="not a FlaggedArrangement$"):
+        bands(arr.flagged())
+
+
+def test_bands_refuse_a_projective_arrangement():
+    proj = cone(corpus.figure_five_lines())
+    with pytest.raises(ValueError, match="not a ProjArrangement$"):
+        bands(proj)
+
+
 def test_resonance_iff_crossing_product_one():
     arr = corpus.figure_five_lines()
     # the two bands are resonant exactly when q1*q5 = 1
@@ -314,14 +326,21 @@ def test_modular_band_h1_equals_exact_wave_kernel(monkeypatch):
     assert sum(used >= 2 for used in primes_used) > 0
 
 
+def _chart_halves(halves, proj, h):
+    """The projective ``halves`` in the order of ``proj.chart(h)``'s band
+    table: its lines, then h at infinity."""
+    return (*[halves[j] for j in proj.chart(h).to_old], halves[h])
+
+
 @pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
 def test_chart_tables_equal_the_chart_systems(backend):
-    """On every chart h with q_h != 1, the band route on h's band table
-    under projective ids, read off the projective halves, gives the
-    ``BandKernel`` (dimension and resonant bands) of ``h1_via_bands`` on
-    the chart system ``brute.on_chart`` builds; ``h1_on_band_chart`` keeps
-    that table for the h it picks.  On the exact backend the dimension is
-    also the chamber-complex h1."""
+    """On every chart h with q_h != 1, the band route on a fresh band table
+    of the chart arrangement, read off the projective halves in chart
+    order, gives the ``BandKernel`` (dimension and resonant bands) of
+    ``h1_via_bands`` on the chart system ``brute.on_chart`` builds;
+    ``h1_on_band_chart`` keeps that table on the chart arrangement for the
+    h it picks.  On the exact backend the dimension is also the
+    chamber-complex h1."""
     dims = set()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -338,16 +357,19 @@ def test_chart_tables_equal_the_chart_systems(backend):
         for h in range(proj.n):
             if system.backend.square_is_one(halves[h]):
                 continue
-            chart = proj.chart(h)
-            tables[h] = resband.BandTable(chart.arrangement, (*chart.to_old, h))
-            kernel = resband._band_kernel(system.backend, halves, tables[h])
+            tables[h] = resband.BandTable(proj.chart(h).arrangement)
+            in_chart = _chart_halves(halves, proj, h)
+            kernel = resband._band_kernel(system.backend, in_chart, tables[h])
             chart_system = brute.on_chart(system, proj, h)
-            assert kernel == h1_via_bands(chart_system, chart.arrangement)
+            assert kernel == h1_via_bands(chart_system, proj.chart(h).arrangement)
             assert oracle is None or kernel.dim == oracle
             dims.add(kernel.dim)
         h, kernel = h1_on_band_chart(system, proj)
-        assert proj._band_tables[h].entries == tables[h].entries
-        assert kernel == resband._band_kernel(system.backend, halves, tables[h])
+        kept = proj.chart(h).arrangement._band_table
+        assert kept.bands == tables[h].bands
+        assert kept.resonance == tables[h].resonance
+        in_chart = _chart_halves(halves, proj, h)
+        assert kernel == resband._band_kernel(system.backend, in_chart, tables[h])
 
     check()
     assert {0, 1, 2} <= dims
@@ -357,8 +379,9 @@ def test_chart_tables_equal_the_chart_systems(backend):
 def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
     # a table keeps the layout of each set of resonant bands it meets, up
     # to ``_KEPT_LAYOUTS``; past the bound a layout is made per call, and
-    # the kernel is the same either way.  Each kernel record is built slot
-    # by slot, and equals, hashes and prints as ``BandKernel(dim, bands)``
+    # the kernel is the same either way.  Each kernel record equals,
+    # hashes and prints as ``BandKernel(dim, bands)`` and refuses
+    # assignment
     proj, _ = corpus.b3()
     rng = random.Random(11)
     kernels = []
@@ -373,9 +396,8 @@ def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
     fresh = {}
     for system, h, kernel in kernels:
         if h not in fresh:
-            chart = proj.chart(h)
-            fresh[h] = resband.BandTable(chart.arrangement, (*chart.to_old, h))
-        halves = system.projective_halves(proj)
+            fresh[h] = resband.BandTable(proj.chart(h).arrangement)
+        halves = _chart_halves(system.projective_halves(proj), proj, h)
         assert resband._band_kernel(system.backend, halves, fresh[h]) == kernel
         built = resband.BandKernel(kernel.dim, kernel.bands)
         assert type(kernel) is resband.BandKernel
@@ -386,6 +408,35 @@ def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
     assert all(len(table._layouts) == 1 for table in fresh.values())
     assert {kernel.dim for _, _, kernel in kernels} >= {0, 1, 2}
     assert len({len(kernel.bands) for _, _, kernel in kernels}) >= 3
+
+
+def test_one_band_table_per_arrangement():
+    """An affine arrangement keeps one ``BandTable``: ``h1_via_bands`` on
+    it and ``h1_on_band_chart`` on its cone, whose infinity chart it is,
+    read the same table and give equal kernels.  With trivial infinity the
+    chart of the first line with q != 1 is read, and its table is the one
+    kept on that chart's arrangement."""
+    arr = corpus.figure_five_lines()
+    proj = cone(arr)
+    system = make_local_system([0, 1, 3, 2, 0], order=4)
+    kernel = h1_via_bands(system, arr)
+    table = arr._band_table
+    assert table is not None and bands(arr) is table.bands
+    assert h1_on_band_chart(system, proj) == (proj.infinity_index, kernel)
+    assert arr._band_table is table and kernel.dim == 2
+
+    trivial = make_local_system([1, 3, 0, 0, 0], order=4)
+    assert brute.infinity_is_one(trivial)
+    h, kernel = h1_on_band_chart(trivial, proj)
+    chart = proj.chart(h)
+    assert h == 0 and chart.arrangement is not arr
+    assert arr._band_table is table
+    kept = chart.arrangement._band_table
+    assert kept is not None and bands(chart.arrangement) is kept.bands
+    chart_system = brute.on_chart(trivial, proj, h)
+    assert kernel == h1_via_bands(chart_system, chart.arrangement)
+    assert chart.arrangement._band_table is kept
+    assert cohomology_dims(trivial, arr)[1] == kernel.dim
 
 
 # the primes = 1 (mod 12) below 110, for order 6: one of them divides the
