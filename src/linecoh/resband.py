@@ -187,7 +187,7 @@ def _affine_table(system, arrangement):
     """``(halves, table)``: the system's halves, infinity last, and the
     arrangement's ``BandTable``."""
     system.check_size(arrangement.n)
-    return (*system.halves, system.half_inf), _table(arrangement)
+    return [*system.halves, system.half_inf], _table(arrangement)
 
 
 def _resonant(bk, halves, table):

@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linecoh import charvar, geometry, mincomplex, resband
+from linecoh import charvar, cli, geometry, mincomplex, resband
 from linecoh.cli import main
 from linecoh.localsystem import LocalSystem
 
@@ -751,7 +751,15 @@ GOLDEN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_report(name, tmp_path, monkeypatch):
-    """Reports stay byte-identical to the checked-in ``golden/<name>.out``."""
+    """Reports stay byte-identical to the checked-in ``golden/<name>.out``.
+    The argv is well formed, so ``cli._read_exact`` reads it alone: both
+    argparse parser builders are patched to raise."""
+
+    def refuse(*args):
+        raise AssertionError("argparse parser built for well-formed argv")
+
+    monkeypatch.setattr(cli, "_subcommand_parser", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / "report.txt"
     assert main(GOLDEN_CASES[name] + ["--out", str(out)]) == 0
@@ -799,3 +807,99 @@ def test_cli_surface_golden(name, monkeypatch, capsys):
         shown, silent, suffix = captured.err, captured.out, ".err"
     assert shown.encode() == (GOLDEN / f"{name}{suffix}").read_bytes()
     assert silent == ""
+
+
+# argv pieces for the exact reader: flags with their abbreviations, values
+# argparse reads as options, negative numbers, bad numbers or bad choices,
+# and tokens that are never an exact option
+READER_FLAGS = [
+    "--arrangement", "--local-system", "--order", "--budget", "--backend",
+    "--eps", "--out", "--check", "--arr", "--che", "--ord",
+]
+# tokens the reader always leaves to argparse, before any "="
+NEVER_EXACT = {"--arr", "--che", "--ord", "--", "-h", "--help"}
+READER_VALUES = [
+    "fig1.txt", "2", "cyclotomic", "complex", "1e-9", "torsion 2; 1 0", "",
+    "-1", "-x", "nan", "abc", "bogus", "-1 2", "a=b",
+]
+READER_LONE = ["--", "-h", "--help", "--check=x", "--check=", "fig1.txt"]
+# well-formed values of every valued option, two or more so that repeats
+# can differ
+READER_GOOD = {
+    "--arrangement": ["fig1.txt", "a=b", ""],
+    "--local-system": ["torsion 2; 1 0", "abc"],
+    "--order": ["2", "3"],
+    "--budget": ["5", "0"],
+    "--backend": ["complex", "cyclotomic"],
+    "--eps": ["1e-9", "nan", "0.5"],
+    "--out": ["report.txt", "bogus"],
+}
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand row and the tokens after its name: its required
+    options with good values, then more of its own options with good
+    values and up to two pieces drawn from the pools above, in any
+    order."""
+    row = draw(st.sampled_from(cli._SUBCOMMANDS))
+    options = row[3]
+
+    def good(opt):
+        if opt.type is bool:
+            return st.just([opt.flag])
+        value = st.sampled_from(READER_GOOD[opt.flag])
+        return value.map(lambda v: [opt.flag, v]) | value.map(
+            lambda v: [f"{opt.flag}={v}"]
+        )
+
+    pieces = [draw(good(opt)) for opt in options if opt.required]
+    pieces += draw(st.lists(st.sampled_from(options).flatmap(good), max_size=4))
+    flag = st.sampled_from(READER_FLAGS)
+    value = st.sampled_from(READER_VALUES)
+    hostile = st.one_of(
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        flag.map(lambda f: [f]),
+        st.sampled_from(READER_LONE).map(lambda t: [t]),
+    )
+    pieces += draw(st.lists(hostile, max_size=2))
+    pieces = draw(st.permutations(pieces))
+    return row, [token for piece in pieces for token in piece]
+
+
+def _plain(args):
+    """``vars(args)`` with nan made comparable."""
+    return {k: "nan" if v != v else v for k, v in vars(args).items()}
+
+
+def _row(name, *tokens):
+    return next(row for row in cli._SUBCOMMANDS if row[0] == name), list(tokens)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(drawn=subcommand_argv())
+# one near miss per rule of the reader, whatever the draws
+@example(drawn=_row("chambers", "--arrangement", "f", "--out", "-x"))
+@example(drawn=_row("b3", "--order", "2", "--order", "3"))
+@example(drawn=_row("h1", "--arrangement", "f", "--local-system", "s", "--check="))
+@example(drawn=_row("b3", "--backend", "bogus"))
+@example(drawn=_row("scan", "--arr", "f", "--order", "2"))
+def test_exact_reader_agrees_with_argparse(drawn):
+    """Whenever ``_read_exact`` returns a namespace, the subcommand's
+    argparse parser reads the same tokens to an equal one with nothing
+    left over; abbreviations, help and "--" always go to argparse."""
+    row, tokens = drawn
+    args = cli._read_exact(*row, tokens)
+    if any(token.partition("=")[0] in NEVER_EXACT for token in tokens):
+        assert args is None, tokens
+    if args is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            parsed, extra = cli._subcommand_parser(*row).parse_known_args(tokens)
+        except SystemExit:
+            pytest.fail(f"argparse refused {tokens!r}: {err.getvalue()}")
+    assert extra == []
+    assert _plain(args) == _plain(parsed)
