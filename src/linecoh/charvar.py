@@ -5,55 +5,33 @@ decomposition.
 A torus point assigns a root of unity to every projective line subject to
 the product-one constraint; a point of order dividing N is an exponent
 vector mod N summing to 0.  h^1 at a nontrivial point is the band kernel
-on the chart of ``resband.h1_on_band_chart`` (infinity when its q is not
-1, else the first line with q != 1), read off that chart's band table
-(``resband.chart_kernel``) from the point's halves by projective index
-(``localsystem.projective_torsion_halves``), with no system built.
+on the chart of ``resband.h1_on_band_chart``, read off that chart's band
+table from the point's halves, with no system built (``h1_at_point``).
 
 The zero/one resonant point certificates (``resband.certify_masks``) give
 h^1 = 0 at almost every point, so ``torsion_scan`` visits only the points
-where they cannot: the local family of each multiple point, and the
-points at which every line with q != 1 carries two resonant multiple
-points.  Both are invariant under the Galois units and the arrangement's
-projective automorphisms (``ProjArrangement.automorphisms``), and
-``candidate_points`` lists one point set per class under them.  The
-(B) points are listed from the nodes of a depth-first walk that puts
-each multiple point in the set R of resonant points or leaves it out
-(``_frontier``), pruned to the least R of each class under the
-automorphisms (orderly generation: ``_pruned`` reads the permutations
-of the multiple points kept in ``_symmetry``).  A node's points form a
-subgroup read off a diagonal form of a small integer matrix
-(``_diagonal_form``), cached on the arrangement with the order-free data
-the walk tests (free column count, diagonal entries above 1, gcds of the
-point sums) and the columns it lists along, each kept sparse as its
-nonzero entries; a pruned node builds no form, a node that cannot hold
-such a point is dropped, and one that is cheaper to list than to walk on
-is listed.  Points are listed packed, a byte-aligned field per line and
-per multiple point (8 bits up to N = 127, 16 up to 1000), a generator
-packed from its nonzero entries alone (``_span``), and the (B) test
-reads a table of resonant-point chunks kept on the arrangement per field
-width (``_fields``).  The local family of one multiple point per class
-is listed, and each other family of the class is entered as its image
-under one automorphism; a nontrivial point of the local family of p
-takes h^1 = |p| - 2, which the one resonant point certificate gives
-there without a mask read.  The (B) points go to the band route
-(``h1_at_point``) once per orbit under the units and the automorphisms,
-and the answer fills the whole orbit, so the fill ends up holding every
-(B) point.  On deleted B3 at N = 5 the walk has 54 nodes (115 without
-the pruning) and lists 10 of them; the scan lists 272 of the 78,124
-nontrivial points (the 172 of three local families and 100 from the
-walk), keeps 240 and enters 96 more as family images.  The band route
-runs 12 times, once per orbit of the 164 (B) points under the units and
-the 8 automorphisms (41 Galois orbits), and the fill holds all 164.  A
-catalog names each hit with one lookup in an index of the families'
-torsion points, kept on the arrangement per catalog and order
-(``_catalog_index``, up to ``_KEPT_POINTS`` points over the kept
-indexes).  The ``TorusPoint`` and ``ScanHit`` constructors set each slot
-through its descriptor, without the frozen dataclass's per-field
-``__setattr__``.  The scans of deleted B3 at orders 2 to 12 give exactly
-the catalog's nontrivial torsion points of order dividing N, with h^1 =
-2 on C_5678 and at the two order-2 points on four families, and h^1 = 1
-at every other hit.
+where they cannot, listed by ``candidate_points`` (which proves that they
+are all): the local family of each multiple point (A), and the points at
+which every line with q != 1 carries two resonant multiple points (B).
+h^1 is the same on an orbit under the Galois units and the arrangement's
+projective automorphisms (proved at ``torsion_scan``), so one point set
+per class is listed and the answer fills the orbit.  The (B) points come
+from the nodes of a depth-first walk over the sets of resonant multiple
+points, pruned to the least set of each class (``_frontier``, which proves
+that pruning), each node's points a subgroup read off a diagonal form of
+a small integer matrix (``_node``) and listed packed, a byte-aligned field
+per line and per multiple point (``_span``, ``_fields``).  What the scans
+keep on an arrangement is one ``_ScanState``.
+
+On deleted B3 at N = 5 the walk has 54 nodes (115 without the pruning)
+and lists 10 of them; the scan lists 272 of the 78,124 nontrivial points
+(the 172 of three local families and 100 from the walk), keeps 240 and
+enters 96 more as family images.  The band route runs 12 times, once per
+orbit of the 164 (B) points under the units and the 8 automorphisms (41
+Galois orbits), and the fill holds all 164.  The scans of deleted B3 at
+orders 2 to 12 give exactly the catalog's nontrivial torsion points of
+order dividing N, with h^1 = 2 on C_5678 and at the two order-2 points on
+four families, and h^1 = 1 at every other hit.
 """
 
 from __future__ import annotations
@@ -77,9 +55,6 @@ from .resband import h1_via_bands  # noqa: F401
 from .scalars import DEFAULT_EPS
 
 DEFAULT_BUDGET = 2_000_000
-# exponent vectors the catalog indexes kept on an arrangement hold together
-# (``_catalog_index``): deleted B3's at orders 2 to 8 (3,447, about 0.65 MB)
-_KEPT_POINTS = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,7 +87,9 @@ class ComponentFamily:
     s_j in the unit torus.  Power columns sum to zero and the sign vector
     has even weight, so every produced point satisfies the product-one
     constraint.  Every parameter must be pinned by some coordinate equal to
-    s_j on the nose; membership testing relies on that.
+    s_j on the nose; membership testing relies on that.  Signs and powers
+    are integers, read by ``operator.index`` (2.0 is refused) and kept as
+    tuples, so equal families hash alike.
     """
 
     name: str
@@ -120,6 +97,15 @@ class ComponentFamily:
     powers: tuple
 
     def __post_init__(self):
+        try:
+            signs = tuple(map(index, self.signs))
+            powers = tuple(tuple(map(index, row)) for row in self.powers)
+        except TypeError:
+            raise ValueError(
+                f"{self.name}: signs and powers must be integers"
+            ) from None
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "powers", powers)
         if not self.powers:
             raise ValueError(f"{self.name}: no power rows")
         if len(self.signs) != len(self.powers):
@@ -180,7 +166,7 @@ class ComponentFamily:
         m = self._modulus(order)
         lift = m // order
         cols = [[row[j] % m for row in self.powers] for j in range(self.nparams)]
-        exps, digits = [s * (m // 2) for s in self.signs], [0] * self.nparams
+        exps, digits = [s * (m // 2) % m for s in self.signs], [0] * self.nparams
         while True:
             if lift == 1:
                 yield tuple(exps)
@@ -295,6 +281,77 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     return found[1].dim
 
 
+# the bounds of ``_ScanState``'s node cache and catalog indexes
+_CACHED_NODES = 4096
+_KEPT_POINTS = 4096
+
+
+class _ScanState:
+    """What the scans keep on one arrangement, behind its one
+    ``_scan_state`` attribute, which only the function ``_scan_state``
+    sets.  No entry depends on the backend, and the arrangement's lines
+    and the frozen families never change, so a kept entry stays true;
+    each store lets a warm scan skip work it would repeat.
+
+    - ``prune``, ``classes`` and ``moves``: the automorphisms as the
+      walk's pruning, the local families and the orbit fill read them
+      (``_symmetry``), built with the record.
+    - ``nodes``: the walk's node ``_node(proj, k, inside)`` under ``(k,
+      inside)``, or None for a node the walk prunes (``_pruned``), decided
+      before any form is built; kept while fewer than ``_CACHED_NODES``
+      are (deleted B3 has 255).  A node does not depend on the order.
+    - ``fields``: the layout ``_fields(proj, width)`` under its field
+      width, one of the four of ``_field_width``.
+    - ``catalogs``: the index ``_catalog_index(families, order)`` under
+      ``(order, families)``.  The families are frozen and compared by
+      value, so equal catalogs share one index.  An index is kept while
+      the kept indexes hold at most ``_KEPT_POINTS`` vectors together
+      (deleted B3's at orders 2 to 8 hold 3,447, about 0.65 MB), the
+      oldest dropped first.  An index with more, or with none (no
+      families, or none with a point of the order), is built on every
+      call: an empty one would never be dropped.
+    """
+
+    __slots__ = ("prune", "classes", "moves", "nodes", "fields", "catalogs")
+
+    def __init__(self, proj):
+        self.prune, self.classes, self.moves = _symmetry(proj)
+        self.nodes, self.fields, self.catalogs = {}, {}, {}
+
+    def node(self, proj, k, inside):
+        node = self.nodes.get((k, inside), False)
+        if node is False:
+            node = None if _pruned(proj, k, inside) else _node(proj, k, inside)
+            if len(self.nodes) < _CACHED_NODES:
+                self.nodes[k, inside] = node
+        return node
+
+    def layout(self, proj, width):
+        fields = self.fields.get(width)
+        if fields is None:
+            fields = self.fields[width] = _fields(proj, width)
+        return fields
+
+    def names(self, families, order):
+        key = (order, families)
+        names = self.catalogs.get(key)
+        if names is None:
+            names = _catalog_index(families, order)
+            if 0 < len(names) <= _KEPT_POINTS:
+                kept = self.catalogs
+                while sum(map(len, kept.values())) > _KEPT_POINTS - len(names):
+                    del kept[next(iter(kept))]  # dicts keep insertion order
+                kept[key] = names
+        return names
+
+
+def _scan_state(proj):
+    """The ``_ScanState`` of ``proj``, built on first use."""
+    if proj._scan_state is None:
+        proj._scan_state = _ScanState(proj)
+    return proj._scan_state
+
+
 def _diagonal_form(rows, cols):
     """``(d, S*Q)`` for the integer matrix A of ``rows`` and the matrix S
     whose columns are ``cols``, one per column of A: the nonzero diagonal
@@ -349,8 +406,7 @@ def _node(proj, k, inside):
     """``(free, big, sums, divisors, gens)`` for the node of the walk of
     ``_frontier`` that has put the multiple points of ``inside`` (a
     bitmask over ``incidence_table(proj)``) in R and left the other points
-    below ``k`` out.  Cached on ``proj`` while it holds fewer than
-    ``_CACHED_NODES``.
+    below ``k`` out; the walk reads it through ``_ScanState.node``.
 
     The node's subgroup W holds V2(R) for every R it can still reach, from
     ``inside`` to ``inside`` plus the points from ``k`` on: exponents 0 on
@@ -381,18 +437,7 @@ def _node(proj, k, inside):
     point's incidence the fields past ``proj.n``).  ``divisors`` holds
     their d_i, 0 past ``d``, so a column steps by N / gcd(d_i, N): 1 past
     ``d``.  So a scan at any order packs each generator from its nonzero
-    entries, and no column is rebuilt per span.
-
-    A node the walk prunes (``_pruned``) is None, decided before any form
-    is built and cached the same way."""
-    nodes = proj._scan_nodes
-    node = nodes.get((k, inside), False)
-    if node is not False:
-        return node
-    if _pruned(proj, k, inside):
-        if len(nodes) < _CACHED_NODES:
-            nodes[k, inside] = None
-        return None
+    entries, and no column is rebuilt per span."""
     table = incidence_table(proj)
     reach = inside | (1 << len(table.points)) - (1 << k)
     live = [j for j, on in enumerate(table.on_mask) if (on & reach).bit_count() >= 2]
@@ -408,16 +453,13 @@ def _node(proj, k, inside):
     d, cols = _diagonal_form(rows + [[1] * len(live)], start)
     n = proj.n
     free = cols[len(d) :]
-    node = (
+    return (
         len(free),
         tuple((v, col[n:]) for v, col in zip(d, cols) if v > 1),
         tuple(gcd(*[col[n + q] for col in free]) for q in range(len(table.points))),
         tuple(v for v in d if v > 1) + (0,) * len(free),
         tuple(_sparse(col) for v, col in zip_longest(d, cols) if v != 1),
     )
-    if len(nodes) < _CACHED_NODES:
-        nodes[k, inside] = node
-    return node
 
 
 # A node is listed when it holds at most this many points per set of the
@@ -426,13 +468,11 @@ def _node(proj, k, inside):
 # walk was pruned to one set per automorphism class; it is kept so that
 # the walk and the ``--budget`` counts do not move.
 _NODE_COST = 4
-# nodes kept per arrangement; deleted B3 has 255
-_CACHED_NODES = 4096
 
 
 def _symmetry(proj):
     """``(prune, classes, moves)``, the scans' view of
-    ``proj.automorphisms()``, kept on ``proj``.
+    ``proj.automorphisms()``, built with its ``_ScanState``.
 
     An automorphism sigma takes the multiple point q of
     ``incidence_table(proj)`` to the point on the lines sigma(i), i on q,
@@ -451,8 +491,6 @@ def _symmetry(proj):
     of p' onto those of p, so it takes the family of p onto that of p'.
     ``moves`` holds e -> e o sigma for every automorphism, the identity
     first, for the band route's orbit fill."""
-    if proj._scan_symmetry is not None:
-        return proj._scan_symmetry
     table = incidence_table(proj)
     group = proj.automorphisms()
     index = {p: q for q, p in enumerate(table.points)}
@@ -484,22 +522,16 @@ def _symmetry(proj):
         gens = tuple(((j, 1), (p[-1], -1)) for j in p[:-1])
         moves = tuple(itemgetter(*sigma) for r, sigma in images.items() if r != q)
         classes.append((gens, depth, moves))
-    proj._scan_symmetry = (
-        prune,
-        tuple(classes),
-        tuple(itemgetter(*sigma) for sigma in group),
-    )
-    return proj._scan_symmetry
+    return prune, tuple(classes), tuple(itemgetter(*sigma) for sigma in group)
 
 
 def _pruned(proj, k, inside):
     """Whether the walk prunes its node ``(k, inside)``: some map of
-    ``_symmetry(proj)``'s ``prune[k]``, a sigma taking the points below k
-    onto themselves, moves ``inside`` to a set that first differs from it
-    at a point of ``inside`` (the lowest set bit of the difference is in
-    ``inside``).  See ``_frontier`` for why no class of sets R loses its
-    least member."""
-    for pi in _symmetry(proj)[0][k]:
+    ``prune[k]`` (``_symmetry``), a sigma taking the points below k onto
+    themselves, moves ``inside`` to a set that first differs from it at a
+    point of ``inside`` (the lowest set bit of the difference is in
+    ``inside``), the test ``_frontier`` proves sound."""
+    for pi in _scan_state(proj).prune[k]:
         image = 0
         for q, r in enumerate(pi):
             if inside >> q & 1:
@@ -550,11 +582,12 @@ def _frontier(proj, order, budget, spent):
     ``budget``; beyond it, ``BudgetExceededError``, before any point is
     listed."""
     npoints = len(incidence_table(proj).points)
+    node_at = _scan_state(proj).node
     sources = []
     stack = [(0, 0, 0)]
     while stack:
         k, inside, outside = stack.pop()
-        node = _node(proj, k, inside)
+        node = node_at(proj, k, inside)
         if node is None:
             continue
         free, big, sums, _, _ = node
@@ -690,8 +723,8 @@ _CHUNK = 7
 
 def _fields(proj, width):
     """The packed-field layout of ``candidate_points`` on ``proj`` at
-    ``width``-bit fields, kept on ``proj`` per width: ``(top, near,
-    points_top, point_tops, nbytes, unpack, thin)``.
+    ``width``-bit fields: ``(top, near, points_top, point_tops, nbytes,
+    unpack, thin)``.
 
     A point has a field per line, then one per multiple point.  ``top``
     holds every field's top bit, ``points_top`` and ``point_tops`` those
@@ -711,9 +744,6 @@ def _fields(proj, width):
     2^(width-1) - 2 to every line field sets its top bit exactly when the
     count is at least 2.  Deleted B3 has one chunk of 128 entries, and a
     file with 21 multiple points has three."""
-    fields = proj._scan_fields.get(width)
-    if fields is not None:
-        return fields
     table = incidence_table(proj)
     n, npoints = proj.n, len(table.points)
     tops = [1 << width * f + width - 1 for f in range(n + npoints)]
@@ -740,7 +770,7 @@ def _fields(proj, width):
         return lines_top & ~counts
 
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
-    fields = proj._scan_fields[width] = (
+    return (
         top,
         top - (top >> width - 1),
         points_top,
@@ -749,7 +779,6 @@ def _fields(proj, width):
         Struct(f"<{n}{code}").unpack_from,
         thin,
     )
-    return fields
 
 
 def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
@@ -758,51 +787,75 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     one point set per class under the Galois units and the automorphisms
     of ``proj``.  Every such point is u*(e o sigma) for a listed e, a unit
     u of Z/N and a sigma in ``proj.automorphisms()``, with the same h^1
-    (see ``torsion_scan`` for why these are all of them and why h^1 is
-    the same on the orbit).
+    (proved at ``torsion_scan``).
 
-    ``h1`` is |p| - 2 for the points of the local family of a multiple
-    point p (A), and None for the points at which every line with q != 1
-    carries at least two resonant multiple points (B), listed from the
-    nodes of ``_frontier``.  The (A) points come first: the whole family
-    of the first point p of each class of multiple points
-    (``_symmetry``'s ``classes``, in that order), its N^(|p| - 1) - 1
-    nontrivial points one after the other; every other family is the
-    image of one of these.  The (B) points come from a walk that visits
-    the least set R of resonant points of every class and may visit
-    others, so some (B) points of a class may be listed and others not.
-    No family point is in (B) and no two families share a point, so each
-    is listed once.  ``budget`` bounds ``spent`` (work the caller counts
-    first, such as ``torsion_scan``'s catalog parameter tuples) plus the
-    points of every local family, the points listed from the walk and
-    the nodes walked.
+    Why these are all of them: let R(e) be the resonant multiple points
+    of a nontrivial point e.  A line with q != 1 through no point of R(e)
+    certifies 0.  A line with q != 1 through exactly one, p, certifies 0
+    unless every line with q != 1 passes through p; then e is supported
+    on the lines of p, whose exponents sum to 0 by the torus constraint,
+    so e lies in the local family of p (A).  Otherwise every line with
+    q != 1 meets at least two points of R(e) (B), and e lies in V2(R(e)):
+    exponents 0 on the lines meeting fewer than two points of R(e), the
+    lines of each point of R(e) summing to 0, and all lines summing to 0.
+    So every point the certificates do not set to 0 is in (A), where they
+    give |p| - 2, or in (B), where they decide nothing; the two are
+    disjoint.  The certificate gives |p| - 2 at every nontrivial point e
+    of the local family of p, so (A) is the whole family and needs no
+    mask read: a line h with q != 1 lies on p; p is resonant, as its
+    lines hold all of e; any other multiple point on h meets p only in h,
+    so its exponent sum is e_h != 0; and every line off p is trivial.  So
+    no such point is in (B), and no two families share a nontrivial
+    point, as two multiple points share at most one line and a
+    nontrivial point supported on one line breaks the torus constraint.
+    A (B) point e is listed only from the node of the walk over the
+    multiple points whose choices agree with R(e): each node holds V2(R)
+    for every R it can still reach, so the nodes it drops hold no such e,
+    and the nodes it lists split the sets R between them.  So every
+    point is listed at most once.  Both certificates are theorems of the
+    paper, and their tests are integer congruences mod N, so the skipped
+    points and the family values are exact under either backend.
+
+    ``h1`` is |p| - 2 for the points of (A), and None for those of (B),
+    listed from the nodes of ``_frontier``.  The (A) points come first:
+    the whole family of the first point p of each class of multiple
+    points (``_symmetry``'s ``classes``, in that order), its
+    N^(|p| - 1) - 1 nontrivial points one after the other; every other
+    family is the image of one of these.  The (B) points come from a walk
+    that visits the least set R of resonant points of every class and may
+    visit others, so some (B) points of a class may be listed and others
+    not.
+    ``budget`` bounds ``spent`` (work the caller counts first, such as
+    ``torsion_scan``'s catalog parameter tuples) plus the points of every
+    local family, the points listed from the walk and the nodes walked.
 
     Points come packed from ``_span`` in byte-aligned fields
     (``_field_width``: 8 bits up to N = 127, 16 up to
     ``MAX_TORSION_ORDER``), a field per line, and a (B) point also one
-    per multiple point (its exponent sum), laid out by ``_fields``, which
-    is kept on ``proj`` per width.  They are read in that form: adding
-    ``near`` gives the lines with q != 1 and the resonant points of a (B)
-    point as masks of top bits.  The (B) test is then a lookup in the
-    chunked table of ``_fields``: a point is kept when none of its lines
-    with q != 1 meets fewer than two of its resonant points (and it
-    leaves out no point of ``outside``).  A kept point's exponents are
-    its line fields, unpacked from its bytes with ``struct``.  A span's
-    generators are the sparse columns kept with its node (``_node``) or,
-    for a local family, in ``_symmetry``; only their steps depend on N."""
+    per multiple point (its exponent sum), laid out by ``_fields``.  They
+    are read in that form: adding ``near`` gives the lines with q != 1
+    and the resonant points of a (B) point as masks of top bits.  The (B)
+    test is then a lookup in the chunked table of ``_fields``: a point is
+    kept when none of its lines with q != 1 meets fewer than two of its
+    resonant points (and it leaves out no point of ``outside``).  A kept
+    point's exponents are its line fields, unpacked from its bytes with
+    ``struct``.  A span's generators are the sparse columns of its node
+    (``_node``) or, for a local family, of ``_symmetry``; only their
+    steps depend on N."""
     table = incidence_table(proj)
     # a family has N^(|p| - 1) points, zero included
     spent += sum(order ** (depth + 1) - 1 for depth in table.depth)
     nodes = _frontier(proj, order, budget, spent)
+    state = _scan_state(proj)
     # a field holds a residue mod N or a line's count in the (B) table
     width = _field_width(max(order, 2 * -(-len(table.points) // _CHUNK)))
-    top, near, points_top, point_tops, nbytes, unpack, thin = _fields(proj, width)
-    for gens, depth, _ in _symmetry(proj)[1]:
+    top, near, points_top, point_tops, nbytes, unpack, thin = state.layout(proj, width)
+    for gens, depth, _ in state.classes:
         points = _span(gens, [1] * len(gens), order, width, top)
         packed = map(int.to_bytes, points, repeat(nbytes), repeat("little"))
         yield from zip(map(unpack, packed), repeat(depth))
     for k, inside, outside in nodes:
-        _, _, _, divisors, gens = _node(proj, k, inside)
+        _, _, _, divisors, gens = state.node(proj, k, inside)
         steps = [order // gcd(v, order) for v in divisors]
         outside = sum(bit for q, bit in enumerate(point_tops) if outside >> q & 1)
         for point in _span(gens, steps, order, width, top):
@@ -828,29 +881,13 @@ _set_point, _set_h1 = ScanHit.point.__set__, ScanHit.h1.__set__
 _set_families = ScanHit.families.__set__
 
 
-def _catalog_index(proj, families, order):
+def _catalog_index(families, order):
     """The index from exponent vectors to the names of the ``families``
-    (a tuple) through them, in family order, over their
-    ``torsion_exponents(order)``.  Kept on ``proj`` per tuple of families
-    and order, under ``(order, *ids)`` with the families beside it, while
-    the indexes kept there hold at most ``_KEPT_POINTS`` vectors together,
-    the oldest dropped first; an index with more is built on every call.
-    A kept index holds its families, so the ids in its key stay theirs;
-    the families are frozen, so the index stays true to them."""
-    kept = proj._scan_catalogs
-    key = (order, *map(id, families))
-    entry = kept.get(key)
-    if entry is not None:
-        return entry[1]
+    through them, in family order, over their ``torsion_exponents(order)``."""
     names = {}
     for f in families:
         for exps in f.torsion_exponents(order):
             names[exps] = names.get(exps, ()) + (f.name,)
-    if len(names) <= _KEPT_POINTS:
-        room = _KEPT_POINTS - len(names)
-        while sum(len(index) for _, index in kept.values()) > room:
-            del kept[next(iter(kept))]  # dicts keep insertion order
-        kept[key] = (families, names)
     return names
 
 
@@ -879,53 +916,22 @@ def torsion_scan(
     (``operator.index`` refuses 2.0 as well as 1.5).
 
     The names come from an index from exponent vectors to the names of
-    the families through them, with one lookup per hit, built once the
-    walk has held the count to the budget and kept on ``proj`` per
-    catalog and order (``_catalog_index``, up to ``_KEPT_POINTS`` vectors
-    over the kept indexes), so a catalog scanned again at an order reads
-    it as it is;
-    the parameter tuples are charged to the budget on every scan all the
-    same.  A family's entries are its ``torsion_exponents``: its
-    parameters run over Z/m, and a point is kept when every exponent is a
-    multiple of m/N.  This is exactly the point set ``contains`` tests
-    for: every parameter s_j is pinned by a coordinate equal to
-    +-s_j^(+-1), so at a point of order dividing N it is an m-th root of
-    unity (the sign needs m even).  A family whose line count is not
-    ``proj.n`` holds no point of the scan, as in ``contains``.
+    the families through them (``_catalog_index``), with one lookup per
+    hit, built once the walk has held the count to the budget; the
+    parameter tuples are charged to the budget on every scan, whether the
+    index is kept or not.  A family's entries are its
+    ``torsion_exponents``: its parameters run over Z/m, and a point is
+    kept when every exponent is a multiple of m/N.  This is exactly the
+    point set ``contains`` tests for: every parameter s_j is pinned by a
+    coordinate equal to +-s_j^(+-1), so at a point of order dividing N it
+    is an m-th root of unity (the sign needs m even).  A family whose
+    line count is not ``proj.n`` holds no point of the scan, as in
+    ``contains``.
 
     Only the points of ``candidate_points`` and their images are visited;
-    at every other nontrivial point the certificates give h^1 = 0, so
-    skipping it is exact.  Why: let R(e) be the resonant multiple points
-    of a nontrivial point e.  A line with q != 1 through no point of R(e)
-    certifies 0.  A line with q != 1 through exactly one, p, certifies 0
-    unless every line with q != 1 passes through p; then e is supported
-    on the lines of p, whose exponents sum to 0 by the torus constraint,
-    so e lies in the local family of p (A).  Otherwise every line with
-    q != 1 meets at least two points of R(e) (B), and e lies in V2(R(e)):
-    exponents 0 on the lines meeting fewer than two points of R(e), the
-    lines of each point of R(e) summing to 0, and all lines summing to 0.
-    So every point the certificates do not set to 0 is in (A), where they
-    give |p| - 2, or in (B), where they decide nothing; the two are
-    disjoint.  The certificate gives |p| - 2 at every nontrivial point e
-    of the local family of p, so (A) is the whole family and needs no
-    mask read: a line h with q != 1 lies on p; p is resonant, as its
-    lines hold all of e; any other multiple point on h meets p only in h,
-    so its exponent sum is e_h != 0; and every line off p is trivial.  So
-    no such point is in (B), and no two families share a nontrivial
-    point, as two multiple points share at most one line and a
-    nontrivial point supported on one line breaks the torus constraint.
-    A (B) point e is listed only from the node of the walk over the
-    multiple points whose choices agree with R(e): each node holds V2(R)
-    for every R it can still reach, so the nodes it drops hold no such e,
-    and the nodes it lists split the sets R between them.  So every
-    point is listed at most once.
-
-    Both certificates (a line with q != 1 and no resonant multiple point
-    gives h^1 = 0; one with exactly one resonant point p gives |p| - 2
-    when every line off p is trivial, and 0 otherwise) are theorems of the
-    paper, and their tests are integer congruences mod N, so the skipped
-    points and the family values are exact under either backend.  h^1 is
-    the same on the orbit {u*(e o sigma) mod N : u a unit of Z/N, sigma in
+    at every other nontrivial point the certificates give h^1 = 0
+    (proved there), so skipping it is exact.  h^1 is the same on the
+    orbit {u*(e o sigma) mod N : u a unit of Z/N, sigma in
     ``proj.automorphisms()``}, (e o sigma)_i = e_sigma(i).  Conjugation is
     a field automorphism of Q(zeta_N), so h^1(u*e) = h^1(e).  A real
     projective map phi with phi(H_i) = H_sigma(i) is a biholomorphism of
@@ -972,14 +978,15 @@ def torsion_scan(
     if first is None:  # no multiple point, so no hit
         return []
     listed = chain((first,), listed)
-    _, classes, moves = _symmetry(proj)
+    state = _scan_state(proj)
     found = {}  # exponents -> h^1 >= 1
-    for _, depth, images in classes:
+    for _, depth, images in state.classes:
         family = list(map(itemgetter(0), islice(listed, order ** (depth + 1) - 1)))
         found.update(zip(family, repeat(depth)))
         for move in images:
             found.update(zip(map(move, family), repeat(depth)))
     units = [u for u in range(2, order) if gcd(u, order) == 1]
+    moves = state.moves
     # h^1 of the band route, set at once for every (u*e) o sigma of a
     # decided e, u a unit and sigma an automorphism
     band = {}
@@ -990,7 +997,7 @@ def torsion_scan(
         multiples = [exps, *[tuple([u * e % order for e in exps]) for u in units]]
         band.update(zip([move(m) for m in multiples for move in moves], repeat(dim)))
     found.update(compress(band.items(), band.values()))
-    names = _catalog_index(proj, families, order)
+    names = state.names(families, order)
     # a multiple point has three lines or more, so itemgetter gets two ids
     keys = sorted(found, key=itemgetter(*proj.affine_ids()))
     return list(

@@ -7,13 +7,8 @@ not start with "-" by ``_read_exact`` alone and builds no parser; on the
 ``cli-check`` benchmark that raised cold ``h1 --check``/``certify`` query
 pairs from a median 182 to 218 per second (ten alternating 30 s runs on 2
 vCPUs, Python 3.11).  Any other argv (help, an abbreviation, "--", a
-bad value, a missing option) goes to argparse: first the parser of the
-subcommand named first in argv on its own, an ``ArgumentParser`` with
-prog "linecoh <name>" that reads the arguments after the name, whose help
-and usage errors are those of the same subcommand inside the full parser.
-The full parser is built only when no known subcommand comes first
-(``--help`` among them) or arguments are left over, so those usage and
-error messages name every subcommand.
+bad value, a missing option, an unknown subcommand) goes to the full
+argparse parser, which prints the help or the usage error.
 Reports are deterministic (byte-identical across runs for the same
 inputs).  ``scan`` and ``b3`` list only the torus points the
 certificates cannot set to h1 = 0 (``charvar.torsion_scan``); their
@@ -336,22 +331,6 @@ _SUBCOMMANDS = (
 )
 
 
-def _add_options(parser, func, options):
-    for opt in options:
-        if opt.type is bool:
-            parser.add_argument(opt.flag, action="store_true", help=opt.help)
-        else:
-            parser.add_argument(
-                opt.flag,
-                type=opt.type,
-                default=opt.default,
-                required=opt.required,
-                choices=opt.choices,
-                help=opt.help,
-            )
-    parser.set_defaults(func=func)
-
-
 def _build_parser():
     """The argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
@@ -360,29 +339,33 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, func, options in _SUBCOMMANDS:
-        _add_options(sub.add_parser(name, help=summary), func, options)
-    return parser
-
-
-def _subcommand_parser(name, summary, func, options):
-    """The parser of subcommand ``name`` alone, for the arguments after the
-    name; ``add_parser`` builds the same parser, prog included, inside the
-    full one, so help and usage errors read the same."""
-    parser = argparse.ArgumentParser(prog=f"linecoh {name}")
-    _add_options(parser, func, options)
+        command = sub.add_parser(name, help=summary)
+        for opt in options:
+            if opt.type is bool:
+                command.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                command.add_argument(
+                    opt.flag,
+                    type=opt.type,
+                    default=opt.default,
+                    required=opt.required,
+                    choices=opt.choices,
+                    help=opt.help,
+                )
+        command.set_defaults(func=func)
     return parser
 
 
 def _read_exact(name, summary, func, options, tokens):
-    """The namespace the parser of subcommand ``name`` reads from
-    ``tokens``, or None unless every token is an exact long flag of a
-    valued option, with its value next or after "=", or an exact
-    ``store_true`` flag without "=".  A value must not start with "-": so
-    argparse takes it as the option's argument, never as a flag or "--".
-    Values are converted and checked as argparse does, and a repeated
-    option keeps its last value.  Abbreviations, help, "--", positionals,
-    bad values and missing required options give None, and argparse then
-    prints the help or the error."""
+    """The namespace the full parser reads from ``name`` and ``tokens``,
+    less its ``command`` entry, or None unless every token is an exact
+    long flag of a valued option, with its value next or after "=", or an
+    exact ``store_true`` flag without "=".  A value must not start with
+    "-": so argparse takes it as the option's argument, never as a flag or
+    "--".  Values are converted and checked as argparse does, and a
+    repeated option keeps its last value.  Abbreviations, help, "--",
+    positionals, bad values and missing required options give None, and
+    argparse then prints the help or the error."""
     by_flag = {opt.flag: opt for opt in options}
     values = {}
     tokens = iter(tokens)
@@ -418,15 +401,9 @@ def _read_exact(name, summary, func, options, tokens):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extra = None
     row = next((row for row in _SUBCOMMANDS if argv and row[0] == argv[0]), None)
-    if row is not None:
-        args = _read_exact(*row, argv[1:])
-        if args is None:
-            args, extra = _subcommand_parser(*row).parse_known_args(argv[1:])
-    if args is None or extra:
-        # no or unknown command, top-level --help, or leftover arguments:
-        # the full parser prints the usage naming every subcommand
+    args = None if row is None else _read_exact(*row, argv[1:])
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

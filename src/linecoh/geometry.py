@@ -557,11 +557,8 @@ class ProjArrangement:
         self._points = None
         self._charts = {}
         self._incidence = None  # resband.IncidenceTable, built on first use
-        self._scan_nodes = {}  # charvar's scan walk nodes, kept as scans meet them
-        self._scan_fields = {}  # charvar's packed-field layout and (B) table per width
-        self._automorphisms = None  # shared by charvar's scans, found on first use
-        self._scan_symmetry = None  # charvar's point permutations, built on first use
-        self._scan_catalogs = {}  # charvar's catalog indexes per catalog and order
+        self._automorphisms = None  # automorphisms(), found on first use
+        self._scan_state = None  # charvar._ScanState, built by the first scan
 
     @property
     def n(self):

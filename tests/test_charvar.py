@@ -108,6 +108,17 @@ def test_family_validation():
         ComponentFamily(
             name="ragged", signs=(0, 0, 0), powers=((1, 0), (0, 1), (-1,))
         )
+    # signs and powers are read by ``operator.index``: a float column that
+    # sums to 0 is refused, and a sign of 1.0 like one of 1.5
+    with pytest.raises(ValueError, match="float: signs and powers must be integers"):
+        ComponentFamily(name="float", signs=(0, 0, 0), powers=((1,), (-1.5,), (0.5,)))
+    with pytest.raises(ValueError, match="integers"):
+        ComponentFamily(name="float", signs=(1.0, 1.0), powers=((1,), (-1,)))
+    # lists are kept as tuples, so the family equals the tuple-built one and
+    # hashes
+    listed = ComponentFamily(name="listed", signs=[1, 1], powers=[[1], [-1]])
+    built = ComponentFamily(name="listed", signs=(1, 1), powers=((1,), (-1,)))
+    assert listed == built and hash(listed) == hash(built)
 
 
 def test_families_contain_their_own_points():
@@ -316,19 +327,20 @@ def _listed_spans(proj, order):
     passes."""
     table = incidence_table(proj)
     width = _field_width(max(order, 2 * -(-len(table.points) // charvar._CHUNK)))
-    fields = charvar._fields(proj, width)
+    state = charvar._scan_state(proj)
+    fields = state.layout(proj, width)
     spans = []
     # the first point of each class of multiple points lists its family
     perms = brute.point_permutations(proj)
     firsts = [q for q in range(len(table.points)) if min(pi[q] for pi in perms) == q]
-    classes = charvar._symmetry(proj)[1]
+    classes = state.classes
     assert len(classes) == len(firsts)
     for q, (gens, _, _) in zip(firsts, classes):
         p = table.points[q]
         cols = [[int(i == j) - int(i == p[-1]) for i in range(proj.n)] for j in p[:-1]]
         spans.append((gens, [1] * len(cols), cols, [1] * len(cols)))
     for k, inside, _ in charvar._frontier(proj, order, 10**12, 0):
-        _, _, _, divisors, gens = charvar._node(proj, k, inside)
+        _, _, _, divisors, gens = state.node(proj, k, inside)
         d, cols = brute.node_columns(proj, k, inside)
         steps = [order // gcd(v, order) for v in divisors]
         dense = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
@@ -716,6 +728,60 @@ SIGNED_FAMILIES = (
 )
 
 
+# families with a sign of -1 or 2, the same point sets as with 1 or 0
+OFF_SIGN_FAMILIES = (
+    ComponentFamily(
+        name="omega-like-minus",
+        signs=(-1, 0, 1, 0, 0),
+        powers=((1,), (-1,), (2,), (0,), (-2,)),
+    ),
+    ComponentFamily(
+        name="minus-pair", signs=(-1, -1, 0, 0), powers=((1,), (0,), (-1,), (0,))
+    ),
+    ComponentFamily(
+        name="squared",
+        signs=(2, 0, -1, 1, 0),
+        powers=((1, 0), (0, 1), (-1, -1), (0, 0), (0, 0)),
+    ),
+)
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_torsion_points_are_the_points_contains_accepts(order):
+    # over the whole grid [0, N)^n, for signs in {-1, 0, 1, 2}: the start
+    # vector of the odometer, every parameter 0, is reduced mod m too
+    for fam in SIGNED_FAMILIES + OFF_SIGN_FAMILIES:
+        accepted = {
+            exps
+            for exps in product(range(order), repeat=fam.nlines)
+            if fam.contains(TorusPoint(exps, order))
+        }
+        assert set(fam.torsion_exponents(order)) == accepted, fam.name
+
+
+def test_a_sign_of_minus_one_names_the_points_of_its_family():
+    # Omega with sign -1 on H2 has Omega's points, and a scan with it as
+    # the catalog names every hit Omega names, its order-2 point included
+    proj, catalog = charvar.deleted_b3()
+    omega = catalog[-1]
+    flipped = ComponentFamily(
+        name="Omega-", signs=(0, -1, 1, 0, 0, 1, 0, 1), powers=omega.powers
+    )
+    assert next(flipped.torsion_exponents(2)) == FOUR_FAMILY_POINTS[0]
+    for order in (2, 4, 8):
+        half = order // 2
+        point = TorusPoint((0, half, half, 0, 0, half, 0, half), order)
+        named = {
+            hit.point: hit.families
+            for hit in torsion_scan(proj, order, catalog=(flipped,))
+        }
+        assert flipped.contains(point) and named[point] == ("Omega-",)
+        assert named == {
+            hit.point: ("Omega-",) * len(hit.families)
+            for hit in torsion_scan(proj, order, catalog=(omega,))
+        }
+
+
 @pytest.mark.parametrize("order", range(1, 13))
 def test_torsion_points_equal_the_doubled_grid(order):
     # the m-grid of ``torsion_exponents`` against the 2N-grid reference and
@@ -775,18 +841,15 @@ def test_kept_catalog_points_change_no_scan_and_no_family(relabelled):
             assert list(kept.torsion_exponents(order)) == list(
                 new.torsion_exponents(order)
             )
-    # one index per order scanned, each the merge of the families' points,
-    # read again as it is
-    ours = {
-        key[0]: entry
-        for key, entry in proj._scan_catalogs.items()
-        if key[1:] == tuple(map(id, catalog))
-    }
+    # one index per order scanned, shared by the equal catalogs, each the
+    # merge of the families' points, read again as it is
+    state = charvar._scan_state(proj)
+    ours = {order: (fams, index) for (order, fams), index in state.catalogs.items()}
     assert sorted(ours) == [2, 4]
     for order, (families, index) in ours.items():
         assert families == catalog
         assert index == _merged_index(fresh()[1], order)
-        assert charvar._catalog_index(proj, families, order) is index
+        assert state.names(families, order) is index
 
 
 def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
@@ -794,37 +857,74 @@ def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
     proj, catalog = charvar.deleted_b3()
     for order in (2, 3, 4):
         torsion_scan(proj, order, catalog=catalog)
-    kept = proj._scan_catalogs
+    kept = charvar._scan_state(proj).catalogs
     assert [key[0] for key in kept] == [2, 3, 4]
-    assert [len(index) for _, index in kept.values()] == [37, 115, 227]
+    assert [len(index) for index in kept.values()] == [37, 115, 227]
     # under a bound of 128, two catalogs scanned in turn at orders 2 to 6
     # keep at most 128 vectors, the oldest indexes dropped first, and name
-    # every hit alike
+    # every hit alike; they are equal, so the second reads the first's index
     monkeypatch.setattr(charvar, "_KEPT_POINTS", 128)
     proj, other = charvar.deleted_b3()
+    kept = charvar._scan_state(proj).catalogs
     history = []  # (key, size) of each index that fits, oldest first
     for order in range(2, 7):
-        for built in (catalog, other):
-            size = len(_merged_index(built, order))
-            if size <= 128:
-                history.append(((order, *map(id, built)), size))
+        size = len(_merged_index(catalog, order))
+        if size <= 128:
+            history.append(((order, catalog), size))
         assert torsion_scan(proj, order, catalog=catalog) == torsion_scan(
             proj, order, catalog=other
         )
-        kept = proj._scan_catalogs
-        total = sum(len(index) for _, index in kept.values())
+        total = sum(map(len, kept.values()))
         assert total <= 128
         # the newest fitting indexes, no more dropped than needed
         newest = list(kept)
         assert newest == [key for key, _ in history[len(history) - len(newest) :]]
         if len(newest) < len(history):
             assert total + history[-len(newest) - 1][1] > 128
-    # only order 2 (37 vectors) and order 3 (115) fit; the last order-3
-    # index fills the bound alone
+    # only order 2 (37 vectors) and order 3 (115) fit; the order-3 index
+    # fills the bound alone
     assert [key[0] for key in kept] == [3]
-    assert [key for key, _ in history] == [
-        (order, *map(id, built)) for order in (2, 3) for built in (catalog, other)
-    ]
+    assert [key for key, _ in history] == [(order, catalog) for order in (2, 3)]
+
+
+def test_equal_catalogs_share_one_index(monkeypatch):
+    # two equal catalogs, built apart, scanned in turn: the first scan at
+    # each order builds the index, the second reads it, and both name
+    # every hit alike
+    built = []
+    real = charvar._catalog_index
+
+    def counting(families, order):
+        built.append(order)
+        return real(families, order)
+
+    monkeypatch.setattr(charvar, "_catalog_index", counting)
+    proj, catalog = charvar.deleted_b3()
+    other = charvar.deleted_b3()[1]
+    assert other == catalog and other[0] is not catalog[0]
+    for order in (2, 3, 2):
+        assert torsion_scan(proj, order, catalog=catalog) == torsion_scan(
+            proj, order, catalog=other
+        )
+    assert built == [2, 3]
+    assert list(charvar._scan_state(proj).catalogs) == [(2, catalog), (3, catalog)]
+
+
+def test_scans_keep_no_empty_index():
+    # scans with no catalog, or none of whose families fits the
+    # arrangement, or whose families have no point of the order (Omega's
+    # coordinates include -1, so it has none at odd N) keep no index,
+    # however many orders they scan
+    proj, catalog = charvar.deleted_b3()
+    misfit = (SIGNED_FAMILIES[0],)  # five lines, not eight
+    for order in range(2, 10):
+        for families in (None, (), misfit):
+            hits = torsion_scan(proj, order, catalog=families)
+            assert all(hit.families == () for hit in hits)
+    for order in (3, 5, 7):
+        hits = torsion_scan(proj, order, catalog=catalog[-1:])
+        assert all(hit.families == () for hit in hits)
+    assert charvar._scan_state(proj).catalogs == {}
 
 
 def test_a3_scans_at_two_field_widths_in_turn():
@@ -836,7 +936,7 @@ def test_a3_scans_at_two_field_widths_in_turn():
         hits = torsion_scan(proj, order)
         assert hits == torsion_scan(corpus.a3(), order)
         assert len(hits) == 5 * (order**2 - 1)
-    assert set(proj._scan_fields) == {8, 16}
+    assert set(charvar._scan_state(proj).fields) == {8, 16}
 
 
 def test_hit_records_are_frozen_and_pickle():

@@ -752,13 +752,12 @@ GOLDEN_CASES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_report(name, tmp_path, monkeypatch):
     """Reports stay byte-identical to the checked-in ``golden/<name>.out``.
-    The argv is well formed, so ``cli._read_exact`` reads it alone: both
-    argparse parser builders are patched to raise."""
+    The argv is well formed, so ``cli._read_exact`` reads it alone: the
+    argparse parser builder is patched to raise."""
 
     def refuse(*args):
         raise AssertionError("argparse parser built for well-formed argv")
 
-    monkeypatch.setattr(cli, "_subcommand_parser", refuse)
     monkeypatch.setattr(cli, "_build_parser", refuse)
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / "report.txt"
@@ -886,9 +885,10 @@ def _row(name, *tokens):
 @example(drawn=_row("b3", "--backend", "bogus"))
 @example(drawn=_row("scan", "--arr", "f", "--order", "2"))
 def test_exact_reader_agrees_with_argparse(drawn):
-    """Whenever ``_read_exact`` returns a namespace, the subcommand's
-    argparse parser reads the same tokens to an equal one with nothing
-    left over; abbreviations, help and "--" always go to argparse."""
+    """Whenever ``_read_exact`` returns a namespace, the full argparse
+    parser reads the subcommand and the same tokens to an equal one, less
+    its ``command`` entry, with nothing left over; abbreviations, help and
+    "--" always go to argparse."""
     row, tokens = drawn
     args = cli._read_exact(*row, tokens)
     if any(token.partition("=")[0] in NEVER_EXACT for token in tokens):
@@ -898,8 +898,10 @@ def test_exact_reader_agrees_with_argparse(drawn):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
-            parsed, extra = cli._subcommand_parser(*row).parse_known_args(tokens)
+            parsed, extra = cli._build_parser().parse_known_args([row[0], *tokens])
         except SystemExit:
             pytest.fail(f"argparse refused {tokens!r}: {err.getvalue()}")
     assert extra == []
+    assert parsed.command == row[0]
+    del parsed.command
     assert _plain(args) == _plain(parsed)
