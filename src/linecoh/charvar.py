@@ -89,7 +89,10 @@ class ComponentFamily:
     constraint.  Every parameter must be pinned by some coordinate equal to
     s_j on the nose; membership testing relies on that.  Signs and powers
     are integers, read by ``operator.index`` (2.0 is refused) and kept as
-    tuples, so equal families hash alike.
+    tuples; a sign is read by its parity only, so signs (2, 0, 0) give the
+    points of (0, 0, 0).  The hash is that of ``(signs, powers)``, taken
+    once: integer tuples, so a family hashes alike in every process, and
+    equal families (which compare all three fields) hash alike.
     """
 
     name: str
@@ -106,6 +109,7 @@ class ComponentFamily:
             ) from None
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "_hash", hash((signs, powers)))
         if not self.powers:
             raise ValueError(f"{self.name}: no power rows")
         if len(self.signs) != len(self.powers):
@@ -138,9 +142,14 @@ class ComponentFamily:
         object.__setattr__(self, "_pins", tuple(pins))
         # the coordinates equal to 1 at every parameter
         ones = (
-            i for i, row in enumerate(self.powers) if not (self.signs[i] or any(row))
+            i
+            for i, row in enumerate(self.powers)
+            if not (self.signs[i] % 2 or any(row))
         )
         object.__setattr__(self, "_ones", tuple(ones))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nparams(self):
@@ -151,10 +160,10 @@ class ComponentFamily:
         return len(self.powers)
 
     def _modulus(self, order):
-        """m = ``order``, or lcm(``order``, 2) when a sign is set.  At a point
+        """m = ``order``, or lcm(``order``, 2) when a sign is odd.  At a point
         of order dividing ``order`` every parameter is an m-th root of
         unity: it is pinned by a coordinate equal to +-s_j^(+-1)."""
-        return lcm(order, 2) if any(self.signs) else order
+        return lcm(order, 2) if any(s % 2 for s in self.signs) else order
 
     def torsion_exponents(self, order):
         """The exponent vectors mod ``order`` of the family's points of order
@@ -166,7 +175,7 @@ class ComponentFamily:
         m = self._modulus(order)
         lift = m // order
         cols = [[row[j] % m for row in self.powers] for j in range(self.nparams)]
-        exps, digits = [s * (m // 2) % m for s in self.signs], [0] * self.nparams
+        exps, digits = [s % 2 * (m // 2) for s in self.signs], [0] * self.nparams
         while True:
             if lift == 1:
                 yield tuple(exps)
@@ -194,10 +203,11 @@ class ComponentFamily:
         lift = m // n
         exps = [e * lift % m for e in point.exponents]
         params = [
-            sign * (exps[i] - self.signs[i] * (m // 2)) % m for i, sign in self._pins
+            sign * (exps[i] - self.signs[i] % 2 * (m // 2)) % m
+            for i, sign in self._pins
         ]
         return exps == [
-            (s * (m // 2) + sum(map(mul, row, params))) % m
+            (s % 2 * (m // 2) + sum(map(mul, row, params))) % m
             for s, row in zip(self.signs, self.powers)
         ]
 
@@ -269,12 +279,15 @@ def h1_at_point(proj, point, backend="cyclotomic", eps=DEFAULT_EPS):
     no ``LocalSystem`` is built.  A point off the torus of ``proj`` (one
     exponent per line, summing to 0 mod an order >= 1) is a
     ``ValueError``, and so is an exponent or order that is not an integer
-    (``torsion_integers``): 1.5 is not truncated to 1."""
+    (``torsion_integers``): 1.5 is not truncated to 1.  An order the
+    backend cannot take is refused by ``projective_torsion_halves``; each
+    check is made once."""
     exps, order = torsion_integers(point.exponents, point.order)
     if len(exps) != proj.n or order < 1 or sum(exps) % order:
         raise ValueError(f"{point} is not a torus point of {proj.n} lines")
-    inf = proj.infinity_index
-    bk, halves = projective_torsion_halves(exps, order, inf, backend=backend, eps=eps)
+    bk, halves = projective_torsion_halves(
+        exps, order, proj.infinity_index, backend=backend, eps=eps
+    )
     found = chart_kernel(bk, halves, proj)
     if found is None:
         raise ValueError("trivial point: every monodromy equals 1")

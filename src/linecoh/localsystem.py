@@ -118,6 +118,8 @@ def make_local_system(
     if order is None or exponents is None:
         raise LocalSystemError("torsion mode needs exponents and an order")
     exps, order = torsion_integers(exponents, order)
+    if order < 1:
+        raise LocalSystemError("torsion order must be >= 1")
     return LocalSystem(*torsion_halves(exps, order, backend, eps))
 
 
@@ -134,10 +136,8 @@ def torsion_integers(exponents, order):
 def torsion_halves(exps, order, backend="cyclotomic", eps=DEFAULT_EPS):
     """``(field, halves)`` of the torsion system of ``make_local_system``:
     the backend and the list of canonical half monodromies zeta_2N^(e_i)
-    of the integer exponents ``exps`` at the integer order N, which is
-    refused when below 1 or when ``backend`` cannot take it."""
-    if order < 1:
-        raise LocalSystemError("torsion order must be >= 1")
+    of the integer exponents ``exps`` at the integer order N >= 1, which
+    is refused when ``backend`` cannot take it."""
     check_torsion_order(order, backend, eps)
     two_n = 2 * order
     if backend == "cyclotomic":
@@ -147,12 +147,14 @@ def torsion_halves(exps, order, backend="cyclotomic", eps=DEFAULT_EPS):
 
 def projective_torsion_halves(exps, order, inf, backend="cyclotomic", eps=DEFAULT_EPS):
     """``(field, halves)``: ``torsion_halves`` of the integer exponents of
-    every projective line, the line at infinity at index ``inf``, whose
-    half at ``inf`` is then (the product of the others)^(-1).  These are
-    the ``projective_halves`` of the torsion system of the affine
-    exponents, read without building it or splicing its halves."""
+    every projective line at the integer order N >= 1, the line at
+    infinity at index ``inf``, whose half at ``inf`` is then (the product
+    of the others)^(-1).  These are the ``projective_halves`` of the
+    torsion system of the affine exponents, read without building it or
+    splicing its halves."""
     bk, halves = torsion_halves(exps, order, backend, eps)
-    halves[inf] = bk.half_inv(bk.half_prod(halves[:inf] + halves[inf + 1 :]))
+    halves[inf] = bk.half_prod(())  # 1, so the product below skips it
+    halves[inf] = bk.half_inv(bk.half_prod(halves))
     return bk, halves
 
 

@@ -4,23 +4,31 @@ certificates that decide or bound h^1 without any linear algebra.
 
 For monodromies whose product over all lines (infinity included) differs
 from 1 at infinity, h^1 equals the number of linear relations among the
-standing waves of the resonant bands; that number is computed here.
-Each band is one ``Band`` record: its chambers, its parallel class and
-the separating sets of its wave.  The lines separating a band's two ends
-are exactly those not parallel to it, so ``resonant_bands`` is the one
-resonance rule.  An arrangement keeps one ``BandTable``, the one store of
-band structure, under its own ids (line k is k, infinity n): its bands,
-per band its resonance ids, and per set of resonant bands it has met the
-layout of their wave matrix (its rows and each column's ids), made once
-and kept.  One core, ``_band_kernel``, reads a table under half
-monodromies in that order.  ``h1_via_bands`` reads an arrangement's
-table; ``h1_on_band_chart``, the one chart rule (infinity when its q is
-not 1, else the first line with q != 1), reads the table of
-``proj.chart(h).arrangement`` under ``LocalSystem.projective_halves`` put
-in chart order, so it builds no chart system.  The infinity chart of
-``cone(arrangement)`` is the arrangement itself, so the two read one
-table.  ``chart_kernel`` is that rule on halves given by projective
-index, as ``charvar.h1_at_point`` reads them off a torus point.
+standing waves of the resonant bands; that number is computed here.  Each
+band is one ``Band`` record: its chambers, its parallel class and the
+separating sets of its wave.  The lines separating a band's two ends are
+exactly those not parallel to it, so ``resonant_bands`` is the one
+resonance rule.  An arrangement keeps one ``BandTable``, the one store
+of band structure, under its own ids (line k is k, infinity n): its
+bands, per band its resonance ids, and per set of resonant bands it has
+met the layout of their wave matrix (its rows and each column's
+fields), made once and kept.  One core, ``_band_kernel``, reads a table
+under half monodromies in that order: one read (``BandTable.sums``)
+gives every band's resonance sum and every entry of every band's wave,
+and the layout of the resonant bands picks the matrix's columns out of
+it.  On the exact backend a table read more than once is read with no id
+list: its lists are packed into one integer per id with a 16-bit field
+per list, so one multiply-add per id and one ``struct`` unpack make the
+read; a table read once, as by a fresh query, packs nothing.
+``h1_via_bands`` reads an arrangement's table; ``h1_on_band_chart``, the
+one chart rule (infinity when its q is not 1, else the first line with
+q != 1), reads the table of ``proj.chart(h).arrangement`` under
+``LocalSystem.projective_halves`` put in chart order, so it builds no
+chart system; halves reach the core reduced mod M (``_reduced``).  The
+infinity chart of ``cone(arrangement)`` is the arrangement itself, so
+the two read one table.  ``chart_kernel`` is that rule on halves given
+by projective index, as ``charvar.h1_at_point`` reads them off a torus
+point.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -45,9 +53,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, compress
+from operator import itemgetter, mul
+from struct import Struct
 
-from .geometry import Arrangement, InvariantError, monic, separating_ids
-from .scalars import weight_rank
+from .geometry import MAX_LINES, Arrangement, InvariantError, monic, separating_ids
+from .scalars import MAX_TORSION_ORDER, weight_rank
 
 
 class TheoremInapplicableError(ValueError):
@@ -127,6 +137,25 @@ def _bands(arrangement):
 # most 16 (four bands)
 _KEPT_LAYOUTS = 1024
 
+# a packed field holds a sum of halves reduced mod M = 2N, one per id of a
+# table (at most MAX_LINES lines and infinity), each at most M - 1 <=
+# 2 MAX_TORSION_ORDER - 1; the field is the smallest struct integer above
+# that bound, 16 bits for 17 * 1999 = 33,983
+_FIELD_MAX = (MAX_LINES + 1) * (2 * MAX_TORSION_ORDER - 1)
+_FIELD_BYTES, _FIELD_CODE = next(
+    (size, code)
+    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    if _FIELD_MAX >> 8 * size == 0
+)
+
+
+def _picker(fields):
+    """``itemgetter(*fields)``, which gives a tuple for one field too."""
+    if len(fields) == 1:
+        (only,) = fields
+        return lambda sums: (sums[only],)
+    return itemgetter(*fields)
+
 
 class BandTable:
     """The bands of an ``Arrangement`` as the band route reads them, under
@@ -134,21 +163,62 @@ class BandTable:
     order, and per band its ``resonance`` ids, the parallel class and
     infinity.
 
+    A read of the table under half monodromies by id is ``sums``: the
+    ``half_prods`` of its ``lists``, which are each band's resonance ids,
+    then () (weight 0), then each band's wave ids in ``waves`` order.
     ``layout(key)``, for a tuple of one flag per band (is it resonant?),
-    is ``(bands, templates)``: the resonant bands and, per band, its
-    column of the wave matrix as ids, a row per chamber the resonant
-    bands meet (in index order) holding that chamber's wave ids, or ()
-    where the band does not meet it.  A layout is made on first use and
-    kept, up to ``_KEPT_LAYOUTS`` a table, so a call reads its rows and
-    positions instead of building them."""
+    is ``(bands, picks)``: the resonant bands and, per band, the picker
+    of its column of the wave matrix from a read, a row per chamber the
+    resonant bands meet (in index order) holding the sum of that
+    chamber's wave ids, or the sum over () where the band does not meet
+    it.  A layout is made on first use and kept, up to ``_KEPT_LAYOUTS``
+    a table, so a call reads its rows and positions instead of building
+    them.
 
-    __slots__ = ("bands", "resonance", "_layouts")
+    The lists are the definition.  On the exact backend a read from the
+    second on takes no list: ``_pack`` makes them one integer per id,
+    with a field of ``_FIELD_BYTES`` bytes per list holding the times the
+    id occurs in it, wide enough for ``_FIELD_MAX`` = (``MAX_LINES`` +
+    1)(2 ``MAX_TORSION_ORDER`` - 1), the largest sum of reduced halves
+    over the ids of a table.  So one
+    multiply-add per id gives every band's resonance sum and every wave
+    entry at once, read off with one ``struct`` unpack.  A table read
+    once, as a fresh query's is, packs nothing."""
+
+    __slots__ = ("bands", "resonance", "lists", "_layouts", "_packed")
 
     def __init__(self, arrangement):
         self.bands = _bands(arrangement)
         infinity = arrangement.n
         self.resonance = tuple((*band.parallel_ids, infinity) for band in self.bands)
+        waves = [ids for band in self.bands for _, ids in band.waves]
+        self.lists = (*self.resonance, (), *waves)
         self._layouts = {}
+        self._packed = None  # False once read, then (per_id, nbytes, unpack)
+
+    def sums(self, bk, halves):
+        """The ``half_prods`` of ``lists`` under ``halves``, by id and
+        reduced mod M on the exact backend."""
+        packed = self._packed
+        if packed is None or bk.kind != "cyclotomic":
+            if packed is None:
+                self._packed = False
+            return bk.half_prods(halves, self.lists)
+        if not packed:
+            packed = self._packed = self._pack(len(halves))
+        per_id, nbytes, unpack = packed
+        total = sum(map(mul, halves, per_id)).to_bytes(nbytes, "little")
+        m = bk.order
+        return [s % m for s in unpack(total)]
+
+    def _pack(self, nids):
+        per_id = [0] * nids
+        for f, ids in enumerate(self.lists):
+            one = 1 << 8 * _FIELD_BYTES * f
+            for i in ids:
+                per_id[i] += one
+        count = len(self.lists)
+        return per_id, count * _FIELD_BYTES, Struct(f"<{count}{_FIELD_CODE}").unpack
 
     def layout(self, key):
         layout = self._layouts.get(key)
@@ -157,13 +227,17 @@ class BandTable:
         res = tuple(compress(self.bands, key))
         rows = sorted(set().union(*[band.inner for band in res]))
         pos = {ci: r for r, ci in enumerate(rows)}
-        templates = []
-        for band in res:
-            template = [()] * len(rows)
-            for ci, ids in band.waves:
-                template[pos[ci]] = ids
-            templates.append(template)
-        layout = res, templates
+        empty = len(self.bands)  # the field of (), then each band's waves
+        first = empty + 1
+        picks = []
+        for band, resonant in zip(self.bands, key):
+            if resonant:
+                fields = [empty] * len(rows)
+                for f, (ci, _) in enumerate(band.waves, first):
+                    fields[pos[ci]] = f
+                picks.append(_picker(fields))
+            first += len(band.waves)
+        layout = res, picks
         if len(self._layouts) < _KEPT_LAYOUTS:
             self._layouts[key] = layout
         return layout
@@ -183,19 +257,31 @@ def _table(arrangement):
     return arrangement._band_table
 
 
+def _reduced(bk, halves):
+    """``halves`` as the band core reads them: reduced mod M on the exact
+    backend, where a ``LocalSystem`` keeps its halves as given (negative
+    or >= M alike)."""
+    if bk.kind != "cyclotomic":
+        return halves
+    m = bk.order
+    return [h % m for h in halves]
+
+
 def _affine_table(system, arrangement):
-    """``(halves, table)``: the system's halves, infinity last, and the
-    arrangement's ``BandTable``."""
+    """``(halves, table)``: the system's ``_reduced`` halves, infinity
+    last, and the arrangement's ``BandTable``."""
     system.check_size(arrangement.n)
-    return [*system.halves, system.half_inf], _table(arrangement)
+    halves = _reduced(system.backend, [*system.halves, system.half_inf])
+    return halves, _table(arrangement)
 
 
 def _resonant(bk, halves, table):
-    """The ``BandTable.layout`` of the bands of ``table`` whose resonance
-    ids have product of q equal to 1, ``halves`` the half monodromies by
-    id."""
-    prods = bk.half_prods(halves, table.resonance)
-    return table.layout(tuple(map(bk.square_is_one, prods)))
+    """``(bands, picks, sums)``: the ``BandTable.layout`` of the bands of
+    ``table`` whose resonance ids have product of q equal to 1, and the
+    read ``table.sums`` of ``halves`` it was taken from."""
+    sums = table.sums(bk, halves)
+    key = tuple(map(bk.square_is_one, sums[: len(table.bands)]))
+    return (*table.layout(key), sums)
 
 
 def resonant_bands(system, arrangement):
@@ -218,17 +304,18 @@ class BandKernel:
 
 
 def _band_kernel(bk, halves, table):
-    """The ``BandKernel`` of a ``BandTable`` under ``halves``, by id, with
-    q != 1 at infinity: the resonant bands minus the rank of their wave
-    matrix (a column per band, a row per chamber they meet, in index order;
-    an entry is the half monodromy of its wave ids), which
-    ``scalars.weight_rank`` ranks over F_p on the exact backend.  The
-    resonant bands' rows and each column's ids come from the table's kept
-    ``layout``, so a call reads one ``half_prods`` per band and column."""
-    resonant, templates = _resonant(bk, halves, table)
+    """The ``BandKernel`` of a ``BandTable`` under ``halves``, by id and
+    reduced mod M on the exact backend, with q != 1 at infinity: the
+    resonant bands minus the rank of their wave matrix (a column per band,
+    a row per chamber they meet, in index order; an entry is the half
+    monodromy of its wave ids), which ``scalars.weight_rank`` ranks over
+    F_p on the exact backend.  One read of the table (``BandTable.sums``)
+    gives the resonance and every entry, and the table's kept ``layout``
+    picks the columns out of it."""
+    resonant, picks, sums = _resonant(bk, halves, table)
     dim = 0
-    if templates:
-        columns = [bk.half_prods(halves, template) for template in templates]
+    if picks:
+        columns = [pick(sums) for pick in picks]
         dim = len(columns) - weight_rank(bk, columns)
     return BandKernel(dim, resonant)
 
@@ -238,21 +325,23 @@ def h1_on_band_chart(system, proj):
     every q is 1: h is the line at infinity when its q is not 1, otherwise
     the first line with q != 1, and kernel the ``BandKernel`` of
     ``system`` (on ``proj``'s infinity chart) on ``proj.chart(h)``: the
-    ``chart_kernel`` of its ``projective_halves``."""
-    return chart_kernel(system.backend, system.projective_halves(proj), proj)
+    ``chart_kernel`` of its ``_reduced`` ``projective_halves``."""
+    bk = system.backend
+    return chart_kernel(bk, _reduced(bk, system.projective_halves(proj)), proj)
 
 
 def chart_kernel(bk, halves, proj):
     """``h1_on_band_chart`` on the half monodromies of every line of
-    ``proj`` by projective index, over backend ``bk``: the chart's own
-    ``BandTable`` read under the halves in chart order, its lines
-    (``Chart.to_old``) then h at infinity."""
-    lines = (proj.infinity_index, *range(proj.n))
-    h = next((j for j in lines if not bk.square_is_one(halves[j])), None)
-    if h is None:
+    ``proj`` by projective index, reduced mod M on the exact backend,
+    over backend ``bk``: the chart's own ``BandTable`` read under the
+    halves in chart order, its lines (``Chart.to_old``) then h at
+    infinity."""
+    for h in (proj.infinity_index, *range(proj.n)):
+        if not bk.square_is_one(halves[h]):
+            break
+    else:
         return None
     chart = proj.chart(h)
-    # a list: ``half_prods`` indexes a list faster than a tuple
     halves = [*map(halves.__getitem__, chart.to_old), halves[h]]
     return h, _band_kernel(bk, halves, _table(chart.arrangement))
 

@@ -464,12 +464,12 @@ def family_point(family, params, order):
     """The torus point of ``family`` at parameters s_j = zeta_N^params[j],
     N = ``order``: coordinate i is (-1)^signs[i] * prod_j
     s_j^powers[i][j], an exponent mod m = N, or lcm(N, 2) when a sign is
-    set."""
+    odd."""
     if len(params) != family.nparams:
         raise ValueError("wrong number of parameters")
-    m = lcm(order, 2) if any(family.signs) else order
+    m = lcm(order, 2) if any(s % 2 for s in family.signs) else order
     exps = tuple(
-        (sign * m // 2 + m // order * sum(map(mul, row, params))) % m
+        (sign % 2 * m // 2 + m // order * sum(map(mul, row, params))) % m
         for sign, row in zip(family.signs, family.powers)
     )
     return TorusPoint(exps, m)
@@ -478,15 +478,15 @@ def family_point(family, params, order):
 def torsion_exponents(family, order):
     """Reference for the odometer of ``ComponentFamily.torsion_exponents``:
     every tuple of parameter exponents mod m (``_modulus``) from
-    ``product``, each coordinate signs[i] * m/2 + sum_j powers[i][j] *
-    params[j] mod m computed afresh, kept when every coordinate is a
-    multiple of m / ``order``."""
+    ``product``, each coordinate (signs[i] mod 2) * m/2 + sum_j
+    powers[i][j] * params[j] mod m computed afresh, kept when every
+    coordinate is a multiple of m / ``order``."""
     m = family._modulus(order)
     lift = m // order
     out = []
     for params in product(range(m), repeat=family.nparams):
         exps = [
-            (sign * (m // 2) + sum(map(mul, row, params))) % m
+            (sign % 2 * (m // 2) + sum(map(mul, row, params))) % m
             for sign, row in zip(family.signs, family.powers)
         ]
         if not any(e % lift for e in exps):

@@ -91,6 +91,32 @@ def sharp_pair_arrangement():
     )
 
 
+def sixteen_lines():
+    """``MAX_LINES`` = 16 affine lines in four parallel classes of four:
+    x = a, y = b + 1/2, x - y = c + 1/2 and x + y = c + 1/2, so 12 bands
+    and many multiple points."""
+    return Arrangement(
+        [
+            *((1, 0, -a) for a in range(4)),
+            *((0, 2, -2 * b - 1) for b in range(4)),
+            *((2, -2, -2 * c - 1) for c in range(-2, 2)),
+            *((2, 2, -2 * c - 1) for c in range(1, 5)),
+        ]
+    )
+
+
+# the halves (exponents of zeta_2000) of three systems of order 1000 on
+# ``sixteen_lines``, each with its resonant band count and h1: the bands
+# of three classes resonant, with halves mostly 1999; halves 1998, 1002
+# and 1002 on three lines and 1000 (q = 1) on the others; 1999 on one
+# line and 1000 on the others
+SIXTEEN_LINE_SYSTEMS = (
+    ((1999, 1999, 1999, 503) * 3 + (1999, 1999, 1999, 3), 9, 0),
+    ((1998, *(1000,) * 4, 1002, *(1000,) * 7, 1002, 1000, 1000), 6, 1),
+    ((*(1000,) * 6, 1999, *(1000,) * 9), 3, 3),
+)
+
+
 # lines x = a, y = b, x - y = c and x + y = c through the points of a small
 # grid: their subsets, coned, have many multiple points and so many strata
 GRID_LINES = [

@@ -12,10 +12,11 @@ import pytest
 
 import brute
 import corpus
-from linecoh import cone, h1_at_point, make_local_system, torsion_scan
+from linecoh import LocalSystem, cone, h1_at_point, make_local_system, torsion_scan
 from linecoh.charvar import TorusPoint, candidate_points
 from linecoh.mincomplex import build_complex, cohomology_dims
 from linecoh.resband import (
+    h1_on_band_chart,
     h1_via_bands,
     resonant_bands,
     sharp_pairs,
@@ -268,11 +269,41 @@ def test_criterion_7_square_root_convention_independence():
                  "dimensions and the two regressions")
 
 
+def _sixteen_line_case(halves, resonant, dim):
+    """The exact band route at the bounds of its packed sums: 16 lines,
+    order 1000, halves up to 1999, and the same halves unreduced (2000
+    less on odd lines, 4000 more on even ones) in a ``LocalSystem``.
+    Each gives the floating backend's resonant bands and h1, by
+    ``h1_via_bands`` and on the cone's chart, and the floating chamber
+    complex agrees.  The exact systems read one table several times, so
+    its summed first read and its packed later reads are both checked."""
+    arr = corpus.sixteen_lines()
+    floating = make_local_system(halves, order=1000, backend="complex")
+    exact = make_local_system(halves, order=1000)
+    unreduced = LocalSystem(
+        exact.backend,
+        [h - 2000 if i % 2 else h + 4000 for i, h in enumerate(halves)],
+    )
+    bands = resonant_bands(floating, arr)
+    assert len(bands) == resonant
+    assert cohomology_dims(floating, arr)[1] == dim
+    for system in (floating, exact, unreduced):
+        assert resonant_bands(system, arr) == bands
+        assert h1_via_bands(system, arr).dim == dim
+        assert h1_on_band_chart(system, cone(arr))[1].dim == dim
+
+
 def test_criterion_8_backend_agreement():
     _check_criterion4(_criterion4_dims(backend="complex"))
     for exps in (QPLUS, QMINUS):
         _criterion5_case(exps, backend="complex")
-    _announce(8, "floating backend (eps = 1e-9) matches both regressions")
+    for case in corpus.SIXTEEN_LINE_SYSTEMS:
+        _sixteen_line_case(*case)
+    _announce(
+        8,
+        "floating backend (eps = 1e-9) matches both regressions and three "
+        "order-1000 systems on 16 lines",
+    )
 
 
 def test_criterion_9_sharp_pair_bound():

@@ -802,6 +802,46 @@ def test_torsion_points_equal_the_doubled_grid(order):
         assert listed == reference
 
 
+@pytest.mark.parametrize("order", range(2, 7))
+def test_a_family_reads_its_signs_by_parity(order):
+    # signs (2, 0, 0) give the family of (0, 0, 0): the same modulus (an
+    # even sign once doubled it, 2N tuples walked at odd N), the same
+    # points, the same membership on the torus [0, N)^3, and N parameter
+    # tuples charged to a scan's budget; the three lines of ``generic``
+    # meet in no multiple point, so the budget pays for nothing else but
+    # the walk's root node
+    powers = ((1,), (0,), (-1,))
+    even = ComponentFamily(name="even", signs=(2, 0, 0), powers=powers)
+    plain = ComponentFamily(name="plain", signs=(0, 0, 0), powers=powers)
+    assert even._modulus(order) == plain._modulus(order) == order
+    assert set(even.torsion_exponents(order)) == set(plain.torsion_exponents(order))
+    for exps in product(range(order), repeat=3):
+        if sum(exps) % order == 0:
+            point = TorusPoint(exps, order)
+            assert even.contains(point) == plain.contains(point)
+    generic = cone(Arrangement([(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(BudgetExceededError):
+        torsion_scan(generic, order, budget=order, catalog=(even,))
+    assert torsion_scan(generic, order, budget=order + 1, catalog=(even,)) == []
+
+
+def test_a_family_hashes_its_signs_and_powers_once():
+    # the hash is taken once from the integer tuples (signs, powers), so a
+    # pickled family hashes alike; a replaced field gets its own hash, and
+    # equality still reads the name
+    _, catalog = corpus.b3()
+    for fam in catalog:
+        assert fam._hash == hash(fam) == hash((fam.signs, fam.powers))
+        copy = pickle.loads(pickle.dumps(fam))
+        assert copy == fam and hash(copy) == hash(fam)
+        renamed = replace(fam, name="renamed")
+        assert renamed != fam and hash(renamed) == hash(fam)
+    omega = catalog[-1]
+    flipped = replace(omega, signs=(0, -1, 1, 0, 0, 1, 0, 1))
+    assert flipped._hash == hash(flipped) == hash((flipped.signs, omega.powers))
+    assert flipped != omega
+
+
 @pytest.mark.parametrize("order", [8, 12, 16])
 def test_scan_names_are_the_families_containing_the_hit(order):
     proj, catalog = corpus.b3()
