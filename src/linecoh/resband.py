@@ -16,10 +16,10 @@ fields), made once and kept.  One core, ``_band_kernel``, reads a table
 under half monodromies in that order: one read (``BandTable.sums``)
 gives every band's resonance sum and every entry of every band's wave,
 and the layout of the resonant bands picks the matrix's columns out of
-it.  On the exact backend a table read more than once is read with no id
-list: its lists are packed into one integer per id with a 16-bit field
-per list, so one multiply-add per id and one ``struct`` unpack make the
-read; a table read once, as by a fresh query, packs nothing.
+it.  On the exact backend the read takes no id list: a table's lists are
+packed on its first read into one integer per id with a 16-bit field per
+list, so one multiply-add per id and one ``struct`` unpack make the
+read.
 ``h1_via_bands`` reads an arrangement's table; ``h1_on_band_chart``, the
 one chart rule (infinity when its q is not 1, else the first line with
 q != 1), reads the table of ``proj.chart(h).arrangement`` under
@@ -140,7 +140,8 @@ _KEPT_LAYOUTS = 1024
 # a packed field holds a sum of halves reduced mod M = 2N, one per id of a
 # table (at most MAX_LINES lines and infinity), each at most M - 1 <=
 # 2 MAX_TORSION_ORDER - 1; the field is the smallest struct integer above
-# that bound, 16 bits for 17 * 1999 = 33,983
+# that bound, 16 bits for 17 * 1999 = 33,983, and a read whose halves may
+# pass it is summed unpacked
 _FIELD_MAX = (MAX_LINES + 1) * (2 * MAX_TORSION_ORDER - 1)
 _FIELD_BYTES, _FIELD_CODE = next(
     (size, code)
@@ -160,53 +161,51 @@ def _picker(fields):
 class BandTable:
     """The bands of an ``Arrangement`` as the band route reads them, under
     its own ids (line k is k, infinity is n): ``bands`` in ``bands``
-    order, and per band its ``resonance`` ids, the parallel class and
-    infinity.
+    order, and ``lists``, the id lists a read sums: per band its
+    resonance ids (the parallel class and infinity), then () (weight 0),
+    then each band's wave ids in ``waves`` order.
 
     A read of the table under half monodromies by id is ``sums``: the
-    ``half_prods`` of its ``lists``, which are each band's resonance ids,
-    then () (weight 0), then each band's wave ids in ``waves`` order.
-    ``layout(key)``, for a tuple of one flag per band (is it resonant?),
-    is ``(bands, picks)``: the resonant bands and, per band, the picker
-    of its column of the wave matrix from a read, a row per chamber the
-    resonant bands meet (in index order) holding the sum of that
-    chamber's wave ids, or the sum over () where the band does not meet
-    it.  A layout is made on first use and kept, up to ``_KEPT_LAYOUTS``
-    a table, so a call reads its rows and positions instead of building
-    them.
+    ``half_prods`` of ``lists``.  ``layout(key)``, for a tuple of one
+    flag per band (is it resonant?), is ``(bands, picks)``: the resonant
+    bands and, per band, the picker of its column of the wave matrix from
+    a read, a row per chamber the resonant bands meet (in index order)
+    holding the sum of that chamber's wave ids, or the sum over () where
+    the band does not meet it.  A layout is made on first use and kept,
+    up to ``_KEPT_LAYOUTS`` a table, so a call reads its rows and
+    positions instead of building them.
 
-    The lists are the definition.  On the exact backend a read from the
-    second on takes no list: ``_pack`` makes them one integer per id,
-    with a field of ``_FIELD_BYTES`` bytes per list holding the times the
-    id occurs in it, wide enough for ``_FIELD_MAX`` = (``MAX_LINES`` +
-    1)(2 ``MAX_TORSION_ORDER`` - 1), the largest sum of reduced halves
-    over the ids of a table.  So one
+    The lists are the definition.  On the exact backend a read takes no
+    list: ``_pack`` makes them, on the table's first such read, one
+    integer per id with a field of ``_FIELD_BYTES`` bytes per list
+    holding the times the id occurs in it, wide enough for
+    ``_FIELD_MAX`` = (``MAX_LINES`` + 1)(2 ``MAX_TORSION_ORDER`` - 1),
+    the largest sum of reduced halves over the ids of a table.  So one
     multiply-add per id gives every band's resonance sum and every wave
-    entry at once, read off with one ``struct`` unpack.  A table read
-    once, as a fresh query's is, packs nothing."""
+    entry at once, read off with one ``struct`` unpack.  A backend whose
+    sums could pass ``_FIELD_MAX`` (an order M above 2
+    ``MAX_TORSION_ORDER``, built without ``make_local_system``) sums the
+    lists instead."""
 
-    __slots__ = ("bands", "resonance", "lists", "_layouts", "_packed")
+    __slots__ = ("bands", "lists", "_layouts", "_packed")
 
     def __init__(self, arrangement):
         self.bands = _bands(arrangement)
         infinity = arrangement.n
-        self.resonance = tuple((*band.parallel_ids, infinity) for band in self.bands)
-        waves = [ids for band in self.bands for _, ids in band.waves]
-        self.lists = (*self.resonance, (), *waves)
+        self.lists = (
+            *((*band.parallel_ids, infinity) for band in self.bands),
+            (),
+            *(ids for band in self.bands for _, ids in band.waves),
+        )
         self._layouts = {}
-        self._packed = None  # False once read, then (per_id, nbytes, unpack)
+        self._packed = None  # (per_id, nbytes, unpack) once packed
 
     def sums(self, bk, halves):
         """The ``half_prods`` of ``lists`` under ``halves``, by id and
         reduced mod M on the exact backend."""
-        packed = self._packed
-        if packed is None or bk.kind != "cyclotomic":
-            if packed is None:
-                self._packed = False
+        if bk.kind != "cyclotomic" or len(halves) * (bk.order - 1) > _FIELD_MAX:
             return bk.half_prods(halves, self.lists)
-        if not packed:
-            packed = self._packed = self._pack(len(halves))
-        per_id, nbytes, unpack = packed
+        per_id, nbytes, unpack = self._packed or self._pack(len(halves))
         total = sum(map(mul, halves, per_id)).to_bytes(nbytes, "little")
         m = bk.order
         return [s % m for s in unpack(total)]
@@ -218,7 +217,9 @@ class BandTable:
             for i in ids:
                 per_id[i] += one
         count = len(self.lists)
-        return per_id, count * _FIELD_BYTES, Struct(f"<{count}{_FIELD_CODE}").unpack
+        unpack = Struct(f"<{count}{_FIELD_CODE}").unpack
+        self._packed = per_id, count * _FIELD_BYTES, unpack
+        return self._packed
 
     def layout(self, key):
         layout = self._layouts.get(key)

@@ -275,8 +275,8 @@ def _sixteen_line_case(halves, resonant, dim):
     less on odd lines, 4000 more on even ones) in a ``LocalSystem``.
     Each gives the floating backend's resonant bands and h1, by
     ``h1_via_bands`` and on the cone's chart, and the floating chamber
-    complex agrees.  The exact systems read one table several times, so
-    its summed first read and its packed later reads are both checked."""
+    complex agrees.  The exact systems read one table several times, the
+    first read packing it."""
     arr = corpus.sixteen_lines()
     floating = make_local_system(halves, order=1000, backend="complex")
     exact = make_local_system(halves, order=1000)

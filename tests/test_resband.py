@@ -367,7 +367,7 @@ def test_chart_tables_equal_the_chart_systems(backend):
         h, kernel = h1_on_band_chart(system, proj)
         kept = proj.chart(h).arrangement._band_table
         assert kept.bands == tables[h].bands
-        assert kept.resonance == tables[h].resonance
+        assert kept.lists == tables[h].lists
         in_chart = _chart_halves(halves, proj, h)
         assert kernel == resband._band_kernel(system.backend, in_chart, tables[h])
 
@@ -437,6 +437,30 @@ def test_one_band_table_per_arrangement():
     assert kernel == h1_via_bands(chart_system, chart.arrangement)
     assert chart.arrangement._band_table is kept
     assert cohomology_dims(trivial, arr)[1] == kernel.dim
+
+
+class _HalvesOnly(CyclotomicBackend):
+    """The exact backend's half arithmetic mod ``order`` alone, without
+    the power and weight tables an order in the thousands makes large."""
+
+    def __init__(self, order):
+        self.order = order
+
+
+def test_band_table_sums_past_the_packed_bound():
+    """A read of a ``BandTable`` is the sums of its id lists mod M, read
+    after read, also at an order M past 2 ``MAX_TORSION_ORDER``: at M =
+    5600, halves M - 1 put 67,188 in the field of a wave of 12 ids, past
+    16 bits, though the last field (11 ids) keeps its carry.  Such a read
+    leaves the table unpacked, and one at M = 2000 packs it."""
+    table = resband.BandTable(corpus.sixteen_lines())
+    assert max(map(len, table.lists)) == 12 and len(table.lists[-1]) == 11
+    rng = random.Random(5)
+    for m in (5600, 5600, 2000, 2000):
+        for halves in ([m - 1] * 17, [rng.randrange(m) for _ in range(17)]):
+            expected = [sum(halves[i] for i in ids) % m for ids in table.lists]
+            assert table.sums(_HalvesOnly(m), halves) == expected
+        assert (table._packed is None) == (m != 2000)
 
 
 # the primes = 1 (mod 12) below 110, for order 6: one of them divides the
