@@ -162,7 +162,17 @@ class ComponentFamily:
     def _modulus(self, order):
         """m = ``order``, or lcm(``order``, 2) when a sign is odd.  At a point
         of order dividing ``order`` every parameter is an m-th root of
-        unity: it is pinned by a coordinate equal to +-s_j^(+-1)."""
+        unity: it is pinned by a coordinate equal to +-s_j^(+-1).  An order
+        below 1 or not an integer (2.0 included, read by ``operator.index``)
+        is a ``ValueError``."""
+        try:
+            order = index(order)
+        except TypeError:
+            raise ValueError(
+                f"torsion order must be an integer, not {order!r}"
+            ) from None
+        if order < 1:
+            raise ValueError(f"torsion order must be >= 1, not {order}")
         return lcm(order, 2) if any(s % 2 for s in self.signs) else order
 
     def torsion_exponents(self, order):
@@ -195,11 +205,11 @@ class ComponentFamily:
         each parameter is read off its pinning coordinate, then every
         coordinate is checked against the parametrization."""
         n = point.order
+        m = self._modulus(n)
         if len(point.exponents) != self.nlines or any(
             point.exponents[i] % n for i in self._ones
         ):
             return False
-        m = self._modulus(n)
         lift = m // n
         exps = [e * lift % m for e in point.exponents]
         params = [

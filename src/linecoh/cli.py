@@ -132,25 +132,18 @@ def cmd_complex(args):
     arr, _ = _load(args.arrangement)
     system = _parse_system(args.local_system, arr.n, args.backend, args.eps)
     flagged = arr.flagged()
-    structure = mincomplex.complex_structure(flagged)
+    cx = mincomplex.build_complex(system, flagged)
+    structure, bk = cx.structure, system.backend
     rows = _sign_header(arr)
     rows.append("d0 (column over U_1 ... U_0^op):")
-    for ids in structure.d0:
-        rows.append("  " + mincomplex.format_entry(system, 1, ids))
+    for ids, (value,) in zip(structure.d0, cx.d0.rows):
+        rows.append("  " + mincomplex.format_entry(bk, 1, ids, value))
     rows.append("d1 (rows = degree-2 chambers):")
-    n = flagged.n
-    sym = {}
+    cells = [["0"] * flagged.n for _ in structure.basis2]
     for r, c, sign, ids in structure.d1:
-        sym[(r, c)] = (sign, ids)
-    for r, ci in enumerate(structure.basis2):
-        cells = []
-        for c in range(n):
-            if (r, c) in sym:
-                cells.append(mincomplex.format_entry(system, *sym[(r, c)]))
-            else:
-                cells.append("0")
-        rows.append(f"  {flagged.chambers[ci].sign_string()}: " + "  ".join(cells))
-    cx = mincomplex.build_complex(system, flagged)
+        cells[r][c] = mincomplex.format_entry(bk, sign, ids, cx.d1.rows[r][c])
+    for ci, line in zip(structure.basis2, cells):
+        rows.append(f"  {flagged.chambers[ci].sign_string()}: " + "  ".join(line))
     if not cx.cochain_ok():
         raise resband.InvariantError("cochain check d1*d0 = 0 failed")
     rows.append("cochain check d1*d0 = 0: ok")
@@ -296,7 +289,7 @@ _SUBCOMMANDS = (
         "chambers",
         "chambers and flag classification",
         cmd_chambers,
-        (_ARRANGEMENT, _BACKEND, _EPS, _OUT),
+        (_ARRANGEMENT, _OUT),
     ),
     (
         "complex",

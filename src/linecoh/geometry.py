@@ -761,22 +761,27 @@ def parse_arrangement(text):
 
     Affine: one line per row, three rationals "a b c" for a*x + b*y + c = 0.
     Projective: rows "P a b c" for a*x + b*y + c*z = 0 plus a header
-    "infinity: k" (1-based row number of the line at infinity, any row).
-    "#" starts a comment.
+    "infinity: k" (1-based row number of the line at infinity, any row),
+    given once.  "#" starts a comment.
     """
     rows = []
     projective = False
-    infinity = None
+    infinity = header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         src = raw.split("#", 1)[0].strip()
         if not src:
             continue
         if src.lower().startswith("infinity:"):
+            if header is not None:
+                raise ArrangementError(
+                    f"repeated infinity header on lines {header} and {lineno}"
+                )
             try:
                 infinity = int(src.split(":", 1)[1])
             except ValueError as exc:
                 raise ArrangementError(f"bad infinity header on line {lineno}") from exc
             projective = True
+            header = lineno
             continue
         tokens = src.split()
         if tokens and tokens[0].upper() == "P":

@@ -9,13 +9,16 @@ backend and one half monodromy per line, with a single code path for
 either backend.  Torsion systems (q_i = zeta_N^{e_i}) canonically take
 h_i = zeta_{2N}^{e_i}, stored as exponents mod 2N on the exact cyclotomic
 backend or as complex values on the floating one; arbitrary nonzero
-complex monodromies use principal square roots.
+complex monodromies use principal square roots.  A system reduces exact
+halves mod M when it is built, whatever it is given, so every reader
+(the packed ``scalars.HalfProdTable`` reads of the band route and the
+chamber complex among them) takes them as they are.
 
 Only ``projective_halves`` knows which half belongs to which line of a
 projective arrangement, infinity included; the band chart rule, the band
-kernel on that chart (through its own band tables, not ``delta_ids``)
-and the certificate masks of ``resband`` all read it, so no system is
-rebuilt on another chart.  ``projective_torsion_halves`` gives the same
+kernel on that chart (through its own band tables) and the certificate
+masks of ``resband`` all read it, so no system is rebuilt on another
+chart.  ``projective_torsion_halves`` gives the same
 halves for the exponents of a torus point without building the system.
 
 Computed cohomology dimensions are independent of the square root choices;
@@ -39,11 +42,15 @@ class LocalSystemError(ValueError):
 
 class LocalSystem:
     """Monodromy data for the affine lines 0..n-1 of one arrangement:
-    ``halves[i]`` is the backend's half monodromy h_i, and ``half_inf`` is
-    (prod h_i)^(-1), squaring to the forced infinity monodromy."""
+    ``halves[i]`` is the backend's half monodromy h_i, an exponent reduced
+    mod M on the exact backend of order M (a half given negative or >= M
+    is reduced here, once), and ``half_inf`` is (prod h_i)^(-1), squaring
+    to the forced infinity monodromy."""
 
     def __init__(self, backend, halves):
         self.backend = backend
+        if backend.kind == "cyclotomic":
+            halves = (h % backend.order for h in halves)
         self.halves = tuple(halves)
         self.half_inf = backend.half_inv(backend.half_prod(self.halves))
 
@@ -58,11 +65,6 @@ class LocalSystem:
         """Refuse an arrangement whose n affine lines are not this system's."""
         if len(self.halves) != n:
             raise LocalSystemError("local system size does not match the arrangement")
-
-    def delta_ids(self, ids):
-        """prod h_i - prod h_i^(-1) over a set of affine line ids."""
-        halves = self.halves
-        return self.backend.weight(self.backend.half_prod([halves[i] for i in ids]))
 
     def projective_halves(self, proj):
         """The half monodromy of every line of ``proj``, by projective

@@ -3,17 +3,19 @@
 Once a flag is chosen, degree-0/1/2 cochains have bases U_0; U_1, ...,
 U_{n-1}, U_0^op; and the degree-2 chambers.  Both differentials have
 entries +-(prod h - prod h^{-1}) over separating sets that depend only on
-the arrangement, so the combinatorial structure is computed once per flag
-and evaluated cheaply per local system.  The resulting (h^0, h^1, h^2) is
-the reference oracle for the faster band computation.
+the arrangement, so the combinatorial structure is computed once per flag,
+with one ``scalars.HalfProdTable`` over every separating set, and
+evaluated per local system from one read of it (``_evaluate``).  The
+resulting (h^0, h^1, h^2) is the reference oracle for the faster band
+computation; ``format_entry`` prints an evaluated entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import FlaggedArrangement, InvariantError, separating_ids
-from .scalars import Matrix, matmul, rank
+from .scalars import HalfProdTable, Matrix, matmul, rank
 
 
 @dataclass(frozen=True)
@@ -23,12 +25,14 @@ class ComplexStructure:
     d0 lists over basis-1 positions the separating ids of its entries,
     all of sign +1.  d1 holds (row, col, sign, separating ids) for its
     nonzero entries; rows run over the degree-2 chambers in sign vector
-    order.
+    order.  ``table`` is the ``HalfProdTable`` of every separating set,
+    d0's then d1's in that order, so one read evaluates both.
     """
 
     d0: tuple
     d1: tuple
     basis2: tuple
+    table: HalfProdTable = field(repr=False, compare=False)
 
     @property
     def n(self):
@@ -60,23 +64,22 @@ def complex_structure(flagged):
             entries.append((row, col, sign, sep(u[p], c2)))
         if cham.signs[n - 1] > 0:
             entries.append((row, n - 1, -1, sep(u[n], c2)))
-    flagged._structure = ComplexStructure(d0=d0, d1=tuple(entries), basis2=basis2)
+    table = HalfProdTable((*d0, *(ids for *_, ids in entries)))
+    flagged._structure = ComplexStructure(d0, tuple(entries), basis2, table)
     return flagged._structure
 
 
-def _evaluate_d0(system, structure):
-    rows = [[system.delta_ids(ids)] for ids in structure.d0]
-    return Matrix(system.backend, rows, ncols=1)
-
-
-def _evaluate_d1(system, structure):
+def _evaluate(system, structure):
+    """``(d0, d1)`` of ``system``: every entry's weight from one read of
+    the structure's table, d1's entries signed."""
     bk = system.backend
+    weights = list(map(bk.weight, structure.table.sums(bk, system.halves)))
     n = structure.n
+    d0 = Matrix(bk, [[w] for w in weights[:n]], ncols=1)
     rows = [[bk.zero] * n for _ in structure.basis2]
-    for row, col, sign, ids in structure.d1:
-        val = system.delta_ids(ids)
-        rows[row][col] = bk.neg(val) if sign < 0 else val
-    return Matrix(bk, rows, ncols=n)
+    for (row, col, sign, _), w in zip(structure.d1, weights[n:]):
+        rows[row][col] = bk.neg(w) if sign < 0 else w
+    return d0, Matrix(bk, rows, ncols=n)
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,7 @@ def build_complex(system, arrangement):
         else arrangement.flagged()
     )
     structure = complex_structure(flagged)
-    return TwistedComplex(
-        structure=structure,
-        d0=_evaluate_d0(system, structure),
-        d1=_evaluate_d1(system, structure),
-    )
+    return TwistedComplex(structure, *_evaluate(system, structure))
 
 
 def cohomology_dims(system, arrangement):
@@ -127,19 +126,16 @@ def cohomology_dims(system, arrangement):
     return build_complex(system, arrangement).dims()
 
 
-def format_entry(system, sign, ids):
-    """One matrix entry: symbolically over the cyclotomic backend (D{ids}
-    is the weight of the separating set, 1-based in reports), as a complex
-    scalar over the floating one."""
-    if system.backend.kind == "cyclotomic":
-        if not ids:
-            return "0"
-        label = "".join(str(i + 1) for i in ids) if len(ids) <= 9 else ",".join(
-            str(i + 1) for i in ids
-        )
-        body = f"D({label})"
-        return f"-{body}" if sign < 0 else body
-    val = system.delta_ids(ids)
-    if sign < 0:
-        val = system.backend.neg(val)
-    return system.backend.format(val)
+def format_entry(bk, sign, ids, value):
+    """One matrix entry ``value`` of a ``TwistedComplex`` over ``bk``, of
+    ``sign`` and separating ``ids``: symbolically over the cyclotomic
+    backend (D{ids} is the weight of the separating set, 1-based in
+    reports), as ``bk.format(value)`` over the floating one."""
+    if bk.kind != "cyclotomic":
+        return bk.format(value)
+    if not ids:
+        return "0"
+    label = "".join(str(i + 1) for i in ids) if len(ids) <= 9 else ",".join(
+        str(i + 1) for i in ids
+    )
+    return f"-D({label})" if sign < 0 else f"D({label})"

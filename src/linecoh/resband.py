@@ -12,23 +12,22 @@ resonance rule.  An arrangement keeps one ``BandTable``, the one store
 of band structure, under its own ids (line k is k, infinity n): its
 bands, per band its resonance ids, and per set of resonant bands it has
 met the layout of their wave matrix (its rows and each column's
-fields), made once and kept.  One core, ``_band_kernel``, reads a table
-under half monodromies in that order: one read (``BandTable.sums``)
-gives every band's resonance sum and every entry of every band's wave,
-and the layout of the resonant bands picks the matrix's columns out of
-it.  On the exact backend the read takes no id list: a table's lists are
-packed on its first read into one integer per id with a 16-bit field per
-list, so one multiply-add per id and one ``struct`` unpack make the
-read.
+fields), made once and kept.  A ``BandTable`` is a
+``scalars.HalfProdTable`` of its id lists, the one separating-set read
+the chamber complex shares.  One core, ``_band_kernel``, reads a table
+under half monodromies in that order: one read (``sums``, packed on the
+exact backend) gives every band's resonance sum and every entry of
+every band's wave, and the layout of the resonant bands picks the
+matrix's columns out of it.
 ``h1_via_bands`` reads an arrangement's table; ``h1_on_band_chart``, the
 one chart rule (infinity when its q is not 1, else the first line with
 q != 1), reads the table of ``proj.chart(h).arrangement`` under
 ``LocalSystem.projective_halves`` put in chart order, so it builds no
-chart system; halves reach the core reduced mod M (``_reduced``).  The
-infinity chart of ``cone(arrangement)`` is the arrangement itself, so
-the two read one table.  ``chart_kernel`` is that rule on halves given
-by projective index, as ``charvar.h1_at_point`` reads them off a torus
-point.
+chart system; a ``LocalSystem`` keeps its halves reduced mod M, as the
+packed read needs them.  The infinity chart of ``cone(arrangement)`` is
+the arrangement itself, so the two read one table.  ``chart_kernel`` is
+that rule on halves given by projective index, as
+``charvar.h1_at_point`` reads them off a torus point.
 
 On the exact backend of order M = 2N the wave matrix is ranked over F_p,
 never over Z[zeta]: an entry zeta^s - zeta^(-s), s the half exponent of
@@ -53,11 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, compress
-from operator import itemgetter, mul
-from struct import Struct
+from operator import itemgetter
 
-from .geometry import MAX_LINES, Arrangement, InvariantError, monic, separating_ids
-from .scalars import MAX_TORSION_ORDER, weight_rank
+from .geometry import Arrangement, InvariantError, monic, separating_ids
+from .scalars import HalfProdTable, weight_rank
 
 
 class TheoremInapplicableError(ValueError):
@@ -137,19 +135,6 @@ def _bands(arrangement):
 # most 16 (four bands)
 _KEPT_LAYOUTS = 1024
 
-# a packed field holds a sum of halves reduced mod M = 2N, one per id of a
-# table (at most MAX_LINES lines and infinity), each at most M - 1 <=
-# 2 MAX_TORSION_ORDER - 1; the field is the smallest struct integer above
-# that bound, 16 bits for 17 * 1999 = 33,983, and a read whose halves may
-# pass it is summed unpacked
-_FIELD_MAX = (MAX_LINES + 1) * (2 * MAX_TORSION_ORDER - 1)
-_FIELD_BYTES, _FIELD_CODE = next(
-    (size, code)
-    for size, code in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
-    if _FIELD_MAX >> 8 * size == 0
-)
-
-
 def _picker(fields):
     """``itemgetter(*fields)``, which gives a tuple for one field too."""
     if len(fields) == 1:
@@ -158,68 +143,36 @@ def _picker(fields):
     return itemgetter(*fields)
 
 
-class BandTable:
+class BandTable(HalfProdTable):
     """The bands of an ``Arrangement`` as the band route reads them, under
     its own ids (line k is k, infinity is n): ``bands`` in ``bands``
-    order, and ``lists``, the id lists a read sums: per band its
+    order, and the ``HalfProdTable`` of its id lists, per band its
     resonance ids (the parallel class and infinity), then () (weight 0),
-    then each band's wave ids in ``waves`` order.
+    then each band's wave ids in ``waves`` order, so one ``sums`` read
+    gives every band's resonance sum and every wave entry at once.
 
-    A read of the table under half monodromies by id is ``sums``: the
-    ``half_prods`` of ``lists``.  ``layout(key)``, for a tuple of one
-    flag per band (is it resonant?), is ``(bands, picks)``: the resonant
-    bands and, per band, the picker of its column of the wave matrix from
-    a read, a row per chamber the resonant bands meet (in index order)
-    holding the sum of that chamber's wave ids, or the sum over () where
-    the band does not meet it.  A layout is made on first use and kept,
-    up to ``_KEPT_LAYOUTS`` a table, so a call reads its rows and
-    positions instead of building them.
+    ``layout(key)``, for a tuple of one flag per band (is it resonant?),
+    is ``(bands, picks)``: the resonant bands and, per band, the picker of
+    its column of the wave matrix from a read, a row per chamber the
+    resonant bands meet (in index order) holding the sum of that chamber's
+    wave ids, or the sum over () where the band does not meet it.  A
+    layout is made on first use and kept, up to ``_KEPT_LAYOUTS`` a
+    table, so a call reads its rows and positions instead of building
+    them."""
 
-    The lists are the definition.  On the exact backend a read takes no
-    list: ``_pack`` makes them, on the table's first such read, one
-    integer per id with a field of ``_FIELD_BYTES`` bytes per list
-    holding the times the id occurs in it, wide enough for
-    ``_FIELD_MAX`` = (``MAX_LINES`` + 1)(2 ``MAX_TORSION_ORDER`` - 1),
-    the largest sum of reduced halves over the ids of a table.  So one
-    multiply-add per id gives every band's resonance sum and every wave
-    entry at once, read off with one ``struct`` unpack.  A backend whose
-    sums could pass ``_FIELD_MAX`` (an order M above 2
-    ``MAX_TORSION_ORDER``, built without ``make_local_system``) sums the
-    lists instead."""
-
-    __slots__ = ("bands", "lists", "_layouts", "_packed")
+    __slots__ = ("bands", "_layouts")
 
     def __init__(self, arrangement):
         self.bands = _bands(arrangement)
         infinity = arrangement.n
-        self.lists = (
-            *((*band.parallel_ids, infinity) for band in self.bands),
-            (),
-            *(ids for band in self.bands for _, ids in band.waves),
+        super().__init__(
+            (
+                *((*band.parallel_ids, infinity) for band in self.bands),
+                (),
+                *(ids for band in self.bands for _, ids in band.waves),
+            )
         )
         self._layouts = {}
-        self._packed = None  # (per_id, nbytes, unpack) once packed
-
-    def sums(self, bk, halves):
-        """The ``half_prods`` of ``lists`` under ``halves``, by id and
-        reduced mod M on the exact backend."""
-        if bk.kind != "cyclotomic" or len(halves) * (bk.order - 1) > _FIELD_MAX:
-            return bk.half_prods(halves, self.lists)
-        per_id, nbytes, unpack = self._packed or self._pack(len(halves))
-        total = sum(map(mul, halves, per_id)).to_bytes(nbytes, "little")
-        m = bk.order
-        return [s % m for s in unpack(total)]
-
-    def _pack(self, nids):
-        per_id = [0] * nids
-        for f, ids in enumerate(self.lists):
-            one = 1 << 8 * _FIELD_BYTES * f
-            for i in ids:
-                per_id[i] += one
-        count = len(self.lists)
-        unpack = Struct(f"<{count}{_FIELD_CODE}").unpack
-        self._packed = per_id, count * _FIELD_BYTES, unpack
-        return self._packed
 
     def layout(self, key):
         layout = self._layouts.get(key)
@@ -258,22 +211,11 @@ def _table(arrangement):
     return arrangement._band_table
 
 
-def _reduced(bk, halves):
-    """``halves`` as the band core reads them: reduced mod M on the exact
-    backend, where a ``LocalSystem`` keeps its halves as given (negative
-    or >= M alike)."""
-    if bk.kind != "cyclotomic":
-        return halves
-    m = bk.order
-    return [h % m for h in halves]
-
-
 def _affine_table(system, arrangement):
-    """``(halves, table)``: the system's ``_reduced`` halves, infinity
-    last, and the arrangement's ``BandTable``."""
+    """``(halves, table)``: the system's halves, infinity last, and the
+    arrangement's ``BandTable``."""
     system.check_size(arrangement.n)
-    halves = _reduced(system.backend, [*system.halves, system.half_inf])
-    return halves, _table(arrangement)
+    return [*system.halves, system.half_inf], _table(arrangement)
 
 
 def _resonant(bk, halves, table):
@@ -326,9 +268,8 @@ def h1_on_band_chart(system, proj):
     every q is 1: h is the line at infinity when its q is not 1, otherwise
     the first line with q != 1, and kernel the ``BandKernel`` of
     ``system`` (on ``proj``'s infinity chart) on ``proj.chart(h)``: the
-    ``chart_kernel`` of its ``_reduced`` ``projective_halves``."""
-    bk = system.backend
-    return chart_kernel(bk, _reduced(bk, system.projective_halves(proj)), proj)
+    ``chart_kernel`` of its ``projective_halves``."""
+    return chart_kernel(system.backend, system.projective_halves(proj), proj)
 
 
 def chart_kernel(bk, halves, proj):

@@ -28,7 +28,10 @@ own the representation of a half monodromy, a square root h of a
 monodromy q = h^2, through the same four operations: ``half_prod``
 (product of an iterable), ``half_inv``, ``square_is_one`` (is h^2 = 1?)
 and ``weight`` (h - h^(-1)); ``half_prods`` is ``half_prod`` over many
-lists of ids into one tuple of halves, in one call.
+lists of ids into one tuple of halves, in one call.  ``HalfProdTable``,
+the one read of separating sets that the band route and the chamber
+complex share, reads ``half_prods`` of its lists packed on the exact
+backend, with ``half_prods`` itself as the definition and the fallback.
 
 * Over ``CyclotomicBackend(M)``, M even, h = zeta_M^s is the exponent s
   mod M: products add exponents, the inverse is -s, and h^2 = 1 exactly
@@ -53,6 +56,8 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
+from operator import mul
+from struct import Struct
 
 
 def _poly_div_exact(num, den):
@@ -333,6 +338,55 @@ class ComplexBackend:
 
     def format(self, u):
         return format(u, ".6g")
+
+
+# a packed field of a ``HalfProdTable`` is 16 bits; it holds a sum of
+# reduced halves, one per id, so 17 * 1999 = 33,983 at most for any
+# system ``localsystem.make_local_system`` builds
+_FIELD_BYTES, _FIELD_CODE = 2, "H"
+_FIELD_MAX = (1 << 8 * _FIELD_BYTES) - 1
+
+
+class HalfProdTable:
+    """Id lists read as half products, the one read of separating sets:
+    ``sums(bk, halves)`` is ``bk.half_prods(halves, lists)``.
+
+    ``half_prods`` is the definition, and the floating backend reads it.
+    On the exact backend, with ``halves`` reduced mod M (as a
+    ``LocalSystem`` keeps them), the first read packs the lists into one
+    integer per id, a field of ``_FIELD_BYTES`` bytes per list holding the
+    times the id occurs in it.  A read is then one multiply-add per id and
+    one ``struct`` unpack.  A read whose sums could pass ``_FIELD_MAX``
+    (len(halves) * (M - 1) above it, an order M past 2
+    ``MAX_TORSION_ORDER`` built without ``make_local_system``) sums the
+    lists instead."""
+
+    __slots__ = ("lists", "_packed")
+
+    def __init__(self, lists):
+        self.lists = tuple(lists)
+        self._packed = None  # (per_id, nbytes, unpack) once packed
+
+    def sums(self, bk, halves):
+        """``bk.half_prods(halves, self.lists)``, reduced mod M on the exact
+        backend."""
+        if bk.kind != "cyclotomic" or len(halves) * (bk.order - 1) > _FIELD_MAX:
+            return bk.half_prods(halves, self.lists)
+        per_id, nbytes, unpack = self._packed or self._pack(len(halves))
+        total = sum(map(mul, halves, per_id)).to_bytes(nbytes, "little")
+        m = bk.order
+        return [s % m for s in unpack(total)]
+
+    def _pack(self, nids):
+        per_id = [0] * nids
+        for f, ids in enumerate(self.lists):
+            one = 1 << 8 * _FIELD_BYTES * f
+            for i in ids:
+                per_id[i] += one
+        count = len(self.lists)
+        unpack = Struct(f"<{count}{_FIELD_CODE}").unpack
+        self._packed = per_id, count * _FIELD_BYTES, unpack
+        return self._packed
 
 
 class Matrix:

@@ -44,10 +44,25 @@ def transpose(mat):
     )
 
 
+def weight(bk, halves, ids):
+    """prod h_i - prod h_i^(-1) over the affine line ids, summed here, not
+    through ``half_prods`` or a table: zeta^s - zeta^(-s) for s the sum of
+    the half exponents (reduced or not) on the cyclotomic backend, v - 1/v
+    for v the product of the half values on the floating one."""
+    picked = [halves[i] for i in ids]
+    if bk.kind == "cyclotomic":
+        s = sum(picked)
+        return bk.sub(bk.root(s), bk.root(-s))
+    v = 1 + 0j
+    for h in picked:
+        v *= h
+    return v - 1 / v
+
+
 def delta(system, ids, c1, c2):
     """Connection weight between two chambers (weight of the separating
     set), ``ids[k]`` the id of the line of sign k."""
-    return system.delta_ids(sep(c1, c2, ids))
+    return weight(system.backend, system.halves, sep(c1, c2, ids))
 
 
 def standing_wave(system, arrangement, band, end=1):

@@ -825,6 +825,27 @@ def test_a_family_reads_its_signs_by_parity(order):
     assert torsion_scan(generic, order, budget=order + 1, catalog=(even,)) == []
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        (0, "must be >= 1, not 0"),
+        (-2, "must be >= 1, not -2"),
+        (2.0, "must be an integer, not 2.0"),
+    ],
+)
+def test_a_family_refuses_orders_below_one_and_non_integers(order, message):
+    # order 0 divided by zero and order -2 listed vectors such as
+    # (0, 0, -1, 0, 0, -1, 0, 0) on C_136; -3 was a member at exponents 0
+    _, catalog = charvar.deleted_b3()
+    c136 = catalog[0]
+    with pytest.raises(ValueError, match=message):
+        list(c136.torsion_exponents(order))
+    with pytest.raises(ValueError, match=message):
+        c136.contains(TorusPoint((0,) * 8, order))
+    with pytest.raises(ValueError, match="must be >= 1, not -3"):
+        c136.contains(TorusPoint((0,) * 8, -3))
+
+
 def test_a_family_hashes_its_signs_and_powers_once():
     # the hash is taken once from the integer tuples (signs, powers), so a
     # pickled family hashes alike; a replaced field gets its own hash, and

@@ -208,6 +208,29 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+def test_repeated_infinity_header_exits_2(tmp_path, capsys):
+    twice = tmp_path / "twice.txt"
+    twice.write_text("infinity: 2\nP 1 0 0\nP 0 1 0\nP 0 0 1\ninfinity: 3\n")
+    assert main(["chambers", "--arrangement", str(twice)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated infinity header on lines 1 and 5\n"
+
+
+@pytest.mark.parametrize(
+    "option", [["--eps", "1e-9"], ["--eps", "-5"], ["--backend", "complex"]]
+)
+def test_chambers_takes_no_backend_or_eps(option, capsys):
+    # chambers never read either option, so --eps -5 used to exit 0
+    argv = ["chambers", "--arrangement", str(GOLDEN / "fig1.txt"), *option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+
 BOUND = "exceeds the bound 1000 of the cyclotomic backend"
 
 

@@ -66,6 +66,14 @@ def test_parse_duplicate_line():
         parse_arrangement("2 0 0\n1 0 0\n")
 
 
+def test_repeated_infinity_header_is_refused():
+    # the second header used to win silently, putting line 3 at infinity
+    text = "infinity: 2\nP 1 0 0\nP 0 1 0\nP 0 0 1\ninfinity: 3\n"
+    message = "repeated infinity header on lines 1 and 5"
+    with pytest.raises(ArrangementError, match=message):
+        parse_arrangement(text)
+
+
 def test_parse_degenerate_row():
     with pytest.raises(ArrangementError, match="degenerate"):
         parse_arrangement("0 0 3\n1 0 0\n")

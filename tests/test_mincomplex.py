@@ -4,13 +4,13 @@ import pytest
 
 import brute
 import corpus
-from linecoh import bands, make_local_system
+from linecoh import LocalSystem, bands, make_local_system
 from linecoh.mincomplex import (
     build_complex,
     cohomology_dims,
     complex_structure,
 )
-from linecoh.scalars import rank
+from linecoh.scalars import ComplexBackend, CyclotomicBackend, rank
 
 
 def test_d0_structure_five_lines():
@@ -72,6 +72,63 @@ def test_d1_structure_matches_reference_matrix():
         for row, col, sign, ids in structure.d1
     }
     assert got == EXPECTED_D1
+
+
+def _assert_brute_entries(system, arr, halves):
+    """Every entry of ``build_complex(system, arr)`` is brute's weight of
+    its separating set under ``halves`` (the halves the system was given,
+    reduced or not), signed in d1, and d1 is zero elsewhere."""
+    bk = system.backend
+    cx = build_complex(system, arr)
+    structure = cx.structure
+    assert len(cx.d0.rows) == len(structure.d0)
+    for (value,), ids in zip(cx.d0.rows, structure.d0):
+        assert brute.eq(bk, value, brute.weight(bk, halves, ids))
+    expected = [[bk.zero] * structure.n for _ in structure.basis2]
+    for row, col, sign, ids in structure.d1:
+        weight = brute.weight(bk, halves, ids)
+        expected[row][col] = bk.neg(weight) if sign < 0 else weight
+    assert len(cx.d1.rows) == len(expected)
+    for got, want in zip(cx.d1.rows, expected):
+        assert all(map(brute.eq, [bk] * len(got), got, want))
+
+
+@pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
+def test_entries_are_brute_weights(backend):
+    rng = random.Random(8)
+    proj, _ = corpus.b3()
+    for arr in (corpus.figure_five_lines(), proj.chart(7).arrangement):
+        for order in (1, 2, 3, 5, 12):
+            exps = corpus.random_exponents(rng, arr.n, order)
+            system = make_local_system(exps, order=order, backend=backend)
+            _assert_brute_entries(system, arr, system.halves)
+
+
+def test_entries_of_halves_given_unreduced():
+    # a LocalSystem reduces exact halves once, when it is built; the
+    # table's packed read of the complex needs them in [0, M)
+    arr = corpus.figure_five_lines()
+    bk = CyclotomicBackend(8)
+    for halves in ((-1, 9, 17, -15, 3), (-7, -8, 8, 23, -33)):
+        system = LocalSystem(bk, halves)
+        assert system.halves == tuple(h % 8 for h in halves)
+        _assert_brute_entries(system, arr, halves)
+    values = (-1j, 2 + 0j, 0.5j, 1 + 1j, -1 + 0j)
+    _assert_brute_entries(LocalSystem(ComplexBackend(), values), arr, values)
+
+
+def test_sixteen_line_entries_at_order_1000():
+    # 16 lines at order 1000: every packed field sums up to 16 halves of
+    # up to 1999, as given and with 2000 less on odd lines, 4000 more on
+    # even ones
+    arr = corpus.sixteen_lines()
+    for halves, _, _ in corpus.SIXTEEN_LINE_SYSTEMS:
+        floating = make_local_system(halves, order=1000, backend="complex")
+        exact = make_local_system(halves, order=1000)
+        unreduced = [h - 2000 if i % 2 else h + 4000 for i, h in enumerate(halves)]
+        _assert_brute_entries(floating, arr, floating.halves)
+        _assert_brute_entries(exact, arr, halves)
+        _assert_brute_entries(LocalSystem(exact.backend, unreduced), arr, unreduced)
 
 
 def test_trivial_system_zero_differentials():

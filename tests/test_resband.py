@@ -11,7 +11,7 @@ import corpus
 from linecoh import LocalSystem, cone, make_local_system, resband, scalars
 from linecoh.charvar import candidate_points
 from linecoh.geometry import separating_ids
-from linecoh.mincomplex import cohomology_dims
+from linecoh.mincomplex import cohomology_dims, complex_structure
 from linecoh.resband import (
     TheoremInapplicableError,
     bands,
@@ -167,7 +167,7 @@ def test_standing_wave_supported_on_bounded_chamber():
     bounded = [c for c in band.inner if chs[c].bounded]
     assert nonzero == set(bounded)
     coeff = wave[bounded[0]]
-    delta1 = system.delta_ids((0,))
+    delta1 = brute.weight(bk, system.halves, (0,))
     assert brute.eq(bk, coeff, delta1) or brute.eq(bk, coeff, bk.neg(delta1))
 
 
@@ -452,15 +452,23 @@ def test_band_table_sums_past_the_packed_bound():
     after read, also at an order M past 2 ``MAX_TORSION_ORDER``: at M =
     5600, halves M - 1 put 67,188 in the field of a wave of 12 ids, past
     16 bits, though the last field (11 ids) keeps its carry.  Such a read
-    leaves the table unpacked, and one at M = 2000 packs it."""
-    table = resband.BandTable(corpus.sixteen_lines())
+    leaves the table unpacked, and one at M = 2000 packs it.  The chamber
+    complex's table reads the same way: its d0 ends in all 16 lines,
+    89,584 at M = 5600."""
+    arr = corpus.sixteen_lines()
+    table = resband.BandTable(arr)
     assert max(map(len, table.lists)) == 12 and len(table.lists[-1]) == 11
+    structure = complex_structure(arr.flagged())
+    cx_table = structure.table
+    assert cx_table.lists == (*structure.d0, *(ids for *_, ids in structure.d1))
+    assert len(cx_table.lists[len(structure.d0) - 1]) == 16
     rng = random.Random(5)
-    for m in (5600, 5600, 2000, 2000):
-        for halves in ([m - 1] * 17, [rng.randrange(m) for _ in range(17)]):
-            expected = [sum(halves[i] for i in ids) % m for ids in table.lists]
-            assert table.sums(_HalvesOnly(m), halves) == expected
-        assert (table._packed is None) == (m != 2000)
+    for table, nids in ((table, 17), (cx_table, 16)):
+        for m in (5600, 5600, 2000, 2000):
+            for halves in ([m - 1] * nids, [rng.randrange(m) for _ in range(nids)]):
+                expected = [sum(halves[i] for i in ids) % m for ids in table.lists]
+                assert table.sums(_HalvesOnly(m), halves) == expected
+            assert (table._packed is None) == (m != 2000)
 
 
 # the primes = 1 (mod 12) below 110, for order 6: one of them divides the

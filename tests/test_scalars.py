@@ -160,4 +160,4 @@ def test_half_monodromy_operations_agree_across_backends(order, data):
     assert cyc.square_is_one(s) == cpx.square_is_one(v)
     for bk, h in ((cyc, s), (cpx, v)):
         assert brute.eq(bk, bk.weight(brute.half_neg(bk, h)), bk.neg(bk.weight(h)))
-    assert exact.delta_ids(ids) == brute.torsion_weight(cyc, exps, ids)
+    assert cyc.weight(s) == brute.torsion_weight(cyc, exps, ids)
