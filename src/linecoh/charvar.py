@@ -36,6 +36,7 @@ four families, and h^1 = 1 at every other hit.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat, zip_longest
 from math import gcd, lcm
@@ -68,9 +69,10 @@ class TorusPoint:
     exponents: tuple
     order: int
 
-    # a scan builds a point and a hit per hit: a slot's descriptor sets it
-    # in one call, where the frozen dataclass ``__init__`` goes through
-    # ``object.__setattr__`` per field, 1.5 times as long on CPython 3.11
+    # a slot's descriptor sets it in one call, where the frozen dataclass
+    # ``__init__`` goes through ``object.__setattr__`` per field, 1.5 times
+    # as long on CPython 3.11; ``torsion_scan`` runs each setter down a
+    # column of new records instead, faster again
     def __init__(self, exponents, order):
         _set_exponents(self, exponents)
         _set_order(self, order)
@@ -92,7 +94,8 @@ class ComponentFamily:
     tuples; a sign is read by its parity only, so signs (2, 0, 0) give the
     points of (0, 0, 0).  The hash is that of ``(signs, powers)``, taken
     once: integer tuples, so a family hashes alike in every process, and
-    equal families (which compare all three fields) hash alike.
+    equal families (which compare all three fields) hash alike.  Whether
+    a sign is odd is read once too, for ``_modulus``.
     """
 
     name: str
@@ -110,6 +113,7 @@ class ComponentFamily:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "_hash", hash((signs, powers)))
+        object.__setattr__(self, "_odd", any(s % 2 for s in signs))
         if not self.powers:
             raise ValueError(f"{self.name}: no power rows")
         if len(self.signs) != len(self.powers):
@@ -173,7 +177,7 @@ class ComponentFamily:
             ) from None
         if order < 1:
             raise ValueError(f"torsion order must be >= 1, not {order}")
-        return lcm(order, 2) if any(s % 2 for s in self.signs) else order
+        return lcm(order, 2) if self._odd else order
 
     def torsion_exponents(self, order):
         """The exponent vectors mod ``order`` of the family's points of order
@@ -324,7 +328,10 @@ class _ScanState:
       before any form is built; kept while fewer than ``_CACHED_NODES``
       are (deleted B3 has 255).  A node does not depend on the order.
     - ``fields``: the layout ``_fields(proj, width)`` under its field
-      width, one of the four of ``_field_width``.
+      width, one of the four of ``_field_width``.  Its ``_ThinMasks``
+      keeps the (B) table's answer per set of resonant points met, up to
+      ``_KEPT_MASKS`` (scans of deleted B3 at orders 2 to 12 meet 54 of
+      its 2^7 sets, about 6 kB).
     - ``catalogs``: the index ``_catalog_index(families, order)`` under
       ``(order, families)``.  The families are frozen and compared by
       value, so equal catalogs share one index.  An index is kept while
@@ -669,9 +676,9 @@ def _span(cols, steps, order, width, top):
     nonzero integer entry, so a generator is the sum of its entries, each
     reduced mod N and shifted to its field: 2 terms for a local family's
     e_j - e_last, not one per field.  ``top`` is the integer of the fields'
-    top bits (with any more fields above, which stay 0).  When every
-    generator is innermost the points come as one list, else as an
-    iterator.
+    top bits (with any more fields above, which stay 0).  The points come
+    in lists of at most ``_LISTED``, an iterable of them, so a caller
+    tests a list in one comprehension.
 
     The generators are the y_i with a step below N.  The innermost ones,
     as many as keep their points to at most ``_LISTED``, are listed at
@@ -680,14 +687,16 @@ def _span(cols, steps, order, width, top):
     digits after it wrap to 0, and a wrap adds its step times its column
     once more (count * step = N), so each of its points P is one packed
     sum, and each gives the list P + I in one comprehension.  So the
-    iterator resumes the odometer once per list and holds I and one list,
-    each of at most ``_LISTED`` points, whatever N and the node's size.
+    generator resumes the odometer once per list and holds I and one list,
+    each of at most ``_LISTED`` points, whatever N and the node's size;
+    I less 0 is the first list, and the only one when every generator is
+    inner.
     Every sum's fields are below 2N <= 2^width, and adding 2^(width-1) - N
     sets a field's top bit exactly when it is at least N, so one
     subtraction reduces them all mod N."""
     gens = [(col, step) for col, step in zip(cols, steps) if step < order]
     if not gens:
-        return iter(())
+        return ()
     shift = width - 1
     fix = top - order * (top >> shift)
     inner = [0]
@@ -708,7 +717,7 @@ def _span(cols, steps, order, width, top):
             for p in inner
         ]
     if not gens:  # every generator is inner: one list, no odometer
-        return inner[1:]
+        return (inner[1:],)
     incs = []
     acc = {}  # field -> the sum of step * entry over the later generators
     for col, step in reversed(gens):
@@ -737,11 +746,36 @@ def _span(cols, steps, order, width, top):
                 for m in inner
             ]
 
-    return chain.from_iterable(lists())
+    return lists()
 
 
-# multiple points per chunk of the (B) table of ``_fields``
+# multiple points per chunk of the (B) table of ``_fields``, and the most
+# masks its ``_ThinMasks`` keeps (deleted B3 has 2^7)
 _CHUNK = 7
+_KEPT_MASKS = 4096
+
+
+class _ThinMasks(dict):
+    """The (B) table of ``_fields`` as a dict: ``thin[resonant]``, for the
+    top bits of a set of resonant points, is the top bits of the lines
+    meeting fewer than two of them.  A mask not yet kept is read off the
+    chunks (``__missing__``) and kept while fewer than ``_KEPT_MASKS``
+    are, so a scan looks most masks up in one subscript."""
+
+    __slots__ = ("chunks", "twice", "lines_top")
+
+    def __init__(self, chunks, twice, lines_top):
+        super().__init__()
+        self.chunks, self.twice, self.lines_top = chunks, twice, lines_top
+
+    def __missing__(self, resonant):
+        counts = self.twice
+        for mask, entries in self.chunks:
+            counts += entries[resonant & mask]
+        thin = self.lines_top & ~counts
+        if len(self) < _KEPT_MASKS:
+            self[resonant] = thin
+        return thin
 
 
 def _fields(proj, width):
@@ -754,8 +788,9 @@ def _fields(proj, width):
     of the point fields; adding ``near`` (2^(width-1) - 1 in every field)
     sets a field's top bit exactly when the field is not 0.
     ``unpack(point.to_bytes(nbytes, "little"))`` is the tuple of the line
-    fields.  ``thin(resonant)``, for the top bits of a set of resonant
-    points, is the top bits of the lines meeting fewer than two of them.
+    fields.  ``thin`` is the ``_ThinMasks`` of the layout: ``thin[resonant]``,
+    for the top bits of a set of resonant points, is the top bits of the
+    lines meeting fewer than two of them.
 
     It reads a table that splits the points into chunks of ``_CHUNK``:
     per chunk, each value of its top bits maps to a count in each line
@@ -785,13 +820,6 @@ def _fields(proj, width):
                 for j, on in enumerate(table.on_mask)
             )
         chunks.append((sum(bits), entries))
-
-    def thin(resonant):
-        counts = twice
-        for mask, entries in chunks:
-            counts += entries[resonant & mask]
-        return lines_top & ~counts
-
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
     return (
         top,
@@ -800,7 +828,7 @@ def _fields(proj, width):
         point_tops,
         (n + npoints) * width // 8,
         Struct(f"<{n}{code}").unpack_from,
-        thin,
+        _ThinMasks(chunks, twice, lines_top),
     )
 
 
@@ -858,13 +886,13 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     per multiple point (its exponent sum), laid out by ``_fields``.  They
     are read in that form: adding ``near`` gives the lines with q != 1
     and the resonant points of a (B) point as masks of top bits.  The (B)
-    test is then a lookup in the chunked table of ``_fields``: a point is
-    kept when none of its lines with q != 1 meets fewer than two of its
-    resonant points (and it leaves out no point of ``outside``).  A kept
-    point's exponents are its line fields, unpacked from its bytes with
-    ``struct``.  A span's generators are the sparse columns of its node
-    (``_node``) or, for a local family, of ``_symmetry``; only their
-    steps depend on N."""
+    test is then a lookup in the ``_ThinMasks`` of ``_fields``, run over
+    each list of ``_span`` in one comprehension: a point is kept when none
+    of its lines with q != 1 meets fewer than two of its resonant points
+    (and it leaves out no point of ``outside``).  A kept point's exponents
+    are its line fields, unpacked from its bytes with ``struct``.  A
+    span's generators are the sparse columns of its node (``_node``) or,
+    for a local family, of ``_symmetry``; only their steps depend on N."""
     table = incidence_table(proj)
     # a family has N^(|p| - 1) points, zero included
     spent += sum(order ** (depth + 1) - 1 for depth in table.depth)
@@ -874,18 +902,25 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     width = _field_width(max(order, 2 * -(-len(table.points) // _CHUNK)))
     top, near, points_top, point_tops, nbytes, unpack, thin = state.layout(proj, width)
     for gens, depth, _ in state.classes:
-        points = _span(gens, [1] * len(gens), order, width, top)
-        packed = map(int.to_bytes, points, repeat(nbytes), repeat("little"))
-        yield from zip(map(unpack, packed), repeat(depth))
+        for points in _span(gens, [1] * len(gens), order, width, top):
+            packed = map(int.to_bytes, points, repeat(nbytes), repeat("little"))
+            yield from zip(map(unpack, packed), repeat(depth))
     for k, inside, outside in nodes:
         _, _, _, divisors, gens = state.node(proj, k, inside)
         steps = [order // gcd(v, order) for v in divisors]
         outside = sum(bit for q, bit in enumerate(point_tops) if outside >> q & 1)
-        for point in _span(gens, steps, order, width, top):
-            nonzero = point + near & top
-            resonant = points_top & ~nonzero
-            if not resonant & outside and not nonzero & thin(resonant):
-                yield unpack(point.to_bytes(nbytes, "little")), None
+        for points in _span(gens, steps, order, width, top):
+            kept = [
+                point
+                for point in points
+                if not (
+                    (resonant := points_top & ~(nonzero := point + near & top))
+                    & outside
+                    or nonzero & thin[resonant]
+                )
+            ]
+            packed = map(int.to_bytes, kept, repeat(nbytes), repeat("little"))
+            yield from zip(map(unpack, packed), repeat(None))
 
 
 @dataclass(frozen=True, slots=True)
@@ -902,6 +937,8 @@ class ScanHit:
 
 _set_point, _set_h1 = ScanHit.point.__set__, ScanHit.h1.__set__
 _set_families = ScanHit.families.__set__
+# runs an iterator to its end, keeping nothing
+_consume = deque(maxlen=0).extend
 
 
 def _catalog_index(families, order):
@@ -1023,11 +1060,13 @@ def torsion_scan(
     names = state.names(families, order)
     # a multiple point has three lines or more, so itemgetter gets two ids
     keys = sorted(found, key=itemgetter(*proj.affine_ids()))
-    return list(
-        map(
-            ScanHit,
-            map(TorusPoint, keys, repeat(order)),
-            map(found.__getitem__, keys),
-            map(names.get, keys, repeat(())),
-        )
-    )
+    # the records column by column: each slot setter runs down one column
+    # of new records, 0.75 times as long as a constructor call per record
+    points = list(map(object.__new__, repeat(TorusPoint, len(keys))))
+    hits = list(map(object.__new__, repeat(ScanHit, len(keys))))
+    _consume(map(_set_exponents, points, keys))
+    _consume(map(_set_order, points, repeat(order)))
+    _consume(map(_set_point, hits, points))
+    _consume(map(_set_h1, hits, map(found.__getitem__, keys)))
+    _consume(map(_set_families, hits, map(names.get, keys, repeat(()))))
+    return hits

@@ -420,42 +420,35 @@ def sharp_pairs(proj, report):
 
     A pair is sharp when the crossings of the other lines all lie in one
     of the two region pairs cut out by it, i.e. the product of the pair's
-    signs is the same at each of them.  Points and lines are stored as
-    ``canonical_triple`` rows, so the side of every line with q != 1 at
-    every point is taken once from an integer dot product of the stored
-    rows; the pair loop compares those table entries.  Resonance comes
-    from the report's masks; ``incidence_table`` says which multiple
+    signs is the same at each of them.  Those crossings are the
+    intersection points off both lines: a point off both has at least two
+    lines of its own, and a point on either is no crossing of the others.
+    Points and lines are stored as ``canonical_triple`` rows, so the side
+    of every line with q != 1 at every point is taken once from an integer
+    dot product of the stored rows, as two bitmasks over the points (those
+    on its positive side, those on its negative side); a pair is sharp
+    unless the points off both lines show both sign products.  Resonance
+    comes from the report's masks; ``incidence_table`` says which multiple
     points lie on a line.
     """
-    points = proj.intersections()
+    coords = [p.coords for p in proj.intersections()]
     on_mask = incidence_table(proj).on_mask
     nontrivial, resonant = report.nontrivial, report.resonant
     nonres = [h for h in range(proj.n) if nontrivial >> h & 1]
     hypothesis = all((resonant & on_mask[h]).bit_count() >= 2 for h in nonres)
-    coords = [p.coords for p in points]
-    side = {}
+    sides = {}  # line -> (points on its positive side, on its negative side)
     for h in nonres:
         a, b, c = proj.lines[h]
-        side[h] = [
-            (v > 0) - (v < 0) for v in (a * x + b * y + c * z for x, y, z in coords)
-        ]
+        values = [a * x + b * y + c * z for x, y, z in coords]
+        sides[h] = (
+            sum(1 << i for i, v in enumerate(values) if v > 0),
+            sum(1 << i for i, v in enumerate(values) if v < 0),
+        )
     out = []
     for h1, h2 in combinations(nonres, 2):
-        regions = set()
-        sharp = True
-        side1, side2 = side[h1], side[h2]
-        for i, p in enumerate(points):
-            if len(p.incident - {h1, h2}) < 2:
-                continue  # not a crossing of the other lines
-            s1, s2 = side1[i], side2[i]
-            if s1 == 0 or s2 == 0:
-                continue  # on the pair itself
-            regions.add(s1 == s2)
-            if len(regions) == 2:
-                sharp = False
-                break
-        if not sharp:
-            continue
+        (pos1, neg1), (pos2, neg2) = sides[h1], sides[h2]
+        if pos1 & pos2 | neg1 & neg2 and pos1 & neg2 | neg1 & pos2:
+            continue  # both sign products occur off the pair
         # a plain double point crossing is in no row of the table
         forces_zero = not resonant & on_mask[h1] & on_mask[h2]
         bound = (0 if forces_zero else 1) if hypothesis else None

@@ -755,7 +755,8 @@ def pack(fields, width):
 
 def span(cols, steps, order, width, top=None):
     """Reference for ``charvar._span``: the same odometer over dense
-    columns, each generator packed from all of its fields by ``pack``."""
+    columns, each generator packed from all of its fields by ``pack``, its
+    points one after the other."""
     gens = [(col, step) for col, step in zip(cols, steps) if step < order]
     if not gens:
         return iter(())

@@ -317,6 +317,14 @@ def test_cold_grid_scan_builds_fewer_node_forms(monkeypatch):
     assert len(calls) == 1701 < 7178
 
 
+def _spanned(gens, steps, order, width, top):
+    """The points of ``_span``'s lists one after the other, checking that
+    no list holds more than ``_LISTED``."""
+    for points in _span(gens, steps, order, width, top):
+        assert len(points) <= charvar._LISTED
+        yield from points
+
+
 def _listed_spans(proj, order):
     """Per span ``candidate_points`` lists at ``order``, ``(gens, steps,
     cols, dense_steps)``: the local family of the first point of each
@@ -372,7 +380,7 @@ def test_sparse_spans_equal_the_dense_reference(name, monkeypatch):
             assert [g for g, step in zip(gens, steps) if step < order] == [
                 _sparse(col) for col in stepping
             ]
-            sparse = islice(_span(gens, steps, order, width, top), 20_000)
+            sparse = islice(_spanned(gens, steps, order, width, top), 20_000)
             dense = islice(brute.span(cols, dense_steps, order, width, top), 20_000)
             assert list(sparse) == list(dense)
 
@@ -456,11 +464,12 @@ def test_scan_order_four_hits_stay_in_catalog():
     assert_two_sided(hits, catalog, 4)
 
 
-@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("arrangement", [corpus.b3, corpus.b3_relabelled])
 def test_orbit_scan_matches_per_point_scan(arrangement, order):
     # the reference orbit scan and the stratum scan both equal the band
-    # kernel at every grid point
+    # kernel at every grid point; at N = 2 the walk lists its root node
+    # whole, so every (B) point is tested in the lists of one span
     proj, catalog = arrangement()
     hits = brute.grid_scan(proj, order, catalog)
     assert brute.orbit_scan(proj, order, catalog) == hits
@@ -625,7 +634,7 @@ def test_diagonal_form_and_span_list_the_kernel_mod_n():
             top = brute.pack([1 << width - 1] * ncols, width)
             spanned = [
                 tuple(point >> width * j & ~(-1 << width) for j in range(ncols))
-                for point in _span(list(map(_sparse, cols)), steps, order, width, top)
+                for point in _spanned(list(map(_sparse, cols)), steps, order, width, top)
             ]
             assert len(spanned) == len(set(spanned)) == len(ys) - 1
             assert set(spanned) == listed - {(0,) * ncols}
@@ -673,7 +682,7 @@ def test_span_lists_the_kernel_mod_n_at_the_byte_widths(order):
             top = brute.pack([1 << width - 1] * (ncols + extra), width)
             spanned = [
                 tuple(point >> width * j & ~(-1 << width) for j in range(ncols + 2))
-                for point in _span(gens, steps, order, width, top)
+                for point in _spanned(gens, steps, order, width, top)
             ]
             assert len(spanned) == len(set(spanned)) == len(ys) - 1
             assert {point[:ncols] for point in spanned} == listed - {(0,) * ncols}
@@ -946,6 +955,22 @@ def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
     # fills the bound alone
     assert [key[0] for key in kept] == [3]
     assert [key for key, _ in history] == [(order, catalog) for order in (2, 3)]
+
+
+def test_kept_thin_masks_stay_within_the_bound(monkeypatch):
+    # the (B) table keeps one answer per set of resonant points met; under
+    # a bound of 3 it keeps 3 and reads the others off its chunks on every
+    # lookup, with the same hits
+    proj, catalog = charvar.deleted_b3()
+    want = [torsion_scan(proj, order, catalog=catalog) for order in (2, 3, 4)]
+    thin = charvar._scan_state(proj).fields[8][6]
+    assert isinstance(thin, charvar._ThinMasks) and 3 < len(thin) <= 2**7
+    monkeypatch.setattr(charvar, "_KEPT_MASKS", 3)
+    proj = charvar.deleted_b3()[0]
+    for _ in range(2):
+        got = [torsion_scan(proj, order, catalog=catalog) for order in (2, 3, 4)]
+        assert got == want
+    assert len(charvar._scan_state(proj).fields[8][6]) == 3
 
 
 def test_equal_catalogs_share_one_index(monkeypatch):

@@ -199,6 +199,18 @@ def test_separating_sets_match_sep_reference(arr):
 @PROPERTY_SETTINGS
 @given(arrangements(), st.data())
 def test_sharp_pairs_match_fraction_oracle(arr, data):
+    _check_sharp_pairs(arr, data)
+
+
+@PROPERTY_SETTINGS
+@given(pencils(), st.data())
+def test_sharp_pairs_of_pencils_match_fraction_oracle(arr, data):
+    # a coned pencil has one intersection point, on every line: no pair
+    # has a crossing off both of its lines
+    _check_sharp_pairs(arr, data)
+
+
+def _check_sharp_pairs(arr, data):
     order, affine = data.draw(torsion_exponents(arr.n))
     proj = cone(arr)
     report = vanishing_certificates(make_local_system(affine, order=order), proj)
