@@ -19,9 +19,9 @@ per class is listed and the answer fills the orbit.  The (B) points come
 from the nodes of a depth-first walk over the sets of resonant multiple
 points, pruned to the least set of each class (``_frontier``, which proves
 that pruning), each node's points a subgroup read off a diagonal form of
-a small integer matrix (``_node``) and listed packed, a byte-aligned field
-per line and per multiple point (``_span``, ``_fields``).  What the scans
-keep on an arrangement is one ``_ScanState``.
+a small integer matrix (``_node``) and listed packed (``_span``,
+``_fields``).  What the scans keep on an arrangement is one
+``_ScanState``.
 
 On deleted B3 at N = 5 the walk has 54 nodes (115 without the pruning)
 and lists 10 of them; the scan lists 272 of the 78,124 nontrivial points
@@ -92,10 +92,9 @@ class ComponentFamily:
     s_j on the nose; membership testing relies on that.  Signs and powers
     are integers, read by ``operator.index`` (2.0 is refused) and kept as
     tuples; a sign is read by its parity only, so signs (2, 0, 0) give the
-    points of (0, 0, 0).  The hash is that of ``(signs, powers)``, taken
-    once: integer tuples, so a family hashes alike in every process, and
-    equal families (which compare all three fields) hash alike.  Whether
-    a sign is odd is read once too, for ``_modulus``.
+    points of (0, 0, 0).  The hash is that of ``(signs, powers)``:
+    integer tuples, so a family hashes alike in every process, and equal
+    families (which compare all three fields) hash alike.
     """
 
     name: str
@@ -112,8 +111,6 @@ class ComponentFamily:
             ) from None
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "_hash", hash((signs, powers)))
-        object.__setattr__(self, "_odd", any(s % 2 for s in signs))
         if not self.powers:
             raise ValueError(f"{self.name}: no power rows")
         if len(self.signs) != len(self.powers):
@@ -153,7 +150,7 @@ class ComponentFamily:
         object.__setattr__(self, "_ones", tuple(ones))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.signs, self.powers))
 
     @property
     def nparams(self):
@@ -177,7 +174,7 @@ class ComponentFamily:
             ) from None
         if order < 1:
             raise ValueError(f"torsion order must be >= 1, not {order}")
-        return lcm(order, 2) if self._odd else order
+        return lcm(order, 2) if any(s % 2 for s in self.signs) else order
 
     def torsion_exponents(self, order):
         """The exponent vectors mod ``order`` of the family's points of order
@@ -328,10 +325,7 @@ class _ScanState:
       before any form is built; kept while fewer than ``_CACHED_NODES``
       are (deleted B3 has 255).  A node does not depend on the order.
     - ``fields``: the layout ``_fields(proj, width)`` under its field
-      width, one of the four of ``_field_width``.  Its ``_ThinMasks``
-      keeps the (B) table's answer per set of resonant points met, up to
-      ``_KEPT_MASKS`` (scans of deleted B3 at orders 2 to 12 meet 54 of
-      its 2^7 sets, about 6 kB).
+      width, one of the four of ``_field_width``.
     - ``catalogs``: the index ``_catalog_index(families, order)`` under
       ``(order, families)``.  The families are frozen and compared by
       value, so equal catalogs share one index.  An index is kept while
@@ -574,12 +568,12 @@ def _pruned(proj, k, inside):
 
 def _frontier(proj, order, budget, spent):
     """The (B) sources of ``candidate_points`` at order N, ``(k, inside,
-    outside)`` per node of a depth-first walk that puts each multiple
-    point in R or leaves it out in turn (``_node(proj, k, inside)``): the
-    points Q*y of the node's W mod N, of which those with no resonant
-    point in ``outside`` are the node's.  The nodes' data is not kept
-    here, so a long walk holds no more than the node cache; ``_node``
-    builds it from ``(k, inside)`` alone, so fetched again it is the same.
+    outside, node)`` per listed node of a depth-first walk that puts each
+    multiple point in R or leaves it out in turn, ``node`` being its
+    ``_node(proj, k, inside)``: the points Q*y of the node's W mod N, of
+    which those with no resonant point in ``outside`` are the node's.
+    The listed nodes' data is held until they are listed; the budget
+    bounds how many there are, as each counts one and its points.
 
     The walk skips sets R that an automorphism maps to a smaller one
     (orderly generation).  Order the sets of multiple points as words of
@@ -633,7 +627,7 @@ def _frontier(proj, order, budget, spent):
             if outside >> q & 1
         ):
             if k == npoints or size <= _NODE_COST << (npoints - k):
-                sources.append((k, inside, outside))
+                sources.append((k, inside, outside, node))
                 spent += size - 1
             else:
                 stack.append((k + 1, inside, outside | 1 << k))
@@ -671,42 +665,38 @@ def _span(cols, steps, order, width, top):
     """The nonzero points sum_i y_i*cols[i] mod N, y_i over the multiples
     of ``steps[i]`` in Z/N, each once (the columns are independent mod
     N), packed in integers with one ``width``-bit field per entry, in the
-    order of an odometer over y with the last digit fastest.  A column
-    comes in the sparse form of ``_sparse``, a ``(field, entry)`` pair per
-    nonzero integer entry, so a generator is the sum of its entries, each
-    reduced mod N and shifted to its field: 2 terms for a local family's
-    e_j - e_last, not one per field.  ``top`` is the integer of the fields'
-    top bits (with any more fields above, which stay 0).  The points come
-    in lists of at most ``_LISTED``, an iterable of them, so a caller
-    tests a list in one comprehension.
+    order of ``product`` over y with the last y_i fastest.  A column comes
+    in the sparse form of ``_sparse``, a ``(field, entry)`` pair per
+    nonzero integer entry, so a generator's packed increment (its step
+    times its column) is the sum of its entries, each reduced mod N and
+    shifted to its field: 2 terms for a local family's e_j - e_last, not
+    one per field.  ``top`` is the integer of the fields' top bits (with
+    any more fields above, which stay 0).  The points come in lists of at
+    most ``_LISTED``, an iterable of them, so a caller tests a list in one
+    comprehension.
 
     The generators are the y_i with a step below N.  The innermost ones,
     as many as keep their points to at most ``_LISTED``, are listed at
     once as a list I of packed sums (I = [0] when the last alone has
-    more).  An odometer runs over the others: digit i steps up while the
-    digits after it wrap to 0, and a wrap adds its step times its column
-    once more (count * step = N), so each of its points P is one packed
-    sum, and each gives the list P + I in one comprehension.  So the
-    generator resumes the odometer once per list and holds I and one list,
-    each of at most ``_LISTED`` points, whatever N and the node's size;
-    I less 0 is the first list, and the only one when every generator is
-    inner.
+    more).  The outer ones run as a recursive product: ``lists(i, base)``
+    gives the list base + I past the last outer generator, and otherwise,
+    N/step times, gives ``lists(i + 1, base)`` and adds generator i's
+    increment to base.  The first list, base 0, is I less 0.  So each list
+    is one comprehension, and the generator holds I, one list and a base
+    per outer generator, whatever N and the node's size.
     Every sum's fields are below 2N <= 2^width, and adding 2^(width-1) - N
     sets a field's top bit exactly when it is at least N, so one
     subtraction reduces them all mod N."""
-    gens = [(col, step) for col, step in zip(cols, steps) if step < order]
-    if not gens:
-        return ()
+    gens = [
+        (sum([step * c % order << width * f for f, c in col]), order // step)
+        for col, step in zip(cols, steps)
+        if step < order
+    ]
     shift = width - 1
     fix = top - order * (top >> shift)
     inner = [0]
-    while gens:
-        col, step = gens[-1]
-        count = order // step
-        if len(inner) * count > _LISTED:
-            break
-        gens.pop()
-        inc = sum([step * c % order << width * f for f, c in col])
+    while gens and len(inner) * gens[-1][1] <= _LISTED:
+        inc, count = gens.pop()
         multiples = [0]
         for _ in range(count - 1):
             point = multiples[-1] + inc
@@ -716,66 +706,27 @@ def _span(cols, steps, order, width, top):
             for m in multiples
             for p in inner
         ]
-    if not gens:  # every generator is inner: one list, no odometer
-        return (inner[1:],)
-    incs = []
-    acc = {}  # field -> the sum of step * entry over the later generators
-    for col, step in reversed(gens):
-        for f, c in col:
-            acc[f] = acc.get(f, 0) + step * c
-        incs.append(sum([v % order << width * f for f, v in acc.items()]))
-    incs.reverse()
-    ends = [order // step - 1 for _, step in gens]
 
-    def lists():
-        yield inner[1:]
-        digits = [0] * len(gens)
-        base = 0
-        while True:
-            i = len(digits) - 1
-            while i >= 0 and digits[i] == ends[i]:
-                digits[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            digits[i] += 1
-            base += incs[i]
-            base -= ((base + fix & top) >> shift) * order
+    def lists(i, base):
+        if i < len(gens):
+            inc, count = gens[i]
+            for _ in range(count):
+                yield from lists(i + 1, base)
+                base += inc
+                base -= ((base + fix & top) >> shift) * order
+        elif base:
             yield [
                 (point := base + m) - ((point + fix & top) >> shift) * order
                 for m in inner
             ]
+        else:
+            yield inner[1:]
 
-    return lists()
+    return lists(0, 0)
 
 
-# multiple points per chunk of the (B) table of ``_fields``, and the most
-# masks its ``_ThinMasks`` keeps (deleted B3 has 2^7)
+# multiple points per chunk of the (B) table of ``_fields``
 _CHUNK = 7
-_KEPT_MASKS = 4096
-
-
-class _ThinMasks(dict):
-    """The (B) table of ``_fields`` as a dict: ``thin[resonant]``, for the
-    top bits of a set of resonant points, is the top bits of the lines
-    meeting fewer than two of them.  A mask not yet kept is read off the
-    chunks (``__missing__``) and kept while fewer than ``_KEPT_MASKS``
-    are, so a scan looks most masks up in one subscript."""
-
-    __slots__ = ("chunks", "twice", "lines_top")
-
-    def __init__(self, chunks, twice, lines_top):
-        super().__init__()
-        self.chunks, self.twice, self.lines_top = chunks, twice, lines_top
-
-    def __missing__(self, resonant):
-        counts = self.twice
-        for mask, entries in self.chunks:
-            counts += entries[resonant & mask]
-        thin = self.lines_top & ~counts
-        if len(self) < _KEPT_MASKS:
-            self[resonant] = thin
-        return thin
 
 
 def _fields(proj, width):
@@ -788,9 +739,8 @@ def _fields(proj, width):
     of the point fields; adding ``near`` (2^(width-1) - 1 in every field)
     sets a field's top bit exactly when the field is not 0.
     ``unpack(point.to_bytes(nbytes, "little"))`` is the tuple of the line
-    fields.  ``thin`` is the ``_ThinMasks`` of the layout: ``thin[resonant]``,
-    for the top bits of a set of resonant points, is the top bits of the
-    lines meeting fewer than two of them.
+    fields.  ``thin(resonant)``, for the top bits of a set of resonant
+    points, is the top bits of the lines meeting fewer than two of them.
 
     It reads a table that splits the points into chunks of ``_CHUNK``:
     per chunk, each value of its top bits maps to a count in each line
@@ -820,6 +770,13 @@ def _fields(proj, width):
                 for j, on in enumerate(table.on_mask)
             )
         chunks.append((sum(bits), entries))
+
+    def thin(resonant):
+        counts = twice
+        for mask, entries in chunks:
+            counts += entries[resonant & mask]
+        return lines_top & ~counts
+
     code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
     return (
         top,
@@ -828,7 +785,7 @@ def _fields(proj, width):
         point_tops,
         (n + npoints) * width // 8,
         Struct(f"<{n}{code}").unpack_from,
-        _ThinMasks(chunks, twice, lines_top),
+        thin,
     )
 
 
@@ -880,19 +837,18 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
     ``torsion_scan``'s catalog parameter tuples) plus the points of every
     local family, the points listed from the walk and the nodes walked.
 
-    Points come packed from ``_span`` in byte-aligned fields
-    (``_field_width``: 8 bits up to N = 127, 16 up to
-    ``MAX_TORSION_ORDER``), a field per line, and a (B) point also one
-    per multiple point (its exponent sum), laid out by ``_fields``.  They
-    are read in that form: adding ``near`` gives the lines with q != 1
-    and the resonant points of a (B) point as masks of top bits.  The (B)
-    test is then a lookup in the ``_ThinMasks`` of ``_fields``, run over
-    each list of ``_span`` in one comprehension: a point is kept when none
-    of its lines with q != 1 meets fewer than two of its resonant points
-    (and it leaves out no point of ``outside``).  A kept point's exponents
-    are its line fields, unpacked from its bytes with ``struct``.  A
-    span's generators are the sparse columns of its node (``_node``) or,
-    for a local family, of ``_symmetry``; only their steps depend on N."""
+    Points come packed from ``_span`` in fields of ``_field_width``, a
+    field per line, and a (B) point also one per multiple point (its
+    exponent sum), laid out by ``_fields``.  They are read in that form:
+    adding ``near`` gives the lines with q != 1 and the resonant points of
+    a (B) point as masks of top bits.  The (B) test is then one call of
+    the ``thin`` of ``_fields``, run over each list of ``_span`` in one
+    comprehension: a point is kept when none of its lines with q != 1
+    meets fewer than two of its resonant points (and it leaves out no
+    point of ``outside``).  A kept point's exponents are its line fields,
+    unpacked from its bytes with ``struct``.  A span's generators are the
+    sparse columns of its node, handed over by ``_frontier``, or, for a
+    local family, of ``_symmetry``; only their steps depend on N."""
     table = incidence_table(proj)
     # a family has N^(|p| - 1) points, zero included
     spent += sum(order ** (depth + 1) - 1 for depth in table.depth)
@@ -905,8 +861,7 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
         for points in _span(gens, [1] * len(gens), order, width, top):
             packed = map(int.to_bytes, points, repeat(nbytes), repeat("little"))
             yield from zip(map(unpack, packed), repeat(depth))
-    for k, inside, outside in nodes:
-        _, _, _, divisors, gens = state.node(proj, k, inside)
+    for _, _, outside, (_, _, _, divisors, gens) in nodes:
         steps = [order // gcd(v, order) for v in divisors]
         outside = sum(bit for q, bit in enumerate(point_tops) if outside >> q & 1)
         for points in _span(gens, steps, order, width, top):
@@ -916,7 +871,7 @@ def candidate_points(proj, order, budget=DEFAULT_BUDGET, spent=0):
                 if not (
                     (resonant := points_top & ~(nonzero := point + near & top))
                     & outside
-                    or nonzero & thin[resonant]
+                    or nonzero & thin(resonant)
                 )
             ]
             packed = map(int.to_bytes, kept, repeat(nbytes), repeat("little"))

@@ -347,8 +347,9 @@ def _listed_spans(proj, order):
         p = table.points[q]
         cols = [[int(i == j) - int(i == p[-1]) for i in range(proj.n)] for j in p[:-1]]
         spans.append((gens, [1] * len(cols), cols, [1] * len(cols)))
-    for k, inside, _ in charvar._frontier(proj, order, 10**12, 0):
-        _, _, _, divisors, gens = state.node(proj, k, inside)
+    for k, inside, _, (_, _, _, divisors, gens) in charvar._frontier(
+        proj, order, 10**12, 0
+    ):
         d, cols = brute.node_columns(proj, k, inside)
         steps = [order // gcd(v, order) for v in divisors]
         dense = [order // gcd(v, order) for v in d] + [1] * (len(cols) - len(d))
@@ -363,8 +364,8 @@ def test_sparse_spans_equal_the_dense_reference(name, monkeypatch):
     # column (``brute.span``), on every local family and listed node at
     # N = 2 to 12.  On deleted B3 also at N = 128, 16-bit fields: the first
     # 20,000 points of each span (the quadruple point's family has
-    # 2,097,151), past the odometer's first carry of every digit but the
-    # last of that family.  The coned file walks up to 17,000 nodes an
+    # 2,097,151), past the first step of each outer generator of that
+    # family.  The coned file walks up to 17,000 nodes an
     # order, past the node cache, so the test keeps them all on a fresh
     # arrangement (75 MB): nodes do not depend on N, so each is made once
     monkeypatch.setattr(charvar, "_CACHED_NODES", 10**5)
@@ -610,7 +611,7 @@ def _kernel_mod(rows, ncols, order):
 
 def test_diagonal_form_and_span_list_the_kernel_mod_n():
     # the columns of the diagonal form span the kernel mod N, and the
-    # odometer of ``_span`` lists its nonzero points each once, packed in
+    # listing of ``_span`` gives its nonzero points each once, packed in
     # fields of order.bit_length() + 1 bits
     rng = random.Random(5)
     for _ in range(150):
@@ -687,6 +688,37 @@ def test_span_lists_the_kernel_mod_n_at_the_byte_widths(order):
             assert len(spanned) == len(set(spanned)) == len(ys) - 1
             assert {point[:ncols] for point in spanned} == listed - {(0,) * ncols}
             assert all(point[ncols:] == (0, 0) for point in spanned)
+
+
+@pytest.mark.parametrize("order, ncols", [(2, 11), (2, 12), (3, 10)])
+def test_span_runs_three_or_more_outer_generators(order, ncols):
+    # past ``_LISTED`` points the generators left out of the inner list run
+    # as a recursive product: 3 and 4 of them at N = 2 (2^8 points inner),
+    # 5 at N = 3 (3^5 inner).  Unit lower-triangular columns are
+    # independent mod N; one more column, of step N, is no generator.  The
+    # points come in the order of the ``product`` listing of y, as
+    # ``brute.span`` lists them, in lists of at most ``_LISTED``
+    rng = random.Random(100 * order + ncols)
+    cols = [
+        [0] * j + [1] + [rng.randrange(-3, 4) for _ in range(ncols - j - 1)]
+        for j in range(ncols)
+    ]
+    cols.insert(ncols // 2, [rng.randrange(order) for _ in range(ncols)])
+    steps = [1] * ncols
+    steps.insert(ncols // 2, order)
+    width = _field_width(order)
+    top = brute.pack([1 << width - 1] * ncols, width)
+    ys = product(*(range(0, order, step) for step in steps))
+    want = [
+        brute.pack([sum(map(mul, y, row)) % order for row in zip(*cols)], width)
+        for y in islice(ys, 1, None)
+    ]
+    lists = list(_span(list(map(_sparse, cols)), steps, order, width, top))
+    assert len(lists) == {2: 2 ** (ncols - 8), 3: 3**5}[order]
+    assert all(len(points) <= charvar._LISTED for points in lists)
+    assert [point for points in lists for point in points] == want
+    assert list(brute.span(cols, steps, order, width, top)) == want
+    assert len(want) == order**ncols - 1
 
 
 @pytest.mark.parametrize("order", range(2, 13))
@@ -855,20 +887,20 @@ def test_a_family_refuses_orders_below_one_and_non_integers(order, message):
         c136.contains(TorusPoint((0,) * 8, -3))
 
 
-def test_a_family_hashes_its_signs_and_powers_once():
-    # the hash is taken once from the integer tuples (signs, powers), so a
-    # pickled family hashes alike; a replaced field gets its own hash, and
-    # equality still reads the name
+def test_a_family_hashes_its_signs_and_powers():
+    # the hash is that of the integer tuples (signs, powers), so a pickled
+    # family hashes alike; a replaced field gets its own hash, and equality
+    # still reads the name
     _, catalog = corpus.b3()
     for fam in catalog:
-        assert fam._hash == hash(fam) == hash((fam.signs, fam.powers))
+        assert hash(fam) == hash((fam.signs, fam.powers))
         copy = pickle.loads(pickle.dumps(fam))
         assert copy == fam and hash(copy) == hash(fam)
         renamed = replace(fam, name="renamed")
         assert renamed != fam and hash(renamed) == hash(fam)
     omega = catalog[-1]
     flipped = replace(omega, signs=(0, -1, 1, 0, 0, 1, 0, 1))
-    assert flipped._hash == hash(flipped) == hash((flipped.signs, omega.powers))
+    assert hash(flipped) == hash((flipped.signs, omega.powers))
     assert flipped != omega
 
 
@@ -955,22 +987,6 @@ def test_kept_catalog_points_stay_within_the_bound(monkeypatch):
     # fills the bound alone
     assert [key[0] for key in kept] == [3]
     assert [key for key, _ in history] == [(order, catalog) for order in (2, 3)]
-
-
-def test_kept_thin_masks_stay_within_the_bound(monkeypatch):
-    # the (B) table keeps one answer per set of resonant points met; under
-    # a bound of 3 it keeps 3 and reads the others off its chunks on every
-    # lookup, with the same hits
-    proj, catalog = charvar.deleted_b3()
-    want = [torsion_scan(proj, order, catalog=catalog) for order in (2, 3, 4)]
-    thin = charvar._scan_state(proj).fields[8][6]
-    assert isinstance(thin, charvar._ThinMasks) and 3 < len(thin) <= 2**7
-    monkeypatch.setattr(charvar, "_KEPT_MASKS", 3)
-    proj = charvar.deleted_b3()[0]
-    for _ in range(2):
-        got = [torsion_scan(proj, order, catalog=catalog) for order in (2, 3, 4)]
-        assert got == want
-    assert len(charvar._scan_state(proj).fields[8][6]) == 3
 
 
 def test_equal_catalogs_share_one_index(monkeypatch):
