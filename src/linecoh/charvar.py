@@ -334,6 +334,13 @@ class _ScanState:
       oldest dropped first.  An index with more, or with none (no
       families, or none with a point of the order), is built on every
       call: an empty one would never be dropped.
+
+    Each store pays on a warm deleted-B3 pass (orders 2 to 4 with the
+    catalog, ``b3-scan``'s seed-1 relabelling; lower quartile of 60
+    passes, best of five rounds, 2 vCPUs, Python 3.11): 2.7 ms with all
+    three, 3.3 times as long with no node kept (``_CACHED_NODES`` = 0),
+    1.6 times with ``_fields`` rebuilt per scan, and 1.4 times with no
+    catalog index kept (``_KEPT_POINTS`` = 0).
     """
 
     __slots__ = ("prune", "classes", "moves", "nodes", "fields", "catalogs")

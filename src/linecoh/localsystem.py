@@ -78,7 +78,8 @@ class LocalSystem:
 @lru_cache(maxsize=64)
 def _cyclotomic_backend(order):
     """One backend per field, shared by every system of that order: its
-    power table is built once and its weight table fills up across them."""
+    power table is built once, on first Z[zeta] use, and its weight table
+    fills up across them."""
     return CyclotomicBackend(order)
 
 

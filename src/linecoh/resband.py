@@ -10,15 +10,16 @@ separating sets of its wave.  The lines separating a band's two ends are
 exactly those not parallel to it, so ``resonant_bands`` is the one
 resonance rule.  An arrangement keeps one ``BandTable``, the one store
 of band structure, under its own ids (line k is k, infinity n): its
-bands, per band its resonance ids, and per set of resonant bands it has
-met the layout of their wave matrix (its rows and each column's
-fields), made once and kept.  A ``BandTable`` is a
-``scalars.HalfProdTable`` of its id lists, the one separating-set read
-the chamber complex shares.  One core, ``_band_kernel``, reads a table
-under half monodromies in that order: one read (``sums``, packed on the
-exact backend) gives every band's resonance sum and every entry of
-every band's wave, and the layout of the resonant bands picks the
-matrix's columns out of it.
+bands, per band its resonance ids, and per band one fixed column of the
+wave matrix over every chamber some band meets, built with the table,
+which never changes after (rows no resonant band meets are zero, and
+move neither the rank nor the bound of ``weight_rank``).  A
+``BandTable`` is a ``scalars.HalfProdTable`` of its id lists, the one
+separating-set read the chamber complex shares.  One core,
+``_band_kernel``, reads a table under half monodromies in that order:
+one read (``sums``, packed on the exact backend) gives every band's
+resonance sum and every entry of every band's wave, and the resonant
+bands' columns are picked out of it.
 ``h1_via_bands`` reads an arrangement's table; ``h1_on_band_chart``, the
 one chart rule (infinity when its q is not 1, else the first line with
 q != 1), reads the table of ``proj.chart(h).arrangement`` under
@@ -131,10 +132,6 @@ def _bands(arrangement):
     return tuple(out)
 
 
-# resonant-band layouts one band table keeps; a deleted-B3 chart has at
-# most 16 (four bands)
-_KEPT_LAYOUTS = 1024
-
 def _picker(fields):
     """``itemgetter(*fields)``, which gives a tuple for one field too."""
     if len(fields) == 1:
@@ -151,16 +148,19 @@ class BandTable(HalfProdTable):
     then each band's wave ids in ``waves`` order, so one ``sums`` read
     gives every band's resonance sum and every wave entry at once.
 
-    ``layout(key)``, for a tuple of one flag per band (is it resonant?),
-    is ``(bands, picks)``: the resonant bands and, per band, the picker of
-    its column of the wave matrix from a read, a row per chamber the
-    resonant bands meet (in index order) holding the sum of that chamber's
-    wave ids, or the sum over () where the band does not meet it.  A
-    layout is made on first use and kept, up to ``_KEPT_LAYOUTS`` a
-    table, so a call reads its rows and positions instead of building
-    them."""
+    ``picks`` holds per band the picker of its column of the wave matrix
+    from a read, over one fixed row set: a row per chamber that some band
+    meets, in index order, holding the sum of that chamber's wave ids, or
+    the sum over () where the band does not meet it.  The columns are
+    built with the table, which never changes after.  A row that no
+    resonant band meets is zero in every resonant column, so it moves
+    neither the rank nor ``weight_rank``'s k = min(rows, nonzero
+    columns): no other band meets the two ends of a band (a band whose
+    ends are one chamber has a zero column), so resonant bands meet at
+    least as many rows as they have nonzero columns, and k is that count
+    on either row set."""
 
-    __slots__ = ("bands", "_layouts")
+    __slots__ = ("bands", "picks")
 
     def __init__(self, arrangement):
         self.bands = _bands(arrangement)
@@ -172,29 +172,18 @@ class BandTable(HalfProdTable):
                 *(ids for band in self.bands for _, ids in band.waves),
             )
         )
-        self._layouts = {}
-
-    def layout(self, key):
-        layout = self._layouts.get(key)
-        if layout is not None:
-            return layout
-        res = tuple(compress(self.bands, key))
-        rows = sorted(set().union(*[band.inner for band in res]))
+        rows = sorted({ci for band in self.bands for ci in band.inner})
         pos = {ci: r for r, ci in enumerate(rows)}
         empty = len(self.bands)  # the field of (), then each band's waves
         first = empty + 1
         picks = []
-        for band, resonant in zip(self.bands, key):
-            if resonant:
-                fields = [empty] * len(rows)
-                for f, (ci, _) in enumerate(band.waves, first):
-                    fields[pos[ci]] = f
-                picks.append(_picker(fields))
+        for band in self.bands:
+            fields = [empty] * len(rows)
+            for f, (ci, _) in enumerate(band.waves, first):
+                fields[pos[ci]] = f
+            picks.append(_picker(fields))
             first += len(band.waves)
-        layout = res, picks
-        if len(self._layouts) < _KEPT_LAYOUTS:
-            self._layouts[key] = layout
-        return layout
+        self.picks = tuple(picks)
 
 
 def _table(arrangement):
@@ -219,12 +208,11 @@ def _affine_table(system, arrangement):
 
 
 def _resonant(bk, halves, table):
-    """``(bands, picks, sums)``: the ``BandTable.layout`` of the bands of
-    ``table`` whose resonance ids have product of q equal to 1, and the
-    read ``table.sums`` of ``halves`` it was taken from."""
+    """``(flags, sums)``: the read ``table.sums`` of ``halves`` and, per
+    band of ``table``, whether its resonance ids have product of q equal
+    to 1."""
     sums = table.sums(bk, halves)
-    key = tuple(map(bk.square_is_one, sums[: len(table.bands)]))
-    return (*table.layout(key), sums)
+    return [*map(bk.square_is_one, sums[: len(table.bands)])], sums
 
 
 def resonant_bands(system, arrangement):
@@ -234,7 +222,9 @@ def resonant_bands(system, arrangement):
     equals the vanishing of the weight between the band's two ends, as
     Sep(U_1, U_2) is the lines not in ``parallel_ids``.  The system must
     have one monodromy per line."""
-    return _resonant(system.backend, *_affine_table(system, arrangement))[0]
+    halves, table = _affine_table(system, arrangement)
+    flags, _ = _resonant(system.backend, halves, table)
+    return tuple(compress(table.bands, flags))
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,17 +240,16 @@ def _band_kernel(bk, halves, table):
     """The ``BandKernel`` of a ``BandTable`` under ``halves``, by id and
     reduced mod M on the exact backend, with q != 1 at infinity: the
     resonant bands minus the rank of their wave matrix (a column per band,
-    a row per chamber they meet, in index order; an entry is the half
-    monodromy of its wave ids), which ``scalars.weight_rank`` ranks over
-    F_p on the exact backend.  One read of the table (``BandTable.sums``)
-    gives the resonance and every entry, and the table's kept ``layout``
-    picks the columns out of it."""
-    resonant, picks, sums = _resonant(bk, halves, table)
-    dim = 0
-    if picks:
-        columns = [pick(sums) for pick in picks]
-        dim = len(columns) - weight_rank(bk, columns)
-    return BandKernel(dim, resonant)
+    a row per chamber some band of the table meets, in index order; an
+    entry is the half monodromy of its wave ids), which
+    ``scalars.weight_rank`` ranks over F_p on the exact backend.  One read
+    of the table (``BandTable.sums``) gives the resonance and every entry,
+    and the table's ``picks`` of the resonant bands take their columns
+    out of it."""
+    flags, sums = _resonant(bk, halves, table)
+    columns = [pick(sums) for pick in compress(table.picks, flags)]
+    dim = len(columns) - weight_rank(bk, columns) if columns else 0
+    return BandKernel(dim, tuple(compress(table.bands, flags)))
 
 
 def h1_on_band_chart(system, proj):

@@ -108,18 +108,7 @@ class CyclotomicBackend:
         self.degree = d
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
-        # x^k reduced modulo the cyclotomic polynomial, for 0 <= k < top
-        top = max(order, 2 * d - 1)
-        pows = [list(self.one)]
-        for _ in range(1, top):
-            prev = pows[-1]
-            cur = [0] + prev[: d - 1]
-            lead = prev[d - 1]
-            if lead:
-                for j in range(d):
-                    cur[j] -= lead * self.modulus[j]
-            pows.append(cur)
-        self._pow = [tuple(p) for p in pows]
+        self._pow = None  # the table of ``_powers``, once built
         self._weights = {}
         # (p, weight table mod p) for the primes p = 1 (mod order) below
         # 2^62, largest first, and per size k the norm bound of its minors
@@ -130,9 +119,33 @@ class CyclotomicBackend:
     def __repr__(self):
         return f"CyclotomicBackend({self.order})"
 
+    def _powers(self):
+        """x^k reduced modulo the cyclotomic polynomial, for 0 <= k < top,
+        built on first use and kept in ``_pow``: only Z[zeta] arithmetic
+        (``root``, ``mul``, ``weight``, the chamber complex) reads it,
+        never the band route, the certificates or the scans, and it holds
+        M * phi(M) integers, M = ``order``.  A plain attribute set in
+        ``__init__`` keeps ``mul``'s lookups fast, which a
+        ``functools.cached_property`` did not."""
+        if self._pow is not None:
+            return self._pow
+        d = self.degree
+        top = max(self.order, 2 * d - 1)
+        pows = [list(self.one)]
+        for _ in range(1, top):
+            prev = pows[-1]
+            cur = [0] + prev[: d - 1]
+            lead = prev[d - 1]
+            if lead:
+                for j in range(d):
+                    cur[j] -= lead * self.modulus[j]
+            pows.append(cur)
+        self._pow = [tuple(p) for p in pows]
+        return self._pow
+
     def root(self, k):
         """zeta_order ** k as a backend element."""
-        return self._pow[k % self.order]
+        return self._powers()[k % self.order]
 
     # -- half monodromies h = zeta_order ** s, stored as s mod order -------
 
@@ -197,10 +210,11 @@ class CyclotomicBackend:
                     if vj:
                         conv[i + j] += ui * vj
         out = conv[:d]
+        pows = self._pow or self._powers()
         for k in range(d, 2 * d - 1):
             ck = conv[k]
             if ck:
-                pw = self._pow[k]
+                pw = pows[k]
                 for j in range(d):
                     if pw[j]:
                         out[j] += ck * pw[j]
@@ -274,8 +288,9 @@ def weight_table(m, p):
 DEFAULT_EPS = 1e-9
 EPS_FLOOR = 1e-12  # about 300 times the rounding errors of the zero tests
 # the largest torsion order N of the exact backend: a system of order N
-# builds CyclotomicBackend(2N), whose power table holds 2N * phi(2N)
-# integers, up to 2N^2 (about 30 MB at N = 1000, and 3 GB at N = 10007)
+# works in CyclotomicBackend(2N), whose power table, built only by the
+# chamber complex, holds 2N * phi(2N) integers, up to 2N^2 (about 30 MB
+# at N = 1000, and 3 GB at N = 10007)
 MAX_TORSION_ORDER = 1000
 
 

@@ -234,8 +234,10 @@ def test_chambers_takes_no_backend_or_eps(option, capsys):
 BOUND = "exceeds the bound 1000 of the cyclotomic backend"
 
 
-# a spec value that cannot be read, or a torsion order beyond the exact
-# backend's bound, exits 2 with a message naming the field or the bound
+# a spec value that cannot be read, a torsion order beyond the exact
+# backend's bound, or a spec off its grammar (tokens after "complex", a
+# second ";") exits 2 with a message naming the field, the bound or the
+# grammar
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -253,6 +255,8 @@ BOUND = "exceeds the bound 1000 of the cyclotomic backend"
             "torsion 99999999999999999999; 0 1 3 0 0",
             f"torsion order 99999999999999999999 {BOUND}",
         ),
+        ("complex 7 junk; 1 -1 1 1 1", 'complex spec is "complex; q1 ... qn"'),
+        ("torsion 4; 0 1 3 2 0; 5", 'torsion spec is "torsion N; e1 ... en"'),
     ],
 )
 def test_non_integer_torsion_spec_exits_2(spec, message, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import brute
 import corpus
 from linecoh import LocalSystem, cone, make_local_system, resband, scalars
-from linecoh.charvar import candidate_points
+from linecoh.charvar import TorusPoint, candidate_points, h1_at_point
 from linecoh.geometry import separating_ids
 from linecoh.mincomplex import cohomology_dims, complex_structure
 from linecoh.resband import (
@@ -376,12 +376,10 @@ def test_chart_tables_equal_the_chart_systems(backend):
 
 
 @pytest.mark.parametrize("backend", ["cyclotomic", "complex"])
-def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
-    # a table keeps the layout of each set of resonant bands it meets, up
-    # to ``_KEPT_LAYOUTS``; past the bound a layout is made per call, and
-    # the kernel is the same either way.  Each kernel record equals,
-    # hashes and prints as ``BandKernel(dim, bands)`` and refuses
-    # assignment
+def test_fresh_band_tables_give_the_kept_kernels(backend):
+    # a fresh table of each chart gives the kernel the kept one gave.
+    # Each kernel record equals, hashes and prints as
+    # ``BandKernel(dim, bands)`` and refuses assignment
     proj, _ = corpus.b3()
     rng = random.Random(11)
     kernels = []
@@ -392,7 +390,6 @@ def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
         found = h1_on_band_chart(system, proj)
         if found is not None:
             kernels.append((system, *found))
-    monkeypatch.setattr(resband, "_KEPT_LAYOUTS", 1)
     fresh = {}
     for system, h, kernel in kernels:
         if h not in fresh:
@@ -405,9 +402,24 @@ def test_band_tables_keep_layouts_up_to_their_bound(backend, monkeypatch):
         assert repr(kernel) == repr(built)
         with pytest.raises(dataclasses.FrozenInstanceError):
             kernel.dim = 0
-    assert all(len(table._layouts) == 1 for table in fresh.values())
     assert {kernel.dim for _, _, kernel in kernels} >= {0, 1, 2}
     assert len({len(kernel.bands) for _, _, kernel in kernels}) >= 3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(arrangements())
+def test_no_other_band_meets_the_ends_of_a_band(arr):
+    """The band table's fixed rows leave ``weight_rank``'s k alone because
+    a band with two ends is the only band to meet them, and a band whose
+    ends are one chamber has a zero wave."""
+    bs = bands(arr)
+    for band in bs:
+        if band.u1 == band.u2:
+            assert band.inner == (band.u1,)
+            continue
+        for other in bs:
+            if other is not band:
+                assert not {band.u1, band.u2} & set(other.inner)
 
 
 def test_one_band_table_per_arrangement():
@@ -571,6 +583,24 @@ def test_fig1_order_1000_band_route_needs_no_prime(monkeypatch):
     arr = corpus.figure_five_lines()
     system = make_local_system([0, 250, 750, 500, 0], order=1000)
     assert h1_via_bands(system, arr).dim == 2
+
+
+def test_band_route_builds_no_power_table():
+    """The band route, the certificates and ``h1_at_point`` read halves and
+    F_p tables, so at order 997 they leave Q(zeta_1994)'s power table
+    (about two million integers) unbuilt; the chamber complex builds it
+    and agrees with them."""
+    arr = corpus.figure_five_lines()
+    proj = cone(arr)
+    exps = [0, 1, 996, 0, 0]
+    system = make_local_system(exps, order=997)
+    _, kernel = h1_on_band_chart(system, proj)
+    assert vanishing_certificates(system, proj).h1 == kernel.dim == 2
+    exps.insert(proj.infinity_index, 0)
+    assert h1_at_point(proj, TorusPoint(tuple(exps), 997)) == 2
+    assert system.backend._pow is None
+    assert cohomology_dims(system, arr) == (0, 2, 4)
+    assert len(system.backend._pow) == 1994
 
 
 # ---------------------------------------------------------------------------
